@@ -1,0 +1,300 @@
+"""Characteristic graphs: construction, unions, OR powers, MIS enumeration,
+and deterministic colorings.
+
+A vertex is a positive-probability local symbol; an edge joins two symbols
+that some shared positive-probability completion forces the user to tell
+apart. Entropy solvers over these graphs live in solvers.py.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, product as iter_product
+from typing import Hashable, Iterable, Mapping, Sequence
+
+from .errors import DeskScaleError, ValidationError
+from .functions import DemandSpec, evaluate_demand
+from .probability import SUPPORT_TOL, JointPmf, Pmf
+from .topology import Placement
+
+MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration
+POWER_GUARD = 10**5     # max |V|^n for OR powers
+EXACT_COLOR_GUARD = 12  # max |V| for exact minimum colorings / partitions
+
+Label = Hashable
+
+
+@dataclass(frozen=True)
+class CharGraph:
+    """Vertex-labelled graph with a PMF; edges are index pairs (i, j), i < j."""
+
+    vertices: tuple[Label, ...]
+    edges: frozenset[tuple[int, int]]
+    pmf: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.vertices)
+        if n == 0:
+            raise ValidationError("graph needs at least one vertex")
+        if len(set(self.vertices)) != n:
+            raise ValidationError("duplicate vertex labels")
+        if len(self.pmf) != n:
+            raise ValidationError("pmf length must match vertex count")
+        if any(m <= 0.0 for m in self.pmf):
+            raise ValidationError("every vertex must carry positive probability")
+        if abs(math.fsum(self.pmf) - 1.0) > 1e-9:
+            raise ValidationError("vertex pmf must sum to 1")
+        for i, j in self.edges:
+            if not (0 <= i < j < n):
+                raise ValidationError(f"edge ({i},{j}) is not an ordered pair of vertex ids")
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    @cached_property
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+        for i, j in self.edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        return tuple(frozenset(s) for s in nbrs)
+
+    @cached_property
+    def index(self) -> dict[Label, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def adjacent(self, i: int, j: int) -> bool:
+        return (min(i, j), max(i, j)) in self.edges
+
+    def vertex_pmf(self) -> Pmf:
+        return Pmf(self.n, self.pmf)
+
+
+def make_graph(
+    masses: Mapping[Label, float], edge_pairs: Iterable[tuple[Label, Label]]
+) -> CharGraph:
+    """Normalize masses (pruning sub-threshold vertices), sort labels, and
+    index the given label pairs as edges."""
+    kept = {v: m for v, m in masses.items() if m > SUPPORT_TOL}
+    if not kept:
+        raise ValidationError("no vertex has positive probability")
+    vertices = tuple(sorted(kept, key=repr))
+    total = math.fsum(kept.values())
+    pmf = tuple(kept[v] / total for v in vertices)
+    idx = {v: i for i, v in enumerate(vertices)}
+    edges = set()
+    for a, b in edge_pairs:
+        if a not in idx or b not in idx:
+            continue  # an endpoint was pruned
+        i, j = idx[a], idx[b]
+        if i == j:
+            raise ValidationError(f"self-loop at vertex {a!r}")
+        edges.add((min(i, j), max(i, j)))
+    return CharGraph(vertices=vertices, edges=frozenset(edges), pmf=pmf)
+
+
+def build_char_graph(
+    d: DemandSpec,
+    p: Placement,
+    joint: JointPmf,
+    i: int,
+    demand_subset: Iterable[int] | None = None,
+) -> CharGraph:
+    """Characteristic graph of server i for the demanded functions in
+    demand_subset (1-based ids; default all, which realizes the union graph).
+
+    Vertices are the positive-probability local tuples W_{Z_i}; two are joined
+    iff some completion of every other coordinate has positive probability
+    with both and makes a selected demand differ.
+    """
+    if joint.arity != d.k or p.k != d.k:
+        raise ValidationError("joint, placement, and demand disagree on K")
+    sel = _demand_ids(d, demand_subset)
+    zone = p.zone0(i)
+    rest_coords = tuple(c for c in range(d.k) if c not in zone)
+
+    masses: dict[tuple[int, ...], float] = {}
+    # vertex -> completion -> selected demand outputs
+    outputs: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+    for w, m in joint.support():
+        x = tuple(w[c] for c in zone)
+        rest = tuple(w[c] for c in rest_coords)
+        masses[x] = masses.get(x, 0.0) + m
+        full = evaluate_demand(d, w)
+        outputs.setdefault(x, {})[rest] = tuple(full[j - 1] for j in sel)
+    if len([m for m in masses.values() if m > SUPPORT_TOL]) < 2:
+        raise ValidationError(
+            f"server {i} local support has fewer than 2 points; nothing to distinguish"
+        )
+
+    edge_pairs = []
+    for x1, x2 in combinations(sorted(masses, key=repr), 2):
+        o1, o2 = outputs[x1], outputs[x2]
+        shared = o1.keys() & o2.keys()
+        if any(o1[r] != o2[r] for r in shared):
+            edge_pairs.append((x1, x2))
+    return make_graph(masses, edge_pairs)
+
+
+def _demand_ids(d: DemandSpec, demand_subset: Iterable[int] | None) -> tuple[int, ...]:
+    if demand_subset is None:
+        return tuple(range(1, d.kc + 1))
+    sel = tuple(sorted(set(int(j) for j in demand_subset)))
+    if not sel or sel[0] < 1 or sel[-1] > d.kc:
+        raise ValidationError(f"demand subset {sel} outside 1..{d.kc}")
+    return sel
+
+
+def union_graph(gs: Sequence[CharGraph]) -> CharGraph:
+    """Edge-union of graphs sharing one vertex set and PMF."""
+    if not gs:
+        raise ValidationError("union of zero graphs")
+    base = gs[0]
+    for g in gs[1:]:
+        if g.vertices != base.vertices:
+            raise ValidationError("union requires identical vertex lists")
+        if any(abs(a - b) > 1e-12 for a, b in zip(g.pmf, base.pmf)):
+            raise ValidationError("union requires identical vertex PMFs")
+    edges = frozenset().union(*(g.edges for g in gs))
+    return CharGraph(vertices=base.vertices, edges=edges, pmf=base.pmf)
+
+
+def or_power(g: CharGraph, n: int) -> CharGraph:
+    """n-th OR power: vertices are n-tuples with the product PMF, adjacent iff
+    SOME coordinate pair is an edge of g."""
+    if n < 1:
+        raise ValidationError("power must be >= 1")
+    if g.n**n > POWER_GUARD:
+        raise DeskScaleError(f"|V|^n = {g.n}^{n} exceeds the {POWER_GUARD} guard")
+    idx_tuples = list(iter_product(range(g.n), repeat=n))
+    vertices = tuple(tuple(g.vertices[i] for i in t) for t in idx_tuples)
+    pmf = tuple(math.prod(g.pmf[i] for i in t) for t in idx_tuples)
+    edges = set()
+    for a, b in combinations(range(len(idx_tuples)), 2):
+        ta, tb = idx_tuples[a], idx_tuples[b]
+        if any(g.adjacent(x, y) for x, y in zip(ta, tb) if x != y):
+            edges.add((a, b))
+    return CharGraph(vertices=vertices, edges=frozenset(edges), pmf=pmf)
+
+
+@dataclass(frozen=True)
+class MisFamily:
+    """All maximal independent sets, plus per-vertex membership lists."""
+
+    sets: tuple[tuple[int, ...], ...]
+    membership: tuple[tuple[int, ...], ...]  # membership[v] = ids of sets containing v
+
+    @property
+    def count(self) -> int:
+        return len(self.sets)
+
+
+def enumerate_mis(g: CharGraph) -> MisFamily:
+    """Maximal independent sets of g = maximal cliques of its complement,
+    enumerated by pivoting branch-and-bound."""
+    if g.n > MIS_GUARD:
+        raise DeskScaleError(f"|V| = {g.n} exceeds the MIS guard {MIS_GUARD}")
+    all_v = frozenset(range(g.n))
+    co_nbrs = tuple(all_v - g.neighbors[v] - {v} for v in range(g.n))
+
+    found: list[tuple[int, ...]] = []
+
+    def expand(clique: set[int], cand: set[int], excl: set[int]) -> None:
+        if not cand and not excl:
+            found.append(tuple(sorted(clique)))
+            return
+        pivot = max(cand | excl, key=lambda u: len(cand & co_nbrs[u]))
+        for v in sorted(cand - co_nbrs[pivot]):
+            expand(clique | {v}, cand & co_nbrs[v], excl & co_nbrs[v])
+            cand.remove(v)
+            excl.add(v)
+
+    expand(set(), set(all_v), set())
+    sets = tuple(sorted(found))
+    membership: list[list[int]] = [[] for _ in range(g.n)]
+    for sid, s in enumerate(sets):
+        for v in s:
+            membership[v].append(sid)
+    if any(not m for m in membership):
+        raise ValidationError("a vertex belongs to no maximal independent set")
+    return MisFamily(sets=sets, membership=tuple(tuple(m) for m in membership))
+
+
+def greedy_coloring(g: CharGraph) -> dict[int, int]:
+    """Deterministic greedy coloring: vertices by decreasing degree, ties by
+    id; each gets the smallest color absent from its colored neighbors."""
+    order = sorted(range(g.n), key=lambda v: (-len(g.neighbors[v]), v))
+    colors: dict[int, int] = {}
+    for v in order:
+        used = {colors[u] for u in g.neighbors[v] if u in colors}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def exact_min_coloring(g: CharGraph) -> dict[int, int]:
+    """Minimum-count coloring by branch and bound (saturation-guided), exact
+    for |V| <= 12; starts from the greedy upper bound."""
+    if g.n > EXACT_COLOR_GUARD:
+        raise DeskScaleError(f"|V| = {g.n} exceeds the exact-coloring guard")
+    best = greedy_coloring(g)
+    best_k = max(best.values()) + 1
+
+    colors: dict[int, int] = {}
+
+    def saturation(v: int) -> int:
+        return len({colors[u] for u in g.neighbors[v] if u in colors})
+
+    def descend(used_k: int) -> None:
+        nonlocal best, best_k
+        if used_k >= best_k:
+            return
+        uncolored = [v for v in range(g.n) if v not in colors]
+        if not uncolored:
+            best, best_k = dict(colors), used_k
+            return
+        v = max(uncolored, key=lambda u: (saturation(u), len(g.neighbors[u]), -u))
+        forbidden = {colors[u] for u in g.neighbors[v] if u in colors}
+        for c in range(min(used_k + 1, best_k)):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            descend(max(used_k, c + 1))
+            del colors[v]
+
+    descend(0)
+    return best
+
+
+def color_classes(coloring: Mapping[int, int]) -> dict[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {}
+    for v, c in coloring.items():
+        out.setdefault(c, []).append(v)
+    return {c: tuple(sorted(vs)) for c, vs in out.items()}
+
+
+def validate_coloring(g: CharGraph, coloring: Mapping[int, int]) -> None:
+    if set(coloring) != set(range(g.n)):
+        raise ValidationError("coloring must assign every vertex")
+    for i, j in g.edges:
+        if coloring[i] == coloring[j]:
+            raise ValidationError(
+                f"vertices {g.vertices[i]!r} and {g.vertices[j]!r} are adjacent "
+                f"but share color {coloring[i]}"
+            )
+
+
+def graph_to_dot(g: CharGraph, name: str = "G") -> str:
+    """DOT text: vertices labelled by their local tuples, one line per edge."""
+    lines = [f"graph {name} {{"]
+    for i, v in enumerate(g.vertices):
+        lines.append(f'  v{i} [label="{v}" p="{g.pmf[i]:.6g}"];')
+    for i, j in sorted(g.edges):
+        lines.append(f"  v{i} -- v{j};")
+    lines.append("}")
+    return "\n".join(lines)

@@ -1,0 +1,331 @@
+"""Finite-alphabet PMF algebra and the dataset-statistics models.
+
+Everything is in bits (log base 2) with the convention 0*log2(0) = 0.
+Rates counted in q-ary symbols elsewhere are converted as bits/log2(q).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import product as iter_product
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
+
+from .errors import DeskScaleError, ModelIntegrityError, ValidationError
+
+CONSTRUCTION_TOL = 1e-12   # normalization tolerance at construction
+MODEL_TOL = 1e-9           # tolerance for model formula outputs before renormalizing
+SUPPORT_TOL = 1e-15        # masses below this are dropped during support extraction
+
+
+def _plog2p(p: float) -> float:
+    return -p * math.log2(p) if p > 0.0 else 0.0
+
+
+def binary_entropy(p: float) -> float:
+    """h(p) in bits; defined on [0,1] with h(0)=h(1)=0."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"binary_entropy argument {p} outside [0,1]")
+    return _plog2p(p) + _plog2p(1.0 - p)
+
+
+@dataclass(frozen=True)
+class Pmf:
+    """Probability mass function on {0..alphabet_size-1}."""
+
+    alphabet_size: int
+    mass: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.alphabet_size < 1 or len(self.mass) != self.alphabet_size:
+            raise ValidationError("mass vector length must equal alphabet_size")
+        if any(m < 0.0 for m in self.mass):
+            raise ValidationError("negative probability mass")
+        total = math.fsum(self.mass)
+        if abs(total - 1.0) > CONSTRUCTION_TOL:
+            raise ValidationError(f"masses sum to {total}, not 1")
+
+    @classmethod
+    def from_masses(cls, masses: Sequence[float], tol: float = MODEL_TOL) -> "Pmf":
+        """Build a Pmf from a formula output, checking normalization at `tol`.
+
+        Drift beyond `tol` is a model-integrity failure; drift within it is
+        renormalized away.
+        """
+        total = math.fsum(masses)
+        if abs(total - 1.0) > tol:
+            raise ModelIntegrityError(f"model masses sum to {total}, off by {total - 1.0}")
+        if any(m < -tol for m in masses):
+            raise ModelIntegrityError("model produced a negative mass")
+        vec = tuple(max(m, 0.0) / total for m in masses)
+        return cls(len(vec), vec)
+
+    def entropy(self) -> float:
+        return math.fsum(_plog2p(m) for m in self.mass)
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i, m in enumerate(self.mass) if m > SUPPORT_TOL)
+
+
+def entropy(p: Pmf) -> float:
+    """Shannon entropy in bits."""
+    return p.entropy()
+
+
+@dataclass(frozen=True)
+class JointPmf:
+    """Joint PMF over tuples; coordinate k ranges over {0..sizes[k]-1}."""
+
+    sizes: tuple[int, ...]
+    mass: Mapping[tuple[int, ...], float]
+
+    def __post_init__(self) -> None:
+        if not self.sizes or any(s < 1 for s in self.sizes):
+            raise ValidationError("coordinate sizes must be positive")
+        for sym, m in self.mass.items():
+            if len(sym) != len(self.sizes) or any(
+                not 0 <= v < s for v, s in zip(sym, self.sizes)
+            ):
+                raise ValidationError(f"symbol {sym} outside alphabet {self.sizes}")
+            if m < 0.0:
+                raise ValidationError("negative probability mass")
+        total = math.fsum(self.mass.values())
+        if abs(total - 1.0) > CONSTRUCTION_TOL:
+            raise ValidationError(f"masses sum to {total}, not 1")
+
+    @property
+    def arity(self) -> int:
+        return len(self.sizes)
+
+    def support(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """Sorted (symbol, mass) pairs above the support truncation
+        threshold, materialized so callers can iterate repeatedly."""
+        return tuple(
+            (sym, self.mass[sym])
+            for sym in sorted(self.mass)
+            if self.mass[sym] > SUPPORT_TOL
+        )
+
+    def prob(self, sym: tuple[int, ...]) -> float:
+        return self.mass.get(sym, 0.0)
+
+    def marginal(self, coords: Sequence[int]) -> "JointPmf":
+        coords = tuple(coords)
+        if not coords or any(not 0 <= c < self.arity for c in coords):
+            raise ValidationError(f"coordinates {coords} outside arity {self.arity}")
+        out: dict[tuple[int, ...], float] = {}
+        for sym, m in self.mass.items():
+            key = tuple(sym[c] for c in coords)
+            out[key] = out.get(key, 0.0) + m
+        return JointPmf(tuple(self.sizes[c] for c in coords), out)
+
+    def to_pmf(self) -> Pmf:
+        if self.arity != 1:
+            raise ValidationError("to_pmf requires arity 1")
+        vec = [0.0] * self.sizes[0]
+        for (v,), m in self.mass.items():
+            vec[v] += m
+        return Pmf(self.sizes[0], tuple(vec))
+
+    def entropy(self) -> float:
+        return math.fsum(_plog2p(m) for m in self.mass.values())
+
+
+def joint_from_array(sizes: Sequence[int], arr: np.ndarray) -> JointPmf:
+    """Dense array (shape == sizes) to JointPmf, dropping exact zeros."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != tuple(sizes):
+        raise ValidationError(f"array shape {arr.shape} != sizes {tuple(sizes)}")
+    mass = {
+        tuple(int(i) for i in idx): float(v)
+        for idx, v in np.ndenumerate(arr)
+        if v != 0.0
+    }
+    return JointPmf(tuple(int(s) for s in sizes), mass)
+
+
+def product_joint(pmfs: Sequence[Pmf], guard: int = 10**5) -> JointPmf:
+    """Independent product of marginals as an explicit joint (desk scale)."""
+    total = 1
+    for p in pmfs:
+        total *= p.alphabet_size
+        if total > guard:
+            raise DeskScaleError(f"product alphabet exceeds {guard} points")
+    mass: dict[tuple[int, ...], float] = {}
+    for sym in iter_product(*(range(p.alphabet_size) for p in pmfs)):
+        m = 1.0
+        for v, p in zip(sym, pmfs):
+            m *= p.mass[v]
+        if m > 0.0:
+            mass[sym] = m
+    return JointPmf(tuple(p.alphabet_size for p in pmfs), mass)
+
+
+def iid_bernoulli_joint(k: int, epsilon: float) -> JointPmf:
+    """K i.i.d. Bern(epsilon) bits as an explicit joint PMF."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
+    bern = Pmf(2, (1.0 - epsilon, epsilon))
+    return product_joint([bern] * k)
+
+
+def uniform_joint(q: int, k: int) -> JointPmf:
+    """K i.i.d. uniform q-ary coordinates."""
+    u = Pmf(q, tuple([1.0 / q] * q))
+    return product_joint([u] * k)
+
+
+def mutual_information(joint: JointPmf) -> float:
+    """I(X;Y) in bits for an arity-2 joint; clamped at 0."""
+    if joint.arity != 2:
+        raise ValidationError("mutual_information needs an arity-2 joint")
+    hx = joint.marginal([0]).entropy()
+    hy = joint.marginal([1]).entropy()
+    return max(hx + hy - joint.entropy(), 0.0)
+
+
+@dataclass(frozen=True)
+class SkewParams:
+    """Bernoulli skew eps, correlation rho, and the optional crossover p."""
+
+    epsilon: float
+    rho: float = 0.0
+    crossover_p: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValidationError(f"epsilon {self.epsilon} outside [0,1]")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValidationError(f"rho {self.rho} outside [0,1]")
+        if self.crossover_p is not None:
+            if not 0.0 <= self.crossover_p <= 1.0:
+                raise ValidationError(f"crossover p {self.crossover_p} outside [0,1]")
+            if self.epsilon >= 1.0:
+                raise ValidationError("crossover model needs epsilon < 1")
+            if self.p_prime > 1.0 + CONSTRUCTION_TOL:
+                raise ValidationError(
+                    f"derived p' = eps*p/(1-eps) = {self.p_prime} exceeds 1"
+                )
+
+    @property
+    def p_prime(self) -> float:
+        if self.crossover_p is None:
+            raise ValidationError("p' undefined without crossover_p")
+        return self.epsilon * self.crossover_p / (1.0 - self.epsilon)
+
+
+def parity_param(l: int, epsilon: float) -> float:
+    """P(mod-2 sum of l i.i.d. Bern(eps) bits = 1), by the recursion
+    eps_l = (1-eps_{l-1})*eps + eps_{l-1}*(1-eps), eps_1 = eps."""
+    if l < 1:
+        raise ValidationError("l must be >= 1")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
+    e = epsilon
+    for _ in range(l - 1):
+        e = (1.0 - e) * epsilon + e * (1.0 - epsilon)
+    return e
+
+
+def product_param(l: int, epsilon: float) -> float:
+    """P(product of l i.i.d. Bern(eps) bits = 1) = eps^l."""
+    if l < 1:
+        raise ValidationError("l must be >= 1")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
+    return epsilon**l
+
+
+def diniz_joint(k: int, epsilon: float, rho: float) -> Pmf:
+    """PMF of the integer sum of K identically distributed correlated bits.
+
+    Mixture form: weight (1-rho) on Binomial(K, eps) plus weight rho split
+    (1-eps)/eps between the all-zero and all-one outcomes.
+    """
+    if k < 1:
+        raise ValidationError("K must be >= 1")
+    if not 0.0 <= epsilon <= 1.0 or not 0.0 <= rho <= 1.0:
+        raise ValidationError("epsilon and rho must lie in [0,1]")
+    masses = []
+    for y in range(k + 1):
+        m = (1.0 - rho) * math.comb(k, y) * epsilon**y * (1.0 - epsilon) ** (k - y)
+        if y in (0, k):
+            m += rho * epsilon ** (y / k) * (1.0 - epsilon) ** ((k - y) / k)
+        masses.append(m)
+    return Pmf.from_masses(masses, tol=MODEL_TOL)
+
+
+def diniz_parity(l: int, epsilon: float, rho: float) -> float:
+    """Odd-sum mass of the l-variable correlated model (restriction is closed:
+    any l of the K variables follow the same mixture with K replaced by l)."""
+    if l == 0:
+        return 0.0
+    return (1.0 - rho) * parity_param(l, epsilon) + (
+        rho * epsilon if l % 2 == 1 else 0.0
+    )
+
+
+def diniz_pair_joint(epsilon: float, rho: float) -> JointPmf:
+    """Two correlated bits of the mixture model as an explicit 2x2 joint."""
+    e, r = epsilon, rho
+    cells = {
+        (0, 0): (1.0 - r) * (1.0 - e) ** 2 + r * (1.0 - e),
+        (0, 1): (1.0 - r) * e * (1.0 - e),
+        (1, 0): (1.0 - r) * e * (1.0 - e),
+        (1, 1): (1.0 - r) * e**2 + r * e,
+    }
+    total = math.fsum(cells.values())
+    if abs(total - 1.0) > MODEL_TOL:
+        raise ModelIntegrityError(f"pair model sums to {total}")
+    return JointPmf((2, 2), {k: v / total for k, v in cells.items() if v > 0.0})
+
+
+def diniz_entropy(k: int, epsilon: float, rho: float) -> float:
+    """Joint entropy H(W_1..W_K) of K correlated bits under the mixture model.
+
+    Computed over weight classes in O(K); never materializes 2^K outcomes.
+    """
+    if k < 1:
+        raise ValidationError("K must be >= 1")
+    e, r = epsilon, rho
+    h = 0.0
+    for y in range(k + 1):
+        m = (1.0 - r) * e**y * (1.0 - e) ** (k - y)  # per-tuple mass at weight y
+        if y == 0:
+            m += r * (1.0 - e)
+        elif y == k:
+            m += r * e
+        h += math.comb(k, y) * _plog2p(m)
+    return h
+
+
+def crossover_joint(epsilon: float, p: float) -> JointPmf:
+    """Four-cell joint of two bits with marginals Bern(eps) and crossover p:
+    P(0,0)=(1-eps)(1-p'), P(1,0)=P(0,1)=eps*p, P(1,1)=eps(1-p), p'=eps*p/(1-eps)."""
+    params = SkewParams(epsilon=epsilon, crossover_p=p)  # validates p' <= 1
+    pp = params.p_prime
+    cells = {
+        (0, 0): (1.0 - epsilon) * (1.0 - pp),
+        (0, 1): epsilon * p,
+        (1, 0): epsilon * p,
+        (1, 1): epsilon * (1.0 - p),
+    }
+    total = math.fsum(cells.values())
+    if abs(total - 1.0) > MODEL_TOL:
+        raise ModelIntegrityError(f"crossover model sums to {total}")
+    return JointPmf((2, 2), {k: v / total for k, v in cells.items() if v > 0.0})
+
+
+def pearson_rho(joint: JointPmf) -> float:
+    """Pearson correlation of an arity-2 binary joint (diagnostic)."""
+    if joint.arity != 2 or joint.sizes != (2, 2):
+        raise ValidationError("pearson_rho needs a binary arity-2 joint")
+    ex = sum(m for (a, _), m in joint.mass.items() if a == 1)
+    ey = sum(m for (_, b), m in joint.mass.items() if b == 1)
+    exy = joint.prob((1, 1))
+    vx, vy = ex * (1.0 - ex), ey * (1.0 - ey)
+    if vx <= 0.0 or vy <= 0.0:
+        raise ValidationError("degenerate marginal has no correlation coefficient")
+    return (exy - ex * ey) / math.sqrt(vx * vy)

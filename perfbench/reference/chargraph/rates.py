@@ -1,0 +1,654 @@
+"""Achievable sum-rate bounds and gain ratios.
+
+Covers the general codebook bound (theorem1_sum_rate), the uniform linear
+piecewise bound (prop1_rate), the two-MIS skewed-Bernoulli bound
+(prop2_rate), the multilinear closed form (prop3_rate), the ordered
+conditional-chain evaluation (chain_rate), the Slepian-Wolf baseline, and
+the eta_lin / eta_SW gain ratios, plus the closed-form scenario sweeps the
+CLI exposes.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from itertools import combinations, product as iter_product
+from typing import Any, Iterable, Mapping, Sequence
+
+from .errors import (
+    DecodeError,
+    DeskScaleError,
+    MisStructureError,
+    ValidationError,
+)
+from .functions import DemandSpec, evaluate_demand
+from .graphs import (
+    EXACT_COLOR_GUARD,
+    CharGraph,
+    build_char_graph,
+    enumerate_mis,
+    exact_min_coloring,
+    greedy_coloring,
+    make_graph,
+)
+from .probability import (
+    JointPmf,
+    binary_entropy,
+    diniz_entropy,
+    diniz_joint,
+    diniz_parity,
+    parity_param,
+    product_param,
+)
+from .solvers import SolverOptions, conditional_graph_entropy, graph_entropy
+from .topology import Placement, Topology, coverage_check, derived_params
+
+COMBO_GUARD = 10**6  # max (subset, candidate-combination) decodability checks
+
+EncodingMap = Mapping[tuple[int, ...], int]
+
+
+@dataclass(frozen=True)
+class Codebook:
+    """Per-server candidate encoding maps, keyed by 1-based server id."""
+
+    candidates: Mapping[int, tuple[EncodingMap, ...]]
+
+    def for_server(self, i: int) -> tuple[EncodingMap, ...]:
+        if i not in self.candidates or not self.candidates[i]:
+            raise ValidationError(f"codebook has no candidates for server {i}")
+        return self.candidates[i]
+
+
+@dataclass(frozen=True)
+class RateReport:
+    per_server_rates: tuple[float, ...]
+    sum_rate: float
+    method: str
+    metadata: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if any(r < 0.0 for r in self.per_server_rates):
+            raise ValidationError("negative per-server rate")
+        if abs(self.sum_rate - math.fsum(self.per_server_rates)) > 1e-9:
+            raise ValidationError("sum_rate disagrees with per-server rates")
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "per_server_rates": list(self.per_server_rates),
+            "sum_rate": self.sum_rate,
+            "method": self.method,
+            "metadata": dict(self.metadata),
+        }
+
+
+def rate_report(rates: Iterable[float], method: str, **metadata: Any) -> RateReport:
+    rates = tuple(max(float(r), 0.0) for r in rates)
+    return RateReport(
+        per_server_rates=rates,
+        sum_rate=math.fsum(rates),
+        method=method,
+        metadata=metadata,
+    )
+
+
+@dataclass(frozen=True)
+class GainReport:
+    eta_lin: float
+    eta_sw: float
+    graph: RateReport
+    lin: RateReport
+    sw: RateReport
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "eta_lin": self.eta_lin,
+            "eta_sw": self.eta_sw,
+            "graph": self.graph.to_json(),
+            "lin": self.lin.to_json(),
+            "sw": self.sw.to_json(),
+        }
+
+
+def gains(graph_rr: RateReport, lin_rr: RateReport, sw_rr: RateReport) -> GainReport:
+    """eta_lin and eta_SW as plain rate ratios; a zero graph rate (both
+    endpoints deterministic) is reported as an infinite gain."""
+
+    def ratio(num: float) -> float:
+        return num / graph_rr.sum_rate if graph_rr.sum_rate > 0.0 else math.inf
+
+    return GainReport(
+        eta_lin=ratio(lin_rr.sum_rate),
+        eta_sw=ratio(sw_rr.sum_rate),
+        graph=graph_rr,
+        lin=lin_rr,
+        sw=sw_rr,
+    )
+
+
+# ---------------------------------------------------------------------------
+# support/codebook plumbing
+
+
+def _support_items(
+    d: DemandSpec, p: Placement, joint: JointPmf
+) -> list[tuple[tuple[int, ...], float, tuple[int, ...]]]:
+    if joint.arity != d.k or p.k != d.k:
+        raise ValidationError("joint, placement, and demand disagree on K")
+    items = [(w, m, evaluate_demand(d, w)) for w, m in joint.support()]
+    if not items:
+        raise ValidationError("joint has empty support")
+    return items
+
+
+def _local_support(
+    p: Placement, i: int, items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]]
+) -> dict[tuple[int, ...], float]:
+    zone = p.zone0(i)
+    masses: dict[tuple[int, ...], float] = {}
+    for w, m, _ in items:
+        x = tuple(w[c] for c in zone)
+        masses[x] = masses.get(x, 0.0) + m
+    return masses
+
+
+def min_coloring(g: CharGraph) -> dict[int, int]:
+    return exact_min_coloring(g) if g.n <= EXACT_COLOR_GUARD else greedy_coloring(g)
+
+
+def default_codebook(
+    t: Topology, p: Placement, d: DemandSpec, joint: JointPmf
+) -> Codebook:
+    """One candidate per server: the minimum-count coloring of its union
+    characteristic graph (constant map when the local support is a point)."""
+    items = _support_items(d, p, joint)
+    cands: dict[int, tuple[EncodingMap, ...]] = {}
+    for i in range(1, t.n + 1):
+        masses = _local_support(p, i, items)
+        if len(masses) < 2:
+            cands[i] = ({x: 0 for x in masses},)
+            continue
+        g = build_char_graph(d, p, joint, i)
+        coloring = min_coloring(g)
+        cands[i] = ({g.vertices[v]: c for v, c in coloring.items()},)
+    return Codebook(candidates=cands)
+
+
+def _pushforward(g: CharGraph, gmap: EncodingMap, server: int) -> CharGraph:
+    """Graph induced on the image of an encoding map: classes merge vertices,
+    which is only legal when no edge is internal to a class."""
+    colors: dict[Any, float] = {}
+    for v, label in enumerate(g.vertices):
+        if label not in gmap:
+            raise ValidationError(
+                f"candidate for server {server} is not total: misses {label!r}"
+            )
+        colors[gmap[label]] = colors.get(gmap[label], 0.0) + g.pmf[v]
+    edge_pairs = []
+    for i, j in g.edges:
+        ci, cj = gmap[g.vertices[i]], gmap[g.vertices[j]]
+        if ci == cj:
+            raise DecodeError(
+                f"candidate for server {server} merges the confusable pair "
+                f"{g.vertices[i]!r}, {g.vertices[j]!r}"
+            )
+        edge_pairs.append((ci, cj))
+    return make_graph(colors, edge_pairs)
+
+
+def _check_codebook_decodable(
+    t: Topology,
+    p: Placement,
+    cb: Codebook,
+    items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]],
+) -> None:
+    """Every Nr-subset of servers, under every combination of candidate maps,
+    must determine all demanded outputs on every positive-probability input."""
+    zones = {i: p.zone0(i) for i in range(1, t.n + 1)}
+    locals_ = {
+        i: [tuple(w[c] for c in zones[i]) for w, _, _ in items]
+        for i in range(1, t.n + 1)
+    }
+    total_checks = 0
+    for subset in combinations(range(1, t.n + 1), t.nr):
+        n_combos = math.prod(len(cb.for_server(i)) for i in subset)
+        total_checks += n_combos
+        if total_checks > COMBO_GUARD:
+            raise DeskScaleError(
+                f"codebook decodability sweep exceeds {COMBO_GUARD} combinations"
+            )
+        for combo in iter_product(*(cb.for_server(i) for i in subset)):
+            seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for idx, (_, _, dem) in enumerate(items):
+                profile = tuple(
+                    gmap[locals_[i][idx]] for i, gmap in zip(subset, combo)
+                )
+                if profile in seen:
+                    if seen[profile] != dem:
+                        raise DecodeError(
+                            f"servers {subset} cannot decode: transmissions "
+                            f"{profile} are consistent with demands "
+                            f"{seen[profile]} and {dem}"
+                        )
+                else:
+                    seen[profile] = dem
+
+
+def theorem1_sum_rate(
+    t: Topology,
+    p: Placement,
+    d: DemandSpec,
+    joint: JointPmf,
+    cb: Codebook | None = None,
+    opts: SolverOptions = SolverOptions(),
+) -> RateReport:
+    """Codebook bound: each of the first Nr servers contributes the smallest
+    graph entropy over its candidate encodings, taken on the graph induced on
+    the encoding's image; the codebook must be decodable from every Nr-subset.
+    """
+    if p.n != t.n or p.k != t.k:
+        raise ValidationError("placement does not match the topology")
+    if not coverage_check(p, t):
+        raise ValidationError("placement fails Nr-subset coverage; no recovery")
+    items = _support_items(d, p, joint)
+    if cb is None:
+        cb = default_codebook(t, p, d, joint)
+    _check_codebook_decodable(t, p, cb, items)
+
+    rates: list[float] = []
+    chosen: dict[int, int] = {}
+    for i in range(1, t.nr + 1):
+        masses = _local_support(p, i, items)
+        if len(masses) < 2:
+            rates.append(0.0)
+            chosen[i] = 0
+            continue
+        g = build_char_graph(d, p, joint, i)
+        best, best_idx = math.inf, 0
+        for idx, gmap in enumerate(cb.for_server(i)):
+            value = graph_entropy(_pushforward(g, gmap, i), opts).value
+            if value < best:
+                best, best_idx = value, idx
+        rates.append(best)
+        chosen[i] = best_idx
+    return rate_report(rates, "theorem1", servers=list(range(1, t.nr + 1)), chosen=chosen)
+
+
+# ---------------------------------------------------------------------------
+# closed-form bounds
+
+
+def prop1_rate(t: Topology, kc: int) -> RateReport:
+    """Piecewise linear-demand cost in q-ary symbols for uniform i.i.d.
+    subfunctions under the cyclic placement."""
+    if kc < 1:
+        raise ValidationError("Kc must be >= 1")
+    derived_params(t)  # enforces the cyclic-consistency of M
+    delta = t.delta
+    if kc < delta:
+        total, case = kc * t.nr, "kc_below_delta"
+    elif kc <= delta * t.nr:
+        total, case = delta * t.nr, "delta_window"
+    elif kc <= t.k:
+        total, case = kc, "kc_above_window"
+    else:
+        total, case = t.k, "kc_above_k"
+    per = total / t.nr
+    return rate_report(
+        [per] * t.nr, "prop1", units="q-ary symbols", case=case, total_symbols=total
+    )
+
+
+def prop2_rate(
+    t: Topology,
+    p: Placement,
+    d: DemandSpec,
+    joint: JointPmf,
+    cb: Codebook | None = None,
+) -> RateReport:
+    """Two-MIS bound: sum over the first Nr servers of min_g h(P(Z_i = 1)),
+    with P(Z_i=1) the mass of the candidate's level-1 class.
+
+    The premise is validated, not assumed: each server's union graph must
+    have at most two maximal independent sets, and each Boolean candidate
+    must two-color it.
+    """
+    if d.q != 2 or any(s != 2 for s in joint.sizes):
+        raise ValidationError("the two-MIS bound needs binary subfunctions")
+    marginals = [joint.marginal([c]).to_pmf().mass[1] for c in range(joint.arity)]
+    if max(marginals) - min(marginals) > 1e-9:
+        raise ValidationError(
+            "subfunctions must be identically distributed Bern(eps); "
+            f"marginals span [{min(marginals)}, {max(marginals)}]"
+        )
+    items = _support_items(d, p, joint)
+
+    rates: list[float] = []
+    chosen: dict[int, int] = {}
+    skews: list[float] = []
+    for i in range(1, t.nr + 1):
+        masses = _local_support(p, i, items)
+        if len(masses) < 2:
+            rates.append(0.0)
+            chosen[i] = 0
+            skews.append(0.0)
+            continue
+        g = build_char_graph(d, p, joint, i)
+        fam = enumerate_mis(g)
+        if fam.count > 2:
+            raise MisStructureError(
+                f"server {i} union graph has {fam.count} maximal independent "
+                f"sets; the two-MIS bound does not apply"
+            )
+        candidates = _boolean_candidates(g, fam, cb, i)
+        best, best_idx, best_p1 = math.inf, 0, 0.0
+        for idx, gmap in enumerate(candidates):
+            p1 = _level_one_mass(g, gmap, i)
+            value = binary_entropy(p1)
+            if value < best:
+                best, best_idx, best_p1 = value, idx, p1
+        rates.append(best)
+        chosen[i] = best_idx
+        skews.append(best_p1)
+    return rate_report(rates, "prop2", chosen=chosen, level_one_mass=skews)
+
+
+def _boolean_candidates(
+    g: CharGraph, fam, cb: Codebook | None, server: int
+) -> tuple[EncodingMap, ...]:
+    if cb is not None:
+        cands = cb.for_server(server)
+        for gmap in cands:
+            values = set(gmap.values())
+            if not values <= {0, 1}:
+                raise ValidationError(
+                    f"candidate for server {server} is not Boolean: values {values}"
+                )
+        return cands
+    if fam.count == 1:
+        return ({v: 0 for v in g.vertices},)
+    out = []
+    for s in fam.sets:
+        chosen = set(s)
+        out.append({g.vertices[v]: int(v in chosen) for v in range(g.n)})
+    return tuple(out)
+
+
+def _level_one_mass(g: CharGraph, gmap: EncodingMap, server: int) -> float:
+    mass = 0.0
+    for v, label in enumerate(g.vertices):
+        if label not in gmap:
+            raise ValidationError(
+                f"candidate for server {server} is not total: misses {label!r}"
+            )
+        if gmap[label] == 1:
+            mass += g.pmf[v]
+    for i, j in g.edges:
+        if gmap[g.vertices[i]] == gmap[g.vertices[j]]:
+            raise DecodeError(
+                f"candidate for server {server} merges the confusable pair "
+                f"{g.vertices[i]!r}, {g.vertices[j]!r}"
+            )
+    return mass
+
+
+def prop3_rate(t: Topology, epsilon: float) -> RateReport:
+    """Multilinear closed form for i.i.d. Bern(eps) under cyclic placement:
+    stage l of the N* disjoint-storage servers costs eps_M^(l-1) h(eps_M)
+    (earlier stages kill the product with probability 1 - eps_M^(l-1)), and
+    a Delta_N > 0 tail adds eps_M^(N*) h(eps_xi)."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
+    dp = derived_params(t)
+    eps_m = product_param(t.m, epsilon)
+    h_m = binary_entropy(eps_m)
+    stages = [eps_m ** (l - 1) * h_m for l in range(1, dp.n_star + 1)]
+    if dp.delta_n > 0:
+        stages.append(eps_m**dp.n_star * binary_entropy(product_param(dp.xi_n, epsilon)))
+    return rate_report(
+        stages, "prop3", eps_m=eps_m, n_star=dp.n_star, delta_n=dp.delta_n, xi_n=dp.xi_n
+    )
+
+
+def slepian_wolf_rate(joint: JointPmf, t: Topology, p: Placement) -> RateReport:
+    """Joint-entropy baseline H(W_1..W_K), split uniformly across the first
+    Nr servers for reporting purposes."""
+    if joint.arity != t.k or p.k != t.k:
+        raise ValidationError("joint/placement do not match the topology")
+    h = joint.entropy()
+    return rate_report([h / t.nr] * t.nr, "slepian_wolf", split="uniform")
+
+
+# ---------------------------------------------------------------------------
+# ordered conditional chain
+
+
+def chain_rate(
+    t: Topology,
+    p: Placement,
+    d: DemandSpec,
+    joint: JointPmf,
+    ordering: Sequence[int] | Sequence[Sequence[int]],
+    opts: SolverOptions = SolverOptions(),
+) -> RateReport:
+    """Ordered evaluation: the first server pays the graph entropy of its
+    union graph; each later server pays the conditional graph entropy of its
+    side-information-extended graph given all previous transmissions.
+
+    A transmission is the minimum coloring of the current graph, taken
+    section-by-section in the previous transcript (the decoder already knows
+    the transcript, so colors only need to separate within a section). The
+    final transcripts must determine every demanded output; otherwise the
+    ordering is insufficient. When several orderings are supplied the best
+    decodable one is reported.
+    """
+    orderings = _normalize_orderings(t, ordering)
+    items = _support_items(d, p, joint)
+    best: tuple[float, tuple[float, ...], tuple[int, ...], bool] | None = None
+    failures: list[str] = []
+    for order in orderings:
+        try:
+            rates, converged = _chain_eval(p, d, items, order, opts)
+        except DecodeError as exc:
+            failures.append(str(exc))
+            continue
+        total = math.fsum(rates)
+        if best is None or total < best[0]:
+            best = (total, rates, order, converged)
+    if best is None:
+        raise DecodeError(
+            "no supplied ordering decodes the demands: " + "; ".join(failures)
+        )
+    _, rates, order, converged = best
+    return rate_report(
+        rates, "chain", ordering=list(order), orderings_tried=len(orderings),
+        converged=converged,
+    )
+
+
+def _normalize_orderings(
+    t: Topology, ordering: Sequence[int] | Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    if not ordering:
+        raise ValidationError("ordering must name at least one server")
+    first = ordering[0]
+    if isinstance(first, (list, tuple)):
+        many = [tuple(int(s) for s in o) for o in ordering]
+    else:
+        many = [tuple(int(s) for s in ordering)]
+    for o in many:
+        if not o or len(set(o)) != len(o):
+            raise ValidationError(f"ordering {o} repeats a server")
+        if any(not 1 <= s <= t.n for s in o):
+            raise ValidationError(f"ordering {o} names servers outside 1..{t.n}")
+    return many
+
+
+def _chain_eval(
+    p: Placement,
+    d: DemandSpec,
+    items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]],
+    order: tuple[int, ...],
+    opts: SolverOptions,
+) -> tuple[list[float], bool]:
+    transcripts: list[tuple[int, ...]] = [() for _ in items]
+    rates: list[float] = []
+    converged = True
+    for server in order:
+        zone = p.zone0(server)
+        rest_coords = tuple(c for c in range(d.k) if c not in zone)
+
+        masses: dict[tuple, float] = {}
+        vertex_of: list[tuple] = []
+        for (w, m, _), y in zip(items, transcripts):
+            v = (tuple(w[c] for c in zone), y)
+            masses[v] = masses.get(v, 0.0) + m
+            vertex_of.append(v)
+
+        # two support points are confusable at this stage iff they share the
+        # transcript, agree outside this server's zone, and differ in demand
+        edge_pairs: list[tuple[tuple, tuple]] = []
+        by_rest: dict[tuple[int, ...], list[int]] = {}
+        for idx, (w, _, _) in enumerate(items):
+            by_rest.setdefault(tuple(w[c] for c in rest_coords), []).append(idx)
+        for group in by_rest.values():
+            for a_pos, a in enumerate(group):
+                for b in group[a_pos + 1 :]:
+                    if transcripts[a] != transcripts[b]:
+                        continue
+                    if items[a][2] != items[b][2] and vertex_of[a] != vertex_of[b]:
+                        edge_pairs.append((vertex_of[a], vertex_of[b]))
+
+        g = make_graph(masses, edge_pairs)
+        ys = sorted({label[1] for label in g.vertices})
+        y_index = {y: k for k, y in enumerate(ys)}
+        joint2 = JointPmf(
+            (g.n, len(ys)),
+            {(v, y_index[label[1]]): g.pmf[v] for v, label in enumerate(g.vertices)},
+        )
+        res = conditional_graph_entropy(g, joint2, opts)
+        rates.append(res.value)
+        converged = converged and res.converged
+
+        coloring = _per_section_coloring(g)
+        for idx in range(len(items)):
+            v = g.index[vertex_of[idx]]
+            transcripts[idx] = transcripts[idx] + (coloring[v],)
+
+    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for (w, _, dem), z in zip(items, transcripts):
+        if z in groups:
+            if groups[z] != dem:
+                raise DecodeError(
+                    f"ordering {order} is insufficient: transcript {z} is "
+                    f"consistent with demands {groups[z]} and {dem}"
+                )
+        else:
+            groups[z] = dem
+    return rates, converged
+
+
+def _per_section_coloring(g: CharGraph) -> dict[int, int]:
+    """Color each transcript section of the stage graph independently (the
+    decoder knows the section, so colors need only separate inside it)."""
+    sections: dict[tuple, list[int]] = {}
+    for v, (_, y) in enumerate(g.vertices):
+        sections.setdefault(y, []).append(v)
+    out: dict[int, int] = {}
+    for vs in sections.values():
+        sub_masses = {g.vertices[v]: g.pmf[v] for v in vs}
+        sub_edges = [
+            (g.vertices[i], g.vertices[j])
+            for i, j in g.edges
+            if g.vertices[i][1] == g.vertices[j][1] == g.vertices[vs[0]][1]
+        ]
+        sub = make_graph(sub_masses, sub_edges)
+        coloring = min_coloring(sub)
+        for v_local, label in enumerate(sub.vertices):
+            out[g.index[label]] = coloring[v_local]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scenario closed forms
+
+
+def scenario1_rates(t: Topology, epsilon: float, rho: float) -> GainReport:
+    """Single linearly separable demand (sum of all K subfunctions) under the
+    correlated mixture model; closed forms for all three rates."""
+    if t.kc != 1:
+        raise ValidationError("scenario takes a single demanded function")
+    dp = derived_params(t)
+    e_m = diniz_parity(t.m, epsilon, rho)
+    lin = rate_report([binary_entropy(e_m)] * t.nr, "prop2", model="mixture")
+    stages = [binary_entropy(e_m)] * dp.n_star
+    if dp.delta_n > 0:
+        stages.append(binary_entropy(diniz_parity(dp.xi_n, epsilon, rho)))
+    graph = rate_report(stages, "chain", model="mixture", n_star=dp.n_star, xi_n=dp.xi_n)
+    sw = rate_report(
+        [diniz_entropy(t.k, epsilon, rho) / t.nr] * t.nr, "slepian_wolf", split="uniform"
+    )
+    return gains(graph, lin, sw)
+
+
+def scenario2_table2_rates(epsilon: float, p: float) -> GainReport:
+    """Two demands (one subfunction and a two-subfunction sum) with the
+    crossover-parameter pair model; the remaining subfunction is independent.
+    Omitting p (via p = 1 - eps) makes the pair independent."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError("epsilon must lie strictly inside (0,1)")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"p {p} outside [0,1]")
+    p_prime = epsilon * p / (1.0 - epsilon)
+    if p_prime > 1.0 + 1e-12:
+        raise ValidationError(f"derived p' = {p_prime} exceeds 1")
+    h = binary_entropy
+    lin = rate_report([h(epsilon), h(min(2.0 * epsilon * p, 1.0))], "prop2")
+    cond = (1.0 - epsilon) * h(min(p_prime, 1.0)) + epsilon * h(p)
+    graph = rate_report([h(epsilon), cond], "chain")
+    sw = rate_report([h(epsilon), h(epsilon) + cond], "slepian_wolf")
+    return gains(graph, lin, sw)
+
+
+def scenario2_diniz_rates(epsilon: float, rho: float) -> GainReport:
+    """Same demands with the mixture pair model; the linear baseline ships
+    the integer sum of the pair, whose PMF is the K=2 mixture law."""
+    h = binary_entropy
+    zeta1 = (1.0 - epsilon) * (1.0 - rho) + rho
+    zeta2 = (1.0 - epsilon) * (1.0 - rho)
+    lin = rate_report([h(epsilon), diniz_joint(2, epsilon, rho).entropy()], "prop2")
+    cond = (1.0 - epsilon) * h(zeta1) + epsilon * h(zeta2)
+    graph = rate_report([h(epsilon), cond], "chain")
+    sw = rate_report([h(epsilon), h(epsilon) + cond], "slepian_wolf")
+    return gains(graph, lin, sw)
+
+
+def scenario3_rates(t: Topology, epsilon: float, kc: int) -> GainReport:
+    """Kc parity-style demands, independent subfunctions, K = N: linear cost
+    Nr h(eps_M) against the graph cost Kc N* h(eps)."""
+    if t.k != t.n:
+        raise ValidationError("this comparison needs K = N (delta = 1)")
+    if not 1 <= kc <= t.nr:
+        raise ValidationError(f"Kc={kc} outside 1..Nr={t.nr}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
+    dp = derived_params(t)
+    e_m = parity_param(t.m, epsilon)
+    lin = rate_report([binary_entropy(e_m)] * t.nr, "prop2")
+    graph = rate_report([kc * binary_entropy(epsilon)] * dp.n_star, "chain", kc=kc)
+    sw = rate_report([t.k * binary_entropy(epsilon) / t.nr] * t.nr, "slepian_wolf")
+    return gains(graph, lin, sw)
+
+
+def multilinear_rates(t: Topology, epsilon: float) -> GainReport:
+    """Product demand under i.i.d. Bern(eps): closed-form graph rate, the
+    per-server product-parameter adaptation as the linear baseline, and the
+    i.i.d. joint entropy as the Slepian-Wolf baseline."""
+    graph = prop3_rate(t, epsilon)
+    lin = rate_report(
+        [binary_entropy(product_param(t.m, epsilon))] * t.nr, "prop2", model="product"
+    )
+    sw = rate_report(
+        [t.k * binary_entropy(epsilon) / t.nr] * t.nr, "slepian_wolf", split="uniform"
+    )
+    return gains(graph, lin, sw)

@@ -1,0 +1,237 @@
+"""Entropy minimizers over characteristic graphs.
+
+graph_entropy minimizes I(X;U) over conditionals P(U|x) supported on the
+maximal independent sets containing x; conditional_graph_entropy minimizes
+I(X;U|Y) under the Markov constraint U - X - Y. Both are convex programs
+solved by alternating minimization with multi-restart certification.
+chromatic_entropy is an exact branch-and-bound over independent-set
+partitions.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
+
+from .errors import DeskScaleError, ValidationError
+from .graphs import EXACT_COLOR_GUARD, CharGraph, MisFamily, enumerate_mis, greedy_coloring
+from .probability import JointPmf
+
+_NEG_BIG = -1e18  # stand-in for log(0) that survives multiplication by weights
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    tol: float = 1e-9        # stop when the objective improves by less than this
+    max_iters: int = 100_000
+    restarts: int = 8        # first restart is uniform, the rest random
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
+            raise ValidationError("tol > 0, max_iters >= 1, restarts >= 1 required")
+
+
+@dataclass(frozen=True)
+class GraphEntropyResult:
+    value: float
+    conditional_pmf: tuple[tuple[float, ...], ...]  # rows: vertices, cols: MIS ids
+    iterations: int
+    converged: bool
+    mis_sets: tuple[tuple[int, ...], ...]
+    restart_values: tuple[float, ...]
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "value": self.value,
+            "converged": self.converged,
+            "iterations": self.iterations,
+        }
+
+
+def _support_mask(g: CharGraph, mis: MisFamily) -> np.ndarray:
+    mask = np.zeros((g.n, mis.count))
+    for u, s in enumerate(mis.sets):
+        mask[list(s), u] = 1.0
+    return mask
+
+
+def _init_conditionals(mask: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """Stack of restart initializations, shape (R, n, m); every allowed cell
+    starts strictly positive (a zero cell would be stuck at zero)."""
+    rng = np.random.default_rng(opts.seed)
+    stack = [mask / mask.sum(axis=1, keepdims=True)]
+    for _ in range(opts.restarts - 1):
+        raw = mask * (rng.random(mask.shape) + 1e-3)
+        stack.append(raw / raw.sum(axis=1, keepdims=True))
+    return np.stack(stack)
+
+
+def _xlog2x(a: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(a)
+    pos = a > 0
+    out[pos] = a[pos] * np.log2(a[pos])
+    return out
+
+
+def _finalize(
+    objs: np.ndarray,
+    conv_iter: np.ndarray,
+    p_stack: np.ndarray,
+    mis: MisFamily,
+    max_iters: int,
+) -> GraphEntropyResult:
+    best = int(np.argmin(objs))
+    converged = conv_iter[best] >= 0
+    return GraphEntropyResult(
+        value=max(float(objs[best]), 0.0),
+        conditional_pmf=tuple(tuple(float(v) for v in row) for row in p_stack[best]),
+        iterations=int(conv_iter[best]) if converged else max_iters,
+        converged=bool(converged),
+        mis_sets=mis.sets,
+        restart_values=tuple(float(v) for v in objs),
+    )
+
+
+def graph_entropy(g: CharGraph, opts: SolverOptions = SolverOptions()) -> GraphEntropyResult:
+    """Minimize I(X;U) over P(U|x) with support on MISs containing x.
+
+    Alternation: Q(u) <- sum_x p(x) P(u|x), then P(u|x) prop. to Q(u) on the
+    allowed cells. Monotone on a convex objective, so restarts certify the
+    minimum rather than hunt for it.
+    """
+    mis = enumerate_mis(g)
+    mask = _support_mask(g, mis)
+    p = np.asarray(g.pmf)
+
+    P = _init_conditionals(mask, opts)
+    objs = np.full(opts.restarts, np.inf)
+    conv_iter = np.full(opts.restarts, -1, dtype=int)
+    for it in range(1, opts.max_iters + 1):
+        Q = np.einsum("x,rxu->ru", p, P)
+        # I(X;U) = H(U) - H(U|X)
+        new_objs = np.einsum("x,rxu->r", p, _xlog2x(P)) - _xlog2x(Q).sum(axis=1)
+        newly = (objs - new_objs < opts.tol) & (conv_iter < 0)
+        conv_iter[newly] = it
+        objs = new_objs
+        if np.all(conv_iter >= 0):
+            break
+        P = mask[None, :, :] * Q[:, None, :]
+        P /= P.sum(axis=2, keepdims=True)
+    return _finalize(objs, conv_iter, P, mis, opts.max_iters)
+
+
+def conditional_graph_entropy(
+    g: CharGraph, joint: JointPmf, opts: SolverOptions = SolverOptions()
+) -> GraphEntropyResult:
+    """Minimize I(X;U|Y) over P(U|x); the Markov chain U - X - Y holds by
+    construction since the conditional never depends on y.
+
+    Alternation: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to the
+    geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
+    """
+    if joint.arity != 2:
+        raise ValidationError("conditional entropy needs an arity-2 joint (X, Y)")
+    if joint.sizes[0] != g.n:
+        raise ValidationError(f"joint X-alphabet {joint.sizes[0]} != vertex count {g.n}")
+    W = np.zeros(joint.sizes)
+    for (x, y), mass in joint.mass.items():
+        W[x, y] = mass
+    p_x = W.sum(axis=1)
+    if np.max(np.abs(p_x - np.asarray(g.pmf))) > 1e-9:
+        raise ValidationError("joint's X-marginal does not match the vertex PMF")
+    y_pos = W.sum(axis=0) > 0
+    W = W[:, y_pos]
+    p_y = W.sum(axis=0)
+    log_py = np.log2(p_y)
+    pyx = W / p_x[:, None]  # p(y|x); every vertex mass is positive
+
+    mis = enumerate_mis(g)
+    mask = _support_mask(g, mis)
+    allowed = mask > 0
+
+    P = _init_conditionals(mask, opts)
+    objs = np.full(opts.restarts, np.inf)
+    conv_iter = np.full(opts.restarts, -1, dtype=int)
+    for it in range(1, opts.max_iters + 1):
+        Quy = np.einsum("rxu,xy->ruy", P, W)  # joint of (U, Y) per restart
+        # I(X;U|Y) = H(U|Y) - H(U|X); sum_u Quy = p_y supplies the H(Y) term
+        neg_h_u_given_x = np.einsum("x,rxu->r", p_x, _xlog2x(P))
+        neg_h_u_given_y = _xlog2x(Quy).sum(axis=(1, 2)) - np.einsum("ruy,y->r", Quy, log_py)
+        new_objs = neg_h_u_given_x - neg_h_u_given_y
+        newly = (objs - new_objs < opts.tol) & (conv_iter < 0)
+        conv_iter[newly] = it
+        objs = new_objs
+        if np.all(conv_iter >= 0):
+            break
+        # geometric-mean update in log space; per-row constants (the p_y
+        # normalization of Q) cancel in the normalization below
+        logQ = np.where(Quy > 0, np.log(np.maximum(Quy, 1e-300)), _NEG_BIG)
+        L = np.einsum("xy,ruy->rxu", pyx, logQ)
+        L = np.where(allowed[None, :, :], L, -np.inf)
+        L -= L.max(axis=2, keepdims=True)  # max sits on an allowed cell, so finite
+        P = np.exp(L)
+        P /= P.sum(axis=2, keepdims=True)
+    return _finalize(objs, conv_iter, P, mis, opts.max_iters)
+
+
+def chromatic_entropy(g: CharGraph) -> float:
+    """Exact minimum, over valid colorings, of the entropy of the color of a
+    pmf-distributed vertex; branch and bound over independent-set partitions
+    (color classes and independent-set partitions induce the same entropies).
+    """
+    if g.n > EXACT_COLOR_GUARD:
+        raise DeskScaleError(
+            f"|V| = {g.n} exceeds the exact chromatic-entropy guard {EXACT_COLOR_GUARD}"
+        )
+    p = g.pmf
+
+    greedy_masses: dict[int, float] = {}
+    for v, c in greedy_coloring(g).items():
+        greedy_masses[c] = greedy_masses.get(c, 0.0) + p[v]
+    best = _partition_entropy(greedy_masses.values())
+
+    classes: list[set[int]] = []
+    masses: list[float] = []
+
+    def lower_bound(remaining: float) -> float:
+        # later vertices can never merge existing classes, and entropy is
+        # concave in how the remaining mass is spread, so dumping it all on
+        # a single existing class bounds every completion from below
+        return min(
+            _partition_entropy(
+                m + (remaining if i == j else 0.0) for j, m in enumerate(masses)
+            )
+            for i in range(len(masses))
+        )
+
+    def descend(v: int, remaining: float) -> None:
+        nonlocal best
+        if v == g.n:
+            best = min(best, _partition_entropy(masses))
+            return
+        if masses and lower_bound(remaining) >= best - 1e-15:
+            return
+        for i, cls in enumerate(classes):
+            if g.neighbors[v] & cls:
+                continue
+            cls.add(v)
+            masses[i] += p[v]
+            descend(v + 1, remaining - p[v])
+            masses[i] -= p[v]
+            cls.remove(v)
+        classes.append({v})
+        masses.append(p[v])
+        descend(v + 1, remaining - p[v])
+        classes.pop()
+        masses.pop()
+
+    descend(0, 1.0)
+    return best
+
+
+def _partition_entropy(masses) -> float:
+    return -math.fsum(m * math.log2(m) for m in masses if m > 0)
