@@ -19,14 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import (
-    ChargraphError,
-    DecodeError,
-    DeskScaleError,
-    MisStructureError,
-    ModelIntegrityError,
-    ValidationError,
-)
+from .errors import ChargraphError, DeskScaleError, ValidationError
 from .functions import demand_from_json
 from .graphs import make_graph
 from .probability import JointPmf, iid_bernoulli_joint
@@ -68,7 +61,6 @@ class ScenarioConfig:
     rho_grid: tuple[float, float, int] | None = None
     p_grid: tuple[float, float, int] | None = None
     out: str | None = None
-    seed: int = 0
     fmt: str = "csv"
     demand: str | None = None
     placement: str | None = None
@@ -84,8 +76,6 @@ class ScenarioConfig:
                 raise ValidationError(f"grid bounds {a},{b} outside [0,1]")
             if count < 1:
                 raise ValidationError("grid count must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
         if self.fmt not in ("csv", "json"):
             raise ValidationError(f"unknown format {self.fmt!r}")
 
@@ -95,15 +85,19 @@ def _grid_values(grid: tuple[float, float, int]) -> list[float]:
     return [float(v) for v in np.linspace(a, b, count)]
 
 
+def _make_topology(n: int, k: int, kc: int, m: int | None, nr: int) -> Topology:
+    """Topology with M defaulting to the cyclic (K/N)(N - Nr + 1); N < 1 gets
+    M = 0, which Topology rejects along with N."""
+    if m is None:
+        m = (k // n) * (n - nr + 1) if n >= 1 else 0
+    return Topology(n=n, k=k, kc=kc, m=m, nr=nr)
+
+
 def _topology(cfg: ScenarioConfig) -> Topology:
     if cfg.n is None or cfg.k is None or cfg.nr is None:
         raise ValidationError(f"scenario {cfg.scenario!r} needs --n, --k and --nr")
     kc = cfg.kc if cfg.kc is not None else 1
-    if cfg.m is not None:
-        m = cfg.m
-    else:
-        m = (cfg.k // cfg.n) * (cfg.n - cfg.nr + 1)
-    return Topology(n=cfg.n, k=cfg.k, kc=kc, m=m, nr=cfg.nr)
+    return _make_topology(cfg.n, cfg.k, kc, cfg.m, cfg.nr)
 
 
 def _threads() -> int:
@@ -251,9 +245,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_placement(args: argparse.Namespace) -> int:
-    delta = args.k // args.n if args.n and args.k % args.n == 0 else 1
-    m = args.m if args.m is not None else delta * (args.n - args.nr + 1)
-    t = Topology(n=args.n, k=args.k, kc=args.kc, m=m, nr=args.nr)
+    t = _make_topology(args.n, args.k, args.kc, args.m, args.nr)
     p = cyclic_placement(t)
     _emit(json.dumps(placement_to_json(p), indent=2) + "\n", args.out)
     return 0
@@ -303,7 +295,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if cfg.fmt == "csv":
         _emit(_render_csv(rows), cfg.out)
     else:
-        payload = {"scenario": cfg.scenario, "seed": cfg.seed, "rows": rows}
+        payload = {"scenario": cfg.scenario, "rows": rows}
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
     return 0 if converged else 4
 
@@ -325,7 +317,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
             raw = json.load(fh)
         known = {
             "scenario", "n", "k", "kc", "m", "nr", "eps_grid", "rho_grid",
-            "p_grid", "out", "seed", "format", "demand", "placement",
+            "p_grid", "out", "format", "demand", "placement",
         }
         unknown = set(raw) - known
         if unknown:
@@ -356,7 +348,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         rho_grid=pick("rho_grid", args.rho_grid),
         p_grid=pick("p_grid", args.p_grid),
         out=pick("out", args.out),
-        seed=pick("seed", args.seed) or 0,
         fmt=pick("fmt", args.format) or "csv",
         demand=pick("demand", args.demand),
         placement=pick("placement", args.placement),
@@ -397,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--rho-grid", dest="rho_grid", type=_parse_grid, default=None)
     p_sc.add_argument("--p-grid", dest="p_grid", type=_parse_grid, default=None)
     p_sc.add_argument("--out", default=None)
-    p_sc.add_argument("--seed", type=int, default=None)
     p_sc.add_argument("--format", choices=("csv", "json"), default=None)
     p_sc.add_argument("--demand", default=None, help="demand JSON (custom scenario)")
     p_sc.add_argument("--placement", default=None, help="placement JSON (custom)")
@@ -413,17 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DeskScaleError as exc:
         print(f"desk-scale guard: {exc}", file=sys.stderr)
         return 3
-    except (
-        ValidationError,
-        ModelIntegrityError,
-        DecodeError,
-        MisStructureError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ChargraphError as exc:
+    except (ChargraphError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

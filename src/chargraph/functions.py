@@ -64,16 +64,6 @@ def gf_rank(matrix: Sequence[Sequence[int]], q: int) -> int:
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """Alphabet of each subfunction value: F_q, q prime."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_field(self.q)
-
-
-@dataclass(frozen=True)
 class LinearlySeparable:
     """Demands f = Gamma @ w over F_q; gamma has shape Kc x K."""
 

@@ -40,7 +40,7 @@ from .probability import (
     parity_param,
     product_param,
 )
-from .solvers import SolverOptions, conditional_graph_entropy, graph_entropy
+from .solvers import conditional_graph_entropy, graph_entropy
 from .topology import Placement, Topology, coverage_check, derived_params
 
 COMBO_GUARD = 10**6  # max (subset, candidate-combination) decodability checks
@@ -240,7 +240,6 @@ def theorem1_sum_rate(
     d: DemandSpec,
     joint: JointPmf,
     cb: Codebook | None = None,
-    opts: SolverOptions = SolverOptions(),
 ) -> RateReport:
     """Codebook bound: each of the first Nr servers contributes the smallest
     graph entropy over its candidate encodings, taken on the graph induced on
@@ -266,7 +265,7 @@ def theorem1_sum_rate(
         g = build_char_graph(d, p, joint, i)
         best, best_idx = math.inf, 0
         for idx, gmap in enumerate(cb.for_server(i)):
-            value = graph_entropy(_pushforward(g, gmap, i), opts).value
+            value = graph_entropy(_pushforward(g, gmap, i)).value
             if value < best:
                 best, best_idx = value, idx
         rates.append(best)
@@ -429,7 +428,6 @@ def chain_rate(
     d: DemandSpec,
     joint: JointPmf,
     ordering: Sequence[int] | Sequence[Sequence[int]],
-    opts: SolverOptions = SolverOptions(),
 ) -> RateReport:
     """Ordered evaluation: the first server pays the graph entropy of its
     union graph; each later server pays the conditional graph entropy of its
@@ -448,7 +446,7 @@ def chain_rate(
     failures: list[str] = []
     for order in orderings:
         try:
-            rates, converged = _chain_eval(p, d, items, order, opts)
+            rates, converged = _chain_eval(p, d, items, order)
         except DecodeError as exc:
             failures.append(str(exc))
             continue
@@ -489,7 +487,6 @@ def _chain_eval(
     d: DemandSpec,
     items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]],
     order: tuple[int, ...],
-    opts: SolverOptions,
 ) -> tuple[list[float], bool]:
     transcripts: list[tuple[int, ...]] = [() for _ in items]
     rates: list[float] = []
@@ -526,7 +523,7 @@ def _chain_eval(
             (g.n, len(ys)),
             {(v, y_index[label[1]]): g.pmf[v] for v, label in enumerate(g.vertices)},
         )
-        res = conditional_graph_entropy(g, joint2, opts)
+        res = conditional_graph_entropy(g, joint2)
         rates.append(res.value)
         converged = converged and res.converged
 

@@ -22,7 +22,7 @@ from .functions import DemandSpec, evaluate_demand
 from .graphs import POWER_GUARD, build_char_graph, or_power
 from .probability import JointPmf
 from .rates import min_coloring
-from .solvers import SolverOptions, graph_entropy
+from .solvers import graph_entropy
 from .topology import Placement, Topology
 
 Block = tuple[tuple[int, ...], ...]  # length-n sequence of joint K-tuples
@@ -102,7 +102,6 @@ def build_encoders(
     d: DemandSpec,
     joint: JointPmf,
     n: int,
-    opts: SolverOptions = SolverOptions(),
 ) -> list[Encoder]:
     """One encoder per server: color the n-th OR power of the server's union
     characteristic graph (exact minimum when small, degree-ordered greedy
@@ -140,7 +139,7 @@ def build_encoders(
                 zone=zone,
                 coloring=coloring,
                 num_colors=len(set(coloring.values())),
-                theoretical_rate=graph_entropy(g1, opts).value,
+                theoretical_rate=graph_entropy(g1).value,
             )
         )
     return encoders

@@ -17,31 +17,21 @@ from typing import Any
 import numpy as np
 
 from .errors import DeskScaleError, ValidationError
-from .graphs import EXACT_COLOR_GUARD, CharGraph, MisFamily, enumerate_mis, greedy_coloring
+from .graphs import EXACT_COLOR_GUARD, CharGraph, enumerate_mis, greedy_coloring
 from .probability import JointPmf
 
 _NEG_BIG = -1e18  # stand-in for log(0) that survives multiplication by weights
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-9        # stop when the objective improves by less than this
-    max_iters: int = 100_000
-    restarts: int = 8        # first restart is uniform, the rest random
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
-            raise ValidationError("tol > 0, max_iters >= 1, restarts >= 1 required")
+TOL = 1e-9  # stop a restart when its objective improves by less than this
+MAX_ITERS = 100_000
+RESTARTS = 8  # the first restart starts uniform, the rest at random
 
 
 @dataclass(frozen=True)
 class GraphEntropyResult:
     value: float
-    conditional_pmf: tuple[tuple[float, ...], ...]  # rows: vertices, cols: MIS ids
     iterations: int
     converged: bool
-    mis_sets: tuple[tuple[int, ...], ...]
     restart_values: tuple[float, ...]
 
     def to_json(self) -> dict[str, Any]:
@@ -52,22 +42,20 @@ class GraphEntropyResult:
         }
 
 
-def _support_mask(g: CharGraph, mis: MisFamily) -> np.ndarray:
+def _start(g: CharGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Support mask of P(U|x) on the MISs containing x, shape (n, m), and the
+    stack of restart starts, shape (R, n, m); every allowed cell starts
+    strictly positive (a zero cell would be stuck at zero)."""
+    mis = enumerate_mis(g)
     mask = np.zeros((g.n, mis.count))
     for u, s in enumerate(mis.sets):
         mask[list(s), u] = 1.0
-    return mask
-
-
-def _init_conditionals(mask: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    """Stack of restart initializations, shape (R, n, m); every allowed cell
-    starts strictly positive (a zero cell would be stuck at zero)."""
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(0)
     stack = [mask / mask.sum(axis=1, keepdims=True)]
-    for _ in range(opts.restarts - 1):
+    for _ in range(RESTARTS - 1):
         raw = mask * (rng.random(mask.shape) + 1e-3)
         stack.append(raw / raw.sum(axis=1, keepdims=True))
-    return np.stack(stack)
+    return mask, np.stack(stack)
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
@@ -77,56 +65,43 @@ def _xlog2x(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finalize(
-    objs: np.ndarray,
-    conv_iter: np.ndarray,
-    p_stack: np.ndarray,
-    mis: MisFamily,
-    max_iters: int,
-) -> GraphEntropyResult:
+def _finalize(objs: np.ndarray, conv_iter: np.ndarray) -> GraphEntropyResult:
     best = int(np.argmin(objs))
     converged = conv_iter[best] >= 0
     return GraphEntropyResult(
         value=max(float(objs[best]), 0.0),
-        conditional_pmf=tuple(tuple(float(v) for v in row) for row in p_stack[best]),
-        iterations=int(conv_iter[best]) if converged else max_iters,
+        iterations=int(conv_iter[best]) if converged else MAX_ITERS,
         converged=bool(converged),
-        mis_sets=mis.sets,
         restart_values=tuple(float(v) for v in objs),
     )
 
 
-def graph_entropy(g: CharGraph, opts: SolverOptions = SolverOptions()) -> GraphEntropyResult:
+def graph_entropy(g: CharGraph) -> GraphEntropyResult:
     """Minimize I(X;U) over P(U|x) with support on MISs containing x.
 
     Alternation: Q(u) <- sum_x p(x) P(u|x), then P(u|x) prop. to Q(u) on the
     allowed cells. Monotone on a convex objective, so restarts certify the
     minimum rather than hunt for it.
     """
-    mis = enumerate_mis(g)
-    mask = _support_mask(g, mis)
+    mask, P = _start(g)
     p = np.asarray(g.pmf)
-
-    P = _init_conditionals(mask, opts)
-    objs = np.full(opts.restarts, np.inf)
-    conv_iter = np.full(opts.restarts, -1, dtype=int)
-    for it in range(1, opts.max_iters + 1):
+    objs = np.full(RESTARTS, np.inf)
+    conv_iter = np.full(RESTARTS, -1, dtype=int)
+    for it in range(1, MAX_ITERS + 1):
         Q = np.einsum("x,rxu->ru", p, P)
         # I(X;U) = H(U) - H(U|X)
         new_objs = np.einsum("x,rxu->r", p, _xlog2x(P)) - _xlog2x(Q).sum(axis=1)
-        newly = (objs - new_objs < opts.tol) & (conv_iter < 0)
+        newly = (objs - new_objs < TOL) & (conv_iter < 0)
         conv_iter[newly] = it
         objs = new_objs
         if np.all(conv_iter >= 0):
             break
         P = mask[None, :, :] * Q[:, None, :]
         P /= P.sum(axis=2, keepdims=True)
-    return _finalize(objs, conv_iter, P, mis, opts.max_iters)
+    return _finalize(objs, conv_iter)
 
 
-def conditional_graph_entropy(
-    g: CharGraph, joint: JointPmf, opts: SolverOptions = SolverOptions()
-) -> GraphEntropyResult:
+def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResult:
     """Minimize I(X;U|Y) over P(U|x); the Markov chain U - X - Y holds by
     construction since the conditional never depends on y.
 
@@ -149,20 +124,17 @@ def conditional_graph_entropy(
     log_py = np.log2(p_y)
     pyx = W / p_x[:, None]  # p(y|x); every vertex mass is positive
 
-    mis = enumerate_mis(g)
-    mask = _support_mask(g, mis)
+    mask, P = _start(g)
     allowed = mask > 0
-
-    P = _init_conditionals(mask, opts)
-    objs = np.full(opts.restarts, np.inf)
-    conv_iter = np.full(opts.restarts, -1, dtype=int)
-    for it in range(1, opts.max_iters + 1):
+    objs = np.full(RESTARTS, np.inf)
+    conv_iter = np.full(RESTARTS, -1, dtype=int)
+    for it in range(1, MAX_ITERS + 1):
         Quy = np.einsum("rxu,xy->ruy", P, W)  # joint of (U, Y) per restart
         # I(X;U|Y) = H(U|Y) - H(U|X); sum_u Quy = p_y supplies the H(Y) term
         neg_h_u_given_x = np.einsum("x,rxu->r", p_x, _xlog2x(P))
         neg_h_u_given_y = _xlog2x(Quy).sum(axis=(1, 2)) - np.einsum("ruy,y->r", Quy, log_py)
         new_objs = neg_h_u_given_x - neg_h_u_given_y
-        newly = (objs - new_objs < opts.tol) & (conv_iter < 0)
+        newly = (objs - new_objs < TOL) & (conv_iter < 0)
         conv_iter[newly] = it
         objs = new_objs
         if np.all(conv_iter >= 0):
@@ -175,7 +147,7 @@ def conditional_graph_entropy(
         L -= L.max(axis=2, keepdims=True)  # max sits on an allowed cell, so finite
         P = np.exp(L)
         P /= P.sum(axis=2, keepdims=True)
-    return _finalize(objs, conv_iter, P, mis, opts.max_iters)
+    return _finalize(objs, conv_iter)
 
 
 def chromatic_entropy(g: CharGraph) -> float:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from chargraph import solvers
 from chargraph.cli import CSV_HEADER, main
+from chargraph.graphs import make_graph
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -43,6 +45,11 @@ class TestPlacement:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", [["placement"], ["scenario", "--scenario", "s1"]])
+    def test_zero_servers_rejected(self, capsys, command):
+        code, _, err = run(capsys, command + ["--n", "0", "--k", "3", "--nr", "1"])
+        assert code == 2 and "error" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "placement.json"
@@ -196,13 +203,12 @@ class TestScenario:
                 "1,1,1",
                 "--format",
                 "json",
-                "--seed",
-                "7",
             ],
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["scenario"] == "s2-diniz" and payload["seed"] == 7
+        assert set(payload) == {"scenario", "rows"}
+        assert payload["scenario"] == "s2-diniz"
         assert payload["rows"][0]["eta_lin"] == pytest.approx(2.0, abs=1e-6)
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -366,3 +372,16 @@ class TestThreads:
             )[0]
             == 2
         )
+
+
+def test_non_convergence_exits_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(solvers, "MAX_ITERS", 1)
+    res = solvers.graph_entropy(make_graph({0: 0.5, 1: 0.5}, [(0, 1)]))
+    assert res.converged is False and res.iterations == 1
+    spec = str(CONFIGS / "ternary_conditional.json")
+    assert run(capsys, ["entropy", "--spec", spec])[0] == 4
+    demand = tmp_path / "demand.json"
+    demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}))
+    argv = ["scenario", "--scenario", "custom", "--demand", str(demand),
+            "--n", "3", "--k", "3", "--nr", "2", "--eps-grid", "0.3,0.3,1"]
+    assert run(capsys, argv)[0] == 4

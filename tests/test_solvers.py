@@ -4,15 +4,12 @@ Frozen constants come from tests/oracles/gen_frozen.py (independent
 enumeration over partitions / closed forms, no package code).
 """
 
-import math
-
 import pytest
 
 from chargraph.errors import DeskScaleError, ValidationError
 from chargraph.graphs import make_graph, or_power
 from chargraph.probability import JointPmf, binary_entropy
 from chargraph.solvers import (
-    SolverOptions,
     chromatic_entropy,
     conditional_graph_entropy,
     graph_entropy,
@@ -65,19 +62,6 @@ class TestGraphEntropy:
             [(i, j) for i in range(4) for j in range(i + 1, 4)],
         )
         assert graph_entropy(g).value == pytest.approx(2.0, abs=1e-6)
-
-    def test_conditional_pmf_is_valid(self):
-        res = graph_entropy(ternary_graph())
-        assert len(res.conditional_pmf) == 3
-        for x, row in enumerate(res.conditional_pmf):
-            assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
-            for u, weight in enumerate(row):
-                if x not in res.mis_sets[u]:
-                    assert weight == pytest.approx(0.0, abs=1e-12)
-
-    def test_custom_options_reach_same_value(self):
-        res = graph_entropy(ternary_graph(), SolverOptions(restarts=3, seed=5))
-        assert res.value == pytest.approx(2 / 3, abs=1e-6)
 
     def test_result_json(self):
         obj = graph_entropy(ternary_graph()).to_json()
@@ -165,13 +149,3 @@ class TestChromaticEntropy:
         big = make_graph({v: 1.0 / 13 for v in range(13)}, [])
         with pytest.raises(DeskScaleError):
             chromatic_entropy(big)
-
-
-class TestSolverOptions:
-    def test_rejects_bad_options(self):
-        with pytest.raises(ValidationError):
-            SolverOptions(tol=0.0)
-        with pytest.raises(ValidationError):
-            SolverOptions(max_iters=0)
-        with pytest.raises(ValidationError):
-            SolverOptions(restarts=0)
