@@ -258,6 +258,17 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     edges = spec.get("edges")
     if not isinstance(pmf, list) or not isinstance(edges, list):
         raise ValidationError("graph spec needs 'pmf' and 'edges' lists")
+    if not all(type(x) in (int, float) for x in pmf):
+        raise ValidationError("'pmf' entries must be numbers")
+    for e in edges:
+        if not (
+            isinstance(e, list)
+            and len(e) == 2
+            and all(type(v) is int and 0 <= v < len(pmf) for v in e)
+        ):
+            raise ValidationError(
+                f"edge {e!r} is not a pair of vertex ids in 0..{len(pmf) - 1}"
+            )
     labels = spec.get("labels", list(range(len(pmf))))
     if len(labels) != len(pmf):
         raise ValidationError("'labels' length disagrees with 'pmf'")

@@ -96,6 +96,29 @@ def make_graph(
     return CharGraph(vertices=vertices, edges=frozenset(edges), pmf=pmf)
 
 
+def confusability_graph(
+    points: Iterable[tuple[Label, Hashable, float, Hashable]],
+) -> CharGraph:
+    """Graph on the vertex labels of support points (vertex, completion key,
+    mass, outputs): each vertex carries the total mass of its points, and
+    two vertices are joined iff a point of each shares a completion key but
+    not the outputs.  Outputs must be a function of (vertex, completion key):
+    otherwise the vertex would be joined to itself, which make_graph rejects."""
+    masses: dict[Label, float] = {}
+    groups: dict[Hashable, list[tuple[Hashable, Label]]] = {}  # key -> (outputs, vertex)
+    for v, key, m, out in points:
+        masses[v] = masses.get(v, 0.0) + m
+        groups.setdefault(key, []).append((out, v))
+    edge_pairs = [
+        (a, b)
+        for group in groups.values()
+        if len(group) > 1
+        for (out_a, a), (out_b, b) in combinations(group, 2)
+        if out_a != out_b
+    ]
+    return make_graph(masses, edge_pairs)
+
+
 def build_char_graph(
     d: DemandSpec,
     p: Placement,
@@ -108,7 +131,8 @@ def build_char_graph(
 
     Vertices are the positive-probability local tuples W_{Z_i}; two are joined
     iff some completion of every other coordinate has positive probability
-    with both and makes a selected demand differ.
+    with both and makes a selected demand differ.  A point local support
+    gives a one-vertex graph.
     """
     if joint.arity != d.k or p.k != d.k:
         raise ValidationError("joint, placement, and demand disagree on K")
@@ -116,27 +140,16 @@ def build_char_graph(
     zone = p.zone0(i)
     rest_coords = tuple(c for c in range(d.k) if c not in zone)
 
-    masses: dict[tuple[int, ...], float] = {}
-    # vertex -> completion -> selected demand outputs
-    outputs: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for w, m in joint.support():
-        x = tuple(w[c] for c in zone)
-        rest = tuple(w[c] for c in rest_coords)
-        masses[x] = masses.get(x, 0.0) + m
+    def point(w: tuple[int, ...], m: float):
         full = evaluate_demand(d, w)
-        outputs.setdefault(x, {})[rest] = tuple(full[j - 1] for j in sel)
-    if len([m for m in masses.values() if m > SUPPORT_TOL]) < 2:
-        raise ValidationError(
-            f"server {i} local support has fewer than 2 points; nothing to distinguish"
+        return (
+            tuple(w[c] for c in zone),
+            tuple(w[c] for c in rest_coords),
+            m,
+            tuple(full[j - 1] for j in sel),
         )
 
-    edge_pairs = []
-    for x1, x2 in combinations(sorted(masses, key=repr), 2):
-        o1, o2 = outputs[x1], outputs[x2]
-        shared = o1.keys() & o2.keys()
-        if any(o1[r] != o2[r] for r in shared):
-            edge_pairs.append((x1, x2))
-    return make_graph(masses, edge_pairs)
+    return confusability_graph(point(w, m) for w, m in joint.support())
 
 
 def _demand_ids(d: DemandSpec, demand_subset: Iterable[int] | None) -> tuple[int, ...]:

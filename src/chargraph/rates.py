@@ -26,6 +26,7 @@ from .graphs import (
     EXACT_COLOR_GUARD,
     CharGraph,
     build_char_graph,
+    confusability_graph,
     enumerate_mis,
     exact_min_coloring,
     greedy_coloring,
@@ -141,19 +142,12 @@ def _support_items(
     return items
 
 
-def _local_support(
-    p: Placement, i: int, items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]]
-) -> dict[tuple[int, ...], float]:
-    zone = p.zone0(i)
-    masses: dict[tuple[int, ...], float] = {}
-    for w, m, _ in items:
-        x = tuple(w[c] for c in zone)
-        masses[x] = masses.get(x, 0.0) + m
-    return masses
-
-
 def min_coloring(g: CharGraph) -> dict[int, int]:
     return exact_min_coloring(g) if g.n <= EXACT_COLOR_GUARD else greedy_coloring(g)
+
+
+def _coloring_map(g: CharGraph) -> dict[Any, int]:
+    return {g.vertices[v]: c for v, c in min_coloring(g).items()}
 
 
 def default_codebook(
@@ -161,38 +155,38 @@ def default_codebook(
 ) -> Codebook:
     """One candidate per server: the minimum-count coloring of its union
     characteristic graph (constant map when the local support is a point)."""
-    items = _support_items(d, p, joint)
-    cands: dict[int, tuple[EncodingMap, ...]] = {}
-    for i in range(1, t.n + 1):
-        masses = _local_support(p, i, items)
-        if len(masses) < 2:
-            cands[i] = ({x: 0 for x in masses},)
-            continue
-        g = build_char_graph(d, p, joint, i)
-        coloring = min_coloring(g)
-        cands[i] = ({g.vertices[v]: c for v, c in coloring.items()},)
-    return Codebook(candidates=cands)
+    return Codebook(
+        candidates={
+            i: (_coloring_map(build_char_graph(d, p, joint, i)),)
+            for i in range(1, t.n + 1)
+        }
+    )
 
 
-def _pushforward(g: CharGraph, gmap: EncodingMap, server: int) -> CharGraph:
-    """Graph induced on the image of an encoding map: classes merge vertices,
-    which is only legal when no edge is internal to a class."""
-    colors: dict[Any, float] = {}
-    for v, label in enumerate(g.vertices):
+def _check_encoding_map(g: CharGraph, gmap: EncodingMap, server: int) -> None:
+    """An encoding map must be total on the graph's vertices and must not
+    merge a confusable pair."""
+    for label in g.vertices:
         if label not in gmap:
             raise ValidationError(
                 f"candidate for server {server} is not total: misses {label!r}"
             )
-        colors[gmap[label]] = colors.get(gmap[label], 0.0) + g.pmf[v]
-    edge_pairs = []
     for i, j in g.edges:
-        ci, cj = gmap[g.vertices[i]], gmap[g.vertices[j]]
-        if ci == cj:
+        if gmap[g.vertices[i]] == gmap[g.vertices[j]]:
             raise DecodeError(
                 f"candidate for server {server} merges the confusable pair "
                 f"{g.vertices[i]!r}, {g.vertices[j]!r}"
             )
-        edge_pairs.append((ci, cj))
+
+
+def _pushforward(g: CharGraph, gmap: EncodingMap) -> CharGraph:
+    """Graph induced on the image of an encoding map that passed
+    _check_encoding_map: classes merge vertices, and edges follow their
+    endpoints' classes."""
+    colors: dict[Any, float] = {}
+    for v, label in enumerate(g.vertices):
+        colors[gmap[label]] = colors.get(gmap[label], 0.0) + g.pmf[v]
+    edge_pairs = [(gmap[g.vertices[i]], gmap[g.vertices[j]]) for i, j in g.edges]
     return make_graph(colors, edge_pairs)
 
 
@@ -250,22 +244,20 @@ def theorem1_sum_rate(
     if not coverage_check(p, t):
         raise ValidationError("placement fails Nr-subset coverage; no recovery")
     items = _support_items(d, p, joint)
+    graphs = {i: build_char_graph(d, p, joint, i) for i in range(1, t.n + 1)}
     if cb is None:
-        cb = default_codebook(t, p, d, joint)
+        cb = Codebook(candidates={i: (_coloring_map(g),) for i, g in graphs.items()})
+    for i, g in graphs.items():
+        for gmap in cb.for_server(i):
+            _check_encoding_map(g, gmap, i)
     _check_codebook_decodable(t, p, cb, items)
 
     rates: list[float] = []
     chosen: dict[int, int] = {}
     for i in range(1, t.nr + 1):
-        masses = _local_support(p, i, items)
-        if len(masses) < 2:
-            rates.append(0.0)
-            chosen[i] = 0
-            continue
-        g = build_char_graph(d, p, joint, i)
         best, best_idx = math.inf, 0
         for idx, gmap in enumerate(cb.for_server(i)):
-            value = graph_entropy(_pushforward(g, gmap, i)).value
+            value = graph_entropy(_pushforward(graphs[i], gmap)).value
             if value < best:
                 best, best_idx = value, idx
         rates.append(best)
@@ -320,18 +312,10 @@ def prop2_rate(
             "subfunctions must be identically distributed Bern(eps); "
             f"marginals span [{min(marginals)}, {max(marginals)}]"
         )
-    items = _support_items(d, p, joint)
-
     rates: list[float] = []
     chosen: dict[int, int] = {}
     skews: list[float] = []
     for i in range(1, t.nr + 1):
-        masses = _local_support(p, i, items)
-        if len(masses) < 2:
-            rates.append(0.0)
-            chosen[i] = 0
-            skews.append(0.0)
-            continue
         g = build_char_graph(d, p, joint, i)
         fam = enumerate_mis(g)
         if fam.count > 2:
@@ -374,21 +358,8 @@ def _boolean_candidates(
 
 
 def _level_one_mass(g: CharGraph, gmap: EncodingMap, server: int) -> float:
-    mass = 0.0
-    for v, label in enumerate(g.vertices):
-        if label not in gmap:
-            raise ValidationError(
-                f"candidate for server {server} is not total: misses {label!r}"
-            )
-        if gmap[label] == 1:
-            mass += g.pmf[v]
-    for i, j in g.edges:
-        if gmap[g.vertices[i]] == gmap[g.vertices[j]]:
-            raise DecodeError(
-                f"candidate for server {server} merges the confusable pair "
-                f"{g.vertices[i]!r}, {g.vertices[j]!r}"
-            )
-    return mass
+    _check_encoding_map(g, gmap, server)
+    return sum((g.pmf[v] for v, label in enumerate(g.vertices) if gmap[label] == 1), 0.0)
 
 
 def prop3_rate(t: Topology, epsilon: float) -> RateReport:
@@ -442,11 +413,21 @@ def chain_rate(
     """
     orderings = _normalize_orderings(t, ordering)
     items = _support_items(d, p, joint)
+    # every ordering splits a point into a server's local tuple and the rest
+    # the same way, so each server's split is taken once
+    splits: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for server in {s for order in orderings for s in order}:
+        zone = p.zone0(server)
+        rest_coords = tuple(c for c in range(d.k) if c not in zone)
+        splits[server] = [
+            (tuple(w[c] for c in zone), tuple(w[c] for c in rest_coords))
+            for w, _, _ in items
+        ]
     best: tuple[float, tuple[float, ...], tuple[int, ...], bool] | None = None
     failures: list[str] = []
     for order in orderings:
         try:
-            rates, converged = _chain_eval(p, d, items, order)
+            rates, converged = _chain_eval(items, splits, order)
         except DecodeError as exc:
             failures.append(str(exc))
             continue
@@ -483,40 +464,21 @@ def _normalize_orderings(
 
 
 def _chain_eval(
-    p: Placement,
-    d: DemandSpec,
     items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]],
+    splits: Mapping[int, Sequence[tuple[tuple[int, ...], tuple[int, ...]]]],
     order: tuple[int, ...],
 ) -> tuple[list[float], bool]:
     transcripts: list[tuple[int, ...]] = [() for _ in items]
     rates: list[float] = []
     converged = True
     for server in order:
-        zone = p.zone0(server)
-        rest_coords = tuple(c for c in range(d.k) if c not in zone)
-
-        masses: dict[tuple, float] = {}
-        vertex_of: list[tuple] = []
-        for (w, m, _), y in zip(items, transcripts):
-            v = (tuple(w[c] for c in zone), y)
-            masses[v] = masses.get(v, 0.0) + m
-            vertex_of.append(v)
-
-        # two support points are confusable at this stage iff they share the
-        # transcript, agree outside this server's zone, and differ in demand
-        edge_pairs: list[tuple[tuple, tuple]] = []
-        by_rest: dict[tuple[int, ...], list[int]] = {}
-        for idx, (w, _, _) in enumerate(items):
-            by_rest.setdefault(tuple(w[c] for c in rest_coords), []).append(idx)
-        for group in by_rest.values():
-            for a_pos, a in enumerate(group):
-                for b in group[a_pos + 1 :]:
-                    if transcripts[a] != transcripts[b]:
-                        continue
-                    if items[a][2] != items[b][2] and vertex_of[a] != vertex_of[b]:
-                        edge_pairs.append((vertex_of[a], vertex_of[b]))
-
-        g = make_graph(masses, edge_pairs)
+        # the decoder knows the transcript y, so it is part of both the vertex
+        # and the completion: only points with equal transcripts are confusable
+        points = [
+            ((x, y), (rest, y), m, dem)
+            for (_, m, dem), (x, rest), y in zip(items, splits[server], transcripts)
+        ]
+        g = confusability_graph(points)
         ys = sorted({label[1] for label in g.vertices})
         y_index = {y: k for k, y in enumerate(ys)}
         joint2 = JointPmf(
@@ -527,10 +489,16 @@ def _chain_eval(
         rates.append(res.value)
         converged = converged and res.converged
 
-        coloring = _per_section_coloring(g)
-        for idx in range(len(items)):
-            v = g.index[vertex_of[idx]]
-            transcripts[idx] = transcripts[idx] + (coloring[v],)
+        # each transcript section is colored on its own: colors need only
+        # separate inside the section the decoder already knows
+        sections: dict[tuple[int, ...], list[int]] = {}
+        for idx, y in enumerate(transcripts):
+            sections.setdefault(y, []).append(idx)
+        for idxs in sections.values():
+            section = confusability_graph([points[idx] for idx in idxs])
+            coloring = min_coloring(section)
+            for idx in idxs:
+                transcripts[idx] += (coloring[section.index[points[idx][0]]],)
 
     groups: dict[tuple[int, ...], tuple[int, ...]] = {}
     for (w, _, dem), z in zip(items, transcripts):
@@ -543,27 +511,6 @@ def _chain_eval(
         else:
             groups[z] = dem
     return rates, converged
-
-
-def _per_section_coloring(g: CharGraph) -> dict[int, int]:
-    """Color each transcript section of the stage graph independently (the
-    decoder knows the section, so colors need only separate inside it)."""
-    sections: dict[tuple, list[int]] = {}
-    for v, (_, y) in enumerate(g.vertices):
-        sections.setdefault(y, []).append(v)
-    out: dict[int, int] = {}
-    for vs in sections.values():
-        sub_masses = {g.vertices[v]: g.pmf[v] for v in vs}
-        sub_edges = [
-            (g.vertices[i], g.vertices[j])
-            for i, j in g.edges
-            if g.vertices[i][1] == g.vertices[j][1] == g.vertices[vs[0]][1]
-        ]
-        sub = make_graph(sub_masses, sub_edges)
-        coloring = min_coloring(sub)
-        for v_local, label in enumerate(sub.vertices):
-            out[g.index[label]] = coloring[v_local]
-    return out
 
 
 # ---------------------------------------------------------------------------

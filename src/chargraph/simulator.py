@@ -105,30 +105,14 @@ def build_encoders(
 ) -> list[Encoder]:
     """One encoder per server: color the n-th OR power of the server's union
     characteristic graph (exact minimum when small, degree-ordered greedy
-    otherwise).  A server whose local support is a single point transmits a
-    constant."""
+    otherwise).  A server whose local support is a single point has a
+    one-vertex graph, so it transmits a constant."""
     if n < 1:
         raise ValidationError("blocklength n must be >= 1")
     if joint.arity != t.k or p.k != t.k or p.n != t.n:
         raise ValidationError("joint/placement do not match the topology")
-    support = joint.support()
     encoders: list[Encoder] = []
     for i in range(1, t.n + 1):
-        zone = p.zone0(i)
-        locals_ = sorted({tuple(w[c] for c in zone) for w, _ in support})
-        if len(locals_) < 2:
-            coloring = {tuple(locals_[0] for _ in range(n)): 0}
-            encoders.append(
-                Encoder(
-                    server=i,
-                    n=n,
-                    zone=zone,
-                    coloring=coloring,
-                    num_colors=1,
-                    theoretical_rate=0.0,
-                )
-            )
-            continue
         g1 = build_char_graph(d, p, joint, i)
         gn = or_power(g1, n)
         coloring = _canonical_colors(gn.vertices, min_coloring(gn))
@@ -136,7 +120,7 @@ def build_encoders(
             Encoder(
                 server=i,
                 n=n,
-                zone=zone,
+                zone=p.zone0(i),
                 coloring=coloring,
                 num_colors=len(set(coloring.values())),
                 theoretical_rate=graph_entropy(g1).value,

@@ -101,6 +101,22 @@ class TestEntropy:
         empty.write_text(json.dumps({"pmf": [1.0]}))
         assert run(capsys, ["entropy", "--spec", str(empty)])[0] == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"pmf": [0.5, 0.5], "edges": [[0, 5]]},  # vertex id out of range
+            {"pmf": [0.5, 0.5], "edges": [[0, 1, 2]]},  # not a pair
+            {"pmf": [0.5, 0.5], "edges": [[0, -1]]},  # would wrap to the last vertex
+            {"pmf": [0.5, 0.5], "edges": [[0, 1.0]]},  # not an integer id
+            {"pmf": ["0.5", 0.5], "edges": [[0, 1]]},  # not a number
+        ],
+    )
+    def test_bad_spec_exits_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["entropy", "--spec", str(path)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestScenario:
     def test_csv_shape_and_determinism(self, capsys):

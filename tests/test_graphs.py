@@ -15,6 +15,7 @@ from chargraph.graphs import (
     CharGraph,
     build_char_graph,
     color_classes,
+    confusability_graph,
     enumerate_mis,
     exact_min_coloring,
     graph_to_dot,
@@ -25,6 +26,7 @@ from chargraph.graphs import (
     validate_coloring,
 )
 from chargraph.probability import JointPmf, iid_bernoulli_joint
+from chargraph.solvers import graph_entropy
 from chargraph.topology import Topology, cyclic_placement
 
 TERNARY_SQUARE_EDGE_COUNT = 16
@@ -151,13 +153,36 @@ class TestBuildCharGraph:
         for v, m in zip(g.vertices, g.pmf):
             assert m == pytest.approx(joint.marginal((0, 1)).prob(v))
 
-    def test_degenerate_local_support_rejected(self):
+    def test_point_local_support_is_one_vertex(self):
         t = Topology(n=2, k=2, kc=1, m=1, nr=2)
         p = cyclic_placement(t)
         d = LinearlySeparable(q=2, gamma=((1, 1),))
         joint = JointPmf((2, 2), {(0, 0): 0.5, (0, 1): 0.5})
+        g = build_char_graph(d, p, joint, 1)  # coordinate 0 is constant
+        assert g.vertices == ((0,),) and g.edges == frozenset()
+        assert g.pmf == (1.0,)
+        assert graph_entropy(g).value == 0.0
+
+
+class TestConfusabilityGraph:
+    def test_masses_add_and_edges_need_shared_completion(self):
+        # (vertex, completion key, mass, outputs)
+        g = confusability_graph(
+            [
+                ("a", 0, 0.25, 0),
+                ("a", 1, 0.25, 1),
+                ("b", 0, 0.25, 1),  # shares completion 0 with "a", differs
+                ("c", 1, 0.125, 1),  # shares completion 1 with "a", agrees
+                ("d", 2, 0.125, 0),  # shares no completion
+            ]
+        )
+        assert g.vertices == ("a", "b", "c", "d")
+        assert g.pmf == (0.5, 0.25, 0.125, 0.125)
+        assert g.edges == frozenset({(0, 1)})
+
+    def test_outputs_must_follow_vertex_and_completion(self):
         with pytest.raises(ValidationError):
-            build_char_graph(d, p, joint, 1)  # coordinate 0 is constant
+            confusability_graph([("a", 0, 0.5, 0), ("a", 0, 0.5, 1)])
 
 
 class TestUnionGraph:

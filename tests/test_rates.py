@@ -12,6 +12,7 @@ import pytest
 from chargraph.errors import DecodeError, MisStructureError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear
 from chargraph.probability import (
+    JointPmf,
     binary_entropy,
     iid_bernoulli_joint,
     parity_param,
@@ -21,6 +22,7 @@ from chargraph.rates import (
     Codebook,
     RateReport,
     chain_rate,
+    default_codebook,
     gains,
     multilinear_rates,
     prop1_rate,
@@ -294,6 +296,14 @@ class TestTheorem1:
         with pytest.raises(DecodeError):
             theorem1_sum_rate(t, p, d, joint, cb=cb)
 
+    def test_non_total_candidate_rejected(self):
+        t, p, d, joint = parity_instance()
+        partial = {(0, 0): 0, (0, 1): 1, (1, 0): 1}  # misses (1, 1)
+        cb = Codebook(candidates={i: (partial,) for i in (1, 2, 3)})
+        for bound in (theorem1_sum_rate, prop2_rate):
+            with pytest.raises(ValidationError, match="not total"):
+                bound(t, p, d, joint, cb=cb)
+
     def test_undecodable_profile_rejected(self):
         # per-server parity colorings are proper but the pooled pair of
         # parities cannot tell the all-zeros block from the all-ones block
@@ -309,6 +319,32 @@ class TestTheorem1:
         d = LinearlySeparable(q=2, gamma=((1, 1),))
         with pytest.raises(ValidationError):
             theorem1_sum_rate(t, p, d, iid_bernoulli_joint(2, 0.4))
+
+
+class TestPointLocalSupport:
+    """A server whose zone is constant has a one-point local support: its
+    map is constant and every bound charges it nothing."""
+
+    def test_constant_zone_costs_nothing(self):
+        t, p, d, _ = parity_instance()
+        joint = JointPmf((2, 2, 2), {(0, 0, 0): 0.7, (0, 0, 1): 0.3})  # W1, W2 fixed
+        assert default_codebook(t, p, d, joint).for_server(1) == ({(0, 0): 0},)
+        for rr in (theorem1_sum_rate(t, p, d, joint), chain_rate(t, p, d, joint, [1, 2])):
+            assert rr.per_server_rates[0] == 0.0
+            assert rr.per_server_rates[1] == pytest.approx(binary_entropy(0.3), abs=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_deterministic_source_costs_nothing(self, eps):
+        t, p, d, joint = parity_instance(eps)
+        bit = int(eps)
+        cb = default_codebook(t, p, d, joint)
+        assert all(cb.for_server(i) == ({(bit, bit): 0},) for i in (1, 2, 3))
+        for rr in (
+            theorem1_sum_rate(t, p, d, joint),
+            prop2_rate(t, p, d, joint),
+            chain_rate(t, p, d, joint, [1, 2]),
+        ):
+            assert rr.per_server_rates == (0.0, 0.0)
 
 
 class TestChain:
