@@ -254,6 +254,8 @@ def cmd_placement(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValidationError("graph spec must be a JSON object")
     pmf = spec.get("pmf")
     edges = spec.get("edges")
     if not isinstance(pmf, list) or not isinstance(edges, list):
@@ -270,15 +272,24 @@ def cmd_entropy(args: argparse.Namespace) -> int:
                 f"edge {e!r} is not a pair of vertex ids in 0..{len(pmf) - 1}"
             )
     labels = spec.get("labels", list(range(len(pmf))))
-    if len(labels) != len(pmf):
-        raise ValidationError("'labels' length disagrees with 'pmf'")
+    if not isinstance(labels, list) or len(labels) != len(pmf):
+        raise ValidationError("'labels' must be a list as long as 'pmf'")
+    if not all(type(v) in (int, float, str) for v in labels):
+        raise ValidationError("'labels' entries must be numbers or strings")
+    if len(set(labels)) != len(labels):
+        raise ValidationError("'labels' repeats a label")
     masses = {labels[i]: float(pmf[i]) for i in range(len(pmf))}
     edge_pairs = [(labels[i], labels[j]) for i, j in edges]
     g = make_graph(masses, edge_pairs)
     if "side_joint" in spec:
         matrix = spec["side_joint"]
-        if len(matrix) != len(pmf):
-            raise ValidationError("'side_joint' must have one row per vertex")
+        if not isinstance(matrix, list) or len(matrix) != len(pmf):
+            raise ValidationError("'side_joint' must be a list with one row per vertex")
+        if not all(
+            isinstance(row, list) and all(type(v) in (int, float) for v in row)
+            for row in matrix
+        ):
+            raise ValidationError("'side_joint' rows must be lists of numbers")
         if g.n != len(pmf):
             raise ValidationError(
                 "zero-mass vertices are not allowed together with 'side_joint'"

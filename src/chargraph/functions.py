@@ -1,4 +1,4 @@
-"""Demanded-function classes over F_q and their evaluation/restriction.
+"""Demanded-function classes over F_q, their evaluation, and their JSON schema.
 
 The primitive random objects are the subfunction values W_1..W_K themselves
 (rates depend only on their statistics), each in F_q for a prime q. Three
@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import ValidationError
-from .topology import Placement
 
 
 def is_prime(q: int) -> bool:
@@ -36,31 +35,6 @@ def _check_field(q: int) -> None:
     # worked example (q=2) without hauling in extension-field tables
     if not is_prime(q):
         raise ValidationError(f"q={q} must be prime")
-
-
-def gf_rank(matrix: Sequence[Sequence[int]], q: int) -> int:
-    """Rank of a matrix over GF(q), q prime, by Gaussian elimination."""
-    _check_field(q)
-    rows = [list(int(v) % q for v in r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank, col = 0, 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % q), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q) if q > 2 else rows[rank][col]
-        rows[rank] = [(v * inv) % q for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(a - factor * b) % q for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -88,10 +62,6 @@ class LinearlySeparable:
     @property
     def kc(self) -> int:
         return len(self.gamma)
-
-    @property
-    def full_rank(self) -> bool:
-        return gf_rank(self.gamma, self.q) == min(self.kc, self.k)
 
     def evaluate(self, w: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(
@@ -162,10 +132,6 @@ class GeneralTable:
 DemandSpec = LinearlySeparable | MultiLinear | GeneralTable
 
 
-def demand_arity(d: DemandSpec) -> int:
-    return d.k
-
-
 def evaluate_demand(d: DemandSpec, w: Sequence[int]) -> tuple[int, ...]:
     """Evaluate all Kc demanded functions on the K-tuple w."""
     w = tuple(int(v) for v in w)
@@ -174,43 +140,6 @@ def evaluate_demand(d: DemandSpec, w: Sequence[int]) -> tuple[int, ...]:
     if any(not 0 <= v < d.q for v in w):
         raise ValidationError(f"w entries must lie in 0..{d.q - 1}")
     return d.evaluate(w)
-
-
-def restrict_to_server(
-    d: DemandSpec, p: Placement, i: int
-) -> Callable[[Sequence[int], Mapping[int, int]], tuple[int, ...]]:
-    """Evaluator for server i's view: takes the local tuple (ordered along the
-    sorted zone) plus an assignment of remaining 0-based coordinates, merges
-    them, and evaluates the full demand.
-
-    The completion may restate coordinates of the zone, but any overlap must
-    agree with the local tuple.
-    """
-    if p.k != d.k:
-        raise ValidationError(f"placement has K={p.k}, demand expects K={d.k}")
-    zone = p.zone0(i)
-
-    def view(local: Sequence[int], rest: Mapping[int, int]) -> tuple[int, ...]:
-        if len(local) != len(zone):
-            raise ValidationError(
-                f"local tuple has {len(local)} coordinates, zone holds {len(zone)}"
-            )
-        merged: dict[int, int] = dict(zip(zone, (int(v) for v in local)))
-        for k0, v in rest.items():
-            k0, v = int(k0), int(v)
-            if not 0 <= k0 < d.k:
-                raise ValidationError(f"coordinate {k0} outside 0..{d.k - 1}")
-            if k0 in merged and merged[k0] != v:
-                raise ValidationError(
-                    f"completion sets coordinate {k0} to {v}, local tuple says {merged[k0]}"
-                )
-            merged[k0] = v
-        if len(merged) != d.k:
-            missing = sorted(set(range(d.k)) - set(merged))
-            raise ValidationError(f"coordinates {missing} left unassigned")
-        return evaluate_demand(d, tuple(merged[c] for c in range(d.k)))
-
-    return view
 
 
 def demand_to_json(d: DemandSpec) -> dict[str, Any]:

@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DeskScaleError, ValidationError
 from .functions import DemandSpec, evaluate_demand
-from .probability import SUPPORT_TOL, JointPmf, Pmf
+from .probability import SUPPORT_TOL, JointPmf
 from .topology import Placement
 
 MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration
@@ -68,9 +68,6 @@ class CharGraph:
 
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
-
-    def vertex_pmf(self) -> Pmf:
-        return Pmf(self.n, self.pmf)
 
 
 def make_graph(
@@ -282,13 +279,6 @@ def exact_min_coloring(g: CharGraph) -> dict[int, int]:
 
     descend(0)
     return best
-
-
-def color_classes(coloring: Mapping[int, int]) -> dict[int, tuple[int, ...]]:
-    out: dict[int, list[int]] = {}
-    for v, c in coloring.items():
-        out.setdefault(c, []).append(v)
-    return {c: tuple(sorted(vs)) for c, vs in out.items()}
 
 
 def validate_coloring(g: CharGraph, coloring: Mapping[int, int]) -> None:

@@ -9,15 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .errors import DeskScaleError, ModelIntegrityError, ValidationError
 
 CONSTRUCTION_TOL = 1e-12   # normalization tolerance at construction
 MODEL_TOL = 1e-9           # tolerance for model formula outputs before renormalizing
 SUPPORT_TOL = 1e-15        # masses below this are dropped during support extraction
+PRODUCT_GUARD = 10**5      # max number of points in an explicit product joint
 
 
 def _plog2p(p: float) -> float:
@@ -48,16 +47,17 @@ class Pmf:
             raise ValidationError(f"masses sum to {total}, not 1")
 
     @classmethod
-    def from_masses(cls, masses: Sequence[float], tol: float = MODEL_TOL) -> "Pmf":
-        """Build a Pmf from a formula output, checking normalization at `tol`.
+    def from_masses(cls, masses: Sequence[float]) -> "Pmf":
+        """Build a Pmf from a formula output, checking normalization at
+        MODEL_TOL.
 
-        Drift beyond `tol` is a model-integrity failure; drift within it is
-        renormalized away.
+        Drift beyond MODEL_TOL is a model-integrity failure; drift within it
+        is renormalized away.
         """
         total = math.fsum(masses)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > MODEL_TOL:
             raise ModelIntegrityError(f"model masses sum to {total}, off by {total - 1.0}")
-        if any(m < -tol for m in masses):
+        if any(m < -MODEL_TOL for m in masses):
             raise ModelIntegrityError("model produced a negative mass")
         vec = tuple(max(m, 0.0) / total for m in masses)
         return cls(len(vec), vec)
@@ -67,11 +67,6 @@ class Pmf:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.mass) if m > SUPPORT_TOL)
-
-
-def entropy(p: Pmf) -> float:
-    """Shannon entropy in bits."""
-    return p.entropy()
 
 
 @dataclass(frozen=True)
@@ -133,26 +128,13 @@ class JointPmf:
         return math.fsum(_plog2p(m) for m in self.mass.values())
 
 
-def joint_from_array(sizes: Sequence[int], arr: np.ndarray) -> JointPmf:
-    """Dense array (shape == sizes) to JointPmf, dropping exact zeros."""
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != tuple(sizes):
-        raise ValidationError(f"array shape {arr.shape} != sizes {tuple(sizes)}")
-    mass = {
-        tuple(int(i) for i in idx): float(v)
-        for idx, v in np.ndenumerate(arr)
-        if v != 0.0
-    }
-    return JointPmf(tuple(int(s) for s in sizes), mass)
-
-
-def product_joint(pmfs: Sequence[Pmf], guard: int = 10**5) -> JointPmf:
+def product_joint(pmfs: Sequence[Pmf]) -> JointPmf:
     """Independent product of marginals as an explicit joint (desk scale)."""
     total = 1
     for p in pmfs:
         total *= p.alphabet_size
-        if total > guard:
-            raise DeskScaleError(f"product alphabet exceeds {guard} points")
+        if total > PRODUCT_GUARD:
+            raise DeskScaleError(f"product alphabet exceeds {PRODUCT_GUARD} points")
     mass: dict[tuple[int, ...], float] = {}
     for sym in iter_product(*(range(p.alphabet_size) for p in pmfs)):
         m = 1.0
@@ -175,45 +157,6 @@ def uniform_joint(q: int, k: int) -> JointPmf:
     """K i.i.d. uniform q-ary coordinates."""
     u = Pmf(q, tuple([1.0 / q] * q))
     return product_joint([u] * k)
-
-
-def mutual_information(joint: JointPmf) -> float:
-    """I(X;Y) in bits for an arity-2 joint; clamped at 0."""
-    if joint.arity != 2:
-        raise ValidationError("mutual_information needs an arity-2 joint")
-    hx = joint.marginal([0]).entropy()
-    hy = joint.marginal([1]).entropy()
-    return max(hx + hy - joint.entropy(), 0.0)
-
-
-@dataclass(frozen=True)
-class SkewParams:
-    """Bernoulli skew eps, correlation rho, and the optional crossover p."""
-
-    epsilon: float
-    rho: float = 0.0
-    crossover_p: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon {self.epsilon} outside [0,1]")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValidationError(f"rho {self.rho} outside [0,1]")
-        if self.crossover_p is not None:
-            if not 0.0 <= self.crossover_p <= 1.0:
-                raise ValidationError(f"crossover p {self.crossover_p} outside [0,1]")
-            if self.epsilon >= 1.0:
-                raise ValidationError("crossover model needs epsilon < 1")
-            if self.p_prime > 1.0 + CONSTRUCTION_TOL:
-                raise ValidationError(
-                    f"derived p' = eps*p/(1-eps) = {self.p_prime} exceeds 1"
-                )
-
-    @property
-    def p_prime(self) -> float:
-        if self.crossover_p is None:
-            raise ValidationError("p' undefined without crossover_p")
-        return self.epsilon * self.crossover_p / (1.0 - self.epsilon)
 
 
 def parity_param(l: int, epsilon: float) -> float:
@@ -254,7 +197,7 @@ def diniz_joint(k: int, epsilon: float, rho: float) -> Pmf:
         if y in (0, k):
             m += rho * epsilon ** (y / k) * (1.0 - epsilon) ** ((k - y) / k)
         masses.append(m)
-    return Pmf.from_masses(masses, tol=MODEL_TOL)
+    return Pmf.from_masses(masses)
 
 
 def diniz_parity(l: int, epsilon: float, rho: float) -> float:
@@ -304,8 +247,13 @@ def diniz_entropy(k: int, epsilon: float, rho: float) -> float:
 def crossover_joint(epsilon: float, p: float) -> JointPmf:
     """Four-cell joint of two bits with marginals Bern(eps) and crossover p:
     P(0,0)=(1-eps)(1-p'), P(1,0)=P(0,1)=eps*p, P(1,1)=eps(1-p), p'=eps*p/(1-eps)."""
-    params = SkewParams(epsilon=epsilon, crossover_p=p)  # validates p' <= 1
-    pp = params.p_prime
+    if not 0.0 <= epsilon < 1.0:
+        raise ValidationError(f"crossover model needs epsilon in [0,1), got {epsilon}")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"crossover p {p} outside [0,1]")
+    pp = epsilon * p / (1.0 - epsilon)
+    if pp > 1.0 + CONSTRUCTION_TOL:
+        raise ValidationError(f"derived p' = eps*p/(1-eps) = {pp} exceeds 1")
     cells = {
         (0, 0): (1.0 - epsilon) * (1.0 - pp),
         (0, 1): epsilon * p,
@@ -317,15 +265,3 @@ def crossover_joint(epsilon: float, p: float) -> JointPmf:
         raise ModelIntegrityError(f"crossover model sums to {total}")
     return JointPmf((2, 2), {k: v / total for k, v in cells.items() if v > 0.0})
 
-
-def pearson_rho(joint: JointPmf) -> float:
-    """Pearson correlation of an arity-2 binary joint (diagnostic)."""
-    if joint.arity != 2 or joint.sizes != (2, 2):
-        raise ValidationError("pearson_rho needs a binary arity-2 joint")
-    ex = sum(m for (a, _), m in joint.mass.items() if a == 1)
-    ey = sum(m for (_, b), m in joint.mass.items() if b == 1)
-    exy = joint.prob((1, 1))
-    vx, vy = ex * (1.0 - ex), ey * (1.0 - ey)
-    if vx <= 0.0 or vy <= 0.0:
-        raise ValidationError("degenerate marginal has no correlation coefficient")
-    return (exy - ex * ey) / math.sqrt(vx * vy)

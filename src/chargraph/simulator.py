@@ -221,11 +221,11 @@ def run_simulation(
         raise ValidationError("seed must fit in 64 bits")
     if n != table.n or any(e.n != n for e in encoders):
         raise ValidationError("blocklength disagrees between encoders and table")
-    by_server = {e.server: e for e in encoders}
-    missing = [s for s in table.subset if s not in by_server]
+    row_of = {e.server: row for row, e in enumerate(encoders)}
+    missing = [s for s in table.subset if s not in row_of]
     if missing:
         raise ValidationError(f"no encoder supplied for servers {missing}")
-    enc = [by_server[s] for s in table.subset]
+    subset_rows = [row_of[s] for s in table.subset]
 
     support = joint.support()
     probs = np.array([m for _, m in support], dtype=float)
@@ -243,7 +243,7 @@ def run_simulation(
             raise ValidationError(
                 "decode table was built for a different joint law"
             )
-        profile = tuple(e.encode(ws) for e in enc)
+        profile = tuple(colors[subset_rows, b_idx].tolist())
         correct[b_idx] = table.table.get(profile) == table.truth[ws]
 
     rng = np.random.default_rng(seed)

@@ -1,9 +1,10 @@
 """Entropy minimizers over characteristic graphs.
 
-graph_entropy minimizes I(X;U) over conditionals P(U|x) supported on the
-maximal independent sets containing x; conditional_graph_entropy minimizes
-I(X;U|Y) under the Markov constraint U - X - Y. Both are convex programs
-solved by alternating minimization with multi-restart certification.
+conditional_graph_entropy minimizes I(X;U|Y) over conditionals P(U|x)
+supported on the maximal independent sets containing x, under the Markov
+constraint U - X - Y; graph_entropy is the same program with a constant Y
+(Orlitsky & Roche 2001), where it reduces to minimizing I(X;U). Both run one
+alternating minimization with multi-restart certification.
 chromatic_entropy is an exact branch-and-bound over independent-set
 partitions.
 """
@@ -59,69 +60,20 @@ def _start(g: CharGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    pos = a > 0
-    out[pos] = a[pos] * np.log2(a[pos])
-    return out
+    return a * np.log2(np.where(a > 0, a, 1.0))
 
 
-def _finalize(objs: np.ndarray, conv_iter: np.ndarray) -> GraphEntropyResult:
-    best = int(np.argmin(objs))
-    converged = conv_iter[best] >= 0
-    return GraphEntropyResult(
-        value=max(float(objs[best]), 0.0),
-        iterations=int(conv_iter[best]) if converged else MAX_ITERS,
-        converged=bool(converged),
-        restart_values=tuple(float(v) for v in objs),
-    )
-
-
-def graph_entropy(g: CharGraph) -> GraphEntropyResult:
-    """Minimize I(X;U) over P(U|x) with support on MISs containing x.
-
-    Alternation: Q(u) <- sum_x p(x) P(u|x), then P(u|x) prop. to Q(u) on the
-    allowed cells. Monotone on a convex objective, so restarts certify the
-    minimum rather than hunt for it.
-    """
-    mask, P = _start(g)
-    p = np.asarray(g.pmf)
-    objs = np.full(RESTARTS, np.inf)
-    conv_iter = np.full(RESTARTS, -1, dtype=int)
-    for it in range(1, MAX_ITERS + 1):
-        Q = np.einsum("x,rxu->ru", p, P)
-        # I(X;U) = H(U) - H(U|X)
-        new_objs = np.einsum("x,rxu->r", p, _xlog2x(P)) - _xlog2x(Q).sum(axis=1)
-        newly = (objs - new_objs < TOL) & (conv_iter < 0)
-        conv_iter[newly] = it
-        objs = new_objs
-        if np.all(conv_iter >= 0):
-            break
-        P = mask[None, :, :] * Q[:, None, :]
-        P /= P.sum(axis=2, keepdims=True)
-    return _finalize(objs, conv_iter)
-
-
-def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResult:
-    """Minimize I(X;U|Y) over P(U|x); the Markov chain U - X - Y holds by
-    construction since the conditional never depends on y.
+def _solve(g: CharGraph, W: np.ndarray) -> GraphEntropyResult:
+    """Minimize I(X;U|Y) over P(U|x) for the (x, y) mass matrix W, whose rows
+    sum to the vertex pmf and whose columns all carry positive mass.
 
     Alternation: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to the
     geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
+    Monotone on a convex objective, so restarts certify the minimum rather
+    than hunt for it.
     """
-    if joint.arity != 2:
-        raise ValidationError("conditional entropy needs an arity-2 joint (X, Y)")
-    if joint.sizes[0] != g.n:
-        raise ValidationError(f"joint X-alphabet {joint.sizes[0]} != vertex count {g.n}")
-    W = np.zeros(joint.sizes)
-    for (x, y), mass in joint.mass.items():
-        W[x, y] = mass
     p_x = W.sum(axis=1)
-    if np.max(np.abs(p_x - np.asarray(g.pmf))) > 1e-9:
-        raise ValidationError("joint's X-marginal does not match the vertex PMF")
-    y_pos = W.sum(axis=0) > 0
-    W = W[:, y_pos]
-    p_y = W.sum(axis=0)
-    log_py = np.log2(p_y)
+    neg_h_y = _xlog2x(W.sum(axis=0)).sum()
     pyx = W / p_x[:, None]  # p(y|x); every vertex mass is positive
 
     mask, P = _start(g)
@@ -130,9 +82,10 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
     conv_iter = np.full(RESTARTS, -1, dtype=int)
     for it in range(1, MAX_ITERS + 1):
         Quy = np.einsum("rxu,xy->ruy", P, W)  # joint of (U, Y) per restart
-        # I(X;U|Y) = H(U|Y) - H(U|X); sum_u Quy = p_y supplies the H(Y) term
+        # I(X;U|Y) = H(U|Y) - H(U|X), and H(U|Y) = H(U,Y) - H(Y) since
+        # sum_u Q(u,y) = p(y)
         neg_h_u_given_x = np.einsum("x,rxu->r", p_x, _xlog2x(P))
-        neg_h_u_given_y = _xlog2x(Quy).sum(axis=(1, 2)) - np.einsum("ruy,y->r", Quy, log_py)
+        neg_h_u_given_y = _xlog2x(Quy).sum(axis=(1, 2)) - neg_h_y
         new_objs = neg_h_u_given_x - neg_h_u_given_y
         newly = (objs - new_objs < TOL) & (conv_iter < 0)
         conv_iter[newly] = it
@@ -147,7 +100,38 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
         L -= L.max(axis=2, keepdims=True)  # max sits on an allowed cell, so finite
         P = np.exp(L)
         P /= P.sum(axis=2, keepdims=True)
-    return _finalize(objs, conv_iter)
+    best = int(np.argmin(objs))
+    converged = conv_iter[best] >= 0
+    return GraphEntropyResult(
+        value=max(float(objs[best]), 0.0),
+        iterations=int(conv_iter[best]) if converged else MAX_ITERS,
+        converged=bool(converged),
+        restart_values=tuple(float(v) for v in objs),
+    )
+
+
+def graph_entropy(g: CharGraph) -> GraphEntropyResult:
+    """Minimize I(X;U) over P(U|x) with support on MISs containing x: the
+    conditional program with a constant side symbol, the one-column mass
+    matrix pmf[:, None]. The geometric mean over that one column is Q(u)
+    itself, so each step sets P(u|x) prop. to Q(u) on the allowed cells.
+    """
+    return _solve(g, np.asarray(g.pmf)[:, None])
+
+
+def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResult:
+    """Minimize I(X;U|Y) over P(U|x); the Markov chain U - X - Y holds by
+    construction since the conditional never depends on y."""
+    if joint.arity != 2:
+        raise ValidationError("conditional entropy needs an arity-2 joint (X, Y)")
+    if joint.sizes[0] != g.n:
+        raise ValidationError(f"joint X-alphabet {joint.sizes[0]} != vertex count {g.n}")
+    W = np.zeros(joint.sizes)
+    for (x, y), mass in joint.mass.items():
+        W[x, y] = mass
+    if np.max(np.abs(W.sum(axis=1) - np.asarray(g.pmf))) > 1e-9:
+        raise ValidationError("joint's X-marginal does not match the vertex PMF")
+    return _solve(g, W[:, W.sum(axis=0) > 0])
 
 
 def chromatic_entropy(g: CharGraph) -> float:

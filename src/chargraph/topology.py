@@ -94,11 +94,8 @@ class Placement:
 def cyclic_placement(t: Topology) -> Placement:
     """Consecutive-window placement: server i stores, for each replica band
     r < delta, the window {mod1(i + s, N) + r*N : s = 0..N-Nr}."""
+    derived_params(t)  # rejects an M that no cyclic placement stores
     width = t.n - t.nr + 1
-    if t.m != t.delta * width:
-        raise ValidationError(
-            f"M={t.m} != delta*(N-Nr+1)={t.delta * width}; no cyclic placement"
-        )
     zones = []
     for i in range(1, t.n + 1):
         zone = {

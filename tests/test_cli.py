@@ -109,6 +109,12 @@ class TestEntropy:
             {"pmf": [0.5, 0.5], "edges": [[0, -1]]},  # would wrap to the last vertex
             {"pmf": [0.5, 0.5], "edges": [[0, 1.0]]},  # not an integer id
             {"pmf": ["0.5", 0.5], "edges": [[0, 1]]},  # not a number
+            # a side_joint entry that is not a number
+            {"pmf": [0.5, 0.5], "edges": [[0, 1]], "side_joint": [[0.25, "x"], [0.25, 0.25]]},
+            {"pmf": [0.5, 0.5], "edges": [], "labels": [[0], [1]]},  # unhashable labels
+            # a repeated label would merge two vertices into one
+            {"pmf": [0.25, 0.75], "edges": [], "labels": [1, 1]},
+            [0.5, 0.5],  # not a JSON object
         ],
     )
     def test_bad_spec_exits_2(self, capsys, tmp_path, spec):

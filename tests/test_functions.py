@@ -1,4 +1,4 @@
-"""Demand classes: evaluation, rank, server-view restriction, JSON schema."""
+"""Demand classes: evaluation and JSON schema."""
 
 import pytest
 
@@ -7,15 +7,11 @@ from chargraph.functions import (
     GeneralTable,
     LinearlySeparable,
     MultiLinear,
-    demand_arity,
     demand_from_json,
     demand_to_json,
     evaluate_demand,
-    gf_rank,
     is_prime,
-    restrict_to_server,
 )
-from chargraph.topology import Topology, cyclic_placement
 
 
 class TestFieldHelpers:
@@ -23,26 +19,6 @@ class TestFieldHelpers:
         primes = {2, 3, 5, 7, 11, 13}
         for q in range(-1, 15):
             assert is_prime(q) == (q in primes)
-
-    def test_gf_rank_identity(self):
-        eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert gf_rank(eye, 2) == 3
-        assert gf_rank(eye, 5) == 3
-
-    def test_gf_rank_dependent_rows_mod2(self):
-        # third row is the mod-2 sum of the first two
-        m = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-        assert gf_rank(m, 2) == 2
-        # over GF(3) the same integer matrix is full rank
-        assert gf_rank(m, 3) == 3
-
-    def test_gf_rank_zero_and_empty(self):
-        assert gf_rank([[0, 0], [0, 0]], 2) == 0
-        assert gf_rank([], 7) == 0
-
-    def test_gf_rank_rejects_composite_modulus(self):
-        with pytest.raises(ValidationError):
-            gf_rank([[1]], 4)
 
 
 class TestLinearlySeparable:
@@ -63,10 +39,6 @@ class TestLinearlySeparable:
         s = tuple((x + y) % 5 for x, y in zip(a, b))
         fa, fb, fs = (evaluate_demand(d, w) for w in (a, b, s))
         assert fs == tuple((x + y) % 5 for x, y in zip(fa, fb))
-
-    def test_full_rank_flag(self):
-        assert LinearlySeparable(q=2, gamma=((1, 0), (0, 1))).full_rank
-        assert not LinearlySeparable(q=2, gamma=((1, 1), (1, 1))).full_rank
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValidationError):
@@ -122,50 +94,6 @@ class TestEvaluateDemand:
         d = LinearlySeparable(q=2, gamma=((1, 1),))
         with pytest.raises(ValidationError):
             evaluate_demand(d, (0, 2))
-
-    def test_demand_arity(self):
-        assert demand_arity(MultiLinear(k=4)) == 4
-        assert demand_arity(LinearlySeparable(q=2, gamma=((1, 0, 1),))) == 3
-
-
-class TestRestrictToServer:
-    def _setup(self):
-        t = Topology(n=3, k=3, kc=1, m=2, nr=2)
-        p = cyclic_placement(t)
-        d = LinearlySeparable(q=2, gamma=((1, 1, 1),))
-        return t, p, d
-
-    def test_local_plus_completion_matches_full(self):
-        _, p, d = self._setup()
-        # server 1 stores datasets 1,2 -> coordinates 0,1
-        view = restrict_to_server(d, p, 1)
-        for w in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-            assert view(w[:2], {2: w[2]}) == evaluate_demand(d, w)
-
-    def test_overlapping_completion_must_agree(self):
-        _, p, d = self._setup()
-        view = restrict_to_server(d, p, 1)
-        # restating a zone coordinate with the same value is fine
-        assert view((1, 0), {0: 1, 2: 1}) == (0,)
-        with pytest.raises(ValidationError):
-            view((1, 0), {0: 0, 2: 1})
-
-    def test_missing_coordinates_rejected(self):
-        _, p, d = self._setup()
-        view = restrict_to_server(d, p, 1)
-        with pytest.raises(ValidationError):
-            view((1, 0), {})
-
-    def test_wrong_local_length_rejected(self):
-        _, p, d = self._setup()
-        view = restrict_to_server(d, p, 1)
-        with pytest.raises(ValidationError):
-            view((1,), {2: 0})
-
-    def test_arity_mismatch_rejected(self):
-        _, p, _ = self._setup()
-        with pytest.raises(ValidationError):
-            restrict_to_server(MultiLinear(k=4), p, 1)
 
 
 class TestDemandJson:

@@ -14,7 +14,6 @@ from chargraph.functions import LinearlySeparable
 from chargraph.graphs import (
     CharGraph,
     build_char_graph,
-    color_classes,
     confusability_graph,
     enumerate_mis,
     exact_min_coloring,
@@ -68,10 +67,6 @@ class TestCharGraph:
         assert g.neighbors == (frozenset({2}), frozenset(), frozenset({0}))
         assert g.adjacent(0, 2) and g.adjacent(2, 0)
         assert not g.adjacent(0, 1)
-
-    def test_vertex_pmf(self):
-        g = ternary_graph()
-        assert g.vertex_pmf().mass == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
 class TestMakeGraph:
@@ -331,10 +326,6 @@ class TestColorings:
         big = make_graph({v: 1.0 / 13 for v in range(13)}, [])
         with pytest.raises(DeskScaleError):
             exact_min_coloring(big)
-
-    def test_color_classes(self):
-        classes = color_classes({0: 0, 1: 1, 2: 0})
-        assert classes == {0: (0, 2), 1: (1,)}
 
     def test_validate_coloring_rejects(self):
         g = ternary_graph()

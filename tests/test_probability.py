@@ -8,7 +8,6 @@ from chargraph import (
     JointPmf,
     ModelIntegrityError,
     Pmf,
-    SkewParams,
     ValidationError,
     binary_entropy,
     crossover_joint,
@@ -16,12 +15,8 @@ from chargraph import (
     diniz_joint,
     diniz_pair_joint,
     diniz_parity,
-    entropy,
     iid_bernoulli_joint,
-    joint_from_array,
-    mutual_information,
     parity_param,
-    pearson_rho,
     product_joint,
     product_param,
     uniform_joint,
@@ -103,13 +98,6 @@ class TestJointPmf:
         j = uniform_joint(3, 2)
         assert j.entropy() == pytest.approx(2 * math.log2(3))
 
-    def test_joint_from_array_roundtrip(self):
-        j = joint_from_array((2, 2), [[0.1, 0.2], [0.3, 0.4]])
-        assert j.prob((1, 1)) == pytest.approx(0.4)
-        assert j.entropy() == pytest.approx(
-            -sum(p * math.log2(p) for p in (0.1, 0.2, 0.3, 0.4))
-        )
-
     def test_product_joint_matches_iid(self):
         factors = [Pmf.from_masses([0.7, 0.3])] * 2
         j = product_joint(factors)
@@ -120,16 +108,6 @@ class TestJointPmf:
     def test_mass_must_normalize(self):
         with pytest.raises(ValidationError):
             JointPmf((2,), {(0,): 0.4, (1,): 0.4})
-
-
-class TestMutualInformation:
-    def test_independent_pair_is_zero(self):
-        j = iid_bernoulli_joint(2, 0.3)
-        assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
-
-    def test_identical_pair_is_marginal_entropy(self):
-        j = JointPmf((2, 2), {(0, 0): 0.7, (1, 1): 0.3})
-        assert mutual_information(j) == pytest.approx(binary_entropy(0.3))
 
 
 class TestSkewModels:
@@ -185,19 +163,32 @@ class TestSkewModels:
         assert j.marginal([1]).to_pmf().mass[1] == pytest.approx(0.2)
 
     def test_crossover_independence_at_complement(self):
-        # p = 1 - eps makes the two coordinates independent
+        # p = 1 - eps makes the two coordinates independent: every cell is
+        # the product of its Bern(0.3) marginals
         j = crossover_joint(0.3, 0.7)
-        assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
+        bern = (0.7, 0.3)
+        for a in range(2):
+            for b in range(2):
+                assert j.prob((a, b)) == pytest.approx(bern[a] * bern[b], abs=1e-12)
 
-    def test_pearson_rho_of_mixture_pair(self):
-        assert pearson_rho(diniz_pair_joint(0.3, 0.0)) == pytest.approx(0.0, abs=1e-12)
-        assert pearson_rho(diniz_pair_joint(0.3, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    def test_pair_joint_at_rho_extremes(self):
+        # rho = 0: two independent Bern(0.3) bits; rho = 1: two equal bits
+        j = diniz_pair_joint(0.3, 0.0)
+        assert j.prob((0, 0)) == pytest.approx(0.49, abs=1e-12)
+        assert j.prob((0, 1)) == j.prob((1, 0)) == pytest.approx(0.21, abs=1e-12)
+        assert j.prob((1, 1)) == pytest.approx(0.09, abs=1e-12)
+        j = diniz_pair_joint(0.3, 1.0)
+        assert j.mass == pytest.approx({(0, 0): 0.7, (1, 1): 0.3}, abs=1e-12)
 
-    def test_skew_params_validation(self):
+    def test_crossover_joint_rejects_bad_params(self):
         with pytest.raises(ValidationError):
-            SkewParams(epsilon=1.2)
+            crossover_joint(1.2, 0.1)  # epsilon outside [0,1]
         with pytest.raises(ValidationError):
-            SkewParams(epsilon=0.8, crossover_p=0.9)  # derived p' above 1
+            crossover_joint(1.0, 0.1)  # the model needs epsilon < 1
+        with pytest.raises(ValidationError):
+            crossover_joint(0.2, 1.5)  # p outside [0,1]
+        with pytest.raises(ValidationError):
+            crossover_joint(0.8, 0.9)  # derived p' above 1
 
     def test_mixture_extremes(self):
         # rho = 1 collapses the sum law onto the two corner masses
@@ -205,7 +196,3 @@ class TestSkewModels:
         assert j.mass[0] == pytest.approx(0.7)
         assert j.mass[4] == pytest.approx(0.3)
         assert j.mass[1] == j.mass[2] == j.mass[3] == 0.0
-
-    def test_entropy_helper_matches_method(self):
-        p = Pmf.from_masses([0.2, 0.8])
-        assert entropy(p) == pytest.approx(p.entropy())

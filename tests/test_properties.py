@@ -12,9 +12,7 @@ from chargraph.probability import (
     Pmf,
     binary_entropy,
     diniz_joint,
-    entropy,
     iid_bernoulli_joint,
-    mutual_information,
     parity_param,
     product_param,
 )
@@ -62,7 +60,7 @@ class TestProbabilityProperties:
         normalized = [v / total for v in raw]
         p = Pmf.from_masses(normalized)
         assert math.fsum(p.mass) == pytest.approx(1.0, abs=1e-9)
-        assert entropy(p) >= -1e-12
+        assert p.entropy() >= -1e-12
 
     @given(st.integers(1, 6), st.floats(0.01, 0.99))
     def test_iid_joint_entropy_is_additive(self, k, eps):
@@ -86,27 +84,6 @@ class TestProbabilityProperties:
         j = diniz_joint(k, eps, rho)
         assert math.fsum(j.mass) == pytest.approx(1.0, abs=1e-9)
         assert all(m >= -1e-15 for m in j.mass)
-
-    @given(st.data())
-    def test_mutual_information_bounds(self, data):
-        nx = data.draw(st.integers(2, 4))
-        ny = data.draw(st.integers(2, 4))
-        cells = data.draw(
-            st.lists(
-                st.floats(0.05, 1.0), min_size=nx * ny, max_size=nx * ny
-            )
-        )
-        total = math.fsum(cells)
-        mass = {
-            (i, j): cells[i * ny + j] / total
-            for i in range(nx)
-            for j in range(ny)
-        }
-        joint = JointPmf((nx, ny), mass)
-        mi = mutual_information(joint)
-        hx = joint.marginal([0]).entropy()
-        hy = joint.marginal([1]).entropy()
-        assert -1e-9 <= mi <= min(hx, hy) + 1e-9
 
 
 class TestGraphProperties:

@@ -4,8 +4,13 @@ Frozen constants come from tests/oracles/gen_frozen.py (independent
 enumeration over partitions / closed forms, no package code).
 """
 
+import random
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+from chargraph import solvers
 from chargraph.errors import DeskScaleError, ValidationError
 from chargraph.graphs import make_graph, or_power
 from chargraph.probability import JointPmf, binary_entropy
@@ -46,6 +51,32 @@ class TestGraphEntropy:
         spread = max(res.restart_values) - min(res.restart_values)
         assert spread < 1e-6
 
+    def test_matches_direct_alternation(self):
+        # graph_entropy runs the conditional loop with a constant side symbol;
+        # the reference is the direct update P(u|x) prop. to Q(u) from the
+        # same starts under the same stopping rule
+        def xlog2x(a):
+            return a * np.log2(np.where(a > 0, a, 1.0))
+
+        rng = random.Random(7)
+        for _ in range(10):
+            n = rng.randint(2, 7)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
+            p = np.asarray(g.pmf)
+            mask, P = solvers._start(g)
+            objs = np.full(solvers.RESTARTS, np.inf)
+            done = np.zeros(solvers.RESTARTS, dtype=bool)
+            while not done.all():
+                Q = np.einsum("x,rxu->ru", p, P)
+                new_objs = np.einsum("x,rxu->r", p, xlog2x(P)) - xlog2x(Q).sum(axis=1)
+                done |= objs - new_objs < solvers.TOL
+                objs = new_objs
+                P = mask[None, :, :] * Q[:, None, :]
+                P /= P.sum(axis=2, keepdims=True)
+            got = graph_entropy(g).restart_values
+            assert got == pytest.approx(tuple(objs), abs=1e-12)
+
     def test_edgeless_graph_is_free(self):
         g = make_graph({v: 0.25 for v in range(4)}, [])
         assert graph_entropy(g).value == pytest.approx(0.0, abs=1e-9)
@@ -67,6 +98,37 @@ class TestGraphEntropy:
         obj = graph_entropy(ternary_graph()).to_json()
         assert set(obj) == {"value", "converged", "iterations"}
         assert obj["converged"] is True
+
+
+class TestComponentAdditivity:
+    def test_union_is_mass_weighted_sum_over_components(self):
+        # VP(G1 + G2) = VP(G1) x VP(G2), so on a disjoint union
+        # H_G(P) = sum_C P(C) H_{G[C]}(P|C) over the connected components C
+        rng = random.Random(20240611)
+        for _ in range(20):
+            masses, edges, components = {}, [], []
+            offset = 0
+            for _ in range(rng.choice((2, 3))):
+                size = rng.randint(1, 4)
+                part = {offset + v: rng.uniform(0.05, 1.0) for v in range(size)}
+                # a random spanning tree keeps the part connected
+                part_edges = {(offset + rng.randrange(v), offset + v) for v in range(1, size)}
+                part_edges |= {
+                    (offset + i, offset + j)
+                    for i, j in combinations(range(size), 2)
+                    if rng.random() < 0.4
+                }
+                masses.update(part)
+                edges += part_edges
+                components.append((part, part_edges))
+                offset += size
+            total = sum(masses.values())
+            want = sum(
+                sum(part.values()) / total * graph_entropy(make_graph(part, part_edges)).value
+                for part, part_edges in components
+            )
+            got = graph_entropy(make_graph(masses, edges)).value
+            assert got == pytest.approx(want, abs=1e-6)
 
 
 class TestConditionalGraphEntropy:

@@ -59,6 +59,11 @@ class TestCyclicPlacement:
             holders = sum(dataset in z for z in p.zones)
             assert holders == t.m * t.n // t.k
 
+    def test_rejects_inconsistent_m(self):
+        # N=5, Nr=4 gives windows of 2 datasets, so M=3 has no cyclic placement
+        with pytest.raises(ValidationError):
+            cyclic_placement(Topology(n=5, k=5, kc=1, m=3, nr=4))
+
     def test_zone0_is_zero_based(self):
         t = Topology(n=3, k=3, kc=2, m=2, nr=2)
         p = cyclic_placement(t)
