@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ChargraphError, DeskScaleError, ValidationError
 from .functions import demand_from_json
 from .graphs import make_graph
-from .probability import JointPmf, iid_bernoulli_joint
+from .probability import JointPmf, crossover_feasible, iid_bernoulli_joint
 from .rates import (
     GainReport,
     chain_rate,
@@ -55,7 +55,6 @@ class ScenarioConfig:
     n: int | None = None
     k: int | None = None
     kc: int | None = None
-    m: int | None = None
     nr: int | None = None
     eps_grid: tuple[float, float, int] = (0.1, 0.5, 5)
     rho_grid: tuple[float, float, int] | None = None
@@ -85,11 +84,10 @@ def _grid_values(grid: tuple[float, float, int]) -> list[float]:
     return [float(v) for v in np.linspace(a, b, count)]
 
 
-def _make_topology(n: int, k: int, kc: int, m: int | None, nr: int) -> Topology:
-    """Topology with M defaulting to the cyclic (K/N)(N - Nr + 1); N < 1 gets
-    M = 0, which Topology rejects along with N."""
-    if m is None:
-        m = (k // n) * (n - nr + 1) if n >= 1 else 0
+def _make_topology(n: int, k: int, kc: int, nr: int) -> Topology:
+    """Topology with the cyclic M = (K/N)(N - Nr + 1); N < 1 gets M = 0,
+    which Topology rejects along with N."""
+    m = (k // n) * (n - nr + 1) if n >= 1 else 0
     return Topology(n=n, k=k, kc=kc, m=m, nr=nr)
 
 
@@ -97,7 +95,7 @@ def _topology(cfg: ScenarioConfig) -> Topology:
     if cfg.n is None or cfg.k is None or cfg.nr is None:
         raise ValidationError(f"scenario {cfg.scenario!r} needs --n, --k and --nr")
     kc = cfg.kc if cfg.kc is not None else 1
-    return _make_topology(cfg.n, cfg.k, kc, cfg.m, cfg.nr)
+    return _make_topology(cfg.n, cfg.k, kc, cfg.nr)
 
 
 def _threads() -> int:
@@ -162,12 +160,7 @@ def _scenario_rows(cfg: ScenarioConfig) -> tuple[list[dict[str, float]], bool]:
             params = _grid_values(cfg.p_grid)
             # crossed sweeps run past the pair model's validity boundary
             # (p' = eps*p/(1-eps) <= 1); each curve simply ends there
-            points = [
-                (e, q)
-                for e in eps_vals
-                for q in params
-                if e * q <= (1.0 - e) * (1.0 + 1e-12)
-            ]
+            points = [(e, q) for e in eps_vals for q in params if crossover_feasible(e, q)]
             if not points:
                 raise ValidationError(
                     "no feasible (eps, p) grid points: eps*p must not exceed 1-eps"
@@ -245,7 +238,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_placement(args: argparse.Namespace) -> int:
-    t = _make_topology(args.n, args.k, args.kc, args.m, args.nr)
+    t = _make_topology(args.n, args.k, 1, args.nr)
     p = cyclic_placement(t)
     _emit(json.dumps(placement_to_json(p), indent=2) + "\n", args.out)
     return 0
@@ -338,7 +331,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         known = {
-            "scenario", "n", "k", "kc", "m", "nr", "eps_grid", "rho_grid",
+            "scenario", "n", "k", "kc", "nr", "eps_grid", "rho_grid",
             "p_grid", "out", "format", "demand", "placement",
         }
         unknown = set(raw) - known
@@ -364,7 +357,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         n=pick("n", args.n),
         k=pick("k", args.k),
         kc=pick("kc", args.kc),
-        m=pick("m", args.m),
         nr=pick("nr", args.nr),
         eps_grid=eps_grid if eps_grid is not None else (0.1, 0.5, 5),
         rho_grid=pick("rho_grid", args.rho_grid),
@@ -388,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pl.add_argument("--n", type=int, required=True)
     p_pl.add_argument("--k", type=int, required=True)
     p_pl.add_argument("--nr", type=int, required=True)
-    p_pl.add_argument("--kc", type=int, default=1)
-    p_pl.add_argument("--m", type=int, default=None)
     p_pl.add_argument("--out", default=None)
     p_pl.set_defaults(func=cmd_placement)
 
@@ -404,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--n", type=int, default=None)
     p_sc.add_argument("--k", type=int, default=None)
     p_sc.add_argument("--kc", type=int, default=None)
-    p_sc.add_argument("--m", type=int, default=None)
     p_sc.add_argument("--nr", type=int, default=None)
     p_sc.add_argument("--eps-grid", dest="eps_grid", type=_parse_grid, default=None)
     p_sc.add_argument("--rho-grid", dest="rho_grid", type=_parse_grid, default=None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -140,6 +140,22 @@ def evaluate_demand(d: DemandSpec, w: Sequence[int]) -> tuple[int, ...]:
     if any(not 0 <= v < d.q for v in w):
         raise ValidationError(f"w entries must lie in 0..{d.q - 1}")
     return d.evaluate(w)
+
+
+def decoding_map(
+    pairs: Iterable[tuple[Hashable, Any]],
+    clash: Callable[[Hashable, Any, Any], Exception],
+) -> dict[Hashable, Any]:
+    """The decodability rule of zero-error computing: map each key (what a
+    decoder sees) to the demanded outputs it must decode to.  A key met with
+    two different outputs cannot decode; the first such key raises
+    clash(key, first outputs, second outputs)."""
+    table: dict[Hashable, Any] = {}
+    for key, out in pairs:
+        seen = table.setdefault(key, out)
+        if seen != out:
+            raise clash(key, seen, out)
+    return table
 
 
 def demand_to_json(d: DemandSpec) -> dict[str, Any]:

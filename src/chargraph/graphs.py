@@ -62,10 +62,6 @@ class CharGraph:
             nbrs[j].add(i)
         return tuple(frozenset(s) for s in nbrs)
 
-    @cached_property
-    def index(self) -> dict[Label, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 

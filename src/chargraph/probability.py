@@ -244,16 +244,24 @@ def diniz_entropy(k: int, epsilon: float, rho: float) -> float:
     return h
 
 
+def crossover_feasible(epsilon: float, p: float) -> bool:
+    """Whether p lies in the crossover pair law's domain at this eps: p in
+    [0,1] and p' = eps*p/(1-eps) <= 1 (within CONSTRUCTION_TOL).  The bound is
+    tested as eps*p <= (1-eps)(1+tol), so eps = 1 admits only p = 0; the
+    caller checks eps itself."""
+    return 0.0 <= p <= 1.0 and epsilon * p <= (1.0 - epsilon) * (1.0 + CONSTRUCTION_TOL)
+
+
 def crossover_joint(epsilon: float, p: float) -> JointPmf:
     """Four-cell joint of two bits with marginals Bern(eps) and crossover p:
     P(0,0)=(1-eps)(1-p'), P(1,0)=P(0,1)=eps*p, P(1,1)=eps(1-p), p'=eps*p/(1-eps)."""
     if not 0.0 <= epsilon < 1.0:
         raise ValidationError(f"crossover model needs epsilon in [0,1), got {epsilon}")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"crossover p {p} outside [0,1]")
+    if not crossover_feasible(epsilon, p):
+        raise ValidationError(
+            f"crossover p {p} outside [0,1] or derived p' = eps*p/(1-eps) above 1"
+        )
     pp = epsilon * p / (1.0 - epsilon)
-    if pp > 1.0 + CONSTRUCTION_TOL:
-        raise ValidationError(f"derived p' = eps*p/(1-eps) = {pp} exceeds 1")
     cells = {
         (0, 0): (1.0 - epsilon) * (1.0 - pp),
         (0, 1): epsilon * p,

@@ -21,7 +21,7 @@ from .errors import (
     MisStructureError,
     ValidationError,
 )
-from .functions import DemandSpec, evaluate_demand
+from .functions import DemandSpec, decoding_map, evaluate_demand
 from .graphs import (
     EXACT_COLOR_GUARD,
     CharGraph,
@@ -35,6 +35,7 @@ from .graphs import (
 from .probability import (
     JointPmf,
     binary_entropy,
+    crossover_feasible,
     diniz_entropy,
     diniz_joint,
     diniz_parity,
@@ -146,21 +147,10 @@ def min_coloring(g: CharGraph) -> dict[int, int]:
     return exact_min_coloring(g) if g.n <= EXACT_COLOR_GUARD else greedy_coloring(g)
 
 
-def _coloring_map(g: CharGraph) -> dict[Any, int]:
+def coloring_map(g: CharGraph) -> dict[Any, int]:
+    """The symbol each vertex label sends: a minimum-count coloring of g
+    (a constant map when g has one vertex)."""
     return {g.vertices[v]: c for v, c in min_coloring(g).items()}
-
-
-def default_codebook(
-    t: Topology, p: Placement, d: DemandSpec, joint: JointPmf
-) -> Codebook:
-    """One candidate per server: the minimum-count coloring of its union
-    characteristic graph (constant map when the local support is a point)."""
-    return Codebook(
-        candidates={
-            i: (_coloring_map(build_char_graph(d, p, joint, i)),)
-            for i in range(1, t.n + 1)
-        }
-    )
 
 
 def _check_encoding_map(g: CharGraph, gmap: EncodingMap, server: int) -> None:
@@ -212,20 +202,16 @@ def _check_codebook_decodable(
                 f"codebook decodability sweep exceeds {COMBO_GUARD} combinations"
             )
         for combo in iter_product(*(cb.for_server(i) for i in subset)):
-            seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for idx, (_, _, dem) in enumerate(items):
-                profile = tuple(
-                    gmap[locals_[i][idx]] for i, gmap in zip(subset, combo)
-                )
-                if profile in seen:
-                    if seen[profile] != dem:
-                        raise DecodeError(
-                            f"servers {subset} cannot decode: transmissions "
-                            f"{profile} are consistent with demands "
-                            f"{seen[profile]} and {dem}"
-                        )
-                else:
-                    seen[profile] = dem
+            decoding_map(
+                (
+                    (tuple(gmap[locals_[i][idx]] for i, gmap in zip(subset, combo)), dem)
+                    for idx, (_, _, dem) in enumerate(items)
+                ),
+                lambda profile, a, b: DecodeError(
+                    f"servers {subset} cannot decode: transmissions {profile} "
+                    f"are consistent with demands {a} and {b}"
+                ),
+            )
 
 
 def theorem1_sum_rate(
@@ -246,7 +232,7 @@ def theorem1_sum_rate(
     items = _support_items(d, p, joint)
     graphs = {i: build_char_graph(d, p, joint, i) for i in range(1, t.n + 1)}
     if cb is None:
-        cb = Codebook(candidates={i: (_coloring_map(g),) for i, g in graphs.items()})
+        cb = Codebook(candidates={i: (coloring_map(g),) for i, g in graphs.items()})
     for i, g in graphs.items():
         for gmap in cb.for_server(i):
             _check_encoding_map(g, gmap, i)
@@ -495,21 +481,17 @@ def _chain_eval(
         for idx, y in enumerate(transcripts):
             sections.setdefault(y, []).append(idx)
         for idxs in sections.values():
-            section = confusability_graph([points[idx] for idx in idxs])
-            coloring = min_coloring(section)
+            symbol = coloring_map(confusability_graph([points[idx] for idx in idxs]))
             for idx in idxs:
-                transcripts[idx] += (coloring[section.index[points[idx][0]]],)
+                transcripts[idx] += (symbol[points[idx][0]],)
 
-    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for (w, _, dem), z in zip(items, transcripts):
-        if z in groups:
-            if groups[z] != dem:
-                raise DecodeError(
-                    f"ordering {order} is insufficient: transcript {z} is "
-                    f"consistent with demands {groups[z]} and {dem}"
-                )
-        else:
-            groups[z] = dem
+    decoding_map(
+        ((z, dem) for (_, _, dem), z in zip(items, transcripts)),
+        lambda z, a, b: DecodeError(
+            f"ordering {order} is insufficient: transcript {z} is "
+            f"consistent with demands {a} and {b}"
+        ),
+    )
     return rates, converged
 
 
@@ -541,11 +523,9 @@ def scenario2_table2_rates(epsilon: float, p: float) -> GainReport:
     Omitting p (via p = 1 - eps) makes the pair independent."""
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("epsilon must lie strictly inside (0,1)")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p {p} outside [0,1]")
+    if not crossover_feasible(epsilon, p):
+        raise ValidationError(f"p {p} outside [0,1] or derived p' = eps*p/(1-eps) above 1")
     p_prime = epsilon * p / (1.0 - epsilon)
-    if p_prime > 1.0 + 1e-12:
-        raise ValidationError(f"derived p' = {p_prime} exceeds 1")
     h = binary_entropy
     lin = rate_report([h(epsilon), h(min(2.0 * epsilon * p, 1.0))], "prop2")
     cond = (1.0 - epsilon) * h(min(p_prime, 1.0)) + epsilon * h(p)

@@ -18,10 +18,10 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import DecodeError, DeskScaleError, ValidationError
-from .functions import DemandSpec, evaluate_demand
+from .functions import DemandSpec, decoding_map, evaluate_demand
 from .graphs import POWER_GUARD, build_char_graph, or_power
 from .probability import JointPmf
-from .rates import min_coloring
+from .rates import coloring_map
 from .solvers import graph_entropy
 from .topology import Placement, Topology
 
@@ -83,19 +83,6 @@ class SimResult:
         }
 
 
-def _canonical_colors(vertices: Sequence, coloring: Mapping[int, int]) -> dict:
-    """Relabel colors by first appearance in vertex order so encoders are
-    deterministic across runs."""
-    remap: dict[int, int] = {}
-    out: dict = {}
-    for v, label in enumerate(vertices):
-        c = coloring[v]
-        if c not in remap:
-            remap[c] = len(remap)
-        out[label] = remap[c]
-    return out
-
-
 def build_encoders(
     t: Topology,
     p: Placement,
@@ -114,8 +101,7 @@ def build_encoders(
     encoders: list[Encoder] = []
     for i in range(1, t.n + 1):
         g1 = build_char_graph(d, p, joint, i)
-        gn = or_power(g1, n)
-        coloring = _canonical_colors(gn.vertices, min_coloring(gn))
+        coloring = coloring_map(or_power(g1, n))
         encoders.append(
             Encoder(
                 server=i,
@@ -176,30 +162,25 @@ def build_decode_table(
     support = joint.support()
 
     # coverage: the pooled local symbols must determine the demands
-    seen: dict[tuple, tuple[int, ...]] = {}
-    for w, _ in support:
-        key = tuple(e.local_block((w,)) for e in enc)
-        dem = evaluate_demand(d, w)
-        if key in seen and seen[key] != dem:
-            raise ValidationError(
-                f"servers {subset} do not cover the demands: pooled data is "
-                f"consistent with both {seen[key]} and {dem}"
-            )
-        seen[key] = dem
+    decoding_map(
+        (
+            (tuple(e.local_block((w,)) for e in enc), evaluate_demand(d, w))
+            for w, _ in support
+        ),
+        lambda _, a, b: ValidationError(
+            f"servers {subset} do not cover the demands: pooled data is "
+            f"consistent with both {a} and {b}"
+        ),
+    )
 
-    table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    truth: dict[Block, tuple[tuple[int, ...], ...]] = {}
-    for ws, _ in _blocks(support, n):
-        profile = tuple(e.encode(ws) for e in enc)
-        dem_seq = _demand_sequence(d, ws)
-        truth[ws] = dem_seq
-        if profile in table and table[profile] != dem_seq:
-            raise DecodeError(
-                f"collision at servers {subset}: color profile {profile} is "
-                f"consistent with {table[profile]} and {dem_seq}; an encoder "
-                f"merged a confusable pair"
-            )
-        table[profile] = dem_seq
+    truth = {ws: _demand_sequence(d, ws) for ws, _ in _blocks(support, n)}
+    table = decoding_map(
+        ((tuple(e.encode(ws) for e in enc), dem_seq) for ws, dem_seq in truth.items()),
+        lambda profile, a, b: DecodeError(
+            f"collision at servers {subset}: color profile {profile} is "
+            f"consistent with {a} and {b}; an encoder merged a confusable pair"
+        ),
+    )
     return DecodeTable(subset=subset, n=n, table=table, truth=truth)
 
 

@@ -7,7 +7,10 @@ import pytest
 
 from chargraph import solvers
 from chargraph.cli import CSV_HEADER, main
+from chargraph.errors import ValidationError
 from chargraph.graphs import make_graph
+from chargraph.probability import crossover_joint
+from chargraph.rates import scenario2_table2_rates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,6 +53,21 @@ class TestPlacement:
     def test_zero_servers_rejected(self, capsys, command):
         code, _, err = run(capsys, command + ["--n", "0", "--k", "3", "--nr", "1"])
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["placement", "--n", "3", "--k", "3", "--nr", "2", "--kc", "5"],
+            ["placement", "--n", "3", "--k", "3", "--nr", "2", "--m", "2"],
+            ["scenario", "--scenario", "s1", "--n", "3", "--k", "3", "--nr", "2", "--m", "2"],
+        ],
+    )
+    def test_removed_options_rejected(self, capsys, argv):
+        # the placement never read Kc, and M is always the cyclic default
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "placement.json"
@@ -175,6 +193,41 @@ class TestScenario:
         assert per_p[0.9] == sum(1 for i in range(19) if 0.05 + 0.05 * i <= 1 / 1.9)
         assert per_p[0.1] > per_p[0.9] > 0
 
+    @pytest.mark.parametrize(
+        "eps, p, feasible",
+        [
+            (0.5, 1.0, True),                    # p' = 1 exactly
+            (0.5 + 2.5e-10, 1.0, False),         # p' = 1 + 1e-9
+            (0.6, 2.0 / 3.0, True),              # p' = 1 up to rounding
+            (0.6, 2.0 / 3.0 * (1 + 1e-9), False),
+        ],
+    )
+    def test_crossover_boundary_agrees_everywhere(self, capsys, eps, p, feasible):
+        # the pair law, the closed form and the crossed-grid filter share
+        # one statement of the bound p' = eps*p/(1-eps) <= 1
+        for build in (crossover_joint, scenario2_table2_rates):
+            if feasible:
+                build(eps, p)
+            else:
+                with pytest.raises(ValidationError):
+                    build(eps, p)
+        code, out, err = run(
+            capsys,
+            [
+                "scenario",
+                "--scenario",
+                "s2-table2",
+                "--eps-grid",
+                f"{eps!r},{eps!r},1",
+                "--p-grid",
+                f"{p!r},{p!r},1",
+            ],
+        )
+        if feasible:
+            assert code == 0 and len(parse_csv(out)[1]) == 1
+        else:
+            assert code == 2 and "feasible" in err
+
     def test_fully_infeasible_p_grid_rejected(self, capsys):
         code, _, err = run(
             capsys,
@@ -260,6 +313,10 @@ class TestScenario:
         cfg.write_text(json.dumps({"scenario": "s1", "epsilon": 0.3}))
         code, _, err = run(capsys, ["scenario", "--config", str(cfg)])
         assert code == 2 and "epsilon" in err
+        # M follows from the cyclic placement, so a config cannot set it
+        cfg.write_text(json.dumps({"scenario": "s1", "n": 3, "k": 3, "nr": 2, "m": 2}))
+        code, _, err = run(capsys, ["scenario", "--config", str(cfg)])
+        assert code == 2 and "unknown config keys ['m']" in err
 
     def test_rho_rejected_outside_mixture_scenarios(self, capsys):
         code, _, err = run(

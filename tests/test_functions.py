@@ -7,6 +7,7 @@ from chargraph.functions import (
     GeneralTable,
     LinearlySeparable,
     MultiLinear,
+    decoding_map,
     demand_from_json,
     demand_to_json,
     evaluate_demand,
@@ -94,6 +95,24 @@ class TestEvaluateDemand:
         d = LinearlySeparable(q=2, gamma=((1, 1),))
         with pytest.raises(ValidationError):
             evaluate_demand(d, (0, 2))
+
+
+class TestDecodingMap:
+    def test_returns_table_and_accepts_repeated_equal_pairs(self):
+        pairs = [("a", (0,)), ("b", (1,)), ("a", (0,)), ("b", (1,))]
+        assert decoding_map(pairs, ValueError) == {"a": (0,), "b": (1,)}
+
+    def test_raises_clash_at_first_conflicting_key(self):
+        seen = []
+
+        def clash(key, a, b):
+            seen.append((key, a, b))
+            return ValueError(key)
+
+        pairs = [("a", 0), ("b", 1), ("b", 2), ("a", 3)]
+        with pytest.raises(ValueError, match="b"):
+            decoding_map(pairs, clash)
+        assert seen == [("b", 1, 2)]
 
 
 class TestDemandJson:

@@ -206,7 +206,7 @@ class TestOrPower:
         for a, b in combinations(range(sq.n), 2):
             va, vb = sq.vertices[a], sq.vertices[b]
             want = any(
-                g.adjacent(g.index[x], g.index[y])
+                g.adjacent(g.vertices.index(x), g.vertices.index(y))
                 for x, y in zip(va, vb)
                 if x != y
             )
@@ -215,7 +215,7 @@ class TestOrPower:
     def test_power_pmf_is_product(self):
         g = make_graph({0: 0.25, 1: 0.75}, [(0, 1)])
         sq = or_power(g, 3)
-        idx = sq.index[(1, 0, 1)]
+        idx = sq.vertices.index((1, 0, 1))
         assert sq.pmf[idx] == pytest.approx(0.75 * 0.25 * 0.75)
 
     def test_first_power_is_identity(self):

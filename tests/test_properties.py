@@ -140,7 +140,7 @@ class TestGraphProperties:
     def test_or_square_pmf_is_product(self, g):
         sq = or_power(g, 2)
         for idx, (a, b) in enumerate(sq.vertices):
-            want = g.pmf[g.index[a]] * g.pmf[g.index[b]]
+            want = g.pmf[g.vertices.index(a)] * g.pmf[g.vertices.index(b)]
             assert sq.pmf[idx] == pytest.approx(want, abs=1e-9)
 
     @settings(max_examples=25, deadline=None)

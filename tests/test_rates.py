@@ -5,12 +5,15 @@ arithmetic in tests/oracles/gen_frozen.py, which imports nothing from the
 package.
 """
 
+import itertools
 import math
+import random
 
 import pytest
 
 from chargraph.errors import DecodeError, MisStructureError, ValidationError
-from chargraph.functions import LinearlySeparable, MultiLinear
+from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
+from chargraph.graphs import build_char_graph
 from chargraph.probability import (
     JointPmf,
     binary_entropy,
@@ -22,7 +25,7 @@ from chargraph.rates import (
     Codebook,
     RateReport,
     chain_rate,
-    default_codebook,
+    coloring_map,
     gains,
     multilinear_rates,
     prop1_rate,
@@ -328,7 +331,7 @@ class TestPointLocalSupport:
     def test_constant_zone_costs_nothing(self):
         t, p, d, _ = parity_instance()
         joint = JointPmf((2, 2, 2), {(0, 0, 0): 0.7, (0, 0, 1): 0.3})  # W1, W2 fixed
-        assert default_codebook(t, p, d, joint).for_server(1) == ({(0, 0): 0},)
+        assert coloring_map(build_char_graph(d, p, joint, 1)) == {(0, 0): 0}
         for rr in (theorem1_sum_rate(t, p, d, joint), chain_rate(t, p, d, joint, [1, 2])):
             assert rr.per_server_rates[0] == 0.0
             assert rr.per_server_rates[1] == pytest.approx(binary_entropy(0.3), abs=1e-6)
@@ -337,8 +340,10 @@ class TestPointLocalSupport:
     def test_deterministic_source_costs_nothing(self, eps):
         t, p, d, joint = parity_instance(eps)
         bit = int(eps)
-        cb = default_codebook(t, p, d, joint)
-        assert all(cb.for_server(i) == ({(bit, bit): 0},) for i in (1, 2, 3))
+        assert all(
+            coloring_map(build_char_graph(d, p, joint, i)) == {(bit, bit): 0}
+            for i in (1, 2, 3)
+        )
         for rr in (
             theorem1_sum_rate(t, p, d, joint),
             prop2_rate(t, p, d, joint),
@@ -460,3 +465,62 @@ class TestScenarioClosedForms:
         assert rep.lin.sum_rate == pytest.approx(
             4 * binary_entropy(product_param(2, 0.5)), abs=1e-12
         )
+
+
+def _demand_entropy(d, joint):
+    """H(f(W)): the entropy of the demanded outputs under the joint law."""
+    masses = {}
+    for w, m in joint.support():
+        out = evaluate_demand(d, w)
+        masses[out] = masses.get(out, 0.0) + m
+    return -math.fsum(m * math.log2(m) for m in masses.values())
+
+
+def _floor_cases():
+    """(name, topology, placement, demand, joint, law is i.i.d.) over cyclic
+    N=K=3 with Nr=2 and N=K=4 with Nr=2 and 3."""
+    for n, nr in ((3, 2), (4, 2), (4, 3)):
+        pad = (0,) * (n - 3)
+        demands = (
+            ("parity", LinearlySeparable(q=2, gamma=((1,) * n,))),
+            ("and", MultiLinear(k=n)),
+            ("pair", LinearlySeparable(q=2, gamma=((0, 1, 0) + pad, (0, 1, 1) + pad))),
+        )
+        rng = random.Random(f"floor/{n}")
+        laws = [(f"iid{eps}", iid_bernoulli_joint(n, eps), True) for eps in (0.1, 0.4)]
+        for seed in range(2):
+            cube = itertools.product((0, 1), repeat=n)
+            weights = {w: rng.uniform(0.05, 1.0) for w in cube}
+            total = math.fsum(weights.values())
+            joint = JointPmf((2,) * n, {w: v / total for w, v in weights.items()})
+            laws.append((f"seeded{seed}", joint, False))
+        for dname, d in demands:
+            t = topo(n, n, nr, kc=d.kc)
+            for lname, joint, iid in laws:
+                name = f"N=K={n} Nr={nr} {dname} {lname}"
+                yield name, t, cyclic_placement(t), d, joint, iid
+
+
+def test_rates_respect_information_floor():
+    """Every zero-error rate carries the demanded outputs, so none falls
+    below H(f(W)) (within 1e-9): the chain over all orderings, theorem1
+    wherever its default codebook decodes, and prop2 wherever its two-MIS
+    premise holds."""
+    checked = {"chain": 0, "theorem1": 0, "prop2": 0}
+    for name, t, p, d, joint, iid in _floor_cases():
+        floor = _demand_entropy(d, joint) - 1e-9
+        orderings = [list(o) for o in itertools.permutations(range(1, t.nr + 1))]
+        rates = {"chain": chain_rate(t, p, d, joint, orderings)}
+        try:
+            rates["theorem1"] = theorem1_sum_rate(t, p, d, joint)
+        except DecodeError:
+            pass  # the default codebook cannot decode (a parity, by design)
+        if iid:
+            try:
+                rates["prop2"] = prop2_rate(t, p, d, joint)
+            except MisStructureError:
+                pass  # more than two maximal independent sets
+        for bound, rr in rates.items():
+            assert rr.sum_rate >= floor, (name, bound, rr.sum_rate, floor)
+            checked[bound] += 1
+    assert all(count > 0 for count in checked.values()), checked

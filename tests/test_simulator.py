@@ -60,10 +60,6 @@ class TestBuildEncoders:
         a = build_encoders(t, p, d, joint, 1)
         b = build_encoders(t, p, d, joint, 1)
         assert [e.coloring for e in a] == [e.coloring for e in b]
-        # first-seen local block always takes color 0
-        for e in a:
-            first = min(e.coloring)
-            assert e.coloring[first] == 0
 
     def test_off_support_block_rejected(self):
         t, p, d, joint = scenario_ii()
