@@ -112,6 +112,21 @@ def confusability_graph(
     return make_graph(masses, edge_pairs)
 
 
+def induced_subgraph(g: CharGraph, vs: Sequence[int]) -> CharGraph:
+    """g restricted to the ascending vertex ids vs, with the pmf renormalized
+    and the vertices kept in g's order."""
+    idx = {v: i for i, v in enumerate(vs)}
+    mass = math.fsum(g.pmf[v] for v in vs)
+    edges = frozenset(
+        (idx[v], idx[u]) for v in vs for u in g.neighbors[v] if u > v and u in idx
+    )
+    return CharGraph(
+        vertices=tuple(g.vertices[v] for v in vs),
+        edges=edges,
+        pmf=tuple(g.pmf[v] / mass for v in vs),
+    )
+
+
 def build_char_graph(
     d: DemandSpec,
     p: Placement,

@@ -30,6 +30,7 @@ from .graphs import (
     enumerate_mis,
     exact_min_coloring,
     greedy_coloring,
+    induced_subgraph,
     make_graph,
 )
 from .probability import (
@@ -476,14 +477,16 @@ def _chain_eval(
         converged = converged and res.converged
 
         # each transcript section is colored on its own: colors need only
-        # separate inside the section the decoder already knows
+        # separate inside the section the decoder already knows, and no edge
+        # of g leaves a section, so a section's graph is g restricted to it
         sections: dict[tuple[int, ...], list[int]] = {}
-        for idx, y in enumerate(transcripts):
-            sections.setdefault(y, []).append(idx)
-        for idxs in sections.values():
-            symbol = coloring_map(confusability_graph([points[idx] for idx in idxs]))
-            for idx in idxs:
-                transcripts[idx] += (symbol[points[idx][0]],)
+        for v, label in enumerate(g.vertices):
+            sections.setdefault(label[1], []).append(v)
+        symbol: dict[Any, int] = {}
+        for vs in sections.values():
+            symbol.update(coloring_map(induced_subgraph(g, vs)))
+        for idx, point in enumerate(points):
+            transcripts[idx] += (symbol[point[0]],)
 
     decoding_map(
         ((z, dem) for (_, _, dem), z in zip(items, transcripts)),

@@ -3,8 +3,12 @@
 conditional_graph_entropy minimizes I(X;U|Y) over conditionals P(U|x)
 supported on the maximal independent sets containing x, under the Markov
 constraint U - X - Y; graph_entropy is the same program with a constant Y
-(Orlitsky & Roche 2001), where it reduces to minimizing I(X;U). Both run one
-alternating minimization with multi-restart certification.
+(Orlitsky & Roche 2001), where it reduces to minimizing I(X;U). Whenever Y
+is a function of X (always so for graph_entropy) the program is solved
+block by block, over the components of each section of Y. A block whose
+vertices each lie in one MIS (a complete multipartite block) is evaluated in
+closed form; every other block runs one alternating minimization with
+multi-restart certification.
 chromatic_entropy is an exact branch-and-bound over independent-set
 partitions.
 """
@@ -13,12 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import DeskScaleError, ValidationError
-from .graphs import EXACT_COLOR_GUARD, CharGraph, enumerate_mis, greedy_coloring
+from .graphs import (
+    EXACT_COLOR_GUARD,
+    CharGraph,
+    enumerate_mis,
+    greedy_coloring,
+    induced_subgraph,
+)
 from .probability import JointPmf
 
 _NEG_BIG = -1e18  # stand-in for log(0) that survives multiplication by weights
@@ -43,20 +53,24 @@ class GraphEntropyResult:
         }
 
 
-def _start(g: CharGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Support mask of P(U|x) on the MISs containing x, shape (n, m), and the
-    stack of restart starts, shape (R, n, m); every allowed cell starts
-    strictly positive (a zero cell would be stuck at zero)."""
+def _mis_mask(g: CharGraph) -> np.ndarray:
+    """Support mask of P(U|x) on the MISs containing x, shape (n, m)."""
     mis = enumerate_mis(g)
     mask = np.zeros((g.n, mis.count))
     for u, s in enumerate(mis.sets):
         mask[list(s), u] = 1.0
+    return mask
+
+
+def _start(mask: np.ndarray) -> np.ndarray:
+    """Stack of restart starts on the mask, shape (R, n, m); every allowed
+    cell starts strictly positive (a zero cell would be stuck at zero)."""
     rng = np.random.default_rng(0)
     stack = [mask / mask.sum(axis=1, keepdims=True)]
     for _ in range(RESTARTS - 1):
         raw = mask * (rng.random(mask.shape) + 1e-3)
         stack.append(raw / raw.sum(axis=1, keepdims=True))
-    return mask, np.stack(stack)
+    return np.stack(stack)
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
@@ -67,16 +81,24 @@ def _solve(g: CharGraph, W: np.ndarray) -> GraphEntropyResult:
     """Minimize I(X;U|Y) over P(U|x) for the (x, y) mass matrix W, whose rows
     sum to the vertex pmf and whose columns all carry positive mass.
 
-    Alternation: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to the
-    geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
+    When every vertex lies in exactly one MIS (g is complete multipartite,
+    its parts are the MISs), P(U|x) has one feasible point: U is a function
+    of X, and I(X;U|Y) = H(U|Y) there, with no iteration.
+
+    Otherwise alternate: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to
+    the geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
     Monotone on a convex objective, so restarts certify the minimum rather
     than hunt for it.
     """
-    p_x = W.sum(axis=1)
     neg_h_y = _xlog2x(W.sum(axis=0)).sum()
-    pyx = W / p_x[:, None]  # p(y|x); every vertex mass is positive
+    mask = _mis_mask(g)
+    if np.all(mask.sum(axis=1) == 1):
+        value = float(neg_h_y - _xlog2x(mask.T @ W).sum())
+        return GraphEntropyResult(max(value, 0.0), 0, True, (value,) * RESTARTS)
 
-    mask, P = _start(g)
+    p_x = W.sum(axis=1)
+    pyx = W / p_x[:, None]  # p(y|x); every vertex mass is positive
+    P = _start(mask)
     allowed = mask > 0
     objs = np.full(RESTARTS, np.inf)
     conv_iter = np.full(RESTARTS, -1, dtype=int)
@@ -110,18 +132,63 @@ def _solve(g: CharGraph, W: np.ndarray) -> GraphEntropyResult:
     )
 
 
+def _blocks(g: CharGraph, side: Sequence[int]) -> list[list[int]]:
+    """Connected components, as ascending vertex ids, of g once the edges
+    between vertices with different side symbols are dropped."""
+    block_of = [-1] * g.n
+    blocks: list[list[int]] = []
+    for s in range(g.n):
+        if block_of[s] >= 0:
+            continue
+        block_of[s] = len(blocks)
+        block = [s]
+        for v in block:  # grows while it is walked
+            for u in g.neighbors[v]:
+                if block_of[u] < 0 and side[u] == side[v]:
+                    block_of[u] = len(blocks)
+                    block.append(u)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _solve_blocks(g: CharGraph, side: Sequence[int]) -> GraphEntropyResult:
+    """H_G(X|Y) when Y = side[X] is a function of X, as sum_B P(B) H_{G[B]}
+    over the blocks B of _blocks: the program splits over the sections of Y
+    (Orlitsky & Roche 2001) and, since VP(G1 + G2) = VP(G1) x VP(G2), over
+    the components of each section. A one-vertex block costs 0."""
+    parts: list[tuple[float, GraphEntropyResult]] = []
+    for block in _blocks(g, side):
+        mass = math.fsum(g.pmf[v] for v in block)
+        if len(block) == 1:
+            parts.append((mass, GraphEntropyResult(0.0, 0, True, (0.0,) * RESTARTS)))
+            continue
+        sub = induced_subgraph(g, block)
+        parts.append((mass, _solve(sub, np.asarray(sub.pmf)[:, None])))
+    return GraphEntropyResult(
+        value=math.fsum(m * r.value for m, r in parts),
+        iterations=max(r.iterations for _, r in parts),
+        converged=all(r.converged for _, r in parts),
+        restart_values=tuple(
+            math.fsum(m * r.restart_values[k] for m, r in parts) for k in range(RESTARTS)
+        ),
+    )
+
+
 def graph_entropy(g: CharGraph) -> GraphEntropyResult:
     """Minimize I(X;U) over P(U|x) with support on MISs containing x: the
     conditional program with a constant side symbol, the one-column mass
-    matrix pmf[:, None]. The geometric mean over that one column is Q(u)
-    itself, so each step sets P(u|x) prop. to Q(u) on the allowed cells.
+    matrix pmf[:, None], solved block by block over the components of g.
+    The geometric mean over that one column is Q(u) itself, so each step
+    sets P(u|x) prop. to Q(u) on the allowed cells.
     """
-    return _solve(g, np.asarray(g.pmf)[:, None])
+    return _solve_blocks(g, [0] * g.n)
 
 
 def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResult:
     """Minimize I(X;U|Y) over P(U|x); the Markov chain U - X - Y holds by
-    construction since the conditional never depends on y."""
+    construction since the conditional never depends on y. When Y is a
+    function of X (each row of the mass matrix has one positive cell) the
+    program is solved block by block, else on the whole graph."""
     if joint.arity != 2:
         raise ValidationError("conditional entropy needs an arity-2 joint (X, Y)")
     if joint.sizes[0] != g.n:
@@ -131,6 +198,9 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
         W[x, y] = mass
     if np.max(np.abs(W.sum(axis=1) - np.asarray(g.pmf))) > 1e-9:
         raise ValidationError("joint's X-marginal does not match the vertex PMF")
+    positive = W > 0
+    if np.all(positive.sum(axis=1) == 1):
+        return _solve_blocks(g, positive.argmax(axis=1).tolist())
     return _solve(g, W[:, W.sum(axis=0) > 0])
 
 

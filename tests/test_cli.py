@@ -9,7 +9,7 @@ from chargraph import solvers
 from chargraph.cli import CSV_HEADER, main
 from chargraph.errors import ValidationError
 from chargraph.graphs import make_graph
-from chargraph.probability import crossover_joint
+from chargraph.probability import binary_entropy, crossover_joint, parity_param
 from chargraph.rates import scenario2_table2_rates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -385,6 +385,17 @@ class TestCustomScenario:
         assert rows[0]["R_lin"] == pytest.approx(2.0, abs=1e-6)
         assert rows[0]["R_SW"] == pytest.approx(3.0, abs=1e-6)
 
+    def test_five_server_parity_sweep_finishes(self, capsys, tmp_path):
+        # every chain-stage block of a parity is complete multipartite, so
+        # all 24 orderings of Nr = 4 servers are evaluated without iterating
+        argv = ["scenario", "--scenario", "custom", "--demand",
+                str(self._demand_file(tmp_path, k=5)), "--n", "5", "--k", "5",
+                "--nr", "4", "--eps-grid", "0.1,0.1,1", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["R_graph"] >= binary_entropy(parity_param(5, 0.1)) - 1e-9
+
     def test_needs_demand_file(self, capsys):
         code, _, err = run(
             capsys,
@@ -454,13 +465,17 @@ class TestThreads:
 
 
 def test_non_convergence_exits_4(capsys, monkeypatch, tmp_path):
+    # complete multipartite blocks are exact, so every input here has a
+    # block that is not: the path P4 and a table demand's chain stage
     monkeypatch.setattr(solvers, "MAX_ITERS", 1)
-    res = solvers.graph_entropy(make_graph({0: 0.5, 1: 0.5}, [(0, 1)]))
+    p4 = make_graph({v: 0.25 for v in range(4)}, [(0, 1), (1, 2), (2, 3)])
+    res = solvers.graph_entropy(p4)
     assert res.converged is False and res.iterations == 1
     spec = str(CONFIGS / "ternary_conditional.json")
     assert run(capsys, ["entropy", "--spec", spec])[0] == 4
     demand = tmp_path / "demand.json"
-    demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}))
+    table = [0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1]
+    demand.write_text(json.dumps({"kind": "table", "q": 2, "tables": [table]}))
     argv = ["scenario", "--scenario", "custom", "--demand", str(demand),
-            "--n", "3", "--k", "3", "--nr", "2", "--eps-grid", "0.3,0.3,1"]
+            "--n", "4", "--k", "4", "--nr", "2", "--eps-grid", "0.3,0.3,1"]
     assert run(capsys, argv)[0] == 4

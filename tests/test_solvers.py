@@ -4,21 +4,24 @@ Frozen constants come from tests/oracles/gen_frozen.py (independent
 enumeration over partitions / closed forms, no package code).
 """
 
+import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from chargraph import solvers
 from chargraph.errors import DeskScaleError, ValidationError
-from chargraph.graphs import make_graph, or_power
+from chargraph.functions import GeneralTable, evaluate_demand
+from chargraph.graphs import build_char_graph, induced_subgraph, make_graph, or_power
 from chargraph.probability import JointPmf, binary_entropy
 from chargraph.solvers import (
     chromatic_entropy,
     conditional_graph_entropy,
     graph_entropy,
 )
+from chargraph.topology import Topology, cyclic_placement
 
 CHROMATIC_TERNARY_UNIFORM = 0.918295834054490
 CHROMATIC_TERNARY_SKEWED = 0.721928094887362
@@ -52,30 +55,51 @@ class TestGraphEntropy:
         assert spread < 1e-6
 
     def test_matches_direct_alternation(self):
-        # graph_entropy runs the conditional loop with a constant side symbol;
-        # the reference is the direct update P(u|x) prop. to Q(u) from the
-        # same starts under the same stopping rule
+        # graph_entropy runs the conditional loop with a constant side symbol,
+        # one connected component at a time; the reference is the direct
+        # update P(u|x) prop. to Q(u) from each component's own starts under
+        # the same stopping rule, summed with the component masses as weights
         def xlog2x(a):
             return a * np.log2(np.where(a > 0, a, 1.0))
+
+        def components(n, edges):
+            root = list(range(n))
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            for i, j in edges:
+                root[find(i)] = find(j)
+            groups = {}
+            for v in range(n):
+                groups.setdefault(find(v), []).append(v)
+            return list(groups.values())
 
         rng = random.Random(7)
         for _ in range(10):
             n = rng.randint(2, 7)
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
-            p = np.asarray(g.pmf)
-            mask, P = solvers._start(g)
-            objs = np.full(solvers.RESTARTS, np.inf)
-            done = np.zeros(solvers.RESTARTS, dtype=bool)
-            while not done.all():
-                Q = np.einsum("x,rxu->ru", p, P)
-                new_objs = np.einsum("x,rxu->r", p, xlog2x(P)) - xlog2x(Q).sum(axis=1)
-                done |= objs - new_objs < solvers.TOL
-                objs = new_objs
-                P = mask[None, :, :] * Q[:, None, :]
-                P /= P.sum(axis=2, keepdims=True)
+            want = np.zeros(solvers.RESTARTS)
+            for block in components(g.n, g.edges):
+                sub = induced_subgraph(g, block)
+                p = np.asarray(sub.pmf)
+                mask = solvers._mis_mask(sub)
+                P = solvers._start(mask)
+                objs = np.full(solvers.RESTARTS, np.inf)
+                done = np.zeros(solvers.RESTARTS, dtype=bool)
+                while not done.all():
+                    Q = np.einsum("x,rxu->ru", p, P)
+                    new_objs = np.einsum("x,rxu->r", p, xlog2x(P)) - xlog2x(Q).sum(axis=1)
+                    done |= objs - new_objs < solvers.TOL
+                    objs = new_objs
+                    P = mask[None, :, :] * Q[:, None, :]
+                    P /= P.sum(axis=2, keepdims=True)
+                want += sum(g.pmf[v] for v in block) * objs
             got = graph_entropy(g).restart_values
-            assert got == pytest.approx(tuple(objs), abs=1e-12)
+            assert got == pytest.approx(tuple(want), abs=1e-12)
 
     def test_edgeless_graph_is_free(self):
         g = make_graph({v: 0.25 for v in range(4)}, [])
@@ -129,6 +153,69 @@ class TestComponentAdditivity:
             )
             got = graph_entropy(make_graph(masses, edges)).value
             assert got == pytest.approx(want, abs=1e-6)
+
+
+class TestExactBlocks:
+    def test_product_laws_give_forced_graphs(self):
+        # under a full-support product law every completion meets every local
+        # tuple, so x ~ x' exactly when x -> f(x, .) differs: the graph is
+        # complete multipartite, its MISs are the classes of that map, and
+        # H_G is the entropy of the class, reached with no iteration
+        rng = random.Random(20240707)
+        checked = 0
+        for _ in range(12):
+            q, n = rng.choice(((2, 3), (2, 4), (3, 3)))
+            nr = rng.randint(2, n - 1)
+            t = Topology(n=n, k=n, kc=rng.randint(1, 2), m=n - nr + 1, nr=nr)
+            p = cyclic_placement(t)
+            tables = tuple(
+                tuple(rng.randrange(q) for _ in range(q**n)) for _ in range(t.kc)
+            )
+            d = GeneralTable(q=q, k=n, tables=tables)
+            marginals = []
+            for _ in range(n):
+                raw = [rng.uniform(0.05, 1.0) for _ in range(q)]
+                marginals.append([v / sum(raw) for v in raw])
+            cube = list(product(range(q), repeat=n))
+            joint = JointPmf(
+                (q,) * n, {w: math.prod(marginals[c][w[c]] for c in range(n)) for w in cube}
+            )
+            for i in range(1, n + 1):
+                zone = p.zone0(i)
+                classes = {}
+                for x in product(range(q), repeat=len(zone)):
+                    signature = tuple(
+                        evaluate_demand(d, w)
+                        for w in cube
+                        if tuple(w[c] for c in zone) == x
+                    )
+                    mass = math.prod(marginals[c][v] for c, v in zip(zone, x))
+                    classes[signature] = classes.get(signature, 0.0) + mass
+                want = -math.fsum(m * math.log2(m) for m in classes.values())
+                res = graph_entropy(build_char_graph(d, p, joint, i))
+                assert res.iterations == 0 and res.converged
+                assert res.value == pytest.approx(want, abs=1e-12)
+                checked += 1
+        assert checked > 12
+
+    def test_sections_match_whole_graph(self):
+        # with Y a function of X the program splits over the sections of Y
+        # and their components; edges between sections are ignored there,
+        # and the whole-graph program reaches the same optimum
+        rng = random.Random(20240708)
+        worst = 0.0
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
+            side = [rng.randrange(2) for _ in range(n)]
+            W = np.zeros((n, 2))
+            W[np.arange(n), side] = g.pmf
+            joint = JointPmf((n, 2), {(x, side[x]): g.pmf[x] for x in range(n)})
+            got = conditional_graph_entropy(g, joint).value
+            whole = solvers._solve(g, W[:, W.sum(axis=0) > 0]).value
+            worst = max(worst, abs(got - whole))
+        assert worst < 1e-6
 
 
 class TestConditionalGraphEntropy:
