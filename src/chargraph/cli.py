@@ -67,6 +67,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
+        for name, kind in (("n", int), ("k", int), ("kc", int), ("nr", int),
+                           ("out", str), ("demand", str), ("placement", str)):
+            value = getattr(self, name)
+            if value is not None and type(value) is not kind:
+                raise ValidationError(f"{name} must be {kind.__name__}, not {value!r}")
         for grid in (self.eps_grid, self.rho_grid, self.p_grid):
             if grid is None:
                 continue
@@ -315,14 +320,16 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0 if converged else 4
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValidationError(f"grid {text!r} is not of the form a,b,count")
+def _parse_grid(value: Any) -> tuple[float, float, int]:
+    """a,b,count from a flag's text or a config file's list.  Each part is
+    read from its text, so both follow one rule: a count of 1.5 is refused,
+    not truncated."""
+    parts = value.split(",") if isinstance(value, str) else value
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ValidationError(f"grid {text!r} is not of the form a,b,count") from exc
+        a, b, count = (str(v) for v in parts)
+        return float(a), float(b), int(count)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"grid {value!r} is not of the form a,b,count") from exc
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
@@ -330,6 +337,8 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValidationError("config must be a JSON object")
         known = {
             "scenario", "n", "k", "kc", "nr", "eps_grid", "rho_grid",
             "p_grid", "out", "format", "demand", "placement",
@@ -340,8 +349,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         base = dict(raw)
         for key in ("eps_grid", "rho_grid", "p_grid"):
             if base.get(key) is not None:
-                a, b, count = base[key]
-                base[key] = (float(a), float(b), int(count))
+                base[key] = _parse_grid(base[key])
         if "format" in base:
             base["fmt"] = base.pop("format")
 

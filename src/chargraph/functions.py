@@ -169,23 +169,30 @@ def demand_to_json(d: DemandSpec) -> dict[str, Any]:
 def demand_from_json(obj: Mapping[str, Any], k: int | None = None) -> DemandSpec:
     """Parse the demand schema; `k` supplies the arity where the schema omits
     it (multilinear) and cross-checks it elsewhere."""
+    if not isinstance(obj, Mapping):
+        raise ValidationError("demand must be a JSON object")
     kind = obj.get("kind")
-    if kind == "linsep":
-        d: DemandSpec = LinearlySeparable(
-            q=int(obj["q"]), gamma=tuple(tuple(int(v) for v in r) for r in obj["gamma"])
-        )
-    elif kind == "multilinear":
-        if k is None:
-            raise ValidationError("multilinear demand needs the dataset count K")
-        d = MultiLinear(k=k, q=int(obj.get("q", 2)))
-    elif kind == "table":
-        q = int(obj["q"])
-        tables = tuple(tuple(int(v) for v in t) for t in obj["tables"])
-        size = len(tables[0]) if tables else 0
-        arity = k if k is not None else round(math.log(size, q)) if size else 0
-        d = GeneralTable(q=q, k=arity, tables=tables)
-    else:
-        raise ValidationError(f"unknown demand kind {kind!r}")
+    try:
+        if kind == "linsep":
+            d: DemandSpec = LinearlySeparable(
+                q=int(obj["q"]), gamma=tuple(tuple(int(v) for v in r) for r in obj["gamma"])
+            )
+        elif kind == "multilinear":
+            if k is None:
+                raise ValidationError("multilinear demand needs the dataset count K")
+            d = MultiLinear(k=k, q=int(obj.get("q", 2)))
+        elif kind == "table":
+            q = int(obj["q"])
+            tables = tuple(tuple(int(v) for v in t) for t in obj["tables"])
+            size = len(tables[0]) if tables else 0
+            arity = k if k is not None else round(math.log(size, q)) if size else 0
+            d = GeneralTable(q=q, k=arity, tables=tables)
+        else:
+            raise ValidationError(f"unknown demand kind {kind!r}")
+    except ValidationError:  # a ValueError too; keep its own message
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"malformed {kind} demand: {exc!r}") from exc
     if k is not None and d.k != k:
         raise ValidationError(f"demand arity {d.k} != expected K={k}")
     return d

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product as iter_product
 from typing import Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DeskScaleError, ValidationError
 from .functions import DemandSpec, evaluate_demand
@@ -20,7 +22,7 @@ from .probability import SUPPORT_TOL, JointPmf
 from .topology import Placement
 
 MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration
-POWER_GUARD = 10**5     # max |V|^n for OR powers
+PAIR_GUARD = 10**6      # max vertex pairs |V|^(2n) of an OR power
 EXACT_COLOR_GUARD = 12  # max |V| for exact minimum colorings / partitions
 
 Label = Hashable
@@ -185,20 +187,23 @@ def union_graph(gs: Sequence[CharGraph]) -> CharGraph:
 
 def or_power(g: CharGraph, n: int) -> CharGraph:
     """n-th OR power: vertices are n-tuples with the product PMF, adjacent iff
-    SOME coordinate pair is an edge of g."""
+    SOME coordinate pair is an edge of g.  Two tuples are non-adjacent iff
+    every coordinate pair is equal or non-adjacent, so with g's "equal or
+    non-adjacent" matrix J - A, the adjacency of G^n is the complement of
+    the n-fold Kronecker power of J - A (tuples in lexicographic order)."""
     if n < 1:
         raise ValidationError("power must be >= 1")
-    if g.n**n > POWER_GUARD:
-        raise DeskScaleError(f"|V|^n = {g.n}^{n} exceeds the {POWER_GUARD} guard")
+    if g.n ** (2 * n) > PAIR_GUARD:
+        raise DeskScaleError(f"{g.n}^{2 * n} vertex pairs exceed the {PAIR_GUARD} guard")
     idx_tuples = list(iter_product(range(g.n), repeat=n))
     vertices = tuple(tuple(g.vertices[i] for i in t) for t in idx_tuples)
     pmf = tuple(math.prod(g.pmf[i] for i in t) for t in idx_tuples)
-    edges = set()
-    for a, b in combinations(range(len(idx_tuples)), 2):
-        ta, tb = idx_tuples[a], idx_tuples[b]
-        if any(g.adjacent(x, y) for x, y in zip(ta, tb) if x != y):
-            edges.add((a, b))
-    return CharGraph(vertices=vertices, edges=frozenset(edges), pmf=pmf)
+    agree = np.ones((g.n, g.n), dtype=bool)
+    for i, j in g.edges:
+        agree[i, j] = agree[j, i] = False
+    a, b = np.nonzero(np.triu(~reduce(np.kron, [agree] * n), 1))
+    edges = frozenset(zip(a.tolist(), b.tolist()))
+    return CharGraph(vertices=vertices, edges=edges, pmf=pmf)
 
 
 @dataclass(frozen=True)

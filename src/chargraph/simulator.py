@@ -10,8 +10,8 @@ empirical transmitted entropy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iter_product
 from typing import Any, Mapping, Sequence
 
@@ -19,13 +19,15 @@ import numpy as np
 
 from .errors import DecodeError, DeskScaleError, ValidationError
 from .functions import DemandSpec, decoding_map, evaluate_demand
-from .graphs import POWER_GUARD, build_char_graph, or_power
+from .graphs import build_char_graph, or_power
 from .probability import JointPmf
 from .rates import coloring_map
 from .solvers import graph_entropy
 from .topology import Placement, Topology
 
 Block = tuple[tuple[int, ...], ...]  # length-n sequence of joint K-tuples
+
+POWER_GUARD = 10**5  # max support^n length-n blocks in one sweep
 
 
 @dataclass(frozen=True)
@@ -117,22 +119,33 @@ def build_encoders(
 
 def _blocks(
     support: Sequence[tuple[tuple[int, ...], float]], n: int
-) -> list[tuple[Block, float]]:
+) -> tuple[list[Block], np.ndarray]:
+    """Every length-n input in lexicographic order, with its i.i.d. mass:
+    the n-fold Kronecker power of the symbol law."""
     if len(support) ** n > POWER_GUARD:
         raise DeskScaleError(
             f"support^{n} = {len(support) ** n} exceeds the sweep guard {POWER_GUARD}"
         )
+    blocks = list(iter_product([w for w, _ in support], repeat=n))
+    masses = reduce(np.kron, [np.array([m for _, m in support])] * n)
+    return blocks, masses
+
+
+def _colors(encoders: Sequence[Encoder], blocks: Sequence[Block]) -> np.ndarray:
+    """(encoders, blocks) matrix of the color each encoder sends for each block."""
+    return np.array([[e.encode(ws) for ws in blocks] for e in encoders], dtype=np.int64)
+
+
+def _rates(colors: np.ndarray, weights: np.ndarray, n: int) -> list[float]:
+    """Per-symbol entropy of each row's color when block b has weight
+    weights[b] (the weights sum to 1)."""
     out = []
-    for combo in iter_product(support, repeat=n):
-        ws = tuple(w for w, _ in combo)
-        mass = math.prod(m for _, m in combo)
-        out.append((ws, mass))
+    for row in colors:
+        _, color_ids = np.unique(row, return_inverse=True)
+        q = np.bincount(color_ids, weights=weights)
+        q = q[q > 0]
+        out.append(float(-(q * np.log2(q)).sum()) / n)
     return out
-
-
-def _demand_sequence(d: DemandSpec, ws: Block) -> tuple[tuple[int, ...], ...]:
-    per_symbol = [evaluate_demand(d, w) for w in ws]
-    return tuple(zip(*per_symbol))
 
 
 def build_decode_table(
@@ -149,8 +162,10 @@ def build_decode_table(
     (coverage, a precondition violation), or the encoders may have merged a
     confusable pair (collision, the zero-error test itself)."""
     subset = tuple(int(s) for s in subset)
-    if len(set(subset)) != len(subset) or any(not 1 <= s <= t.n for s in subset):
-        raise ValidationError(f"subset {subset} is not a set of servers in 1..{t.n}")
+    if not 0 < len(set(subset)) == len(subset) or any(not 1 <= s <= t.n for s in subset):
+        raise ValidationError(
+            f"subset {subset} is not a non-empty set of servers in 1..{t.n}"
+        )
     by_server = {e.server: e for e in encoders}
     missing = [s for s in subset if s not in by_server]
     if missing:
@@ -160,22 +175,22 @@ def build_decode_table(
     if any(e.n != n for e in enc):
         raise ValidationError("encoders disagree on blocklength")
     support = joint.support()
+    demands = {w: evaluate_demand(d, w) for w, _ in support}
 
     # coverage: the pooled local symbols must determine the demands
     decoding_map(
-        (
-            (tuple(e.local_block((w,)) for e in enc), evaluate_demand(d, w))
-            for w, _ in support
-        ),
+        ((tuple(e.local_block((w,)) for e in enc), dem) for w, dem in demands.items()),
         lambda _, a, b: ValidationError(
             f"servers {subset} do not cover the demands: pooled data is "
             f"consistent with both {a} and {b}"
         ),
     )
 
-    truth = {ws: _demand_sequence(d, ws) for ws, _ in _blocks(support, n)}
+    blocks, _ = _blocks(support, n)
+    truth = {ws: tuple(zip(*(demands[w] for w in ws))) for ws in blocks}
+    profiles = _colors(enc, blocks).T.tolist()
     table = decoding_map(
-        ((tuple(e.encode(ws) for e in enc), dem_seq) for ws, dem_seq in truth.items()),
+        ((tuple(pr), truth[ws]) for pr, ws in zip(profiles, blocks)),
         lambda profile, a, b: DecodeError(
             f"collision at servers {subset}: color profile {profile} is "
             f"consistent with {a} and {b}; an encoder merged a confusable pair"
@@ -208,37 +223,19 @@ def run_simulation(
         raise ValidationError(f"no encoder supplied for servers {missing}")
     subset_rows = [row_of[s] for s in table.subset]
 
-    support = joint.support()
-    probs = np.array([m for _, m in support], dtype=float)
-    probs = probs / probs.sum()
-
-    # outcome of every possible length-n input, computed once; sampling then
-    # only weights these outcomes
-    blocks = _blocks(support, n)
-    colors = np.zeros((len(encoders), len(blocks)), dtype=np.int64)
-    correct = np.zeros(len(blocks), dtype=bool)
-    for b_idx, (ws, _) in enumerate(blocks):
-        for e_idx, e in enumerate(encoders):
-            colors[e_idx, b_idx] = e.encode(ws)
-        if ws not in table.truth:
-            raise ValidationError(
-                "decode table was built for a different joint law"
-            )
-        profile = tuple(colors[subset_rows, b_idx].tolist())
-        correct[b_idx] = table.table.get(profile) == table.truth[ws]
-
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(support), size=(trials, n), p=probs)
-    radix = len(support) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    flat = draws @ radix
-    counts = np.bincount(flat, minlength=len(blocks)).astype(np.int64)
-
+    # outcome of every possible length-n input, computed once; the block
+    # counts of i.i.d. inputs are one multinomial draw on the block law
+    blocks, masses = _blocks(joint.support(), n)
+    if any(ws not in table.truth for ws in blocks):
+        raise ValidationError("decode table was built for a different joint law")
+    colors = _colors(encoders, blocks)
+    correct = np.array([
+        table.table.get(tuple(pr)) == table.truth[ws]
+        for pr, ws in zip(colors[subset_rows].T.tolist(), blocks)
+    ])
+    counts = np.random.default_rng(seed).multinomial(trials, masses / masses.sum())
     errors = int(counts[~correct].sum())
-    empirical = []
-    for e_idx in range(len(encoders)):
-        hist = np.bincount(colors[e_idx], weights=counts)
-        q = hist[hist > 0] / float(trials)
-        empirical.append(float(-(q * np.log2(q)).sum()) / n)
+    empirical = _rates(colors, counts / trials, n)
     return SimResult(
         trials=trials,
         errors=errors,
@@ -254,12 +251,5 @@ def expected_rates(encoders: Sequence[Encoder], joint: JointPmf, n: int) -> list
     rate)."""
     if any(e.n != n for e in encoders):
         raise ValidationError("encoders disagree on blocklength")
-    blocks = _blocks(joint.support(), n)
-    out = []
-    for e in encoders:
-        masses: dict[int, float] = {}
-        for ws, m in blocks:
-            c = e.encode(ws)
-            masses[c] = masses.get(c, 0.0) + m
-        out.append(-math.fsum(m * math.log2(m) for m in masses.values() if m > 0) / n)
-    return out
+    blocks, masses = _blocks(joint.support(), n)
+    return _rates(_colors(encoders, blocks), masses, n)

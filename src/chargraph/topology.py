@@ -138,8 +138,8 @@ def placement_to_json(p: Placement) -> dict[str, Any]:
 
 def placement_from_json(obj: Mapping[str, Any]) -> Placement:
     try:
-        n, k, zs = int(obj["N"]), int(obj["K"]), obj["Z"]
+        n, k = int(obj["N"]), int(obj["K"])
+        zones = tuple(tuple(sorted(int(d) for d in z)) for z in obj["Z"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"placement object needs N, K, Z fields: {exc}") from exc
-    zones = tuple(tuple(sorted(int(d) for d in z)) for z in zs)
     return Placement(n=n, k=k, zones=zones)

@@ -352,6 +352,32 @@ class TestScenario:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"eps_grid": 5},
+            {"eps_grid": [0.1, 0.2]},
+            {"eps_grid": ["a", 0.2, 3]},
+            {"eps_grid": [0.1, 0.2, 1.5]},  # the flag 0.1,0.2,1.5 exits 2 too
+            {"rho_grid": [0.0, 0.5, None]},
+            {"n": "x"},
+            {"n": 3.0},
+            {"nr": True},
+            {"demand": 3},
+        ],
+    )
+    def test_malformed_config_value_exits_2(self, capsys, tmp_path, extra):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"scenario": "s1", "n": 3, "k": 3, "nr": 2, **extra}))
+        code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps(["scenario", "s1"]))
+        code, _, err = run(capsys, ["scenario", "--config", str(cfg)])
+        assert code == 2 and "JSON object" in err
+
 
 class TestCustomScenario:
     def _demand_file(self, tmp_path, k=3):
@@ -412,6 +438,18 @@ class TestCustomScenario:
             ],
         )
         assert code == 2 and "--demand" in err
+
+    @pytest.mark.parametrize(
+        "demand",
+        [{"kind": "linsep"}, {"kind": "linsep", "q": 2, "gamma": [[1, 1, "x"]]}, [1, 1, 1]],
+    )
+    def test_malformed_demand_exits_2(self, capsys, tmp_path, demand):
+        f = tmp_path / "demand.json"
+        f.write_text(json.dumps(demand))
+        argv = ["scenario", "--scenario", "custom", "--demand", str(f), "--n", "3",
+                "--k", "3", "--nr", "2", "--eps-grid", "0.5,0.5,1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_ordering_sweep_guard(self, capsys, tmp_path):
         code, _, err = run(

@@ -141,3 +141,18 @@ class TestDemandJson:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             demand_from_json({"kind": "polynomial"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "linsep"},
+            {"kind": "linsep", "q": 2, "gamma": "x"},
+            {"kind": "linsep", "q": "two", "gamma": [[1, 1]]},
+            {"kind": "table", "q": 2, "tables": 5},
+            {"kind": "table", "q": 1, "tables": [[0]]},
+            [{"kind": "linsep", "q": 2, "gamma": [[1, 1]]}],
+        ],
+    )
+    def test_malformed_object_rejected(self, obj):
+        with pytest.raises(ValidationError):
+            demand_from_json(obj)

@@ -5,6 +5,7 @@ tests/oracles/gen_frozen.py, which share no code with the package.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -229,6 +230,15 @@ class TestOrPower:
             or_power(g, 11)  # 3^11 vertices
         with pytest.raises(ValidationError):
             or_power(g, 0)
+
+    def test_guard_counts_vertex_pairs(self):
+        # C8^4 has only 4,096 vertices but 16.7 M vertex pairs
+        c8 = make_graph({i: 1 / 8 for i in range(8)}, [(i, (i + 1) % 8) for i in range(8)])
+        assert len(or_power(c8, 3).edges) == 75_776  # 512^2 pairs fit the guard
+        start = time.perf_counter()
+        with pytest.raises(DeskScaleError, match="pairs"):
+            or_power(c8, 4)
+        assert time.perf_counter() - start < 1.0
 
 
 def brute_force_mis(g: CharGraph) -> set[tuple[int, ...]]:

@@ -1,7 +1,7 @@
 """Property-based invariants across the probability and graph layers."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +134,21 @@ class TestGraphProperties:
         joint = JointPmf((g.n, ny), mass)
         cond = conditional_graph_entropy(g, joint).value
         assert cond <= graph_entropy(g).value + 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(char_graphs(max_n=5), st.integers(2, 3))
+    def test_or_power_matches_its_definition(self, g, n):
+        # tuples are adjacent iff some differing coordinate pair is an edge
+        # of g, and the pmf is the product of the coordinates' masses
+        power = or_power(g, n)
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        coords = [tuple(pos[x] for x in v) for v in power.vertices]
+        assert sorted(coords) == coords == list(product(range(g.n), repeat=n))
+        for a, b in combinations(range(power.n), 2):
+            want = any(g.adjacent(x, y) for x, y in zip(coords[a], coords[b]) if x != y)
+            assert power.adjacent(a, b) == want
+        for mass, t in zip(power.pmf, coords):
+            assert mass == pytest.approx(math.prod(g.pmf[x] for x in t), rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(char_graphs(max_n=5))

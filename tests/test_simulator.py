@@ -127,6 +127,8 @@ class TestBuildDecodeTable:
             build_decode_table(encs, t, p, d, joint, (0, 2))
         with pytest.raises(ValidationError):
             build_decode_table(encs[:1], t, p, d, joint, (1, 2))
+        with pytest.raises(ValidationError, match="non-empty"):
+            build_decode_table(encs, t, p, d, joint, ())
 
 
 class TestRunSimulation:
@@ -150,15 +152,16 @@ class TestRunSimulation:
 
     def test_empirical_tracks_expected(self):
         t, p, d, joint = scenario_ii(0.5)
-        encs = build_encoders(t, p, d, joint, 1)
-        tab = build_decode_table(encs, t, p, d, joint, (1, 2))
-        res = run_simulation(encs, tab, joint, 1, 100_000, seed=9)
-        want = expected_rates(encs, joint, 1)
-        assert list(res.empirical_rate_bits_per_symbol) == pytest.approx(
-            want, abs=0.02
-        )
-        # uniform bits make the expected color entropies exact integers
-        assert want == pytest.approx([1.0, 2.0, 1.0], abs=1e-12)
+        for n in (1, 2):
+            encs = build_encoders(t, p, d, joint, n)
+            tab = build_decode_table(encs, t, p, d, joint, (1, 2))
+            res = run_simulation(encs, tab, joint, n, 100_000, seed=9)
+            want = expected_rates(encs, joint, n)
+            assert list(res.empirical_rate_bits_per_symbol) == pytest.approx(
+                want, abs=0.02
+            )
+            # uniform bits make the expected color entropies exact integers
+            assert want == pytest.approx([1.0, 2.0, 1.0], abs=1e-12)
 
     def test_same_seed_reproduces(self):
         t, p, d, joint = product_instance(0.3)

@@ -109,3 +109,8 @@ class TestPlacementJson:
     def test_rejects_out_of_range_dataset(self):
         with pytest.raises(ValidationError):
             placement_from_json({"N": 2, "K": 2, "Z": [[1, 3], [2]]})
+
+    def test_rejects_malformed_zones(self):
+        for zones in (5, [["x"], [2]]):
+            with pytest.raises(ValidationError):
+                placement_from_json({"N": 2, "K": 2, "Z": zones})
