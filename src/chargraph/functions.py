@@ -158,6 +158,13 @@ def decoding_map(
     return table
 
 
+def json_int(value: Any) -> int:
+    """An integer field of a JSON input, read from its text like the config
+    grids: 2.9, 1.0 and true raise ValueError instead of truncating to 2, 1
+    and 1."""
+    return int(str(value))
+
+
 def demand_to_json(d: DemandSpec) -> dict[str, Any]:
     if isinstance(d, LinearlySeparable):
         return {"kind": "linsep", "q": d.q, "gamma": [list(r) for r in d.gamma]}
@@ -175,15 +182,16 @@ def demand_from_json(obj: Mapping[str, Any], k: int | None = None) -> DemandSpec
     try:
         if kind == "linsep":
             d: DemandSpec = LinearlySeparable(
-                q=int(obj["q"]), gamma=tuple(tuple(int(v) for v in r) for r in obj["gamma"])
+                q=json_int(obj["q"]),
+                gamma=tuple(tuple(json_int(v) for v in r) for r in obj["gamma"]),
             )
         elif kind == "multilinear":
             if k is None:
                 raise ValidationError("multilinear demand needs the dataset count K")
-            d = MultiLinear(k=k, q=int(obj.get("q", 2)))
+            d = MultiLinear(k=k, q=json_int(obj.get("q", 2)))
         elif kind == "table":
-            q = int(obj["q"])
-            tables = tuple(tuple(int(v) for v in t) for t in obj["tables"])
+            q = json_int(obj["q"])
+            tables = tuple(tuple(json_int(v) for v in t) for t in obj["tables"])
             size = len(tables[0]) if tables else 0
             arity = k if k is not None else round(math.log(size, q)) if size else 0
             d = GeneralTable(q=q, k=arity, tables=tables)

@@ -5,7 +5,8 @@ measurement.
 Correctness never rests on sampling: the decode table is built by an
 exhaustive sweep over every positive-probability length-n input, and its
 construction fails loudly on any collision.  Monte-Carlo only estimates the
-empirical transmitted entropy.
+empirical transmitted entropy.  A length-n block is its index in support^n:
+colors and demanded outputs are numpy gathers over it, not per-block loops.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .rates import coloring_map
 from .solvers import graph_entropy
 from .topology import Placement, Topology
 
-Block = tuple[tuple[int, ...], ...]  # length-n sequence of joint K-tuples
-
 POWER_GUARD = 10**5  # max support^n length-n blocks in one sweep
 
 
@@ -42,29 +41,18 @@ class Encoder:
     num_colors: int
     theoretical_rate: float  # graph entropy of the length-1 union graph
 
-    def local_block(self, ws: Block) -> tuple:
-        return tuple(tuple(w[c] for c in self.zone) for w in ws)
-
-    def encode(self, ws: Block) -> int:
-        block = self.local_block(ws)
-        if block not in self.coloring:
-            raise ValidationError(
-                f"server {self.server} encoder saw an off-support block {block!r}"
-            )
-        return self.coloring[block]
-
 
 @dataclass(frozen=True)
 class DecodeTable:
     """Zero-error lookup for one recovery subset: color profile -> demanded
     length-n output sequences (one length-n tuple per demand).  `truth`
-    keeps the directly evaluated demands for every swept input so a
-    simulation can check decodes against ground truth."""
+    keeps the directly evaluated demands of every support symbol the table
+    was swept on, so a simulation can check decodes against ground truth."""
 
     subset: tuple[int, ...]
     n: int
     table: Mapping[tuple[int, ...], tuple[tuple[int, ...], ...]]
-    truth: Mapping[Block, tuple[tuple[int, ...], ...]]
+    truth: Mapping[tuple[int, ...], tuple[int, ...]]  # support symbol -> demands
 
 
 @dataclass(frozen=True)
@@ -117,23 +105,63 @@ def build_encoders(
     return encoders
 
 
-def _blocks(
-    support: Sequence[tuple[tuple[int, ...], float]], n: int
-) -> tuple[list[Block], np.ndarray]:
-    """Every length-n input in lexicographic order, with its i.i.d. mass:
-    the n-fold Kronecker power of the symbol law."""
+def _sweep(joint: JointPmf, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The support symbols, and the i.i.d. mass of every length-n block (the
+    n-fold Kronecker power of the symbol law)."""
+    support = joint.support()
     if len(support) ** n > POWER_GUARD:
         raise DeskScaleError(
             f"support^{n} = {len(support) ** n} exceeds the sweep guard {POWER_GUARD}"
         )
-    blocks = list(iter_product([w for w, _ in support], repeat=n))
     masses = reduce(np.kron, [np.array([m for _, m in support])] * n)
-    return blocks, masses
+    return [w for w, _ in support], masses
 
 
-def _colors(encoders: Sequence[Encoder], blocks: Sequence[Block]) -> np.ndarray:
-    """(encoders, blocks) matrix of the color each encoder sends for each block."""
-    return np.array([[e.encode(ws) for ws in blocks] for e in encoders], dtype=np.int64)
+def _block_index(ids: np.ndarray, base: int, n: int) -> np.ndarray:
+    """For every block (s_0..s_{n-1}) of symbols, in lexicographic order, the
+    mixed-radix index sum_j ids[s_j] * base^(n-1-j) of its symbols' ids."""
+    index = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        index = (index[:, None] * base + ids).ravel()
+    return index
+
+
+def _colors(encoders: Sequence[Encoder], symbols: list, n: int) -> np.ndarray:
+    """(encoders, blocks) matrix of the color each encoder sends for each
+    block: one gather per encoder from its colors of the n-tuples of its
+    local labels (-1 for a label its coloring lacks)."""
+    rows = []
+    for e in encoders:
+        labels, loc = np.unique(np.array(symbols)[:, e.zone], axis=0, return_inverse=True)
+        labels = list(map(tuple, labels.tolist()))
+        index = _block_index(loc.reshape(-1), len(labels), n)
+        keys = iter_product(labels, repeat=n)
+        row = np.array([e.coloring.get(k, -1) for k in keys], dtype=np.int64)[index]
+        if (row < 0).any():
+            digits = np.unravel_index(index[row.argmin()], (len(labels),) * n)
+            block = tuple(labels[i] for i in digits)
+            raise ValidationError(
+                f"server {e.server} encoder saw an off-support block {block!r}"
+            )
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def _outcomes(profiles: np.ndarray, demands: list, n: int) -> tuple[list, np.ndarray]:
+    """The distinct (color profile, demanded sequences) pairs over all
+    blocks in order of first appearance, and each block's pair.  profiles
+    is (servers, blocks); demands[s] are support symbol s's outputs."""
+    dems, dem_ids = np.unique(np.array(demands), axis=0, return_inverse=True)
+    truth = _block_index(dem_ids.reshape(-1), len(dems), n)
+    stacked = np.column_stack([profiles.T, truth])
+    rows, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    digits = np.unravel_index(rows[order, -1], (len(dems),) * n)
+    pairs = [
+        (tuple(pr), tuple(zip(*(dems[i].tolist() for i in ds))))
+        for pr, ds in zip(rows[order, :-1].tolist(), np.column_stack(digits).tolist())
+    ]
+    return pairs, np.argsort(order)[inverse.reshape(-1)]
 
 
 def _rates(colors: np.ndarray, weights: np.ndarray, n: int) -> list[float]:
@@ -174,29 +202,28 @@ def build_decode_table(
     n = enc[0].n
     if any(e.n != n for e in enc):
         raise ValidationError("encoders disagree on blocklength")
-    support = joint.support()
-    demands = {w: evaluate_demand(d, w) for w, _ in support}
+    symbols, _ = _sweep(joint, n)
+    demands = [evaluate_demand(d, w) for w in symbols]
 
     # coverage: the pooled local symbols must determine the demands
     decoding_map(
-        ((tuple(e.local_block((w,)) for e in enc), dem) for w, dem in demands.items()),
+        ((tuple(tuple(w[c] for c in e.zone) for e in enc), dem)
+         for w, dem in zip(symbols, demands)),
         lambda _, a, b: ValidationError(
             f"servers {subset} do not cover the demands: pooled data is "
             f"consistent with both {a} and {b}"
         ),
     )
 
-    blocks, _ = _blocks(support, n)
-    truth = {ws: tuple(zip(*(demands[w] for w in ws))) for ws in blocks}
-    profiles = _colors(enc, blocks).T.tolist()
+    pairs, _ = _outcomes(_colors(enc, symbols, n), demands, n)
     table = decoding_map(
-        ((tuple(pr), truth[ws]) for pr, ws in zip(profiles, blocks)),
+        pairs,
         lambda profile, a, b: DecodeError(
             f"collision at servers {subset}: color profile {profile} is "
             f"consistent with {a} and {b}; an encoder merged a confusable pair"
         ),
     )
-    return DecodeTable(subset=subset, n=n, table=table, truth=truth)
+    return DecodeTable(subset=subset, n=n, table=table, truth=dict(zip(symbols, demands)))
 
 
 def run_simulation(
@@ -225,14 +252,12 @@ def run_simulation(
 
     # outcome of every possible length-n input, computed once; the block
     # counts of i.i.d. inputs are one multinomial draw on the block law
-    blocks, masses = _blocks(joint.support(), n)
-    if any(ws not in table.truth for ws in blocks):
+    symbols, masses = _sweep(joint, n)
+    if any(w not in table.truth for w in symbols):
         raise ValidationError("decode table was built for a different joint law")
-    colors = _colors(encoders, blocks)
-    correct = np.array([
-        table.table.get(tuple(pr)) == table.truth[ws]
-        for pr, ws in zip(colors[subset_rows].T.tolist(), blocks)
-    ])
+    colors = _colors(encoders, symbols, n)
+    pairs, pair_of = _outcomes(colors[subset_rows], [table.truth[w] for w in symbols], n)
+    correct = np.array([table.table.get(pr) == out for pr, out in pairs])[pair_of]
     counts = np.random.default_rng(seed).multinomial(trials, masses / masses.sum())
     errors = int(counts[~correct].sum())
     empirical = _rates(colors, counts / trials, n)
@@ -251,5 +276,5 @@ def expected_rates(encoders: Sequence[Encoder], joint: JointPmf, n: int) -> list
     rate)."""
     if any(e.n != n for e in encoders):
         raise ValidationError("encoders disagree on blocklength")
-    blocks, masses = _blocks(joint.support(), n)
-    return _rates(_colors(encoders, blocks), masses, n)
+    symbols, masses = _sweep(joint, n)
+    return _rates(_colors(encoders, symbols, n), masses, n)

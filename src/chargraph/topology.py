@@ -8,6 +8,7 @@ from itertools import combinations
 from typing import Any, Mapping
 
 from .errors import DeskScaleError, ValidationError
+from .functions import json_int
 
 COVERAGE_GUARD = 10**6  # max number of Nr-subsets checked exhaustively
 
@@ -138,8 +139,8 @@ def placement_to_json(p: Placement) -> dict[str, Any]:
 
 def placement_from_json(obj: Mapping[str, Any]) -> Placement:
     try:
-        n, k = int(obj["N"]), int(obj["K"])
-        zones = tuple(tuple(sorted(int(d) for d in z)) for z in obj["Z"])
+        n, k = json_int(obj["N"]), json_int(obj["K"])
+        zones = tuple(tuple(sorted(json_int(d) for d in z)) for z in obj["Z"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"placement object needs N, K, Z fields: {exc}") from exc
     return Placement(n=n, k=k, zones=zones)

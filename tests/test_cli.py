@@ -441,7 +441,12 @@ class TestCustomScenario:
 
     @pytest.mark.parametrize(
         "demand",
-        [{"kind": "linsep"}, {"kind": "linsep", "q": 2, "gamma": [[1, 1, "x"]]}, [1, 1, 1]],
+        [
+            {"kind": "linsep"},
+            {"kind": "linsep", "q": 2, "gamma": [[1, 1, "x"]]},
+            [1, 1, 1],
+            {"kind": "linsep", "q": 2, "gamma": [[1, 1, 1.7]]},
+        ],
     )
     def test_malformed_demand_exits_2(self, capsys, tmp_path, demand):
         f = tmp_path / "demand.json"
@@ -450,6 +455,16 @@ class TestCustomScenario:
                 "--k", "3", "--nr", "2", "--eps-grid", "0.5,0.5,1"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_non_integer_placement_exits_2(self, capsys, tmp_path):
+        # int() would read N = 3.9 as 3 and the zone [3, 1.5] as (1, 3)
+        f = tmp_path / "placement.json"
+        f.write_text(json.dumps({"N": 3.9, "K": 3, "Z": [[1, 2], [2, 3], [3, 1.5]]}))
+        argv = ["scenario", "--scenario", "custom", "--demand", str(self._demand_file(tmp_path)),
+                "--placement", str(f), "--n", "3", "--k", "3", "--nr", "2",
+                "--eps-grid", "0.5,0.5,1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "N, K, Z" in err
 
     def test_ordering_sweep_guard(self, capsys, tmp_path):
         code, _, err = run(

@@ -151,8 +151,19 @@ class TestDemandJson:
             {"kind": "table", "q": 2, "tables": 5},
             {"kind": "table", "q": 1, "tables": [[0]]},
             [{"kind": "linsep", "q": 2, "gamma": [[1, 1]]}],
+            # int() would truncate these to q=2, gamma=((1, 1, 1),) and so on
+            {"kind": "linsep", "q": 2.9, "gamma": [[1, 1, 1]]},
+            {"kind": "linsep", "q": 2, "gamma": [[1, 1, 1.7]]},
+            {"kind": "linsep", "q": 2, "gamma": [[1, True, 0]]},
+            {"kind": "linsep", "q": 2.0, "gamma": [[1, 1, 0]]},
+            {"kind": "table", "q": 2, "tables": [[0, 1, 1, 0.0]]},
         ],
     )
     def test_malformed_object_rejected(self, obj):
         with pytest.raises(ValidationError):
             demand_from_json(obj)
+
+    @pytest.mark.parametrize("q", [2.5, True, 3.0])
+    def test_multilinear_field_must_be_integer(self, q):
+        with pytest.raises(ValidationError):
+            demand_from_json({"kind": "multilinear", "q": q}, k=3)

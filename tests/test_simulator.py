@@ -5,16 +5,20 @@ measures empirical rates. Fault-injection tests corrupt each stage on purpose
 to confirm the failure is caught where it is supposed to be.
 """
 
-from itertools import combinations
+import math
+import re
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from chargraph.errors import DecodeError, ValidationError
-from chargraph.functions import LinearlySeparable, MultiLinear
+from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
 from chargraph.probability import JointPmf, binary_entropy, iid_bernoulli_joint
 from chargraph.simulator import (
     DecodeTable,
     Encoder,
+    _colors,
     build_decode_table,
     build_encoders,
     expected_rates,
@@ -62,10 +66,12 @@ class TestBuildEncoders:
         assert [e.coloring for e in a] == [e.coloring for e in b]
 
     def test_off_support_block_rejected(self):
+        # encoders colored for a narrower law meet local labels they never saw
         t, p, d, joint = scenario_ii()
-        enc = build_encoders(t, p, d, joint, 1)[0]
-        with pytest.raises(ValidationError):
-            enc.encode(((7, 7, 7),))
+        narrow = JointPmf((2, 2, 2), {(0, 0, 0): 0.5, (1, 1, 1): 0.5})
+        encs = build_encoders(t, p, d, narrow, 2)
+        with pytest.raises(ValidationError, match="server 1 encoder saw an off-support"):
+            expected_rates(encs, joint, 2)
 
     def test_degenerate_source_transmits_constant(self):
         t, p, d, joint = scenario_ii()
@@ -237,3 +243,71 @@ class TestExpectedRates:
         encs = build_encoders(t, p, d, joint, 1)
         with pytest.raises(ValidationError):
             expected_rates(encs, joint, 2)
+
+
+class TestGatherMatchesDirect:
+    """The block-index gathers against a direct sweep that encodes, decodes
+    and scores every block as a tuple of support symbols."""
+
+    @pytest.mark.parametrize("instance", [scenario_ii, product_instance])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_direct_sweep(self, instance, n):
+        t, p, d, joint = instance(0.3)
+        encs = build_encoders(t, p, d, joint, n)
+        support = joint.support()
+        blocks = [tuple(w for w, _ in b) for b in product(support, repeat=n)]
+        masses = np.array([math.prod(m for _, m in b) for b in product(support, repeat=n)])
+        direct = np.array([
+            [e.coloring[tuple(tuple(w[c] for c in e.zone) for w in ws)] for ws in blocks]
+            for e in encs
+        ])
+        assert np.array_equal(_colors(encs, [w for w, _ in support], n), direct)
+
+        def rates(weights):
+            out = []
+            for row in direct:
+                acc = {}
+                for c, wt in zip(row.tolist(), weights):
+                    acc[c] = acc.get(c, 0.0) + wt
+                q = np.array([acc[c] for c in sorted(acc)])
+                out.append(float(-(q * np.log2(q)).sum()) / n)
+            return out
+
+        assert expected_rates(encs, joint, n) == rates(masses)
+        truth = [tuple(zip(*(evaluate_demand(d, w) for w in ws))) for ws in blocks]
+        for sub in combinations((1, 2, 3), 2):
+            want = {}
+            for b, out in enumerate(truth):
+                profile = tuple(int(direct[s - 1, b]) for s in sub)
+                assert want.setdefault(profile, out) == out
+            tab = build_decode_table(encs, t, p, d, joint, sub)
+            assert tab.table == want and list(tab.table) == list(want)
+            for seed in (0, 7):
+                counts = np.random.default_rng(seed).multinomial(5000, masses / masses.sum())
+                res = run_simulation(encs, tab, joint, n, 5000, seed=seed)
+                assert res.errors == 0
+                assert list(res.empirical_rate_bits_per_symbol) == rates(counts / 5000)
+
+    def test_missing_label_is_off_support(self):
+        t, p, d, joint = scenario_ii()
+        enc = build_encoders(t, p, d, joint, 2)[1]
+        dropped = sorted(enc.coloring)[5]
+        coloring = {k: v for k, v in enc.coloring.items() if k != dropped}
+        holed = Encoder(enc.server, 2, enc.zone, coloring, enc.num_colors, 0.0)
+        with pytest.raises(ValidationError, match=re.escape(f"off-support block {dropped!r}")):
+            expected_rates([holed], joint, 2)
+
+
+def test_and_four_servers_blocklength_four():
+    # 16^4 = 65,536 blocks per sweep, one past the longest block-sim length
+    t = Topology(n=4, k=4, kc=1, m=2, nr=3)
+    p = cyclic_placement(t)
+    d = MultiLinear(k=4)
+    joint = iid_bernoulli_joint(4, 0.3)
+    encs = build_encoders(t, p, d, joint, 4)
+    want = expected_rates(encs, joint, 4)
+    for sub in combinations((1, 2, 3, 4), 3):
+        tab = build_decode_table(encs, t, p, d, joint, sub)
+        res = run_simulation(encs, tab, joint, 4, 100_000, seed=11)
+        assert res.errors == 0
+        assert list(res.empirical_rate_bits_per_symbol) == pytest.approx(want, abs=0.01)

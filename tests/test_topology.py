@@ -114,3 +114,17 @@ class TestPlacementJson:
         for zones in (5, [["x"], [2]]):
             with pytest.raises(ValidationError):
                 placement_from_json({"N": 2, "K": 2, "Z": zones})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # int() would truncate each of these to the cyclic N=K=3 placement
+            {"N": 3.9, "K": 3, "Z": [[1, 2], [2, 3], [1, 3]]},
+            {"N": 3, "K": 3.0, "Z": [[1, 2], [2, 3], [1, 3]]},
+            {"N": 3, "K": 3, "Z": [[1, 2], [2, 3], [3, 1.5]]},
+            {"N": 3, "K": 3, "Z": [[1, 2], [2, 3], [True, 3]]},
+        ],
+    )
+    def test_rejects_non_integer_numbers(self, obj):
+        with pytest.raises(ValidationError, match="N, K, Z"):
+            placement_from_json(obj)
