@@ -21,7 +21,8 @@ from .functions import DemandSpec, evaluate_demand
 from .probability import SUPPORT_TOL, JointPmf
 from .topology import Placement
 
-MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration
+MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration (recursion depth)
+MIS_CELL_GUARD = 10**6  # max |V| x MIS count: the cells of the solver's support mask
 PAIR_GUARD = 10**6      # max vertex pairs |V|^(2n) of an OR power
 EXACT_COLOR_GUARD = 12  # max |V| for exact minimum colorings / partitions
 
@@ -30,10 +31,11 @@ Label = Hashable
 
 @dataclass(frozen=True)
 class CharGraph:
-    """Vertex-labelled graph with a PMF; edges are index pairs (i, j), i < j."""
+    """Vertex-labelled graph with a PMF.  neighbors[i] holds the ids adjacent
+    to i, the one stored adjacency; edges is its view as pairs (i, j), i < j."""
 
     vertices: tuple[Label, ...]
-    edges: frozenset[tuple[int, int]]
+    neighbors: tuple[frozenset[int], ...]
     pmf: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -44,35 +46,41 @@ class CharGraph:
             raise ValidationError("duplicate vertex labels")
         if len(self.pmf) != n:
             raise ValidationError("pmf length must match vertex count")
-        if any(m <= 0.0 for m in self.pmf):
+        if not all(m > 0.0 for m in self.pmf):
             raise ValidationError("every vertex must carry positive probability")
-        if abs(math.fsum(self.pmf) - 1.0) > 1e-9:
+        if not abs(math.fsum(self.pmf) - 1.0) <= 1e-9:
             raise ValidationError("vertex pmf must sum to 1")
-        for i, j in self.edges:
-            if not (0 <= i < j < n):
-                raise ValidationError(f"edge ({i},{j}) is not an ordered pair of vertex ids")
+        if len(self.neighbors) != n:
+            raise ValidationError("need one neighbour set per vertex")
+        ids = frozenset(range(n))
+        for i, s in enumerate(self.neighbors):
+            if not s <= ids:
+                raise ValidationError(f"neighbours {sorted(s - ids)} of vertex {i} are not vertex ids")
+            if i in s:
+                raise ValidationError(f"self-loop at vertex {self.vertices[i]!r}")
+            if not all(i in self.neighbors[j] for j in s):
+                raise ValidationError(f"vertex {i} has a neighbour that is not adjacent to it")
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return tuple(frozenset(s) for s in nbrs)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, s in enumerate(self.neighbors) for j in s if i < j)
 
     def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return j in self.neighbors[i]
 
 
 def make_graph(
     masses: Mapping[Label, float], edge_pairs: Iterable[tuple[Label, Label]]
 ) -> CharGraph:
-    """Normalize masses (pruning sub-threshold vertices), sort labels, and
-    index the given label pairs as edges."""
+    """Normalize masses (rejecting negative or non-finite ones, pruning
+    sub-threshold vertices), sort labels, and join the given label pairs."""
+    bad = [v for v, m in masses.items() if not 0.0 <= m < math.inf]
+    if bad:
+        raise ValidationError(f"vertex {bad[0]!r} has a negative or non-finite mass")
     kept = {v: m for v, m in masses.items() if m > SUPPORT_TOL}
     if not kept:
         raise ValidationError("no vertex has positive probability")
@@ -80,15 +88,12 @@ def make_graph(
     total = math.fsum(kept.values())
     pmf = tuple(kept[v] / total for v in vertices)
     idx = {v: i for i, v in enumerate(vertices)}
-    edges = set()
+    nbrs: list[set[int]] = [set() for _ in vertices]
     for a, b in edge_pairs:
-        if a not in idx or b not in idx:
-            continue  # an endpoint was pruned
-        i, j = idx[a], idx[b]
-        if i == j:
-            raise ValidationError(f"self-loop at vertex {a!r}")
-        edges.add((min(i, j), max(i, j)))
-    return CharGraph(vertices=vertices, edges=frozenset(edges), pmf=pmf)
+        if a in idx and b in idx:  # else an endpoint was pruned
+            nbrs[idx[a]].add(idx[b])
+            nbrs[idx[b]].add(idx[a])
+    return CharGraph(vertices=vertices, neighbors=tuple(map(frozenset, nbrs)), pmf=pmf)
 
 
 def confusability_graph(
@@ -119,12 +124,9 @@ def induced_subgraph(g: CharGraph, vs: Sequence[int]) -> CharGraph:
     and the vertices kept in g's order."""
     idx = {v: i for i, v in enumerate(vs)}
     mass = math.fsum(g.pmf[v] for v in vs)
-    edges = frozenset(
-        (idx[v], idx[u]) for v in vs for u in g.neighbors[v] if u > v and u in idx
-    )
     return CharGraph(
         vertices=tuple(g.vertices[v] for v in vs),
-        edges=edges,
+        neighbors=tuple(frozenset(idx[u] for u in g.neighbors[v] if u in idx) for v in vs),
         pmf=tuple(g.pmf[v] / mass for v in vs),
     )
 
@@ -181,8 +183,8 @@ def union_graph(gs: Sequence[CharGraph]) -> CharGraph:
             raise ValidationError("union requires identical vertex lists")
         if any(abs(a - b) > 1e-12 for a, b in zip(g.pmf, base.pmf)):
             raise ValidationError("union requires identical vertex PMFs")
-    edges = frozenset().union(*(g.edges for g in gs))
-    return CharGraph(vertices=base.vertices, edges=edges, pmf=base.pmf)
+    neighbors = tuple(frozenset().union(*s) for s in zip(*(g.neighbors for g in gs)))
+    return CharGraph(vertices=base.vertices, neighbors=neighbors, pmf=base.pmf)
 
 
 def or_power(g: CharGraph, n: int) -> CharGraph:
@@ -199,19 +201,18 @@ def or_power(g: CharGraph, n: int) -> CharGraph:
     vertices = tuple(tuple(g.vertices[i] for i in t) for t in idx_tuples)
     pmf = tuple(math.prod(g.pmf[i] for i in t) for t in idx_tuples)
     agree = np.ones((g.n, g.n), dtype=bool)
-    for i, j in g.edges:
-        agree[i, j] = agree[j, i] = False
-    a, b = np.nonzero(np.triu(~reduce(np.kron, [agree] * n), 1))
-    edges = frozenset(zip(a.tolist(), b.tolist()))
-    return CharGraph(vertices=vertices, edges=edges, pmf=pmf)
+    for i, s in enumerate(g.neighbors):
+        agree[i, list(s)] = False
+    adjacency = ~reduce(np.kron, [agree] * n)
+    neighbors = tuple(frozenset(np.flatnonzero(row).tolist()) for row in adjacency)
+    return CharGraph(vertices=vertices, neighbors=neighbors, pmf=pmf)
 
 
 @dataclass(frozen=True)
 class MisFamily:
-    """All maximal independent sets, plus per-vertex membership lists."""
+    """All maximal independent sets, in ascending order."""
 
     sets: tuple[tuple[int, ...], ...]
-    membership: tuple[tuple[int, ...], ...]  # membership[v] = ids of sets containing v
 
     @property
     def count(self) -> int:
@@ -220,7 +221,8 @@ class MisFamily:
 
 def enumerate_mis(g: CharGraph) -> MisFamily:
     """Maximal independent sets of g = maximal cliques of its complement,
-    enumerated by pivoting branch-and-bound."""
+    enumerated by pivoting branch-and-bound.  Stops with DeskScaleError once
+    |V| x (sets found) passes MIS_CELL_GUARD."""
     if g.n > MIS_GUARD:
         raise DeskScaleError(f"|V| = {g.n} exceeds the MIS guard {MIS_GUARD}")
     all_v = frozenset(range(g.n))
@@ -231,6 +233,10 @@ def enumerate_mis(g: CharGraph) -> MisFamily:
     def expand(clique: set[int], cand: set[int], excl: set[int]) -> None:
         if not cand and not excl:
             found.append(tuple(sorted(clique)))
+            if g.n * len(found) > MIS_CELL_GUARD:
+                raise DeskScaleError(
+                    f"|V| x MIS count passes the {MIS_CELL_GUARD} cell guard"
+                )
             return
         pivot = max(cand | excl, key=lambda u: len(cand & co_nbrs[u]))
         for v in sorted(cand - co_nbrs[pivot]):
@@ -239,14 +245,7 @@ def enumerate_mis(g: CharGraph) -> MisFamily:
             excl.add(v)
 
     expand(set(), set(all_v), set())
-    sets = tuple(sorted(found))
-    membership: list[list[int]] = [[] for _ in range(g.n)]
-    for sid, s in enumerate(sets):
-        for v in s:
-            membership[v].append(sid)
-    if any(not m for m in membership):
-        raise ValidationError("a vertex belongs to no maximal independent set")
-    return MisFamily(sets=sets, membership=tuple(tuple(m) for m in membership))
+    return MisFamily(sets=tuple(sorted(found)))
 
 
 def greedy_coloring(g: CharGraph) -> dict[int, int]:

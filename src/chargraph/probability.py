@@ -40,10 +40,10 @@ class Pmf:
     def __post_init__(self) -> None:
         if self.alphabet_size < 1 or len(self.mass) != self.alphabet_size:
             raise ValidationError("mass vector length must equal alphabet_size")
-        if any(m < 0.0 for m in self.mass):
-            raise ValidationError("negative probability mass")
+        if not all(m >= 0.0 for m in self.mass):
+            raise ValidationError("negative or NaN probability mass")
         total = math.fsum(self.mass)
-        if abs(total - 1.0) > CONSTRUCTION_TOL:
+        if not abs(total - 1.0) <= CONSTRUCTION_TOL:
             raise ValidationError(f"masses sum to {total}, not 1")
 
     @classmethod
@@ -55,7 +55,7 @@ class Pmf:
         is renormalized away.
         """
         total = math.fsum(masses)
-        if abs(total - 1.0) > MODEL_TOL:
+        if not abs(total - 1.0) <= MODEL_TOL:
             raise ModelIntegrityError(f"model masses sum to {total}, off by {total - 1.0}")
         if any(m < -MODEL_TOL for m in masses):
             raise ModelIntegrityError("model produced a negative mass")
@@ -84,10 +84,10 @@ class JointPmf:
                 not 0 <= v < s for v, s in zip(sym, self.sizes)
             ):
                 raise ValidationError(f"symbol {sym} outside alphabet {self.sizes}")
-            if m < 0.0:
-                raise ValidationError("negative probability mass")
+            if not m >= 0.0:
+                raise ValidationError("negative or NaN probability mass")
         total = math.fsum(self.mass.values())
-        if abs(total - 1.0) > CONSTRUCTION_TOL:
+        if not abs(total - 1.0) <= CONSTRUCTION_TOL:
             raise ValidationError(f"masses sum to {total}, not 1")
 
     @property

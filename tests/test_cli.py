@@ -133,6 +133,10 @@ class TestEntropy:
             # a repeated label would merge two vertices into one
             {"pmf": [0.25, 0.75], "edges": [], "labels": [1, 1]},
             [0.5, 0.5],  # not a JSON object
+            # negative and NaN masses are rejected, not pruned with their edges
+            {"pmf": [0.5, -0.2, 0.7], "edges": [[0, 1], [1, 2]]},
+            {"pmf": [float("nan"), 1, 1], "edges": [[0, 1], [1, 2]]},
+            {"pmf": [0.5, 0.5], "edges": [[0, 1]], "side_joint": [[0.5, float("nan")], [0.0, 0.5]]},
         ],
     )
     def test_bad_spec_exits_2(self, capsys, tmp_path, spec):
@@ -140,6 +144,17 @@ class TestEntropy:
         path.write_text(json.dumps(spec))
         code, out, err = run(capsys, ["entropy", "--spec", str(path)])
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_too_many_independent_sets_exits_3(self, capsys, tmp_path):
+        # 20 disjoint triangles with a side symbol that is not a function of
+        # X: the solver would need all 3^20 maximal independent sets
+        nv = 60
+        edges = [[3 * t + a, 3 * t + b] for t in range(20) for a, b in ((0, 1), (0, 2), (1, 2))]
+        spec = {"pmf": [1 / nv] * nv, "edges": edges, "side_joint": [[0.5 / nv, 0.5 / nv]] * nv}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["entropy", "--spec", str(path)])
+        assert code == 3 and out == "" and "cell guard" in err
 
 
 class TestScenario:

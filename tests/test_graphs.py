@@ -4,6 +4,7 @@ Frozen constants were computed by the standalone enumerators in
 tests/oracles/gen_frozen.py, which share no code with the package.
 """
 
+import math
 import random
 import time
 from itertools import combinations
@@ -46,22 +47,37 @@ def scenario_ii():
     return t, p, d, joint
 
 
+def disjoint_triangles(count: int) -> CharGraph:
+    nv = 3 * count
+    return make_graph(
+        {v: 1.0 / nv for v in range(nv)},
+        [(3 * t + a, 3 * t + b) for t in range(count) for a, b in ((0, 1), (0, 2), (1, 2))],
+    )
+
+
 def label_edges(g: CharGraph) -> set[frozenset]:
     return {frozenset((g.vertices[i], g.vertices[j])) for i, j in g.edges}
 
 
 class TestCharGraph:
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            CharGraph(vertices=(1, 1), edges=frozenset(), pmf=(0.5, 0.5))
-        with pytest.raises(ValidationError):
-            CharGraph(vertices=(1, 2), edges=frozenset(), pmf=(1.0,))
-        with pytest.raises(ValidationError):
-            CharGraph(vertices=(1, 2), edges=frozenset(), pmf=(1.0, 0.0))
-        with pytest.raises(ValidationError):
-            CharGraph(vertices=(1, 2), edges=frozenset({(1, 0)}), pmf=(0.5, 0.5))
-        with pytest.raises(ValidationError):
-            CharGraph(vertices=(1, 2), edges=frozenset({(0, 2)}), pmf=(0.5, 0.5))
+        none = (frozenset(), frozenset())
+        with pytest.raises(ValidationError, match="duplicate"):
+            CharGraph(vertices=(1, 1), neighbors=none, pmf=(0.5, 0.5))
+        with pytest.raises(ValidationError, match="pmf length"):
+            CharGraph(vertices=(1, 2), neighbors=none, pmf=(1.0,))
+        with pytest.raises(ValidationError, match="positive"):
+            CharGraph(vertices=(1, 2), neighbors=none, pmf=(1.0, 0.0))
+        with pytest.raises(ValidationError, match="positive"):
+            CharGraph(vertices=(1, 2), neighbors=none, pmf=(float("nan"), 1.0))
+        with pytest.raises(ValidationError, match="one neighbour set per vertex"):
+            CharGraph(vertices=(1, 2), neighbors=(frozenset(),), pmf=(0.5, 0.5))
+        with pytest.raises(ValidationError, match="not vertex ids"):
+            CharGraph(vertices=(1, 2), neighbors=(frozenset({2}), frozenset()), pmf=(0.5, 0.5))
+        with pytest.raises(ValidationError, match="self-loop"):
+            CharGraph(vertices=(1, 2), neighbors=(frozenset({0}), frozenset()), pmf=(0.5, 0.5))
+        with pytest.raises(ValidationError, match="not adjacent"):
+            CharGraph(vertices=(1, 2), neighbors=(frozenset({1}), frozenset()), pmf=(0.5, 0.5))
 
     def test_neighbors_and_adjacency(self):
         g = ternary_graph()
@@ -85,6 +101,12 @@ class TestMakeGraph:
             make_graph({"a": 1.0, "b": 1.0}, [("a", "a")])
         with pytest.raises(ValidationError):
             make_graph({"a": 0.0}, [])
+
+    @pytest.mark.parametrize("bad", [-0.2, float("nan"), float("inf"), -1e-18])
+    def test_rejects_negative_and_non_finite_mass(self, bad):
+        # pruning these would silently drop the vertex and its edges
+        with pytest.raises(ValidationError, match="'b'"):
+            make_graph({"a": 0.5, "b": bad, "c": 0.5}, [("a", "b"), ("b", "c")])
 
 
 class TestBuildCharGraph:
@@ -260,8 +282,7 @@ def brute_force_mis(g: CharGraph) -> set[tuple[int, ...]]:
 class TestEnumerateMis:
     def test_ternary_example(self):
         fam = enumerate_mis(ternary_graph())
-        assert set(fam.sets) == {(0, 1), (1, 2)}
-        assert fam.membership == ((0,), (0, 1), (1,))
+        assert fam.sets == ((0, 1), (1, 2))
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(7)
@@ -276,15 +297,21 @@ class TestEnumerateMis:
             fam = enumerate_mis(g)
             assert set(fam.sets) == brute_force_mis(g)
 
-    def test_membership_indexes_every_vertex(self):
-        fam = enumerate_mis(or_power(ternary_graph(), 2))
-        for v, sets in enumerate(fam.membership):
-            assert sets and all(v in fam.sets[s] for s in sets)
-
     def test_guard(self):
         big = make_graph({v: 1.0 / 65 for v in range(65)}, [])
         with pytest.raises(DeskScaleError):
             enumerate_mis(big)
+
+    def test_cell_guard_stops_the_enumeration(self):
+        # 20 disjoint triangles: 60 vertices, 3^20 maximal independent sets
+        start = time.perf_counter()
+        with pytest.raises(DeskScaleError, match="cell guard"):
+            enumerate_mis(disjoint_triangles(20))
+        assert time.perf_counter() - start < 1.0
+        # the plain entropy still solves it block by block, in closed form
+        res = graph_entropy(disjoint_triangles(20))
+        assert res.value == pytest.approx(math.log2(3), abs=1e-12)
+        assert res.iterations == 0
 
 
 class TestColorings:

@@ -51,12 +51,14 @@ class TestPmf:
         assert math.fsum(p.mass) == pytest.approx(1.0, abs=1e-15)
 
     def test_from_masses_rejects_drift(self):
-        with pytest.raises(ModelIntegrityError):
-            Pmf.from_masses([0.5, 0.6])
+        for masses in [[0.5, 0.6], [float("nan"), 1.0]]:  # NaN fails every comparison
+            with pytest.raises(ModelIntegrityError):
+                Pmf.from_masses(masses)
 
     def test_constructor_rejects_negative_mass(self):
-        with pytest.raises(ValidationError):
-            Pmf(2, (-0.1, 1.1))
+        for mass in [(-0.1, 1.1), (float("nan"), 1.0)]:
+            with pytest.raises(ValidationError):
+                Pmf(2, mass)
 
     def test_from_masses_rejects_negative_as_model_integrity(self):
         with pytest.raises(ModelIntegrityError):
@@ -108,6 +110,10 @@ class TestJointPmf:
     def test_mass_must_normalize(self):
         with pytest.raises(ValidationError):
             JointPmf((2,), {(0,): 0.4, (1,): 0.4})
+
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValidationError):
+            JointPmf((2,), {(0,): float("nan"), (1,): 1.0})
 
 
 class TestSkewModels:

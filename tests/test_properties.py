@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chargraph.graphs import make_graph, or_power
+from chargraph.graphs import induced_subgraph, make_graph, or_power, union_graph
 from chargraph.probability import (
     JointPmf,
     Pmf,
@@ -149,6 +149,27 @@ class TestGraphProperties:
             assert power.adjacent(a, b) == want
         for mass, t in zip(power.pmf, coords):
             assert mass == pytest.approx(math.prod(g.pmf[x] for x in t), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(char_graphs(max_n=5), st.data())
+    def test_every_builder_keeps_one_symmetric_adjacency(self, g, data):
+        # the neighbour sets are the stored adjacency; edges is their view
+        vs = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+        sub = induced_subgraph(g, vs)
+        other = make_graph(
+            dict(zip(g.vertices, g.pmf)),
+            [(g.vertices[i], g.vertices[j]) for i, j in combinations(range(g.n), 2)
+             if data.draw(st.booleans())],
+        )
+        union = union_graph([g, other])
+        for h in (g, sub, union, or_power(g, 2)):
+            assert all(i in h.neighbors[j] for i in range(h.n) for j in h.neighbors[i])
+            assert h.edges == {(i, j) for i in range(h.n) for j in h.neighbors[i] if i < j}
+        assert all(
+            sub.adjacent(a, b) == g.adjacent(vs[a], vs[b])
+            for a, b in combinations(range(sub.n), 2)
+        )
+        assert union.edges == g.edges | other.edges
 
     @settings(max_examples=25, deadline=None)
     @given(char_graphs(max_n=5))
