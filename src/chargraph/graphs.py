@@ -248,56 +248,58 @@ def enumerate_mis(g: CharGraph) -> MisFamily:
     return MisFamily(sets=tuple(sorted(found)))
 
 
-def greedy_coloring(g: CharGraph) -> dict[int, int]:
-    """Deterministic greedy coloring: vertices by decreasing degree, ties by
-    id; each gets the smallest color absent from its colored neighbors."""
+def greedy_coloring(g: CharGraph) -> tuple[int, ...]:
+    """Deterministic greedy coloring, the color of each vertex id: vertices
+    by decreasing degree, ties by id; each gets the smallest color absent
+    from its colored neighbors."""
     order = sorted(range(g.n), key=lambda v: (-len(g.neighbors[v]), v))
-    colors: dict[int, int] = {}
+    colors = [-1] * g.n  # -1: not colored yet
     for v in order:
-        used = {colors[u] for u in g.neighbors[v] if u in colors}
+        used = {colors[u] for u in g.neighbors[v]}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    return colors
+    return tuple(colors)
 
 
-def exact_min_coloring(g: CharGraph) -> dict[int, int]:
+def exact_min_coloring(g: CharGraph) -> tuple[int, ...]:
     """Minimum-count coloring by branch and bound (saturation-guided), exact
     for |V| <= 12; starts from the greedy upper bound."""
     if g.n > EXACT_COLOR_GUARD:
         raise DeskScaleError(f"|V| = {g.n} exceeds the exact-coloring guard")
     best = greedy_coloring(g)
-    best_k = max(best.values()) + 1
+    best_k = max(best) + 1
 
-    colors: dict[int, int] = {}
+    colors = [-1] * g.n  # -1: not colored yet
 
-    def saturation(v: int) -> int:
-        return len({colors[u] for u in g.neighbors[v] if u in colors})
+    def used_by_neighbors(v: int) -> set[int]:
+        return {colors[u] for u in g.neighbors[v]} - {-1}
 
     def descend(used_k: int) -> None:
         nonlocal best, best_k
         if used_k >= best_k:
             return
-        uncolored = [v for v in range(g.n) if v not in colors]
+        uncolored = [v for v in range(g.n) if colors[v] < 0]
         if not uncolored:
-            best, best_k = dict(colors), used_k
+            best, best_k = tuple(colors), used_k
             return
-        v = max(uncolored, key=lambda u: (saturation(u), len(g.neighbors[u]), -u))
-        forbidden = {colors[u] for u in g.neighbors[v] if u in colors}
+        v = max(uncolored, key=lambda u: (len(used_by_neighbors(u)), len(g.neighbors[u]), -u))
+        forbidden = used_by_neighbors(v)
         for c in range(min(used_k + 1, best_k)):
             if c in forbidden:
                 continue
             colors[v] = c
             descend(max(used_k, c + 1))
-            del colors[v]
+            colors[v] = -1
 
     descend(0)
     return best
 
 
-def validate_coloring(g: CharGraph, coloring: Mapping[int, int]) -> None:
-    if set(coloring) != set(range(g.n)):
+def validate_coloring(g: CharGraph, coloring: Sequence[int]) -> None:
+    """coloring[v] is the color of vertex id v; adjacent ids must differ."""
+    if len(coloring) != g.n:
         raise ValidationError("coloring must assign every vertex")
     for i, j in g.edges:
         if coloring[i] == coloring[j]:

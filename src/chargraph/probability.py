@@ -31,45 +31,6 @@ def binary_entropy(p: float) -> float:
 
 
 @dataclass(frozen=True)
-class Pmf:
-    """Probability mass function on {0..alphabet_size-1}."""
-
-    alphabet_size: int
-    mass: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 1 or len(self.mass) != self.alphabet_size:
-            raise ValidationError("mass vector length must equal alphabet_size")
-        if not all(m >= 0.0 for m in self.mass):
-            raise ValidationError("negative or NaN probability mass")
-        total = math.fsum(self.mass)
-        if not abs(total - 1.0) <= CONSTRUCTION_TOL:
-            raise ValidationError(f"masses sum to {total}, not 1")
-
-    @classmethod
-    def from_masses(cls, masses: Sequence[float]) -> "Pmf":
-        """Build a Pmf from a formula output, checking normalization at
-        MODEL_TOL.
-
-        Drift beyond MODEL_TOL is a model-integrity failure; drift within it
-        is renormalized away.
-        """
-        total = math.fsum(masses)
-        if not abs(total - 1.0) <= MODEL_TOL:
-            raise ModelIntegrityError(f"model masses sum to {total}, off by {total - 1.0}")
-        if any(m < -MODEL_TOL for m in masses):
-            raise ModelIntegrityError("model produced a negative mass")
-        vec = tuple(max(m, 0.0) / total for m in masses)
-        return cls(len(vec), vec)
-
-    def entropy(self) -> float:
-        return math.fsum(_plog2p(m) for m in self.mass)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.mass) if m > SUPPORT_TOL)
-
-
-@dataclass(frozen=True)
 class JointPmf:
     """Joint PMF over tuples; coordinate k ranges over {0..sizes[k]-1}."""
 
@@ -116,47 +77,59 @@ class JointPmf:
             out[key] = out.get(key, 0.0) + m
         return JointPmf(tuple(self.sizes[c] for c in coords), out)
 
-    def to_pmf(self) -> Pmf:
-        if self.arity != 1:
-            raise ValidationError("to_pmf requires arity 1")
-        vec = [0.0] * self.sizes[0]
-        for (v,), m in self.mass.items():
-            vec[v] += m
-        return Pmf(self.sizes[0], tuple(vec))
-
     def entropy(self) -> float:
         return math.fsum(_plog2p(m) for m in self.mass.values())
 
 
-def product_joint(pmfs: Sequence[Pmf]) -> JointPmf:
-    """Independent product of marginals as an explicit joint (desk scale)."""
+def product_joint(marginals: Sequence[Sequence[float]]) -> JointPmf:
+    """Independent product of marginal mass vectors as an explicit joint
+    (desk scale)."""
     total = 1
-    for p in pmfs:
-        total *= p.alphabet_size
+    for v in marginals:
+        total *= len(v)
         if total > PRODUCT_GUARD:
             raise DeskScaleError(f"product alphabet exceeds {PRODUCT_GUARD} points")
+    if not all(m >= 0.0 for v in marginals for m in v):
+        raise ValidationError("negative or NaN probability mass")
     mass: dict[tuple[int, ...], float] = {}
-    for sym in iter_product(*(range(p.alphabet_size) for p in pmfs)):
+    for sym in iter_product(*(range(len(v)) for v in marginals)):
         m = 1.0
-        for v, p in zip(sym, pmfs):
-            m *= p.mass[v]
+        for x, v in zip(sym, marginals):
+            m *= v[x]
         if m > 0.0:
             mass[sym] = m
-    return JointPmf(tuple(p.alphabet_size for p in pmfs), mass)
+    return JointPmf(tuple(len(v) for v in marginals), mass)
+
+
+def _joint_from_masses(
+    sizes: tuple[int, ...], cells: Mapping[tuple[int, ...], float]
+) -> JointPmf:
+    """A source law from a model formula's cell masses, checked at
+    MODEL_TOL: drift or a negative mass beyond it is a model-integrity
+    failure; drift within it is renormalized away."""
+    total = math.fsum(cells.values())
+    if not abs(total - 1.0) <= MODEL_TOL:
+        raise ModelIntegrityError(f"model masses sum to {total}, off by {total - 1.0}")
+    if any(m < -MODEL_TOL for m in cells.values()):
+        raise ModelIntegrityError("model produced a negative mass")
+    return JointPmf(sizes, {c: m / total for c, m in cells.items() if m > 0.0})
+
+
+def _check_mixture(epsilon: float, rho: float) -> None:
+    if not 0.0 <= epsilon <= 1.0 or not 0.0 <= rho <= 1.0:
+        raise ValidationError("epsilon and rho must lie in [0,1]")
 
 
 def iid_bernoulli_joint(k: int, epsilon: float) -> JointPmf:
     """K i.i.d. Bern(epsilon) bits as an explicit joint PMF."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon {epsilon} outside [0,1]")
-    bern = Pmf(2, (1.0 - epsilon, epsilon))
-    return product_joint([bern] * k)
+    return product_joint([(1.0 - epsilon, epsilon)] * k)
 
 
 def uniform_joint(q: int, k: int) -> JointPmf:
     """K i.i.d. uniform q-ary coordinates."""
-    u = Pmf(q, tuple([1.0 / q] * q))
-    return product_joint([u] * k)
+    return product_joint([[1.0 / q] * q] * k)
 
 
 def parity_param(l: int, epsilon: float) -> float:
@@ -181,28 +154,28 @@ def product_param(l: int, epsilon: float) -> float:
     return epsilon**l
 
 
-def diniz_joint(k: int, epsilon: float, rho: float) -> Pmf:
-    """PMF of the integer sum of K identically distributed correlated bits.
+def diniz_joint(k: int, epsilon: float, rho: float) -> JointPmf:
+    """Law of the integer sum of K identically distributed correlated bits.
 
     Mixture form: weight (1-rho) on Binomial(K, eps) plus weight rho split
     (1-eps)/eps between the all-zero and all-one outcomes.
     """
     if k < 1:
         raise ValidationError("K must be >= 1")
-    if not 0.0 <= epsilon <= 1.0 or not 0.0 <= rho <= 1.0:
-        raise ValidationError("epsilon and rho must lie in [0,1]")
-    masses = []
+    _check_mixture(epsilon, rho)
+    cells = {}
     for y in range(k + 1):
         m = (1.0 - rho) * math.comb(k, y) * epsilon**y * (1.0 - epsilon) ** (k - y)
         if y in (0, k):
             m += rho * epsilon ** (y / k) * (1.0 - epsilon) ** ((k - y) / k)
-        masses.append(m)
-    return Pmf.from_masses(masses)
+        cells[(y,)] = m
+    return _joint_from_masses((k + 1,), cells)
 
 
 def diniz_parity(l: int, epsilon: float, rho: float) -> float:
     """Odd-sum mass of the l-variable correlated model (restriction is closed:
     any l of the K variables follow the same mixture with K replaced by l)."""
+    _check_mixture(epsilon, rho)
     if l == 0:
         return 0.0
     return (1.0 - rho) * parity_param(l, epsilon) + (
@@ -212,6 +185,7 @@ def diniz_parity(l: int, epsilon: float, rho: float) -> float:
 
 def diniz_pair_joint(epsilon: float, rho: float) -> JointPmf:
     """Two correlated bits of the mixture model as an explicit 2x2 joint."""
+    _check_mixture(epsilon, rho)
     e, r = epsilon, rho
     cells = {
         (0, 0): (1.0 - r) * (1.0 - e) ** 2 + r * (1.0 - e),
@@ -219,10 +193,7 @@ def diniz_pair_joint(epsilon: float, rho: float) -> JointPmf:
         (1, 0): (1.0 - r) * e * (1.0 - e),
         (1, 1): (1.0 - r) * e**2 + r * e,
     }
-    total = math.fsum(cells.values())
-    if abs(total - 1.0) > MODEL_TOL:
-        raise ModelIntegrityError(f"pair model sums to {total}")
-    return JointPmf((2, 2), {k: v / total for k, v in cells.items() if v > 0.0})
+    return _joint_from_masses((2, 2), cells)
 
 
 def diniz_entropy(k: int, epsilon: float, rho: float) -> float:
@@ -232,6 +203,7 @@ def diniz_entropy(k: int, epsilon: float, rho: float) -> float:
     """
     if k < 1:
         raise ValidationError("K must be >= 1")
+    _check_mixture(epsilon, rho)
     e, r = epsilon, rho
     h = 0.0
     for y in range(k + 1):
@@ -268,8 +240,5 @@ def crossover_joint(epsilon: float, p: float) -> JointPmf:
         (1, 0): epsilon * p,
         (1, 1): epsilon * (1.0 - p),
     }
-    total = math.fsum(cells.values())
-    if abs(total - 1.0) > MODEL_TOL:
-        raise ModelIntegrityError(f"crossover model sums to {total}")
-    return JointPmf((2, 2), {k: v / total for k, v in cells.items() if v > 0.0})
+    return _joint_from_masses((2, 2), cells)
 

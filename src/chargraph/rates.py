@@ -144,14 +144,16 @@ def _support_items(
     return items
 
 
-def min_coloring(g: CharGraph) -> dict[int, int]:
+def min_coloring(g: CharGraph) -> tuple[int, ...]:
+    """The color of each vertex id: exact minimum when small, degree-ordered
+    greedy otherwise."""
     return exact_min_coloring(g) if g.n <= EXACT_COLOR_GUARD else greedy_coloring(g)
 
 
 def coloring_map(g: CharGraph) -> dict[Any, int]:
     """The symbol each vertex label sends: a minimum-count coloring of g
     (a constant map when g has one vertex)."""
-    return {g.vertices[v]: c for v, c in min_coloring(g).items()}
+    return dict(zip(g.vertices, min_coloring(g)))
 
 
 def _check_encoding_map(g: CharGraph, gmap: EncodingMap, server: int) -> None:
@@ -293,7 +295,7 @@ def prop2_rate(
     """
     if d.q != 2 or any(s != 2 for s in joint.sizes):
         raise ValidationError("the two-MIS bound needs binary subfunctions")
-    marginals = [joint.marginal([c]).to_pmf().mass[1] for c in range(joint.arity)]
+    marginals = [joint.marginal([c]).prob((1,)) for c in range(joint.arity)]
     if max(marginals) - min(marginals) > 1e-9:
         raise ValidationError(
             "subfunctions must be identically distributed Bern(eps); "

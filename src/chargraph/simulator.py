@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import DecodeError, DeskScaleError, ValidationError
 from .functions import DemandSpec, decoding_map, evaluate_demand
 from .graphs import build_char_graph, or_power
 from .probability import JointPmf
-from .rates import coloring_map
+from .rates import min_coloring
 from .solvers import graph_entropy
 from .topology import Placement, Topology
 
@@ -32,14 +31,23 @@ POWER_GUARD = 10**5  # max support^n length-n blocks in one sweep
 @dataclass(frozen=True)
 class Encoder:
     """One server's block encoder: a minimum-count coloring of the n-th
-    OR power of its union characteristic graph."""
+    OR power of its union characteristic graph.  colors[b] is the color of
+    OR-power vertex b: the n-tuple of labels whose ids l_0..l_{n-1} give
+    b = sum_j l_j * len(labels)^(n-1-j), as in or_power's vertex order."""
 
     server: int
     n: int
     zone: tuple[int, ...]  # 0-based stored coordinates
-    coloring: Mapping[tuple, int]  # n-tuple of local tuples -> color id
+    labels: tuple[tuple[int, ...], ...]  # local tuples: the length-1 graph's vertices
+    colors: tuple[int, ...]
     num_colors: int
     theoretical_rate: float  # graph entropy of the length-1 union graph
+
+    def __post_init__(self) -> None:
+        if len(self.colors) != len(self.labels) ** self.n:
+            raise ValidationError(
+                f"{len(self.colors)} colors for {len(self.labels)}^{self.n} blocks of labels"
+            )
 
 
 @dataclass(frozen=True)
@@ -91,14 +99,15 @@ def build_encoders(
     encoders: list[Encoder] = []
     for i in range(1, t.n + 1):
         g1 = build_char_graph(d, p, joint, i)
-        coloring = coloring_map(or_power(g1, n))
+        colors = min_coloring(or_power(g1, n))
         encoders.append(
             Encoder(
                 server=i,
                 n=n,
                 zone=p.zone0(i),
-                coloring=coloring,
-                num_colors=len(set(coloring.values())),
+                labels=g1.vertices,
+                colors=colors,
+                num_colors=len(set(colors)),
                 theoretical_rate=graph_entropy(g1).value,
             )
         )
@@ -128,22 +137,20 @@ def _block_index(ids: np.ndarray, base: int, n: int) -> np.ndarray:
 
 def _colors(encoders: Sequence[Encoder], symbols: list, n: int) -> np.ndarray:
     """(encoders, blocks) matrix of the color each encoder sends for each
-    block: one gather per encoder from its colors of the n-tuples of its
-    local labels (-1 for a label its coloring lacks)."""
+    block: one gather per encoder from its colors, at the OR-power vertex
+    that the block's label ids index."""
     rows = []
     for e in encoders:
-        labels, loc = np.unique(np.array(symbols)[:, e.zone], axis=0, return_inverse=True)
-        labels = list(map(tuple, labels.tolist()))
-        index = _block_index(loc.reshape(-1), len(labels), n)
-        keys = iter_product(labels, repeat=n)
-        row = np.array([e.coloring.get(k, -1) for k in keys], dtype=np.int64)[index]
-        if (row < 0).any():
-            digits = np.unravel_index(index[row.argmin()], (len(labels),) * n)
-            block = tuple(labels[i] for i in digits)
-            raise ValidationError(
-                f"server {e.server} encoder saw an off-support block {block!r}"
-            )
-        rows.append(row)
+        label_id = {label: i for i, label in enumerate(e.labels)}
+        ids = []
+        for w in symbols:
+            local = tuple(w[c] for c in e.zone)
+            if local not in label_id:
+                raise ValidationError(
+                    f"server {e.server} encoder saw an off-support local tuple {local!r}"
+                )
+            ids.append(label_id[local])
+        rows.append(np.array(e.colors)[_block_index(np.array(ids), len(e.labels), n)])
     return np.array(rows, dtype=np.int64)
 
 

@@ -215,10 +215,7 @@ def chromatic_entropy(g: CharGraph) -> float:
         )
     p = g.pmf
 
-    greedy_masses: dict[int, float] = {}
-    for v, c in greedy_coloring(g).items():
-        greedy_masses[c] = greedy_masses.get(c, 0.0) + p[v]
-    best = _partition_entropy(greedy_masses.values())
+    best = _partition_entropy(np.bincount(greedy_coloring(g), weights=p).tolist())
 
     classes: list[set[int]] = []
     masses: list[float] = []

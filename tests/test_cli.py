@@ -145,6 +145,21 @@ class TestEntropy:
         code, out, err = run(capsys, ["entropy", "--spec", str(path)])
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"labels": ["a"]}, "as long as 'pmf'"),
+            ({"side_joint": {"0": [0.5]}}, "one row per vertex"),
+            ({"side_joint": [[0.25, 0.25], 0.5]}, "rows must be lists of numbers"),
+            ({"side_joint": [[0.25, 0.25], [0.5]]}, "unequal lengths"),
+        ],
+    )
+    def test_spec_check_exits_2(self, capsys, tmp_path, extra, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"pmf": [0.5, 0.5], "edges": [[0, 1]], **extra}))
+        code, out, err = run(capsys, ["entropy", "--spec", str(path)])
+        assert code == 2 and out == "" and message in err
+
     def test_too_many_independent_sets_exits_3(self, capsys, tmp_path):
         # 20 disjoint triangles with a side symbol that is not a function of
         # X: the solver would need all 3^20 maximal independent sets
@@ -387,6 +402,25 @@ class TestScenario:
         code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"scenario": "s2-table2", "format": "xml"}, "unknown format 'xml'"),
+            ({"eps_grid": [0.1, 0.5, 3]}, "no scenario named"),
+        ],
+    )
+    def test_config_check_exits_2(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
+        assert code == 2 and out == "" and message in err
+
+    def test_negative_grid_bound_exits_2(self, capsys):
+        # the = keeps argparse from reading -0.1,... as an option
+        argv = ["scenario", "--scenario", "s2-table2", "--eps-grid=-0.1,0.5,3"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "outside [0,1]" in err
+
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text(json.dumps(["scenario", "s1"]))
@@ -470,6 +504,22 @@ class TestCustomScenario:
                 "--k", "3", "--nr", "2", "--eps-grid", "0.5,0.5,1"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "demand, message",
+        [
+            ({"kind": "linsep", "q": 3, "gamma": [[1, 1, 1]]}, "must be binary"),
+            ({"kind": "linsep", "q": 4, "gamma": [[1, 1, 1]]}, "q=4 must be prime"),
+            ({"kind": "table", "q": 2, "tables": []}, "at least one table"),
+        ],
+    )
+    def test_demand_check_exits_2(self, capsys, tmp_path, demand, message):
+        f = tmp_path / "demand.json"
+        f.write_text(json.dumps(demand))
+        argv = ["scenario", "--scenario", "custom", "--demand", str(f), "--n", "3",
+                "--k", "3", "--nr", "2", "--eps-grid", "0.5,0.5,1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and message in err
 
     def test_non_integer_placement_exits_2(self, capsys, tmp_path):
         # int() would read N = 3.9 as 3 and the zone [3, 1.5] as (1, 3)

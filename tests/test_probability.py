@@ -1,4 +1,4 @@
-"""Probability layer: PMF types, entropy helpers, skew/correlation models."""
+"""Probability layer: joint PMFs, entropy helpers, skew/correlation models."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from chargraph import (
     JointPmf,
     ModelIntegrityError,
-    Pmf,
     ValidationError,
     binary_entropy,
     crossover_joint,
@@ -21,6 +20,7 @@ from chargraph import (
     product_param,
     uniform_joint,
 )
+from chargraph.probability import _joint_from_masses
 
 # frozen by tests/oracles/gen_frozen.py (brute 2^K enumeration of the
 # mixture law, independent of the package's closed forms)
@@ -39,34 +39,47 @@ MIXTURE_PARITY = {
 }
 
 
+def from_masses(masses):
+    """A one-coordinate law through the model check that builds every
+    formula law."""
+    return _joint_from_masses((len(masses),), {(x,): m for x, m in enumerate(masses)})
+
+
 class TestPmf:
+    """One-coordinate laws are arity-1 JointPmfs; the model check builds
+    every formula law (mixture, pair and crossover models)."""
+
     def test_entropy_uniform(self):
-        assert Pmf.from_masses([0.25] * 4).entropy() == pytest.approx(2.0)
+        assert from_masses([0.25] * 4).entropy() == pytest.approx(2.0)
 
     def test_entropy_point_mass(self):
-        assert Pmf.from_masses([1.0, 0.0]).entropy() == 0.0
+        j = from_masses([1.0, 0.0])
+        assert j.entropy() == 0.0
+        assert j.mass == {(0,): 1.0} and j.prob((1,)) == 0.0
 
     def test_from_masses_renormalizes_within_tolerance(self):
-        p = Pmf.from_masses([0.5, 0.5 + 1e-12])
-        assert math.fsum(p.mass) == pytest.approx(1.0, abs=1e-15)
+        j = from_masses([0.5, 0.5 + 1e-12])
+        assert math.fsum(j.mass.values()) == pytest.approx(1.0, abs=1e-15)
 
     def test_from_masses_rejects_drift(self):
         for masses in [[0.5, 0.6], [float("nan"), 1.0]]:  # NaN fails every comparison
-            with pytest.raises(ModelIntegrityError):
-                Pmf.from_masses(masses)
+            with pytest.raises(ModelIntegrityError, match="model masses sum to"):
+                from_masses(masses)
 
     def test_constructor_rejects_negative_mass(self):
         for mass in [(-0.1, 1.1), (float("nan"), 1.0)]:
             with pytest.raises(ValidationError):
-                Pmf(2, mass)
+                JointPmf((2,), {(x,): m for x, m in enumerate(mass)})
+            with pytest.raises(ValidationError):
+                product_joint([mass])
 
     def test_from_masses_rejects_negative_as_model_integrity(self):
-        with pytest.raises(ModelIntegrityError):
-            Pmf.from_masses([-0.1, 1.1])
+        with pytest.raises(ModelIntegrityError, match="negative mass"):
+            from_masses([-0.1, 1.1])
 
     def test_support_drops_dust(self):
-        p = Pmf.from_masses([1.0 - 1e-16, 1e-16])
-        assert p.support() == (0,)
+        j = from_masses([1.0 - 1e-16, 1e-16])
+        assert j.support() == (((0,), 1.0 - 1e-16),)
 
 
 class TestBinaryEntropy:
@@ -89,8 +102,8 @@ class TestBinaryEntropy:
 class TestJointPmf:
     def test_marginal_of_product_is_factor(self):
         j = iid_bernoulli_joint(3, 0.3)
-        m = j.marginal([1]).to_pmf()
-        assert m.mass[1] == pytest.approx(0.3)
+        m = j.marginal([1])
+        assert m.sizes == (2,) and m.prob((1,)) == pytest.approx(0.3)
 
     def test_entropy_additivity_for_product(self):
         j = iid_bernoulli_joint(4, 0.2)
@@ -101,8 +114,7 @@ class TestJointPmf:
         assert j.entropy() == pytest.approx(2 * math.log2(3))
 
     def test_product_joint_matches_iid(self):
-        factors = [Pmf.from_masses([0.7, 0.3])] * 2
-        j = product_joint(factors)
+        j = product_joint([(0.7, 0.3)] * 2)
         k = iid_bernoulli_joint(2, 0.3)
         for sym, mass in k.support():
             assert j.prob(sym) == pytest.approx(mass)
@@ -145,16 +157,17 @@ class TestSkewModels:
     def test_mixture_sum_law_cells(self):
         # diniz_joint is the PMF of the window sum; cells computed by hand
         j = diniz_joint(3, 0.3, 0.4)
-        assert math.fsum(j.mass) == pytest.approx(1.0)
-        assert j.mass[0] == pytest.approx(0.6 * 0.7**3 + 0.4 * 0.7, abs=1e-12)
-        assert j.mass[1] == pytest.approx(3 * 0.6 * 0.3 * 0.49, abs=1e-12)
-        assert j.mass[2] == pytest.approx(3 * 0.6 * 0.09 * 0.7, abs=1e-12)
-        assert j.mass[3] == pytest.approx(0.6 * 0.027 + 0.4 * 0.3, abs=1e-12)
+        assert j.sizes == (4,)
+        assert math.fsum(j.mass.values()) == pytest.approx(1.0)
+        assert j.prob((0,)) == pytest.approx(0.6 * 0.7**3 + 0.4 * 0.7, abs=1e-12)
+        assert j.prob((1,)) == pytest.approx(3 * 0.6 * 0.3 * 0.49, abs=1e-12)
+        assert j.prob((2,)) == pytest.approx(3 * 0.6 * 0.09 * 0.7, abs=1e-12)
+        assert j.prob((3,)) == pytest.approx(0.6 * 0.027 + 0.4 * 0.3, abs=1e-12)
 
     def test_pair_joint_marginals_are_bernoulli(self):
         j = diniz_pair_joint(0.3, 0.6)
-        assert j.marginal([0]).to_pmf().mass[1] == pytest.approx(0.3)
-        assert j.marginal([1]).to_pmf().mass[1] == pytest.approx(0.3)
+        assert j.marginal([0]).prob((1,)) == pytest.approx(0.3)
+        assert j.marginal([1]).prob((1,)) == pytest.approx(0.3)
 
     def test_crossover_joint_frozen_cells(self):
         j = crossover_joint(0.2, 0.1)
@@ -165,8 +178,8 @@ class TestSkewModels:
 
     def test_crossover_marginals_are_bernoulli(self):
         j = crossover_joint(0.2, 0.1)
-        assert j.marginal([0]).to_pmf().mass[1] == pytest.approx(0.2)
-        assert j.marginal([1]).to_pmf().mass[1] == pytest.approx(0.2)
+        assert j.marginal([0]).prob((1,)) == pytest.approx(0.2)
+        assert j.marginal([1]).prob((1,)) == pytest.approx(0.2)
 
     def test_crossover_independence_at_complement(self):
         # p = 1 - eps makes the two coordinates independent: every cell is
@@ -199,6 +212,30 @@ class TestSkewModels:
     def test_mixture_extremes(self):
         # rho = 1 collapses the sum law onto the two corner masses
         j = diniz_joint(4, 0.3, 1.0)
-        assert j.mass[0] == pytest.approx(0.7)
-        assert j.mass[4] == pytest.approx(0.3)
-        assert j.mass[1] == j.mass[2] == j.mass[3] == 0.0
+        assert j.prob((0,)) == pytest.approx(0.7)
+        assert j.prob((4,)) == pytest.approx(0.3)
+        assert set(j.mass) == {(0,), (4,)}
+
+    # outside [0,1] the mixture formulas return numbers that are not laws:
+    # diniz_entropy(3, 1.5, 0.0) would be -4.33 bits
+    BAD_MIXTURE = [(1.5, 0.0), (0.2, 1.7), (-0.1, 0.5), (0.3, -0.2), (float("nan"), 0.5)]
+
+    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
+    def test_mixture_joint_rejects_bad_params(self, eps, rho):
+        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+            diniz_joint(3, eps, rho)
+
+    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
+    def test_mixture_entropy_rejects_bad_params(self, eps, rho):
+        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+            diniz_entropy(3, eps, rho)
+
+    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
+    def test_mixture_parity_rejects_bad_params(self, eps, rho):
+        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+            diniz_parity(3, eps, rho)
+
+    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
+    def test_pair_joint_rejects_bad_params(self, eps, rho):
+        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+            diniz_pair_joint(eps, rho)

@@ -6,15 +6,22 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chargraph.graphs import induced_subgraph, make_graph, or_power, union_graph
+from chargraph.graphs import (
+    exact_min_coloring,
+    greedy_coloring,
+    induced_subgraph,
+    make_graph,
+    or_power,
+    union_graph,
+)
 from chargraph.probability import (
     JointPmf,
-    Pmf,
     binary_entropy,
     diniz_joint,
     iid_bernoulli_joint,
     parity_param,
     product_param,
+    _joint_from_masses,
 )
 from chargraph.functions import LinearlySeparable, demand_from_json, demand_to_json
 from chargraph.solvers import (
@@ -39,6 +46,35 @@ def char_graphs(draw, max_n=7):
     return make_graph(dict(enumerate(weights)), edges)
 
 
+@st.composite
+def multipartite_unions(draw, max_n=12):
+    """A disjoint union of complete multipartite graphs on at most max_n
+    vertices, with shuffled vertex labels, and its components' part counts."""
+    parts = []  # (component, part size)
+    n = 0
+    for comp in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 4))):
+            size = draw(st.integers(1, 3))
+            if n + size > max_n:
+                break
+            parts.append((comp, size))
+            n += size
+    if not parts:
+        parts, n = [(0, 1)], 1
+    labels = draw(st.permutations(range(n)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    owner = []  # (component, part) of each label
+    for part, (comp, size) in enumerate(parts):
+        owner += [(comp, part)] * size
+    edges = [
+        (labels[a], labels[b])
+        for a, b in combinations(range(n), 2)
+        if owner[a][0] == owner[b][0] and owner[a][1] != owner[b][1]
+    ]
+    part_counts = [sum(c == comp for c, _ in parts) for comp in {c for c, _ in parts}]
+    return make_graph(dict(zip(labels, weights)), edges), max(part_counts)
+
+
 class TestProbabilityProperties:
     @given(st.floats(0.0, 1.0))
     def test_binary_entropy_symmetric_and_bounded(self, p):
@@ -58,9 +94,9 @@ class TestProbabilityProperties:
     def test_from_masses_accepts_in_tolerance_drift(self, raw):
         total = math.fsum(raw)
         normalized = [v / total for v in raw]
-        p = Pmf.from_masses(normalized)
-        assert math.fsum(p.mass) == pytest.approx(1.0, abs=1e-9)
-        assert p.entropy() >= -1e-12
+        j = _joint_from_masses((len(raw),), {(x,): m for x, m in enumerate(normalized)})
+        assert math.fsum(j.mass.values()) == pytest.approx(1.0, abs=1e-9)
+        assert j.entropy() >= -1e-12
 
     @given(st.integers(1, 6), st.floats(0.01, 0.99))
     def test_iid_joint_entropy_is_additive(self, k, eps):
@@ -70,10 +106,10 @@ class TestProbabilityProperties:
     @given(st.integers(1, 6), st.floats(0.01, 0.99))
     def test_mixture_sum_law_at_rho_zero_is_binomial(self, k, eps):
         j = diniz_joint(k, eps, 0.0)
-        assert math.fsum(j.mass) == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(j.mass.values()) == pytest.approx(1.0, abs=1e-9)
         for s in range(k + 1):
             want = math.comb(k, s) * eps**s * (1 - eps) ** (k - s)
-            assert j.mass[s] == pytest.approx(want, abs=1e-12)
+            assert j.prob((s,)) == pytest.approx(want, abs=1e-12)
 
     @given(
         st.integers(2, 5),
@@ -82,8 +118,8 @@ class TestProbabilityProperties:
     )
     def test_mixture_sum_law_normalized(self, k, eps, rho):
         j = diniz_joint(k, eps, rho)
-        assert math.fsum(j.mass) == pytest.approx(1.0, abs=1e-9)
-        assert all(m >= -1e-15 for m in j.mass)
+        assert math.fsum(j.mass.values()) == pytest.approx(1.0, abs=1e-9)
+        assert all(m > 0.0 for m in j.mass.values())
 
 
 class TestGraphProperties:
@@ -186,6 +222,19 @@ class TestGraphProperties:
         single = graph_entropy(g).value
         double = graph_entropy(or_power(g, 2)).value
         assert double == pytest.approx(2 * single, abs=2e-5)
+
+
+class TestColoringProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(multipartite_unions())
+    def test_greedy_is_minimal_on_complete_multipartite_unions(self, case):
+        # greedy gives each part one color and the parts of a component
+        # distinct ones, and a component holds a clique with one vertex per
+        # part: so greedy is already minimal, and the branch and bound keeps it
+        g, most_parts = case
+        greedy = greedy_coloring(g)
+        assert exact_min_coloring(g) == greedy
+        assert len(set(greedy)) == most_parts
 
 
 class TestStructureProperties:

@@ -208,11 +208,9 @@ class TestProp2:
 
     def test_rejects_mismatched_marginals(self):
         t, p, d, _ = parity_instance()
-        from chargraph.probability import JointPmf, Pmf, product_joint
+        from chargraph.probability import product_joint
 
-        joint = product_joint(
-            [Pmf(2, (0.7, 0.3)), Pmf(2, (0.5, 0.5)), Pmf(2, (0.7, 0.3))]
-        )
+        joint = product_joint([(0.7, 0.3), (0.5, 0.5), (0.7, 0.3)])
         with pytest.raises(ValidationError):
             prop2_rate(t, p, d, joint)
 

@@ -14,7 +14,9 @@ import pytest
 
 from chargraph.errors import DecodeError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
+from chargraph.graphs import build_char_graph, or_power
 from chargraph.probability import JointPmf, binary_entropy, iid_bernoulli_joint
+from chargraph.rates import coloring_map
 from chargraph.simulator import (
     DecodeTable,
     Encoder,
@@ -63,7 +65,18 @@ class TestBuildEncoders:
         t, p, d, joint = scenario_ii()
         a = build_encoders(t, p, d, joint, 1)
         b = build_encoders(t, p, d, joint, 1)
-        assert [e.coloring for e in a] == [e.coloring for e in b]
+        assert [(e.labels, e.colors) for e in a] == [(e.labels, e.colors) for e in b]
+
+    def test_colors_index_the_or_power(self):
+        # colors[b] colors the OR-power vertex b, whose labels are the
+        # length-1 graph's vertices; a vector of the wrong length is refused
+        t, p, d, joint = scenario_ii()
+        for e in build_encoders(t, p, d, joint, 2):
+            g1 = build_char_graph(d, p, joint, e.server)
+            assert e.labels == g1.vertices
+            assert len(e.colors) == g1.n**2 == len(or_power(g1, 2).vertices)
+            with pytest.raises(ValidationError, match="colors for"):
+                Encoder(e.server, 2, e.zone, e.labels, e.colors[1:], e.num_colors, 0.0)
 
     def test_off_support_block_rejected(self):
         # encoders colored for a narrower law meet local labels they never saw
@@ -111,12 +124,13 @@ class TestBuildDecodeTable:
     def test_merged_pair_is_a_collision(self):
         t, p, d, joint = scenario_ii()
         encs = build_encoders(t, p, d, joint, 1)
-        locals2 = sorted({(w[1], w[2]) for w, _ in joint.support()})
+        locals2 = tuple(sorted({(w[1], w[2]) for w, _ in joint.support()}))
         mute = Encoder(
             server=2,
             n=1,
             zone=(1, 2),
-            coloring={(lb,): 0 for lb in locals2},
+            labels=locals2,
+            colors=(0,) * len(locals2),
             num_colors=1,
             theoretical_rate=0.0,
         )
@@ -257,9 +271,12 @@ class TestGatherMatchesDirect:
         support = joint.support()
         blocks = [tuple(w for w, _ in b) for b in product(support, repeat=n)]
         masses = np.array([math.prod(m for _, m in b) for b in product(support, repeat=n)])
+        # each server's coloring keyed by OR-power vertex labels: n-tuples
+        # of local tuples
+        maps = [coloring_map(or_power(build_char_graph(d, p, joint, e.server), n)) for e in encs]
         direct = np.array([
-            [e.coloring[tuple(tuple(w[c] for c in e.zone) for w in ws)] for ws in blocks]
-            for e in encs
+            [cmap[tuple(tuple(w[c] for c in e.zone) for w in ws)] for ws in blocks]
+            for e, cmap in zip(encs, maps)
         ])
         assert np.array_equal(_colors(encs, [w for w, _ in support], n), direct)
 
@@ -291,10 +308,10 @@ class TestGatherMatchesDirect:
     def test_missing_label_is_off_support(self):
         t, p, d, joint = scenario_ii()
         enc = build_encoders(t, p, d, joint, 2)[1]
-        dropped = sorted(enc.coloring)[5]
-        coloring = {k: v for k, v in enc.coloring.items() if k != dropped}
-        holed = Encoder(enc.server, 2, enc.zone, coloring, enc.num_colors, 0.0)
-        with pytest.raises(ValidationError, match=re.escape(f"off-support block {dropped!r}")):
+        dropped = enc.labels[2]
+        labels = tuple(lb for lb in enc.labels if lb != dropped)
+        holed = Encoder(enc.server, 2, enc.zone, labels, (0,) * len(labels) ** 2, 1, 0.0)
+        with pytest.raises(ValidationError, match=re.escape(f"off-support local tuple {dropped!r}")):
             expected_rates([holed], joint, 2)
 
 
