@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Any, Sequence
@@ -104,16 +101,9 @@ def _topology(cfg: ScenarioConfig) -> Topology:
 
 
 def _threads() -> int:
-    env = os.environ.get("CHARGRAPH_THREADS", "")
-    if env.strip():
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"CHARGRAPH_THREADS={env!r} is not an integer") from exc
-        if cap < 1:
-            raise ValidationError("CHARGRAPH_THREADS must be >= 1")
-        return cap
-    return min(8, os.cpu_count() or 1)
+    # sweeps run on the calling thread; perfbench/tests/test_perfbench.py
+    # still reads this count, and ROADMAP item 1 deletes that call and this stub
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +144,15 @@ def _eval_custom(
 
 def _scenario_rows(cfg: ScenarioConfig) -> tuple[list[dict[str, float]], bool]:
     eps_vals = _grid_values(cfg.eps_grid)
+    # a grid the scenario never reads would be dropped without a word
+    if cfg.p_grid is not None and cfg.scenario != "s2-table2":
+        raise ValidationError(
+            f"scenario {cfg.scenario!r} does not read --p-grid (config key p_grid)"
+        )
+    if cfg.rho_grid is not None and cfg.scenario == "s2-table2":
+        raise ValidationError(
+            "scenario 's2-table2' does not read --rho-grid (config key rho_grid)"
+        )
     if cfg.scenario in ("s3", "multilinear", "custom") and (
         cfg.rho_grid is not None and any(v != 0.0 for v in _grid_values(cfg.rho_grid))
     ):
@@ -197,8 +196,7 @@ def _scenario_rows(cfg: ScenarioConfig) -> tuple[list[dict[str, float]], bool]:
             return multilinear_rates(t, eps), True
         return _eval_custom(t, p, d, eps)
 
-    with ThreadPoolExecutor(max_workers=_threads()) as ex:
-        results = list(ex.map(eval_point, points))
+    results = [eval_point(pt) for pt in points]
 
     rows = []
     all_converged = True

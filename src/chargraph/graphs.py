@@ -248,13 +248,17 @@ def enumerate_mis(g: CharGraph) -> MisFamily:
     return MisFamily(sets=tuple(sorted(found)))
 
 
+def _degree_order(g: CharGraph) -> list[int]:
+    """Vertex ids by decreasing degree, ties by id."""
+    return sorted(range(g.n), key=lambda v: (-len(g.neighbors[v]), v))
+
+
 def greedy_coloring(g: CharGraph) -> tuple[int, ...]:
     """Deterministic greedy coloring, the color of each vertex id: vertices
     by decreasing degree, ties by id; each gets the smallest color absent
     from its colored neighbors."""
-    order = sorted(range(g.n), key=lambda v: (-len(g.neighbors[v]), v))
     colors = [-1] * g.n  # -1: not colored yet
-    for v in order:
+    for v in _degree_order(g):
         used = {colors[u] for u in g.neighbors[v]}
         c = 0
         while c in used:
@@ -265,11 +269,20 @@ def greedy_coloring(g: CharGraph) -> tuple[int, ...]:
 
 def exact_min_coloring(g: CharGraph) -> tuple[int, ...]:
     """Minimum-count coloring by branch and bound (saturation-guided), exact
-    for |V| <= 12; starts from the greedy upper bound."""
+    for |V| <= 12; starts from the greedy upper bound, and returns it at once
+    when a clique grown greedily in the same vertex order is as large."""
     if g.n > EXACT_COLOR_GUARD:
         raise DeskScaleError(f"|V| = {g.n} exceeds the exact-coloring guard")
     best = greedy_coloring(g)
     best_k = max(best) + 1
+    # a clique needs one color per vertex, so no coloring beats greedy's, and
+    # the search below (which only keeps strictly fewer colors) would return it
+    clique: list[int] = []
+    for v in _degree_order(g):
+        if g.neighbors[v].issuperset(clique):
+            clique.append(v)
+    if len(clique) == best_k:
+        return best
 
     colors = [-1] * g.n  # -1: not colored yet
 

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, config merging, exit codes, formats."""
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from chargraph.probability import binary_entropy, crossover_joint, parity_param
 from chargraph.rates import scenario2_table2_rates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FIG_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "fig-sweeps.json"
 
 TERNARY_CONDITIONAL = 0.5408520829727552
 
@@ -369,6 +371,36 @@ class TestScenario:
         )
         assert code == 2 and "rho" in err
 
+    @pytest.mark.parametrize(
+        "scenario, flag",
+        [
+            ("s1", "--p-grid"),
+            ("s2-diniz", "--p-grid"),
+            ("s3", "--p-grid"),
+            ("multilinear", "--p-grid"),
+            ("custom", "--p-grid"),
+            ("s2-table2", "--rho-grid"),
+        ],
+    )
+    def test_unread_grid_rejected(self, capsys, tmp_path, scenario, flag):
+        # the sweep runs without the grid, and a flag or config key that
+        # gives it one the scenario never reads exits 2 instead of dropping it
+        demand = tmp_path / "demand.json"
+        demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}))
+        base = {"scenario": scenario, "n": 3, "k": 3, "nr": 2,
+                "eps_grid": [0.3, 0.3, 1], "demand": str(demand)}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(base))
+        assert run(capsys, ["scenario", "--config", str(cfg)])[0] == 0
+        code, out, err = run(capsys, ["scenario", "--config", str(cfg), flag, "0.5,0.5,1"])
+        assert code == 2 and out == ""
+        assert repr(scenario) in err and flag in err
+        key = flag[2:].replace("-", "_")
+        cfg.write_text(json.dumps({**base, key: [0.5, 0.5, 1]}))
+        code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert repr(scenario) in err and key in err
+
     def test_missing_topology_flags(self, capsys):
         code, _, err = run(
             capsys, ["scenario", "--scenario", "s1", "--eps-grid", "0.3,0.3,1"]
@@ -553,33 +585,45 @@ class TestCustomScenario:
         assert code == 3 and "desk-scale" in err
 
 
-class TestThreads:
-    def test_env_cap_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHARGRAPH_THREADS", "2")
-        code, out, _ = run(
-            capsys,
-            ["scenario", "--scenario", "s2-table2", "--eps-grid", "0.1,0.5,4"],
-        )
-        assert code == 0
-        assert len(parse_csv(out)[1]) == 4
+class TestSerialSweeps:
+    def test_sweeps_start_no_thread(self, capsys, monkeypatch, tmp_path):
+        # every grid point is GIL-bound Python, so points run in order on the
+        # calling thread: a pool only added its own overhead
+        def refuse(thread):
+            raise AssertionError(f"a sweep started thread {thread.name}")
 
-    def test_env_cap_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHARGRAPH_THREADS", "zero")
-        assert (
-            run(
-                capsys,
-                ["scenario", "--scenario", "s2-table2", "--eps-grid", "0.3,0.3,1"],
-            )[0]
-            == 2
-        )
-        monkeypatch.setenv("CHARGRAPH_THREADS", "0")
-        assert (
-            run(
-                capsys,
-                ["scenario", "--scenario", "s2-table2", "--eps-grid", "0.3,0.3,1"],
-            )[0]
-            == 2
-        )
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        argv = ["scenario", "--scenario", "s2-table2", "--eps-grid", "0.1,0.5,4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(parse_csv(out)[1]) == 4
+        demand = tmp_path / "parity.json"
+        demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1] * 4]}))
+        argv = ["scenario", "--scenario", "custom", "--demand", str(demand),
+                "--n", "4", "--k", "4", "--nr", "3", "--eps-grid", "0.1,0.4,2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(parse_csv(out)[1]) == 2
+
+    def test_fig_configs_match_frozen_rows(self, capsys):
+        # every row of every figure sweep, against the benchmark's frozen
+        # references and under its gate: within 1e-9, relative above 1
+        refs = json.loads(FIG_REFS.read_text())
+        configs = sorted(CONFIGS.glob("fig*.json"))
+        assert [path.stem for path in configs] == sorted(refs)
+        total = 0
+        for path in configs:
+            argv = ["scenario", "--config", str(path), "--format", "json"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            rows, want = json.loads(out)["rows"], refs[path.stem]
+            assert len(rows) == len(want)
+            for i, (row, ref) in enumerate(zip(rows, want)):
+                assert set(row) == set(ref)
+                for col, value in ref.items():
+                    assert abs(row[col] - value) <= 1e-9 * max(1.0, abs(value)), (
+                        path.stem, i, col
+                    )
+            total += len(rows)
+        assert total == 1639
 
 
 def test_non_convergence_exits_4(capsys, monkeypatch, tmp_path):

@@ -344,6 +344,16 @@ class TestColorings:
         validate_coloring(c5, col)
         assert len(set(col)) == 3  # odd cycle is not bipartite
 
+    def test_exact_beats_greedy_on_a_path(self):
+        # on the path 1-0-5-4-2-3 greedy colors 0, 2 and 4 before 5, which
+        # then needs a third color; the largest clique is an edge, so the
+        # branch and bound runs and finds the 2-coloring
+        g = make_graph(
+            {v: 1 / 6 for v in range(6)}, [(1, 0), (0, 5), (5, 4), (4, 2), (2, 3)]
+        )
+        assert greedy_coloring(g) == (0, 1, 0, 1, 1, 2)
+        assert exact_min_coloring(g) == (0, 1, 1, 0, 0, 1)
+
     def test_exact_never_beats_greedy_backwards(self):
         rng = random.Random(3)
         for _ in range(10):

@@ -47,6 +47,14 @@ def char_graphs(draw, max_n=7):
 
 
 @st.composite
+def relabelled_paths(draw, max_n=8):
+    """A path on 6 to max_n vertices with shuffled ids: on about a third of
+    them greedy's degree order needs a third color, so the search must run."""
+    order = draw(st.permutations(range(draw(st.integers(6, max_n)))))
+    return make_graph({v: 1.0 for v in order}, list(zip(order, order[1:])))
+
+
+@st.composite
 def multipartite_unions(draw, max_n=12):
     """A disjoint union of complete multipartite graphs on at most max_n
     vertices, with shuffled vertex labels, and its components' part counts."""
@@ -230,11 +238,28 @@ class TestColoringProperties:
     def test_greedy_is_minimal_on_complete_multipartite_unions(self, case):
         # greedy gives each part one color and the parts of a component
         # distinct ones, and a component holds a clique with one vertex per
-        # part: so greedy is already minimal, and the branch and bound keeps it
+        # part: so greedy is already minimal, and exact_min_coloring returns it
         g, most_parts = case
         greedy = greedy_coloring(g)
         assert exact_min_coloring(g) == greedy
         assert len(set(greedy)) == most_parts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(char_graphs(max_n=8), relabelled_paths()))
+    def test_exact_matches_brute_force_minimum(self, g):
+        def partitions(prefix):  # restricted growth strings: each partition once
+            if len(prefix) == g.n:
+                yield prefix
+                return
+            for c in range(max(prefix, default=-1) + 2):
+                yield from partitions(prefix + [c])
+
+        fewest = min(
+            max(p) + 1 for p in partitions([]) if all(p[i] != p[j] for i, j in g.edges)
+        )
+        coloring = exact_min_coloring(g)
+        assert all(coloring[i] != coloring[j] for i, j in g.edges)
+        assert len(set(coloring)) == fewest
 
 
 class TestStructureProperties:
