@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from itertools import permutations
@@ -44,6 +45,18 @@ from .topology import (
 SCENARIOS = ("s1", "s2-table2", "s2-diniz", "s3", "multilinear", "custom")
 CSV_HEADER = "eps,param,R_graph,R_lin,R_SW,eta_lin,eta_SW"
 MAX_CHAIN_SERVERS = 6  # orderings grow factorially; cap the exhaustive sweep
+TOPOLOGY_SCENARIOS = ("s1", "s3", "multilinear", "custom")
+# the scenarios that read each optional input; any other scenario exits 2 on it
+READ_BY = {
+    "n": TOPOLOGY_SCENARIOS,
+    "k": TOPOLOGY_SCENARIOS,
+    "kc": TOPOLOGY_SCENARIOS,
+    "nr": TOPOLOGY_SCENARIOS,
+    "demand": ("custom",),
+    "placement": ("custom",),
+    "p_grid": ("s2-table2",),
+    "rho_grid": tuple(s for s in SCENARIOS if s != "s2-table2"),
+}
 
 
 @dataclass(frozen=True)
@@ -143,16 +156,14 @@ def _eval_custom(
 
 
 def _scenario_rows(cfg: ScenarioConfig) -> tuple[list[dict[str, float]], bool]:
+    # an option the scenario never reads would be dropped without a word
+    for name, readers in READ_BY.items():
+        if getattr(cfg, name) is not None and cfg.scenario not in readers:
+            raise ValidationError(
+                f"scenario {cfg.scenario!r} does not read "
+                f"--{name.replace('_', '-')} (config key {name})"
+            )
     eps_vals = _grid_values(cfg.eps_grid)
-    # a grid the scenario never reads would be dropped without a word
-    if cfg.p_grid is not None and cfg.scenario != "s2-table2":
-        raise ValidationError(
-            f"scenario {cfg.scenario!r} does not read --p-grid (config key p_grid)"
-        )
-    if cfg.rho_grid is not None and cfg.scenario == "s2-table2":
-        raise ValidationError(
-            "scenario 's2-table2' does not read --rho-grid (config key rho_grid)"
-        )
     if cfg.scenario in ("s3", "multilinear", "custom") and (
         cfg.rho_grid is not None and any(v != 0.0 for v in _grid_values(cfg.rho_grid))
     ):
@@ -412,9 +423,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """argparse reads a token such as -0.1,0.5,3 as an option, not as a value
+    (it exempts plain negative numbers only), so a token that starts with a
+    minus and a digit or a point is joined to the option before it:
+    --eps-grid -0.1,0.5,3 becomes --eps-grid=-0.1,0.5,3 and gets the
+    grid-bounds message."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except DeskScaleError as exc:

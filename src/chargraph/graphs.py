@@ -23,6 +23,7 @@ from .topology import Placement
 
 MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration (recursion depth)
 MIS_CELL_GUARD = 10**6  # max |V| x MIS count: the cells of the solver's support mask
+SOLVE_CELL_GUARD = 10**6  # max restarts x MIS count x max(|V|, |Y|): a solver step's array
 PAIR_GUARD = 10**6      # max vertex pairs |V|^(2n) of an OR power
 EXACT_COLOR_GUARD = 12  # max |V| for exact minimum colorings / partitions
 

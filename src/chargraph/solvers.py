@@ -8,7 +8,12 @@ is a function of X (always so for graph_entropy) the program is solved
 block by block, over the components of each section of Y. A block whose
 vertices each lie in one MIS (a complete multipartite block) is evaluated in
 closed form; every other block runs one alternating minimization with
-multi-restart certification.
+multi-restart certification. Each step of it holds the restarts as one
+array P[u, r, x] (MIS, restart, vertex), so that both products are single
+2-D matrix products and the reductions over u run along axis 0; the
+iterates and values are those of the per-restart einsum loop this layout
+replaced, up to rounding. A step whose largest tensor, restarts x MIS count
+x max(|V|, |Y|), would pass SOLVE_CELL_GUARD is refused before it starts.
 chromatic_entropy is an exact branch-and-bound over independent-set
 partitions.
 """
@@ -24,6 +29,7 @@ import numpy as np
 from .errors import DeskScaleError, ValidationError
 from .graphs import (
     EXACT_COLOR_GUARD,
+    SOLVE_CELL_GUARD,
     CharGraph,
     enumerate_mis,
     greedy_coloring,
@@ -96,32 +102,49 @@ def _solve(g: CharGraph, W: np.ndarray) -> GraphEntropyResult:
         value = float(neg_h_y - _xlog2x(mask.T @ W).sum())
         return GraphEntropyResult(max(value, 0.0), 0, True, (value,) * RESTARTS)
 
+    n, m = mask.shape
+    ny = W.shape[1]
+    if RESTARTS * m * max(n, ny) > SOLVE_CELL_GUARD:
+        raise DeskScaleError(
+            f"restarts x MIS count x max(|V|, |Y|) = {RESTARTS * m * max(n, ny)} "
+            f"passes the {SOLVE_CELL_GUARD} solve guard"
+        )
     p_x = W.sum(axis=1)
-    pyx = W / p_x[:, None]  # p(y|x); every vertex mass is positive
-    P = _start(mask)
-    allowed = mask > 0
+    pyx_t = (W / p_x[:, None]).T  # p(y|x) as (y, x); every vertex mass is positive
+    # P[u, r, x] = P_r(u|x): with the restarts stacked inside the MIS axis
+    # both products are single 2-D GEMMs, and the max and the sum over u run
+    # along axis 0, elementwise across rows
+    P = np.ascontiguousarray(_start(mask).transpose(2, 0, 1))
+    barrier = np.where(mask.T > 0, 0.0, -np.inf)[:, None, :]  # (m, 1, n)
+    inv_ln2 = 1.0 / math.log(2.0)
     objs = np.full(RESTARTS, np.inf)
     conv_iter = np.full(RESTARTS, -1, dtype=int)
+    pending = np.ones(RESTARTS, dtype=bool)
     for it in range(1, MAX_ITERS + 1):
-        Quy = np.einsum("rxu,xy->ruy", P, W)  # joint of (U, Y) per restart
+        Q = P.reshape(m * RESTARTS, n) @ W  # joint of (U, Y), rows (u, r)
+        logQ = np.log(np.maximum(Q, 1e-300))
+        if not Q.all():  # no x in u meets y, or P underflowed on all that do
+            logQ[Q == 0] = _NEG_BIG
         # I(X;U|Y) = H(U|Y) - H(U|X), and H(U|Y) = H(U,Y) - H(Y) since
-        # sum_u Q(u,y) = p(y)
-        neg_h_u_given_x = np.einsum("x,rxu->r", p_x, _xlog2x(P))
-        neg_h_u_given_y = _xlog2x(Quy).sum(axis=(1, 2)) - neg_h_y
-        new_objs = neg_h_u_given_x - neg_h_u_given_y
-        newly = (objs - new_objs < TOL) & (conv_iter < 0)
-        conv_iter[newly] = it
+        # sum_u Q(u,y) = p(y); both sums are in nats. An allowed cell of P
+        # may underflow to 0, and the 1e-300 floor keeps x log x at 0 there
+        neg_h_u_given_x = (P * np.log(np.maximum(P, 1e-300))).sum(axis=0) @ p_x
+        neg_h_uy = (Q * logQ).reshape(m, RESTARTS, ny).sum(axis=(0, 2))
+        new_objs = neg_h_u_given_x * inv_ln2 - (neg_h_uy * inv_ln2 - neg_h_y)
+        newly = pending & (objs - new_objs < TOL)
         objs = new_objs
-        if np.all(conv_iter >= 0):
-            break
+        if newly.any():
+            conv_iter[newly] = it
+            pending &= ~newly
+            if not pending.any():
+                break
         # geometric-mean update in log space; per-row constants (the p_y
         # normalization of Q) cancel in the normalization below
-        logQ = np.where(Quy > 0, np.log(np.maximum(Quy, 1e-300)), _NEG_BIG)
-        L = np.einsum("xy,ruy->rxu", pyx, logQ)
-        L = np.where(allowed[None, :, :], L, -np.inf)
-        L -= L.max(axis=2, keepdims=True)  # max sits on an allowed cell, so finite
-        P = np.exp(L)
-        P /= P.sum(axis=2, keepdims=True)
+        L = (logQ @ pyx_t).reshape(m, RESTARTS, n)
+        L += barrier
+        L -= L.max(axis=0)  # max sits on an allowed cell, so finite
+        P = np.exp(L, out=L)
+        P /= P.sum(axis=0)
     best = int(np.argmin(objs))
     converged = conv_iter[best] >= 0
     return GraphEntropyResult(

@@ -173,6 +173,17 @@ class TestEntropy:
         code, out, err = run(capsys, ["entropy", "--spec", str(path)])
         assert code == 3 and out == "" and "cell guard" in err
 
+    def test_oversized_solve_exits_3(self, capsys, tmp_path):
+        # 8 disjoint triangles and a vertex adjacent to all: few enough sets
+        # for the MIS cell guard, too many cells for one solver step
+        nv = 25
+        edges = [[3 * t + a, 3 * t + b] for t in range(8) for a, b in ((0, 1), (0, 2), (1, 2))]
+        spec = {"pmf": [1 / nv] * nv, "edges": edges + [[24, v] for v in range(24)]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["entropy", "--spec", str(path)])
+        assert code == 3 and out == "" and "solve guard" in err
+
 
 class TestScenario:
     def test_csv_shape_and_determinism(self, capsys):
@@ -387,8 +398,11 @@ class TestScenario:
         # gives it one the scenario never reads exits 2 instead of dropping it
         demand = tmp_path / "demand.json"
         demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}))
-        base = {"scenario": scenario, "n": 3, "k": 3, "nr": 2,
-                "eps_grid": [0.3, 0.3, 1], "demand": str(demand)}
+        base = {"scenario": scenario, "eps_grid": [0.3, 0.3, 1]}
+        if scenario in ("s1", "s3", "multilinear", "custom"):
+            base.update(n=3, k=3, nr=2)
+        if scenario == "custom":
+            base["demand"] = str(demand)
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(base))
         assert run(capsys, ["scenario", "--config", str(cfg)])[0] == 0
@@ -400,6 +414,34 @@ class TestScenario:
         code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
         assert code == 2 and out == ""
         assert repr(scenario) in err and key in err
+
+    @pytest.mark.parametrize(
+        "scenario, option",
+        [(s, o) for s in ("s2-table2", "s2-diniz") for o in ("n", "k", "kc", "nr")]
+        + [
+            (s, o)
+            for s in ("s1", "s2-table2", "s2-diniz", "s3", "multilinear")
+            for o in ("demand", "placement")
+        ],
+    )
+    def test_unread_option_rejected(self, capsys, tmp_path, scenario, option):
+        # an option the scenario never reads is refused, not dropped, and
+        # before any file it names is opened
+        base = {"scenario": scenario, "eps_grid": [0.3, 0.3, 1]}
+        if scenario in ("s1", "s3", "multilinear"):
+            base.update(n=3, k=3, nr=2)
+        value = "no_such_file.json" if option in ("demand", "placement") else 3
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(base))
+        assert run(capsys, ["scenario", "--config", str(cfg)])[0] == 0
+        flag = f"--{option}"
+        code, out, err = run(capsys, ["scenario", "--config", str(cfg), flag, str(value)])
+        assert code == 2 and out == ""
+        assert f"scenario {scenario!r} does not read {flag} " in err
+        cfg.write_text(json.dumps({**base, option: value}))
+        code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert repr(scenario) in err and f"config key {option}" in err
 
     def test_missing_topology_flags(self, capsys):
         code, _, err = run(
@@ -452,6 +494,24 @@ class TestScenario:
         argv = ["scenario", "--scenario", "s2-table2", "--eps-grid=-0.1,0.5,3"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and "outside [0,1]" in err
+
+    @pytest.mark.parametrize(
+        "flag, scenario",
+        [
+            ("--eps-grid", ["--scenario", "s2-table2"]),
+            ("--rho-grid", ["--scenario", "s1", "--n", "3", "--k", "3", "--nr", "2"]),
+            ("--p-grid", ["--scenario", "s2-table2"]),
+            ("--eps", ["--scenario", "s2-table2"]),  # argparse takes unique prefixes
+        ],
+    )
+    @pytest.mark.parametrize("joined", [True, False])
+    def test_negative_grid_start_either_spelling(self, capsys, flag, scenario, joined):
+        # argparse reads a separate -0.1,... as an option unless the CLI
+        # joins it to its flag; both spellings reach the grid-bounds check
+        grid = [f"{flag}=-0.1,0.5,3"] if joined else [flag, "-0.1,0.5,3"]
+        code, out, err = run(capsys, ["scenario"] + scenario + grid)
+        assert code == 2 and out == ""
+        assert err == "error: grid bounds -0.1,0.5 outside [0,1]\n"
 
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "list.json"

@@ -4,9 +4,14 @@ Frozen constants come from tests/oracles/gen_frozen.py (independent
 enumeration over partitions / closed forms, no package code).
 """
 
+import importlib.util
+import json
 import math
 import random
+import sys
+import time
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,15 @@ import pytest
 from chargraph import solvers
 from chargraph.errors import DeskScaleError, ValidationError
 from chargraph.functions import GeneralTable, evaluate_demand
-from chargraph.graphs import build_char_graph, induced_subgraph, make_graph, or_power
+from chargraph.graphs import (
+    MIS_CELL_GUARD,
+    SOLVE_CELL_GUARD,
+    build_char_graph,
+    enumerate_mis,
+    induced_subgraph,
+    make_graph,
+    or_power,
+)
 from chargraph.probability import JointPmf, binary_entropy
 from chargraph.solvers import (
     chromatic_entropy,
@@ -28,6 +41,8 @@ CHROMATIC_TERNARY_SKEWED = 0.721928094887362
 CHROMATIC_C5 = 1.360964047443681
 
 TERNARY_CONDITIONAL = 0.5408520829727552  # (2/3) * h(1/4)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def ternary_graph(masses=(1 / 3, 1 / 3, 1 / 3)):
@@ -257,6 +272,104 @@ class TestConditionalGraphEntropy:
         )  # X-marginal (0.5, 0.25, 0.25) != uniform vertex pmf
         with pytest.raises(ValidationError):
             conditional_graph_entropy(g, skew)
+
+
+def einsum_solve(g, W):
+    """The alternation loop as it was written before the 2-D GEMM layout,
+    one einsum per product over a (restart, vertex, MIS) stack; returns
+    (restart values, iterations of the best restart, converged)."""
+
+    def xlog2x(a):
+        return a * np.log2(np.where(a > 0, a, 1.0))
+
+    neg_h_y = xlog2x(W.sum(axis=0)).sum()
+    mask = solvers._mis_mask(g)
+    p_x = W.sum(axis=1)
+    pyx = W / p_x[:, None]
+    P = solvers._start(mask)
+    allowed = mask > 0
+    objs = np.full(solvers.RESTARTS, np.inf)
+    conv_iter = np.full(solvers.RESTARTS, -1, dtype=int)
+    for it in range(1, solvers.MAX_ITERS + 1):
+        Quy = np.einsum("rxu,xy->ruy", P, W)
+        neg_h_u_given_x = np.einsum("x,rxu->r", p_x, xlog2x(P))
+        neg_h_u_given_y = xlog2x(Quy).sum(axis=(1, 2)) - neg_h_y
+        new_objs = neg_h_u_given_x - neg_h_u_given_y
+        newly = (objs - new_objs < solvers.TOL) & (conv_iter < 0)
+        conv_iter[newly] = it
+        objs = new_objs
+        if np.all(conv_iter >= 0):
+            break
+        logQ = np.where(Quy > 0, np.log(np.maximum(Quy, 1e-300)), -1e18)
+        L = np.einsum("xy,ruy->rxu", pyx, logQ)
+        L = np.where(allowed[None, :, :], L, -np.inf)
+        L -= L.max(axis=2, keepdims=True)
+        P = np.exp(L)
+        P /= P.sum(axis=2, keepdims=True)
+    best = int(np.argmin(objs))
+    converged = bool(conv_iter[best] >= 0)
+    return objs, int(conv_iter[best]) if converged else solvers.MAX_ITERS, converged
+
+
+class TestIterativeKernel:
+    def test_matches_einsum_loop_with_side_columns(self):
+        # the conditional program on whole graphs with 1-3 side columns and
+        # full-support side laws, which the block-by-block paths never reach:
+        # the same iterates as the einsum loop, up to rounding
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(2, 8)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
+            if np.all(solvers._mis_mask(g).sum(axis=1) == 1):
+                continue  # complete multipartite: closed form, no loop
+            ny = 1 + checked % 3
+            rows = np.array([[rng.uniform(0.05, 1.0) for _ in range(ny)] for _ in range(n)])
+            W = np.asarray(g.pmf)[:, None] * rows / rows.sum(axis=1, keepdims=True)
+            got = solvers._solve(g, W)
+            objs, iterations, converged = einsum_solve(g, W)
+            assert got.iterations == iterations and got.converged == converged
+            assert got.restart_values == pytest.approx(tuple(objs), abs=1e-12)
+            assert got.value == pytest.approx(max(objs.min(), 0.0), abs=1e-12)
+            checked += 1
+
+    def test_solve_guard_refuses_before_the_first_step(self):
+        # 8 disjoint triangles and a vertex adjacent to all of them: connected,
+        # 3^8 + 1 maximal independent sets, within the MIS cell guard but a
+        # step tensor of 8 x 6,562 x 25 cells
+        edges = [(3 * t + a, 3 * t + b) for t in range(8) for a, b in ((0, 1), (0, 2), (1, 2))]
+        g = make_graph({v: 1 / 25 for v in range(25)}, edges + [(24, v) for v in range(24)])
+        t0 = time.perf_counter()
+        m = enumerate_mis(g).count
+        assert m == 3**8 + 1 and g.n * m <= MIS_CELL_GUARD
+        assert solvers.RESTARTS * m * g.n > SOLVE_CELL_GUARD
+        with pytest.raises(DeskScaleError, match="solve guard"):
+            graph_entropy(g)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_entropy_graphs_match_benchmark_references(self):
+        # the benchmark's 112 entropy-graphs instances, drawn by its own
+        # generators, against its frozen references
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look their module up
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules[spec.name]
+        refs = json.loads((PERFBENCH / "refs" / "entropy-graphs.json").read_text())
+        instances = workloads.connected_graphs() + workloads.union_graphs()
+        assert sorted(item_id for item_id, _, _ in instances) == sorted(refs)
+        assert len(instances) == 112
+        for item_id, g, joint in instances:
+            ref = refs[item_id]
+            assert graph_entropy(g).value == pytest.approx(ref["H"], abs=1e-6), item_id
+            got = conditional_graph_entropy(g, joint).value
+            assert got == pytest.approx(ref["H_cond"], abs=1e-6), item_id
+            assert chromatic_entropy(g) == pytest.approx(ref["chromatic"], abs=1e-6), item_id
 
 
 class TestChromaticEntropy:
