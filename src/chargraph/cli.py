@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ TOPOLOGY_SCENARIOS = ("s1", "s3", "multilinear", "custom")
 READ_BY = {
     "n": TOPOLOGY_SCENARIOS,
     "k": TOPOLOGY_SCENARIOS,
-    "kc": TOPOLOGY_SCENARIOS,
+    "kc": ("s1", "s3", "multilinear"),  # custom takes Kc from its demand's rows
     "nr": TOPOLOGY_SCENARIOS,
     "demand": ("custom",),
     "placement": ("custom",),
@@ -324,8 +325,13 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if cfg.fmt == "csv":
         _emit(_render_csv(rows), cfg.out)
     else:
-        payload = {"scenario": cfg.scenario, "rows": rows}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+        # RFC 8259 has no Infinity or NaN: a non-finite value (the gain at a
+        # zero graph rate) is written as null
+        payload = {
+            "scenario": cfg.scenario,
+            "rows": [{c: v if math.isfinite(v) else None for c, v in r.items()} for r in rows],
+        }
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.out)
     return 0 if converged else 4
 
 

@@ -1,9 +1,11 @@
-"""Characteristic graphs: construction, unions, OR powers, MIS enumeration,
-and deterministic colorings.
+"""Characteristic graphs: construction, unions, OR powers, the component
+split, MIS enumeration, and deterministic colorings.
 
 A vertex is a positive-probability local symbol; an edge joins two symbols
 that some shared positive-probability completion forces the user to tell
-apart. Entropy solvers over these graphs live in solvers.py.
+apart. components is the one place a graph is split: the entropy solvers
+(solvers.py) take their blocks from it, and rates.min_coloring colors one
+of its components at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration (recur
 MIS_CELL_GUARD = 10**6  # max |V| x MIS count: the cells of the solver's support mask
 SOLVE_CELL_GUARD = 10**6  # max restarts x MIS count x max(|V|, |Y|): a solver step's array
 PAIR_GUARD = 10**6      # max vertex pairs |V|^(2n) of an OR power
-EXACT_COLOR_GUARD = 12  # max |V| for exact minimum colorings / partitions
+EXACT_COLOR_GUARD = 12  # max |V| for exact colorings (per component) and partitions
 
 Label = Hashable
 
@@ -130,6 +132,26 @@ def induced_subgraph(g: CharGraph, vs: Sequence[int]) -> CharGraph:
         neighbors=tuple(frozenset(idx[u] for u in g.neighbors[v] if u in idx) for v in vs),
         pmf=tuple(g.pmf[v] / mass for v in vs),
     )
+
+
+def components(g: CharGraph, side: Sequence[Hashable] | None = None) -> list[list[int]]:
+    """Connected components of g, as ascending vertex ids, in the order of
+    their smallest ids. With side symbols, the edges between vertices whose
+    symbols differ are dropped first: the blocks of a conditional program."""
+    comp_of = [-1] * g.n
+    comps: list[list[int]] = []
+    for s in range(g.n):
+        if comp_of[s] >= 0:
+            continue
+        comp_of[s] = len(comps)
+        comp = [s]
+        for v in comp:  # grows while it is walked
+            for u in g.neighbors[v]:
+                if comp_of[u] < 0 and (side is None or side[u] == side[v]):
+                    comp_of[u] = len(comps)
+                    comp.append(u)
+        comps.append(sorted(comp))
+    return comps
 
 
 def build_char_graph(

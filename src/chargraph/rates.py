@@ -5,7 +5,10 @@ piecewise bound (prop1_rate), the two-MIS skewed-Bernoulli bound
 (prop2_rate), the multilinear closed form (prop3_rate), the ordered
 conditional-chain evaluation (chain_rate), the Slepian-Wolf baseline, and
 the eta_lin / eta_SW gain ratios, plus the closed-form scenario sweeps the
-CLI exposes.
+CLI exposes. Every symbol a server sends comes from min_coloring, which
+colors one component of graphs.components at a time; a chain stage graph
+has no edge across transcript sections, so one coloring of it colors each
+section on its own.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .graphs import (
     EXACT_COLOR_GUARD,
     CharGraph,
     build_char_graph,
+    components,
     confusability_graph,
     enumerate_mis,
     exact_min_coloring,
@@ -145,9 +149,21 @@ def _support_items(
 
 
 def min_coloring(g: CharGraph) -> tuple[int, ...]:
-    """The color of each vertex id: exact minimum when small, degree-ordered
-    greedy otherwise."""
-    return exact_min_coloring(g) if g.n <= EXACT_COLOR_GUARD else greedy_coloring(g)
+    """The color of each vertex id, one component at a time: 0 for a lone
+    vertex, the exact minimum on a component of at most EXACT_COLOR_GUARD
+    vertices, degree-ordered greedy on a larger one. Greedy is local (a
+    vertex's color depends only on its colored neighbours, and the degree
+    order restricted to a component is the component's own), so a large
+    component gets the colors whole-graph greedy gives it."""
+    colors = [0] * g.n
+    for comp in components(g):
+        if len(comp) == 1:
+            continue
+        h = g if len(comp) == g.n else induced_subgraph(g, comp)  # connected: in place
+        small = h.n <= EXACT_COLOR_GUARD
+        for v, c in zip(comp, exact_min_coloring(h) if small else greedy_coloring(h)):
+            colors[v] = c
+    return tuple(colors)
 
 
 def coloring_map(g: CharGraph) -> dict[Any, int]:
@@ -393,9 +409,10 @@ def chain_rate(
     union graph; each later server pays the conditional graph entropy of its
     side-information-extended graph given all previous transmissions.
 
-    A transmission is the minimum coloring of the current graph, taken
-    section-by-section in the previous transcript (the decoder already knows
-    the transcript, so colors only need to separate within a section). The
+    A transmission is the minimum coloring of the current graph, which has
+    no edge across the sections of the previous transcript (the decoder
+    already knows the transcript, so colors only need to separate within a
+    section), so coloring it component by component colors each section. The
     final transcripts must determine every demanded output; otherwise the
     ordering is insufficient. When several orderings are supplied the best
     decodable one is reported.
@@ -478,15 +495,10 @@ def _chain_eval(
         rates.append(res.value)
         converged = converged and res.converged
 
-        # each transcript section is colored on its own: colors need only
-        # separate inside the section the decoder already knows, and no edge
-        # of g leaves a section, so a section's graph is g restricted to it
-        sections: dict[tuple[int, ...], list[int]] = {}
-        for v, label in enumerate(g.vertices):
-            sections.setdefault(label[1], []).append(v)
-        symbol: dict[Any, int] = {}
-        for vs in sections.values():
-            symbol.update(coloring_map(induced_subgraph(g, vs)))
+        # colors need only separate inside the transcript section the decoder
+        # already knows; no edge of g leaves a section, so coloring g one
+        # component at a time colors each section on its own
+        symbol = coloring_map(g)
         for idx, point in enumerate(points):
             transcripts[idx] += (symbol[point[0]],)
 
@@ -573,6 +585,8 @@ def multilinear_rates(t: Topology, epsilon: float) -> GainReport:
     """Product demand under i.i.d. Bern(eps): closed-form graph rate, the
     per-server product-parameter adaptation as the linear baseline, and the
     i.i.d. joint entropy as the Slepian-Wolf baseline."""
+    if t.kc != 1:
+        raise ValidationError("scenario takes a single demanded function")
     graph = prop3_rate(t, epsilon)
     lin = rate_report(
         [binary_entropy(product_param(t.m, epsilon))] * t.nr, "prop2", model="product"

@@ -5,15 +5,16 @@ supported on the maximal independent sets containing x, under the Markov
 constraint U - X - Y; graph_entropy is the same program with a constant Y
 (Orlitsky & Roche 2001), where it reduces to minimizing I(X;U). Whenever Y
 is a function of X (always so for graph_entropy) the program is solved
-block by block, over the components of each section of Y. A block whose
-vertices each lie in one MIS (a complete multipartite block) is evaluated in
-closed form; every other block runs one alternating minimization with
-multi-restart certification. Each step of it holds the restarts as one
-array P[u, r, x] (MIS, restart, vertex), so that both products are single
-2-D matrix products and the reductions over u run along axis 0; the
-iterates and values are those of the per-restart einsum loop this layout
-replaced, up to rounding. A step whose largest tensor, restarts x MIS count
-x max(|V|, |Y|), would pass SOLVE_CELL_GUARD is refused before it starts.
+block by block, over the components of each section of Y, as
+graphs.components splits them. A block whose vertices each lie in one MIS
+(a complete multipartite block) is evaluated in closed form; every other
+block runs one alternating minimization with multi-restart certification.
+Each step of it holds the restarts as one array P[u, r, x] (MIS, restart,
+vertex), so that both products are single 2-D matrix products and the
+reductions over u run along axis 0; the iterates and values are those of
+the per-restart einsum loop this layout replaced, up to rounding. A step
+whose largest tensor, restarts x MIS count x max(|V|, |Y|), would pass
+SOLVE_CELL_GUARD is refused before it starts.
 chromatic_entropy is an exact branch-and-bound over independent-set
 partitions.
 """
@@ -31,6 +32,7 @@ from .graphs import (
     EXACT_COLOR_GUARD,
     SOLVE_CELL_GUARD,
     CharGraph,
+    components,
     enumerate_mis,
     greedy_coloring,
     induced_subgraph,
@@ -155,32 +157,14 @@ def _solve(g: CharGraph, W: np.ndarray) -> GraphEntropyResult:
     )
 
 
-def _blocks(g: CharGraph, side: Sequence[int]) -> list[list[int]]:
-    """Connected components, as ascending vertex ids, of g once the edges
-    between vertices with different side symbols are dropped."""
-    block_of = [-1] * g.n
-    blocks: list[list[int]] = []
-    for s in range(g.n):
-        if block_of[s] >= 0:
-            continue
-        block_of[s] = len(blocks)
-        block = [s]
-        for v in block:  # grows while it is walked
-            for u in g.neighbors[v]:
-                if block_of[u] < 0 and side[u] == side[v]:
-                    block_of[u] = len(blocks)
-                    block.append(u)
-        blocks.append(sorted(block))
-    return blocks
-
-
 def _solve_blocks(g: CharGraph, side: Sequence[int]) -> GraphEntropyResult:
     """H_G(X|Y) when Y = side[X] is a function of X, as sum_B P(B) H_{G[B]}
-    over the blocks B of _blocks: the program splits over the sections of Y
-    (Orlitsky & Roche 2001) and, since VP(G1 + G2) = VP(G1) x VP(G2), over
-    the components of each section. A one-vertex block costs 0."""
+    over the blocks B = graphs.components(g, side): the program splits over
+    the sections of Y (Orlitsky & Roche 2001) and, since VP(G1 + G2) =
+    VP(G1) x VP(G2), over the components of each section. A one-vertex
+    block costs 0."""
     parts: list[tuple[float, GraphEntropyResult]] = []
-    for block in _blocks(g, side):
+    for block in components(g, side):
         mass = math.fsum(g.pmf[v] for v in block)
         if len(block) == 1:
             parts.append((mass, GraphEntropyResult(0.0, 0, True, (0.0,) * RESTARTS)))

@@ -422,14 +422,19 @@ class TestScenario:
             (s, o)
             for s in ("s1", "s2-table2", "s2-diniz", "s3", "multilinear")
             for o in ("demand", "placement")
-        ],
+        ]
+        + [("custom", "kc")],  # custom takes Kc from its demand's rows
     )
     def test_unread_option_rejected(self, capsys, tmp_path, scenario, option):
         # an option the scenario never reads is refused, not dropped, and
         # before any file it names is opened
         base = {"scenario": scenario, "eps_grid": [0.3, 0.3, 1]}
-        if scenario in ("s1", "s3", "multilinear"):
+        if scenario in ("s1", "s3", "multilinear", "custom"):
             base.update(n=3, k=3, nr=2)
+        if scenario == "custom":
+            demand = tmp_path / "demand.json"
+            demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}))
+            base["demand"] = str(demand)
         value = "no_such_file.json" if option in ("demand", "placement") else 3
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(base))
@@ -442,6 +447,35 @@ class TestScenario:
         code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
         assert code == 2 and out == ""
         assert repr(scenario) in err and f"config key {option}" in err
+
+    def test_multilinear_takes_one_demand(self, capsys):
+        # the product demand is one function: a Kc above 1 is refused, as s1
+        # refuses it, instead of printing the Kc = 1 row
+        argv = ["scenario", "--scenario", "multilinear", "--n", "4", "--k", "8",
+                "--nr", "3", "--eps-grid", "0.1,0.1,1"]
+        assert run(capsys, argv + ["--kc", "1"])[:2] == run(capsys, argv)[:2]
+        code, out, err = run(capsys, argv + ["--kc", "5"])
+        assert code == 2 and out == ""
+        assert "single demanded function" in err
+
+    def test_json_rows_are_strict_json(self, capsys, tmp_path):
+        # at eps = 0 the graph rate is 0 and both gains are infinite: JSON
+        # writes them as null (RFC 8259 has no Infinity), CSV keeps inf
+        demand = tmp_path / "demand.json"
+        demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1, 1]]}))
+        argv = ["scenario", "--scenario", "custom", "--n", "4", "--k", "4", "--nr", "3",
+                "--demand", str(demand), "--eps-grid", "0,0,1"]
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        (row,) = json.loads(out, parse_constant=refuse)["rows"]
+        assert row["R_graph"] == 0.0 and row["R_lin"] == 3.0
+        assert row["eta_lin"] is None and row["eta_SW"] is None
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.splitlines()[1].endswith(",inf,inf")
 
     def test_missing_topology_flags(self, capsys):
         code, _, err = run(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chargraph.graphs import (
+    components,
     exact_min_coloring,
     greedy_coloring,
     induced_subgraph,
@@ -24,6 +25,7 @@ from chargraph.probability import (
     _joint_from_masses,
 )
 from chargraph.functions import LinearlySeparable, demand_from_json, demand_to_json
+from chargraph.rates import min_coloring
 from chargraph.solvers import (
     chromatic_entropy,
     conditional_graph_entropy,
@@ -81,6 +83,21 @@ def multipartite_unions(draw, max_n=12):
     ]
     part_counts = [sum(c == comp for c, _ in parts) for comp in {c for c, _ in parts}]
     return make_graph(dict(zip(labels, weights)), edges), max(part_counts)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """A disjoint union of 2-3 random graphs of 2-6 vertices each, with
+    shuffled vertex labels, so that the components' vertex ids interleave."""
+    parts = [draw(char_graphs(max_n=6)) for _ in range(draw(st.integers(2, 3)))]
+    n = sum(h.n for h in parts)
+    labels = iter(draw(st.permutations(range(n))))
+    masses, edges = {}, []
+    for h in parts:
+        ids = [next(labels) for _ in range(h.n)]
+        masses.update(zip(ids, h.pmf))
+        edges += [(ids[i], ids[j]) for i, j in h.edges]
+    return make_graph(masses, edges)
 
 
 class TestProbabilityProperties:
@@ -243,6 +260,20 @@ class TestColoringProperties:
         greedy = greedy_coloring(g)
         assert exact_min_coloring(g) == greedy
         assert len(set(greedy)) == most_parts
+
+    @settings(max_examples=100, deadline=None)
+    @given(disjoint_unions())
+    def test_min_coloring_splits_over_components(self, g):
+        # each component is colored as the graph it induces, whatever the
+        # other components are, so the union needs as many colors as its
+        # most demanding component
+        coloring = min_coloring(g)
+        counts = []
+        for comp in components(g):
+            alone = min_coloring(induced_subgraph(g, comp))
+            assert tuple(coloring[v] for v in comp) == alone
+            counts.append(len(set(alone)))
+        assert len(set(coloring)) == max(counts)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(char_graphs(max_n=8), relabelled_paths()))

@@ -13,7 +13,13 @@ import pytest
 
 from chargraph.errors import DecodeError, MisStructureError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
-from chargraph.graphs import build_char_graph
+from chargraph.graphs import (
+    EXACT_COLOR_GUARD,
+    build_char_graph,
+    greedy_coloring,
+    make_graph,
+    validate_coloring,
+)
 from chargraph.probability import (
     JointPmf,
     binary_entropy,
@@ -27,6 +33,7 @@ from chargraph.rates import (
     chain_rate,
     coloring_map,
     gains,
+    min_coloring,
     multilinear_rates,
     prop1_rate,
     prop2_rate,
@@ -350,6 +357,27 @@ class TestPointLocalSupport:
             assert rr.per_server_rates == (0.0, 0.0)
 
 
+class TestMinColoring:
+    def test_components_colored_apart(self):
+        # three disjoint copies of the path 1-0-5-4-2-3: whole-graph greedy
+        # needs 3 colors on each copy and the 18 vertices pass the exact
+        # guard, but each 6-vertex component gets its exact 2-coloring
+        path = [(1, 0), (0, 5), (5, 4), (4, 2), (2, 3)]
+        g = make_graph(
+            {(c, v): 1 / 18 for c in range(3) for v in range(6)},
+            [((c, a), (c, b)) for c in range(3) for a, b in path],
+        )
+        assert g.n > EXACT_COLOR_GUARD
+        assert len(set(greedy_coloring(g))) == 3
+        coloring = min_coloring(g)
+        validate_coloring(g, coloring)
+        assert len(set(coloring)) == 2
+
+    def test_lone_vertices_get_color_zero(self):
+        g = make_graph({v: 0.25 for v in range(4)}, [(1, 2)])
+        assert min_coloring(g) == (0, 0, 1, 0)
+
+
 class TestChain:
     def test_pair_demand_both_orderings(self):
         for eps in (0.2, 0.5):
@@ -390,6 +418,21 @@ class TestChain:
         t, p, d, joint = scenario_ii()
         with pytest.raises(DecodeError, match="no supplied ordering"):
             chain_rate(t, p, d, joint, [(1,), (3,)])
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    @pytest.mark.parametrize("nr", [3, 4])
+    def test_every_parity_ordering_decodes(self, eps, nr):
+        # a stage's rate does not depend on which minimum coloring it sends,
+        # but decodability does: greedy's pairing of colors across the
+        # components of a section must let every ordering decode
+        t = topo(5, 5, nr)
+        p = cyclic_placement(t)
+        d = LinearlySeparable(q=2, gamma=((1,) * 5,))
+        joint = iid_bernoulli_joint(5, eps)
+        orders = list(itertools.permutations(range(1, nr + 1)))
+        assert len(orders) == math.factorial(nr)
+        for order in orders:
+            assert chain_rate(t, p, d, joint, order).metadata["ordering"] == list(order)
 
     def test_ordering_validation(self):
         t, p, d, joint = scenario_ii()
