@@ -1,8 +1,8 @@
 """Batch command-line front end: placements, entropy solves, and scenario
 sweeps emitted as CSV/JSON tables for external plotting.
 
-Exit codes: 0 success, 2 validation error, 3 desk-scale guard,
-4 solver non-convergence.
+Exit codes: 0 success, 2 bad input (an invalid value, or a file that cannot
+be read or written), 3 desk-scale guard, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -35,64 +34,57 @@ from .rates import (
     slepian_wolf_rate,
 )
 from .solvers import conditional_graph_entropy, graph_entropy
-from .topology import (
-    Placement,
-    Topology,
-    cyclic_placement,
-    placement_from_json,
-    placement_to_json,
-)
+from .topology import Topology, cyclic_placement, placement_from_json, placement_to_json
 
-SCENARIOS = ("s1", "s2-table2", "s2-diniz", "s3", "multilinear", "custom")
 CSV_HEADER = "eps,param,R_graph,R_lin,R_SW,eta_lin,eta_SW"
+FORMATS = ("csv", "json")
 MAX_CHAIN_SERVERS = 6  # orderings grow factorially; cap the exhaustive sweep
-TOPOLOGY_SCENARIOS = ("s1", "s3", "multilinear", "custom")
-# the scenarios that read each optional input; any other scenario exits 2 on it
-READ_BY = {
-    "n": TOPOLOGY_SCENARIOS,
-    "k": TOPOLOGY_SCENARIOS,
-    "kc": ("s1", "s3", "multilinear"),  # custom takes Kc from its demand's rows
-    "nr": TOPOLOGY_SCENARIOS,
-    "demand": ("custom",),
-    "placement": ("custom",),
-    "p_grid": ("s2-table2",),
-    "rho_grid": tuple(s for s in SCENARIOS if s != "s2-table2"),
+
+
+def _parse_grid(value: Any) -> tuple[float, float, int]:
+    """a,b,count from a flag's text or a config file's list.  Each part is
+    read from its text, so both follow one rule: a count of 1.5 is refused,
+    not truncated."""
+    parts = value.split(",") if isinstance(value, str) else value
+    try:
+        a, b, count = (str(v) for v in parts)
+        return float(a), float(b), int(count)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"grid {value!r} is not of the form a,b,count") from exc
+
+
+# every option of a sweep and its value type; option `name` is the flag
+# --name (with hyphens) and the config key name, and a flag beats its key
+OPTIONS = {
+    "scenario": str,
+    "eps_grid": _parse_grid,
+    "out": str,
+    "format": str,
+    "n": int,
+    "k": int,
+    "kc": int,
+    "nr": int,
+    "demand": str,
+    "placement": str,
+    "p_grid": _parse_grid,
+    "rho_grid": _parse_grid,
+}
+EVERY_SCENARIO = ("scenario", "eps_grid", "out", "format")
+TOPOLOGY = ("n", "k", "nr")
+# the options each scenario reads besides EVERY_SCENARIO; any other exits 2
+READS = {
+    "s1": TOPOLOGY + ("kc", "rho_grid"),
+    "s2-table2": ("p_grid",),
+    "s2-diniz": ("rho_grid",),
+    "s3": TOPOLOGY + ("kc",),
+    "multilinear": TOPOLOGY + ("kc",),
+    "custom": TOPOLOGY + ("demand", "placement"),  # Kc is the demand's row count
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str
-    n: int | None = None
-    k: int | None = None
-    kc: int | None = None
-    nr: int | None = None
-    eps_grid: tuple[float, float, int] = (0.1, 0.5, 5)
-    rho_grid: tuple[float, float, int] | None = None
-    p_grid: tuple[float, float, int] | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    demand: str | None = None
-    placement: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValidationError(f"unknown scenario {self.scenario!r}")
-        for name, kind in (("n", int), ("k", int), ("kc", int), ("nr", int),
-                           ("out", str), ("demand", str), ("placement", str)):
-            value = getattr(self, name)
-            if value is not None and type(value) is not kind:
-                raise ValidationError(f"{name} must be {kind.__name__}, not {value!r}")
-        for grid in (self.eps_grid, self.rho_grid, self.p_grid):
-            if grid is None:
-                continue
-            a, b, count = grid
-            if not (0.0 <= a <= b <= 1.0):
-                raise ValidationError(f"grid bounds {a},{b} outside [0,1]")
-            if count < 1:
-                raise ValidationError("grid count must be >= 1")
-        if self.fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown format {self.fmt!r}")
+def _load_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _grid_values(grid: tuple[float, float, int]) -> list[float]:
@@ -107,13 +99,6 @@ def _make_topology(n: int, k: int, kc: int, nr: int) -> Topology:
     return Topology(n=n, k=k, kc=kc, m=m, nr=nr)
 
 
-def _topology(cfg: ScenarioConfig) -> Topology:
-    if cfg.n is None or cfg.k is None or cfg.nr is None:
-        raise ValidationError(f"scenario {cfg.scenario!r} needs --n, --k and --nr")
-    kc = cfg.kc if cfg.kc is not None else 1
-    return _make_topology(cfg.n, cfg.k, kc, cfg.nr)
-
-
 def _threads() -> int:
     # sweeps run on the calling thread; perfbench/tests/test_perfbench.py
     # still reads this count, and ROADMAP item 1 deletes that call and this stub
@@ -124,17 +109,95 @@ def _threads() -> int:
 # scenario evaluation
 
 
-def _custom_context(cfg: ScenarioConfig) -> tuple[Topology, Placement, Any]:
-    t = _topology(cfg)
-    if cfg.demand is None:
+def _config(args: argparse.Namespace) -> dict[str, Any]:
+    """The sweep's options, each flag over its config key, checked once; an
+    option that is set nowhere is absent."""
+    cfg: dict[str, Any] = {}
+    if args.config is not None:
+        raw = _load_json(args.config)
+        if not isinstance(raw, dict):
+            raise ValidationError("config must be a JSON object")
+        unknown = set(raw) - set(OPTIONS)
+        if unknown:
+            raise ValidationError(f"unknown config keys {sorted(unknown)}")
+        cfg = {name: value for name, value in raw.items() if value is not None}
+    cfg.update({name: v for name in OPTIONS if (v := getattr(args, name)) is not None})
+    for name, value in list(cfg.items()):
+        kind = OPTIONS[name]
+        if kind is _parse_grid:
+            a, b, count = cfg[name] = _parse_grid(value)
+            if not (0.0 <= a <= b <= 1.0):
+                raise ValidationError(f"grid bounds {a},{b} outside [0,1]")
+            if count < 1:
+                raise ValidationError("grid count must be >= 1")
+        elif type(value) is not kind:
+            raise ValidationError(f"{name} must be {kind.__name__}, not {value!r}")
+    scenario = cfg.get("scenario")
+    if scenario is None:
+        raise ValidationError("no scenario named (flag --scenario or config key)")
+    if scenario not in READS:
+        raise ValidationError(f"unknown scenario {scenario!r}")
+    if cfg.setdefault("format", "csv") not in FORMATS:
+        raise ValidationError(f"unknown format {cfg['format']!r}")
+    # an option the scenario never reads would be dropped without a word
+    for name in cfg:
+        if name not in EVERY_SCENARIO and name not in READS[scenario]:
+            raise ValidationError(
+                f"scenario {scenario!r} does not read "
+                f"--{name.replace('_', '-')} (config key {name})"
+            )
+    return cfg
+
+
+def _points(cfg: dict[str, Any]) -> list[tuple[float, float]]:
+    eps_values = _grid_values(cfg.get("eps_grid", (0.1, 0.5, 5)))
+    if "p_grid" in cfg:
+        # crossed sweeps run past the pair model's validity boundary
+        # (p' = eps*p/(1-eps) <= 1); each curve simply ends there
+        ps = _grid_values(cfg["p_grid"])
+        points = [(e, p) for e in eps_values for p in ps if crossover_feasible(e, p)]
+        if not points:
+            raise ValidationError("no feasible (eps, p) grid points: eps*p must not exceed 1-eps")
+        return points
+    if cfg["scenario"] == "s2-table2":
+        return [(e, 1.0 - e) for e in eps_values]  # independent pair
+    rhos = _grid_values(cfg["rho_grid"]) if "rho_grid" in cfg else [0.0]
+    return [(e, r) for e in eps_values for r in rhos]
+
+
+def _topology(cfg: dict[str, Any], kc: int) -> Topology:
+    if not all(name in cfg for name in TOPOLOGY):
+        raise ValidationError(f"scenario {cfg['scenario']!r} needs --n, --k and --nr")
+    return _make_topology(cfg["n"], cfg["k"], kc, cfg["nr"])
+
+
+def _evaluator(cfg: dict[str, Any]) -> Callable[[float, float], GainReport]:
+    """The scenario's (eps, param) -> GainReport, with its topology and
+    input files read once for the whole sweep."""
+    scenario = cfg["scenario"]
+    if scenario == "s2-table2":
+        return scenario2_table2_rates
+    if scenario == "s2-diniz":
+        return scenario2_diniz_rates
+    if scenario == "custom":
+        return _custom_evaluator(cfg)
+    t = _topology(cfg, cfg.get("kc", 1))
+    if scenario == "s1":
+        return lambda eps, rho: scenario1_rates(t, eps, rho)
+    if scenario == "s3":
+        return lambda eps, _: scenario3_rates(t, eps)
+    return lambda eps, _: multilinear_rates(t, eps)
+
+
+def _custom_evaluator(cfg: dict[str, Any]) -> Callable[[float, float], GainReport]:
+    if "demand" not in cfg:
         raise ValidationError("custom scenario needs --demand (a demand JSON file)")
-    with open(cfg.demand, "r", encoding="utf-8") as fh:
-        d = demand_from_json(json.load(fh), k=t.k)
+    d = demand_from_json(_load_json(cfg["demand"]), k=cfg.get("k"))
     if d.q != 2:
         raise ValidationError("custom sweeps draw i.i.d. Bern(eps); demand must be binary")
-    if cfg.placement is not None:
-        with open(cfg.placement, "r", encoding="utf-8") as fh:
-            p = placement_from_json(json.load(fh))
+    t = _topology(cfg, d.kc)
+    if "placement" in cfg:
+        p = placement_from_json(_load_json(cfg["placement"]))
     else:
         p = cyclic_placement(t)
     if t.nr > MAX_CHAIN_SERVERS:
@@ -142,78 +205,24 @@ def _custom_context(cfg: ScenarioConfig) -> tuple[Topology, Placement, Any]:
             f"custom scenario sweeps all orderings of the first Nr servers; "
             f"Nr={t.nr} exceeds {MAX_CHAIN_SERVERS}"
         )
-    return t, p, d
+    orderings = list(permutations(range(1, t.nr + 1)))
+    lin = prop1_rate(t)
+
+    def evaluate(eps: float, _: float) -> GainReport:
+        joint = iid_bernoulli_joint(t.k, eps)
+        return gains(chain_rate(t, p, d, joint, orderings), lin, slepian_wolf_rate(joint, t, p))
+
+    return evaluate
 
 
-def _eval_custom(
-    t: Topology, p: Placement, d: Any, eps: float
-) -> tuple[GainReport, bool]:
-    joint = iid_bernoulli_joint(t.k, eps)
-    orderings = [list(o) for o in permutations(range(1, t.nr + 1))]
-    graph = chain_rate(t, p, d, joint, orderings)
-    lin = prop1_rate(t, d.kc)
-    sw = slepian_wolf_rate(joint, t, p)
-    return gains(graph, lin, sw), bool(graph.metadata.get("converged", True))
-
-
-def _scenario_rows(cfg: ScenarioConfig) -> tuple[list[dict[str, float]], bool]:
-    # an option the scenario never reads would be dropped without a word
-    for name, readers in READ_BY.items():
-        if getattr(cfg, name) is not None and cfg.scenario not in readers:
-            raise ValidationError(
-                f"scenario {cfg.scenario!r} does not read "
-                f"--{name.replace('_', '-')} (config key {name})"
-            )
-    eps_vals = _grid_values(cfg.eps_grid)
-    if cfg.scenario in ("s3", "multilinear", "custom") and (
-        cfg.rho_grid is not None and any(v != 0.0 for v in _grid_values(cfg.rho_grid))
-    ):
-        raise ValidationError(f"scenario {cfg.scenario!r} is defined at rho = 0 only")
-
-    points: list[tuple[float, float]]
-    if cfg.scenario == "s2-table2":
-        if cfg.p_grid is not None:
-            params = _grid_values(cfg.p_grid)
-            # crossed sweeps run past the pair model's validity boundary
-            # (p' = eps*p/(1-eps) <= 1); each curve simply ends there
-            points = [(e, q) for e in eps_vals for q in params if crossover_feasible(e, q)]
-            if not points:
-                raise ValidationError(
-                    "no feasible (eps, p) grid points: eps*p must not exceed 1-eps"
-                )
-        else:
-            points = [(e, 1.0 - e) for e in eps_vals]  # independent pair
-    elif cfg.scenario in ("s1", "s2-diniz"):
-        params = _grid_values(cfg.rho_grid) if cfg.rho_grid is not None else [0.0]
-        points = [(e, r) for e in eps_vals for r in params]
-    else:
-        points = [(e, 0.0) for e in eps_vals]
-
-    if cfg.scenario in ("s1", "s3", "multilinear"):
-        t = _topology(cfg)
-    if cfg.scenario == "custom":
-        t, p, d = _custom_context(cfg)
-
-    def eval_point(pt: tuple[float, float]) -> tuple[GainReport, bool]:
-        eps, param = pt
-        if cfg.scenario == "s1":
-            return scenario1_rates(t, eps, param), True
-        if cfg.scenario == "s2-table2":
-            return scenario2_table2_rates(eps, param), True
-        if cfg.scenario == "s2-diniz":
-            return scenario2_diniz_rates(eps, param), True
-        if cfg.scenario == "s3":
-            return scenario3_rates(t, eps, t.kc), True
-        if cfg.scenario == "multilinear":
-            return multilinear_rates(t, eps), True
-        return _eval_custom(t, p, d, eps)
-
-    results = [eval_point(pt) for pt in points]
-
+def _scenario_rows(cfg: dict[str, Any]) -> tuple[list[dict[str, float]], bool]:
+    points = _points(cfg)
+    evaluate = _evaluator(cfg)
     rows = []
-    all_converged = True
-    for (eps, param), (g, converged) in zip(points, results):
-        all_converged = all_converged and converged
+    converged = True
+    for eps, param in points:
+        g = evaluate(eps, param)
+        converged = converged and bool(g.graph.metadata.get("converged", True))
         rows.append(
             {
                 "eps": eps,
@@ -225,7 +234,7 @@ def _scenario_rows(cfg: ScenarioConfig) -> tuple[list[dict[str, float]], bool]:
                 "eta_SW": g.eta_sw,
             }
         )
-    return rows, all_converged
+    return rows, converged
 
 
 def _render_csv(rows: Sequence[dict[str, float]]) -> str:
@@ -260,8 +269,7 @@ def cmd_placement(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _load_json(args.spec)
     if not isinstance(spec, dict):
         raise ValidationError("graph spec must be a JSON object")
     pmf = spec.get("pmf")
@@ -320,75 +328,19 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config(args)
     rows, converged = _scenario_rows(cfg)
-    if cfg.fmt == "csv":
-        _emit(_render_csv(rows), cfg.out)
+    if cfg["format"] == "csv":
+        _emit(_render_csv(rows), cfg.get("out"))
     else:
         # RFC 8259 has no Infinity or NaN: a non-finite value (the gain at a
         # zero graph rate) is written as null
         payload = {
-            "scenario": cfg.scenario,
+            "scenario": cfg["scenario"],
             "rows": [{c: v if math.isfinite(v) else None for c, v in r.items()} for r in rows],
         }
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.out)
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.get("out"))
     return 0 if converged else 4
-
-
-def _parse_grid(value: Any) -> tuple[float, float, int]:
-    """a,b,count from a flag's text or a config file's list.  Each part is
-    read from its text, so both follow one rule: a count of 1.5 is refused,
-    not truncated."""
-    parts = value.split(",") if isinstance(value, str) else value
-    try:
-        a, b, count = (str(v) for v in parts)
-        return float(a), float(b), int(count)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"grid {value!r} is not of the form a,b,count") from exc
-
-
-def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    base: dict[str, Any] = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValidationError("config must be a JSON object")
-        known = {
-            "scenario", "n", "k", "kc", "nr", "eps_grid", "rho_grid",
-            "p_grid", "out", "format", "demand", "placement",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys {sorted(unknown)}")
-        base = dict(raw)
-        for key in ("eps_grid", "rho_grid", "p_grid"):
-            if base.get(key) is not None:
-                base[key] = _parse_grid(base[key])
-        if "format" in base:
-            base["fmt"] = base.pop("format")
-
-    def pick(name: str, cli_value: Any) -> Any:
-        return cli_value if cli_value is not None else base.get(name)
-
-    scenario = pick("scenario", args.scenario)
-    if scenario is None:
-        raise ValidationError("no scenario named (flag --scenario or config key)")
-    eps_grid = pick("eps_grid", args.eps_grid)
-    return ScenarioConfig(
-        scenario=scenario,
-        n=pick("n", args.n),
-        k=pick("k", args.k),
-        kc=pick("kc", args.kc),
-        nr=pick("nr", args.nr),
-        eps_grid=eps_grid if eps_grid is not None else (0.1, 0.5, 5),
-        rho_grid=pick("rho_grid", args.rho_grid),
-        p_grid=pick("p_grid", args.p_grid),
-        out=pick("out", args.out),
-        fmt=pick("fmt", args.format) or "csv",
-        demand=pick("demand", args.demand),
-        placement=pick("placement", args.placement),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,20 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--out", default=None)
     p_en.set_defaults(func=cmd_entropy)
 
-    p_sc = sub.add_parser("scenario", help="sweep a scenario onto a CSV/JSON table")
-    p_sc.add_argument("--scenario", choices=SCENARIOS, default=None)
-    p_sc.add_argument("--config", default=None, help="ScenarioConfig JSON file")
-    p_sc.add_argument("--n", type=int, default=None)
-    p_sc.add_argument("--k", type=int, default=None)
-    p_sc.add_argument("--kc", type=int, default=None)
-    p_sc.add_argument("--nr", type=int, default=None)
-    p_sc.add_argument("--eps-grid", dest="eps_grid", type=_parse_grid, default=None)
-    p_sc.add_argument("--rho-grid", dest="rho_grid", type=_parse_grid, default=None)
-    p_sc.add_argument("--p-grid", dest="p_grid", type=_parse_grid, default=None)
-    p_sc.add_argument("--out", default=None)
-    p_sc.add_argument("--format", choices=("csv", "json"), default=None)
-    p_sc.add_argument("--demand", default=None, help="demand JSON (custom scenario)")
-    p_sc.add_argument("--placement", default=None, help="placement JSON (custom)")
+    p_sc = sub.add_parser(
+        "scenario",
+        help="sweep a scenario onto a CSV/JSON table",
+        description=f"scenarios: {', '.join(READS)}; formats: {', '.join(FORMATS)}",
+    )
+    p_sc.add_argument("--config", default=None, help="sweep config JSON file")
+    for name, kind in OPTIONS.items():
+        p_sc.add_argument("--" + name.replace("_", "-"), type=kind)
     p_sc.set_defaults(func=cmd_scenario)
     return parser
 
@@ -452,7 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DeskScaleError as exc:
         print(f"desk-scale guard: {exc}", file=sys.stderr)
         return 3
-    except (ChargraphError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ChargraphError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -343,14 +343,3 @@ def validate_coloring(g: CharGraph, coloring: Sequence[int]) -> None:
                 f"vertices {g.vertices[i]!r} and {g.vertices[j]!r} are adjacent "
                 f"but share color {coloring[i]}"
             )
-
-
-def graph_to_dot(g: CharGraph, name: str = "G") -> str:
-    """DOT text: vertices labelled by their local tuples, one line per edge."""
-    lines = [f"graph {name} {{"]
-    for i, v in enumerate(g.vertices):
-        lines.append(f'  v{i} [label="{v}" p="{g.pmf[i]:.6g}"];')
-    for i, j in sorted(g.edges):
-        lines.append(f"  v{i} -- v{j};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -274,13 +274,11 @@ def theorem1_sum_rate(
 # closed-form bounds
 
 
-def prop1_rate(t: Topology, kc: int) -> RateReport:
-    """Piecewise linear-demand cost in q-ary symbols for uniform i.i.d.
-    subfunctions under the cyclic placement."""
-    if kc < 1:
-        raise ValidationError("Kc must be >= 1")
+def prop1_rate(t: Topology) -> RateReport:
+    """Piecewise linear-demand cost in q-ary symbols of the Kc = t.kc demands
+    for uniform i.i.d. subfunctions under the cyclic placement."""
     derived_params(t)  # enforces the cyclic-consistency of M
-    delta = t.delta
+    kc, delta = t.kc, t.delta
     if kc < delta:
         total, case = kc * t.nr, "kc_below_delta"
     elif kc <= delta * t.nr:
@@ -564,12 +562,13 @@ def scenario2_diniz_rates(epsilon: float, rho: float) -> GainReport:
     return gains(graph, lin, sw)
 
 
-def scenario3_rates(t: Topology, epsilon: float, kc: int) -> GainReport:
-    """Kc parity-style demands, independent subfunctions, K = N: linear cost
-    Nr h(eps_M) against the graph cost Kc N* h(eps)."""
+def scenario3_rates(t: Topology, epsilon: float) -> GainReport:
+    """Kc = t.kc parity-style demands, independent subfunctions, K = N: linear
+    cost Nr h(eps_M) against the graph cost Kc N* h(eps)."""
+    kc = t.kc
     if t.k != t.n:
         raise ValidationError("this comparison needs K = N (delta = 1)")
-    if not 1 <= kc <= t.nr:
+    if kc > t.nr:
         raise ValidationError(f"Kc={kc} outside 1..Nr={t.nr}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon {epsilon} outside [0,1]")

@@ -77,8 +77,8 @@ def criterion_2() -> tuple[bool, str]:
     symbol count on all 50 frozen instances (integer equality)."""
     bad = []
     for n, k, nr, kc, cost in PROP1_CASES:
-        t = Topology(n=n, k=k, kc=1, m=(k // n) * (n - nr + 1), nr=nr)
-        rr = prop1_rate(t, kc)
+        t = Topology(n=n, k=k, kc=kc, m=(k // n) * (n - nr + 1), nr=nr)
+        rr = prop1_rate(t)
         if rr.metadata["total_symbols"] != cost or round(rr.sum_rate) != cost:
             bad.append((n, k, nr, kc))
     ok = not bad

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,9 @@ from chargraph.graphs import make_graph
 from chargraph.probability import binary_entropy, crossover_joint, parity_param
 from chargraph.rates import scenario2_table2_rates
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-FIG_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "fig-sweeps.json"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+FIG_REFS = ROOT / "perfbench" / "refs" / "fig-sweeps.json"
 
 TERNARY_CONDITIONAL = 0.5408520829727552
 
@@ -391,6 +393,10 @@ class TestScenario:
             ("multilinear", "--p-grid"),
             ("custom", "--p-grid"),
             ("s2-table2", "--rho-grid"),
+            # these scenarios have no rho axis: even an all-zero grid is refused
+            ("s3", "--rho-grid"),
+            ("multilinear", "--rho-grid"),
+            ("custom", "--rho-grid"),
         ],
     )
     def test_unread_grid_rejected(self, capsys, tmp_path, scenario, flag):
@@ -406,14 +412,16 @@ class TestScenario:
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(base))
         assert run(capsys, ["scenario", "--config", str(cfg)])[0] == 0
-        code, out, err = run(capsys, ["scenario", "--config", str(cfg), flag, "0.5,0.5,1"])
-        assert code == 2 and out == ""
-        assert repr(scenario) in err and flag in err
         key = flag[2:].replace("-", "_")
-        cfg.write_text(json.dumps({**base, key: [0.5, 0.5, 1]}))
-        code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
-        assert code == 2 and out == ""
-        assert repr(scenario) in err and key in err
+        for grid in ("0.5,0.5,1", "0,0,1"):
+            cfg.write_text(json.dumps(base))
+            code, out, err = run(capsys, ["scenario", "--config", str(cfg), flag, grid])
+            assert code == 2 and out == ""
+            assert repr(scenario) in err and flag in err
+            cfg.write_text(json.dumps({**base, key: json.loads(f"[{grid}]")}))
+            code, out, err = run(capsys, ["scenario", "--config", str(cfg)])
+            assert code == 2 and out == ""
+            assert repr(scenario) in err and key in err
 
     @pytest.mark.parametrize(
         "scenario, option",
@@ -552,6 +560,90 @@ class TestScenario:
         cfg.write_text(json.dumps(["scenario", "s1"]))
         code, _, err = run(capsys, ["scenario", "--config", str(cfg)])
         assert code == 2 and "JSON object" in err
+
+
+def readme_option_table():
+    """{(scenario, option): read?} from the README's table of the options
+    that only some scenarios read."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| scenario |"))
+    header, _, *rows = takewhile(lambda line: line.startswith("|"), lines[start:])
+    options = [c.strip(" `")[2:].replace("-", "_") for c in header.split("|")[2:-1]]
+    table = {}
+    for row in rows:
+        scenario, *cells = (c.strip(" `") for c in row.split("|")[1:-1])
+        assert set(cells) <= {"yes", "no"} and len(cells) == len(options)
+        table.update(((scenario, o), c == "yes") for o, c in zip(options, cells))
+    return table
+
+
+OPTION_TABLE = readme_option_table()
+
+
+class TestOptionTable:
+    """Every cell of the README's scenario x option table, as a flag and as a
+    config key: a read option runs, an unread one exits 2 before any file it
+    names is opened."""
+
+    def test_table_covers_every_pair(self):
+        scenarios = ("s1", "s2-table2", "s2-diniz", "s3", "multilinear", "custom")
+        options = ("n", "k", "nr", "kc", "demand", "placement", "p_grid", "rho_grid")
+        assert set(OPTION_TABLE) == {(s, o) for s in scenarios for o in options}
+
+    @pytest.mark.parametrize("scenario, option", sorted(OPTION_TABLE))
+    def test_cell(self, capsys, tmp_path, scenario, option):
+        demand = tmp_path / "demand.json"
+        demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}))
+        placement = tmp_path / "placement.json"
+        placement.write_text(json.dumps({"N": 3, "K": 3, "Z": [[1, 2], [2, 3], [1, 3]]}))
+        read = OPTION_TABLE[scenario, option]
+        missing = str(tmp_path / "no_such_file.json")
+        values = {"n": 3, "k": 3, "nr": 2, "kc": 1, "p_grid": "0.5,0.5,1",
+                  "rho_grid": "0.5,0.5,1", "demand": str(demand) if read else missing,
+                  "placement": str(placement) if read else missing}
+        base = {"scenario": scenario, "eps_grid": [0.3, 0.3, 1]}
+        base.update((o, values[o]) for o in ("n", "k", "nr", "demand")
+                    if OPTION_TABLE[scenario, o] and o != option)
+        cfg = tmp_path / "sweep.json"
+        flag = "--" + option.replace("_", "-")
+        cfg.write_text(json.dumps(base))
+        by_flag = run(capsys, ["scenario", "--config", str(cfg), flag, str(values[option])])
+        cfg.write_text(json.dumps({**base, option: values[option]}))
+        by_key = run(capsys, ["scenario", "--config", str(cfg)])
+        for (code, out, err), named in ((by_flag, flag + " "), (by_key, f"config key {option}")):
+            if read:
+                assert code == 0 and out.startswith(CSV_HEADER)
+            else:
+                assert code == 2 and out == ""
+                assert f"scenario {scenario!r} does not read" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "option, target",
+    [(o, "directory") for o in ("--spec", "--config", "--demand", "--placement", "--out")]
+    + [(o, "non-UTF-8") for o in ("--spec", "--config", "--demand", "--placement")]
+    + [("--out", "under-a-file")],
+)
+def test_unreadable_file_exits_2(capsys, tmp_path, option, target):
+    # a file that cannot be opened, read as UTF-8 or written is bad input,
+    # reported like any other, not a traceback
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bad.json").write_bytes(b'{"\xff": 1}')
+    path = {"directory": tmp_path / "dir", "non-UTF-8": tmp_path / "bad.json",
+            "under-a-file": tmp_path / "bad.json" / "out.csv"}[target]
+    demand = tmp_path / "demand.json"
+    demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}))
+    custom = ["scenario", "--scenario", "custom", "--n", "3", "--k", "3", "--nr", "2",
+              "--eps-grid", "0.3,0.3,1"]
+    argv = {
+        "--spec": ["entropy"],
+        "--config": ["scenario"],
+        "--demand": custom,
+        "--placement": custom + ["--demand", str(demand)],
+        "--out": ["scenario", "--scenario", "s2-table2", "--eps-grid", "0.3,0.3,1"],
+    }[option]
+    code, out, err = run(capsys, argv + [option, str(path)])
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestCustomScenario:

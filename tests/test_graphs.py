@@ -19,7 +19,6 @@ from chargraph.graphs import (
     confusability_graph,
     enumerate_mis,
     exact_min_coloring,
-    graph_to_dot,
     greedy_coloring,
     make_graph,
     or_power,
@@ -382,21 +381,3 @@ class TestColorings:
             validate_coloring(g, (0, 1))  # vertex 2 unassigned
         with pytest.raises(ValidationError, match="every vertex"):
             validate_coloring(g, (0, 1, 1, 0))  # a color for a vertex g lacks
-
-
-class TestDot:
-    def test_ternary_layout(self):
-        text = graph_to_dot(ternary_graph())
-        assert text.splitlines() == [
-            "graph G {",
-            '  v0 [label="1" p="0.333333"];',
-            '  v1 [label="2" p="0.333333"];',
-            '  v2 [label="3" p="0.333333"];',
-            "  v0 -- v2;",
-            "}",
-        ]
-
-    def test_custom_name(self):
-        assert graph_to_dot(ternary_graph(), name="server1").startswith(
-            "graph server1 {"
-        )

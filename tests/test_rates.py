@@ -164,19 +164,19 @@ class TestReports:
 class TestProp1:
     @pytest.mark.parametrize("n,k,nr,kc,cost", PROP1_CASES)
     def test_frozen_grid(self, n, k, nr, kc, cost):
-        rr = prop1_rate(topo(n, k, nr), kc)
+        rr = prop1_rate(topo(n, k, nr, kc=kc))
         assert rr.metadata["total_symbols"] == cost
         assert rr.sum_rate == pytest.approx(cost, abs=1e-12)
 
     def test_metadata(self):
-        rr = prop1_rate(topo(2, 4, 2), 1)
+        rr = prop1_rate(topo(2, 4, 2))
         assert rr.metadata["units"] == "q-ary symbols"
         assert rr.metadata["case"] == "kc_below_delta"
         assert len(rr.per_server_rates) == 2
 
     def test_rejects_bad_kc(self):
         with pytest.raises(ValidationError):
-            prop1_rate(topo(2, 4, 2), 0)
+            prop1_rate(topo(2, 4, 2, kc=0))
 
 
 class TestProp2:
@@ -483,8 +483,8 @@ class TestScenarioClosedForms:
         assert rep.eta_lin == pytest.approx(2.0, abs=1e-9)
 
     def test_parity_batch_values(self):
-        t = topo(5, 5, 4, kc=1)  # K = N, M = 2, N* = 2
-        rep = scenario3_rates(t, 0.3, 2)
+        t = topo(5, 5, 4, kc=2)  # K = N, M = 2, N* = 2
+        rep = scenario3_rates(t, 0.3)
         assert rep.lin.sum_rate == pytest.approx(
             4 * binary_entropy(parity_param(2, 0.3)), abs=1e-12
         )
@@ -495,9 +495,9 @@ class TestScenarioClosedForms:
 
     def test_parity_batch_validation(self):
         with pytest.raises(ValidationError):
-            scenario3_rates(topo(2, 4, 2, kc=1), 0.3, 1)  # K != N
+            scenario3_rates(topo(2, 4, 2, kc=1), 0.3)  # K != N
         with pytest.raises(ValidationError):
-            scenario3_rates(topo(5, 5, 4, kc=1), 0.3, 5)  # Kc > Nr
+            scenario3_rates(topo(5, 5, 4, kc=5), 0.3)  # Kc > Nr
 
     def test_multilinear_graph_is_closed_form(self):
         t = topo(5, 5, 4, kc=1)
