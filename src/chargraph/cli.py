@@ -8,12 +8,13 @@ be read or written), 3 desk-scale guard, 4 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
 import sys
 from itertools import permutations
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -215,9 +216,9 @@ def _custom_evaluator(cfg: dict[str, Any]) -> Callable[[float, float], GainRepor
     return evaluate
 
 
-def _scenario_rows(cfg: dict[str, Any]) -> tuple[list[dict[str, float]], bool]:
-    points = _points(cfg)
-    evaluate = _evaluator(cfg)
+def _scenario_rows(
+    points: Sequence[tuple[float, float]], evaluate: Callable[[float, float], GainReport]
+) -> tuple[list[dict[str, float]], bool]:
     rows = []
     converged = True
     for eps, param in points:
@@ -249,12 +250,20 @@ def _render_csv(rows: Sequence[dict[str, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """Where a command writes: stdout, or the file out, which is opened (so
+    an unwritable path fails) on entry."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +338,22 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    rows, converged = _scenario_rows(cfg)
-    if cfg["format"] == "csv":
-        _emit(_render_csv(rows), cfg.get("out"))
-    else:
-        # RFC 8259 has no Infinity or NaN: a non-finite value (the gain at a
-        # zero graph rate) is written as null
-        payload = {
-            "scenario": cfg["scenario"],
-            "rows": [{c: v if math.isfinite(v) else None for c, v in r.items()} for r in rows],
-        }
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.get("out"))
+    points = _points(cfg)
+    evaluate = _evaluator(cfg)
+    # --out is opened before the first row, so an unwritable path exits 2
+    # at once instead of after the whole sweep
+    with _output(cfg.get("out")) as fh:
+        rows, converged = _scenario_rows(points, evaluate)
+        if cfg["format"] == "csv":
+            fh.write(_render_csv(rows))
+        else:
+            # RFC 8259 has no Infinity or NaN: a non-finite value (the gain
+            # at a zero graph rate) is written as null
+            payload = {
+                "scenario": cfg["scenario"],
+                "rows": [{c: v if math.isfinite(v) else None for c, v in r.items()} for r in rows],
+            }
+            fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0 if converged else 4
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, product as iter_product
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import product as iter_product
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,21 +77,27 @@ class CharGraph:
 
 
 def make_graph(
-    masses: Mapping[Label, float], edge_pairs: Iterable[tuple[Label, Label]]
+    masses: Mapping[Hashable, float],
+    edge_pairs: Iterable[tuple[Hashable, Hashable]],
+    label: Callable[[Hashable], Label] | None = None,
 ) -> CharGraph:
     """Normalize masses (rejecting negative or non-finite ones, pruning
-    sub-threshold vertices), sort labels, and join the given label pairs."""
+    sub-threshold vertices), sort labels, and join the given pairs.  With
+    label, masses and edge_pairs name vertices by codes and label(code) is
+    the vertex's label; without it, each key is its own label."""
     bad = [v for v, m in masses.items() if not 0.0 <= m < math.inf]
     if bad:
         raise ValidationError(f"vertex {bad[0]!r} has a negative or non-finite mass")
     kept = {v: m for v, m in masses.items() if m > SUPPORT_TOL}
     if not kept:
         raise ValidationError("no vertex has positive probability")
-    vertices = tuple(sorted(kept, key=repr))
+    labels = {v: v if label is None else label(v) for v in kept}
+    codes = sorted(kept, key=lambda v: repr(labels[v]))
+    vertices = tuple(labels[v] for v in codes)
     total = math.fsum(kept.values())
-    pmf = tuple(kept[v] / total for v in vertices)
-    idx = {v: i for i, v in enumerate(vertices)}
-    nbrs: list[set[int]] = [set() for _ in vertices]
+    pmf = tuple(kept[v] / total for v in codes)
+    idx = {v: i for i, v in enumerate(codes)}
+    nbrs: list[set[int]] = [set() for _ in codes]
     for a, b in edge_pairs:
         if a in idx and b in idx:  # else an endpoint was pruned
             nbrs[idx[a]].add(idx[b])
@@ -99,27 +105,40 @@ def make_graph(
     return CharGraph(vertices=vertices, neighbors=tuple(map(frozenset, nbrs)), pmf=pmf)
 
 
+def integer_codes(values: Iterable[Hashable]) -> tuple[list[int], list[Hashable]]:
+    """The code of each value (0, 1, ... in order of first appearance) and
+    the value of each code."""
+    index: dict[Hashable, int] = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return codes, list(index)
+
+
 def confusability_graph(
-    points: Iterable[tuple[Label, Hashable, float, Hashable]],
+    vertex: Sequence[int],
+    key: Sequence[int],
+    mass: Sequence[float],
+    out: Sequence[int],
+    label: Callable[[int], Label],
 ) -> CharGraph:
-    """Graph on the vertex labels of support points (vertex, completion key,
-    mass, outputs): each vertex carries the total mass of its points, and
-    two vertices are joined iff a point of each shares a completion key but
-    not the outputs.  Outputs must be a function of (vertex, completion key):
-    otherwise the vertex would be joined to itself, which make_graph rejects."""
-    masses: dict[Label, float] = {}
-    groups: dict[Hashable, list[tuple[Hashable, Label]]] = {}  # key -> (outputs, vertex)
-    for v, key, m, out in points:
+    """Graph on the vertex codes of support points, point k given by its
+    vertex code vertex[k], completion-key code key[k], mass mass[k] and
+    output code out[k]: each vertex carries the total mass of its points,
+    and two vertices are joined iff a point of each shares a completion key
+    but not the outputs.  label(code) is a vertex's label; vertices are
+    ordered by the repr of their labels.  Outputs must be a function of
+    (vertex, completion key): otherwise the vertex would be joined to
+    itself, which CharGraph rejects."""
+    masses: dict[int, float] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}  # key -> (output, vertex) so far
+    edge_pairs: set[tuple[int, int]] = set()
+    for v, k, m, o in zip(vertex, key, mass, out):
         masses[v] = masses.get(v, 0.0) + m
-        groups.setdefault(key, []).append((out, v))
-    edge_pairs = [
-        (a, b)
-        for group in groups.values()
-        if len(group) > 1
-        for (out_a, a), (out_b, b) in combinations(group, 2)
-        if out_a != out_b
-    ]
-    return make_graph(masses, edge_pairs)
+        group = groups.setdefault(k, [])
+        for out_u, u in group:
+            if out_u != o:
+                edge_pairs.add((u, v))
+        group.append((o, v))
+    return make_graph(masses, edge_pairs, label)
 
 
 def induced_subgraph(g: CharGraph, vs: Sequence[int]) -> CharGraph:
@@ -174,17 +193,14 @@ def build_char_graph(
     sel = _demand_ids(d, demand_subset)
     zone = p.zone0(i)
     rest_coords = tuple(c for c in range(d.k) if c not in zone)
-
-    def point(w: tuple[int, ...], m: float):
-        full = evaluate_demand(d, w)
-        return (
-            tuple(w[c] for c in zone),
-            tuple(w[c] for c in rest_coords),
-            m,
-            tuple(full[j - 1] for j in sel),
-        )
-
-    return confusability_graph(point(w, m) for w, m in joint.support())
+    support = joint.support()
+    local, labels = integer_codes(tuple(w[c] for c in zone) for w, _ in support)
+    rest, _ = integer_codes(tuple(w[c] for c in rest_coords) for w, _ in support)
+    outs, _ = integer_codes(
+        tuple(full[j - 1] for j in sel)
+        for full in (evaluate_demand(d, w) for w, _ in support)
+    )
+    return confusability_graph(local, rest, [m for _, m in support], outs, labels.__getitem__)
 
 
 def _demand_ids(d: DemandSpec, demand_subset: Iterable[int] | None) -> tuple[int, ...]:
@@ -242,33 +258,56 @@ class MisFamily:
         return len(self.sets)
 
 
-def enumerate_mis(g: CharGraph) -> MisFamily:
-    """Maximal independent sets of g = maximal cliques of its complement,
-    enumerated by pivoting branch-and-bound.  Stops with DeskScaleError once
+def enumerate_mis(g: CharGraph, vs: Sequence[int] | None = None) -> MisFamily:
+    """Maximal independent sets of g, or of its subgraph induced on the
+    ascending vertex ids vs, in that subgraph's ids (position in vs):
+    maximal cliques of the complement, enumerated by pivoting
+    branch-and-bound over bitmasks.  Stops with DeskScaleError once
     |V| x (sets found) passes MIS_CELL_GUARD."""
-    if g.n > MIS_GUARD:
-        raise DeskScaleError(f"|V| = {g.n} exceeds the MIS guard {MIS_GUARD}")
-    all_v = frozenset(range(g.n))
-    co_nbrs = tuple(all_v - g.neighbors[v] - {v} for v in range(g.n))
+    ids = range(g.n) if vs is None else vs
+    n = len(ids)
+    if n > MIS_GUARD:
+        raise DeskScaleError(f"|V| = {n} exceeds the MIS guard {MIS_GUARD}")
+    pos = {v: i for i, v in enumerate(ids)}
+    full = (1 << n) - 1
+    co_nbrs = []  # bitmask of the non-neighbours of each vertex, itself excluded
+    for i, v in enumerate(ids):
+        nbrs = 1 << i
+        for u in g.neighbors[v]:
+            if u in pos:
+                nbrs |= 1 << pos[u]
+        co_nbrs.append(full & ~nbrs)
 
     found: list[tuple[int, ...]] = []
 
-    def expand(clique: set[int], cand: set[int], excl: set[int]) -> None:
-        if not cand and not excl:
-            found.append(tuple(sorted(clique)))
-            if g.n * len(found) > MIS_CELL_GUARD:
-                raise DeskScaleError(
-                    f"|V| x MIS count passes the {MIS_CELL_GUARD} cell guard"
-                )
+    def expand(clique: int, cand: int, excl: int) -> None:
+        if not cand:  # maximal unless an excluded vertex could still join
+            if not excl:
+                found.append(tuple(_bits(clique)))
+                if n * len(found) > MIS_CELL_GUARD:
+                    raise DeskScaleError(
+                        f"|V| x MIS count passes the {MIS_CELL_GUARD} cell guard"
+                    )
             return
-        pivot = max(cand | excl, key=lambda u: len(cand & co_nbrs[u]))
-        for v in sorted(cand - co_nbrs[pivot]):
-            expand(clique | {v}, cand & co_nbrs[v], excl & co_nbrs[v])
-            cand.remove(v)
-            excl.add(v)
+        pivot = max(_bits(cand | excl), key=lambda u: (cand & co_nbrs[u]).bit_count())
+        for v in _bits(cand & ~co_nbrs[pivot]):
+            bit = 1 << v
+            expand(clique | bit, cand & co_nbrs[v], excl & co_nbrs[v])
+            cand &= ~bit
+            excl |= bit
 
-    expand(set(), set(all_v), set())
+    expand(0, full, 0)
     return MisFamily(sets=tuple(sorted(found)))
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _degree_order(g: CharGraph) -> list[int]:

@@ -9,6 +9,12 @@ CLI exposes. Every symbol a server sends comes from min_coloring, which
 colors one component of graphs.components at a time; a chain stage graph
 has no edge across transcript sections, so one coloring of it colors each
 section on its own.
+
+chain_rate codes each server's local and remaining coordinates and the
+demanded outputs as integers once; a stage codes each point's transcript,
+groups the points by (transcript, local) and (transcript, rest) codes and
+builds its graph with graphs.confusability_graph; the vertex labels stay
+(local tuple, transcript), built once per vertex.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .graphs import (
     exact_min_coloring,
     greedy_coloring,
     induced_subgraph,
+    integer_codes,
     make_graph,
 )
 from .probability import (
@@ -51,6 +58,7 @@ from .solvers import conditional_graph_entropy, graph_entropy
 from .topology import Placement, Topology, coverage_check, derived_params
 
 COMBO_GUARD = 10**6  # max (subset, candidate-combination) decodability checks
+TIE_RTOL = 1e-12  # chain sums this close (relative) to the least one tie
 
 EncodingMap = Mapping[tuple[int, ...], int]
 
@@ -149,15 +157,20 @@ def _support_items(
 
 
 def min_coloring(g: CharGraph) -> tuple[int, ...]:
-    """The color of each vertex id, one component at a time: 0 for a lone
-    vertex, the exact minimum on a component of at most EXACT_COLOR_GUARD
-    vertices, degree-ordered greedy on a larger one. Greedy is local (a
-    vertex's color depends only on its colored neighbours, and the degree
-    order restricted to a component is the component's own), so a large
-    component gets the colors whole-graph greedy gives it."""
+    """The color of each vertex id, one component at a time: colors 0, 1, ...
+    in id order on a clique (a lone vertex included), the exact minimum on
+    another component of at most EXACT_COLOR_GUARD vertices, degree-ordered
+    greedy on a larger one. On a clique that is what greedy gives (every
+    degree ties, so ids decide) and what the exact search keeps (greedy's
+    clique proves it minimal). Greedy is local (a vertex's color depends
+    only on its colored neighbours, and the degree order restricted to a
+    component is the component's own), so a large component gets the
+    colors whole-graph greedy gives it."""
     colors = [0] * g.n
     for comp in components(g):
-        if len(comp) == 1:
+        if all(len(g.neighbors[v]) == len(comp) - 1 for v in comp):
+            for c, v in enumerate(comp):
+                colors[v] = c
             continue
         h = g if len(comp) == g.n else induced_subgraph(g, comp)  # connected: in place
         small = h.n <= EXACT_COLOR_GUARD
@@ -413,35 +426,37 @@ def chain_rate(
     section), so coloring it component by component colors each section. The
     final transcripts must determine every demanded output; otherwise the
     ordering is insufficient. When several orderings are supplied the best
-    decodable one is reported.
+    decodable one is reported; of orderings whose sum rates tie within
+    TIE_RTOL, the earliest.
     """
     orderings = _normalize_orderings(t, ordering)
     items = _support_items(d, p, joint)
+    masses = [m for _, m, _ in items]
+    outs, _ = integer_codes(dem for _, _, dem in items)
     # every ordering splits a point into a server's local tuple and the rest
-    # the same way, so each server's split is taken once
-    splits: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for server in {s for order in orderings for s in order}:
-        zone = p.zone0(server)
-        rest_coords = tuple(c for c in range(d.k) if c not in zone)
-        splits[server] = [
-            (tuple(w[c] for c in zone), tuple(w[c] for c in rest_coords))
-            for w, _, _ in items
-        ]
-    best: tuple[float, tuple[float, ...], tuple[int, ...], bool] | None = None
+    # the same way, so each server's split is coded once
+    ws = [w for w, _, _ in items]
+    splits = {
+        server: _split(ws, p.zone0(server)) for server in {s for order in orderings for s in order}
+    }
+    decodable: list[tuple[float, list[float], tuple[int, ...], bool]] = []
     failures: list[str] = []
     for order in orderings:
         try:
-            rates, converged = _chain_eval(items, splits, order)
+            rates, converged = _chain_eval(items, masses, outs, splits, order)
         except DecodeError as exc:
             failures.append(str(exc))
             continue
-        total = math.fsum(rates)
-        if best is None or total < best[0]:
-            best = (total, rates, order, converged)
-    if best is None:
+        decodable.append((math.fsum(rates), rates, order, converged))
+    if not decodable:
         raise DecodeError(
             "no supplied ordering decodes the demands: " + "; ".join(failures)
         )
+    # orderings that tie in exact arithmetic differ in the last bits of their
+    # sums, so the earliest within TIE_RTOL of the least sum wins, not the
+    # one that rounding favours
+    least = min(total for total, _, _, _ in decodable)
+    best = next(entry for entry in decodable if entry[0] <= least * (1.0 + TIE_RTOL))
     _, rates, order, converged = best
     return rate_report(
         rates, "chain", ordering=list(order), orderings_tried=len(orderings),
@@ -467,27 +482,71 @@ def _normalize_orderings(
     return many
 
 
+@dataclass(frozen=True)
+class _Split:
+    """One server's split of the support points: the code of each point's
+    local tuple, the local tuple of each code, and the code of each point's
+    remaining coordinates, of which there are n_rest."""
+
+    local: list[int]
+    labels: list[tuple[int, ...]]
+    rest: list[int]
+    n_rest: int
+
+
+def _split(ws: Sequence[tuple[int, ...]], zone: Sequence[int]) -> _Split:
+    """The split of the support points ws by the coordinates in zone."""
+    rest_coords = tuple(c for c in range(len(ws[0])) if c not in zone)
+    local, labels = integer_codes(tuple(w[c] for c in zone) for w in ws)
+    rest, rest_values = integer_codes(tuple(w[c] for c in rest_coords) for w in ws)
+    return _Split(local, labels, rest, len(rest_values))
+
+
+def _stage_graph(
+    split: _Split,
+    masses: Sequence[float],
+    outs: Sequence[int],
+    codes: Sequence[int],
+    transcripts: Sequence[tuple[int, ...]],
+) -> tuple[CharGraph, list[int]]:
+    """A chain stage's graph and the vertex id of each support point, given
+    the server's split, the point masses and output codes, the transcript
+    code of each point and the transcript of each code. The decoder knows
+    the transcript, so it is part of both the vertex (local tuple,
+    transcript) and the completion (rest, transcript): only points with
+    equal transcripts are confusable."""
+    nl, labels = len(split.labels), split.labels
+    vertex = [c * nl + x for c, x in zip(codes, split.local)]
+    key = [c * split.n_rest + r for c, r in zip(codes, split.rest)]
+
+    def label(v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return labels[v % nl], transcripts[v // nl]
+
+    g = confusability_graph(vertex, key, masses, outs, label)
+    index = {lab: i for i, lab in enumerate(g.vertices)}
+    ids = {v: index[label(v)] for v in set(vertex)}
+    return g, [ids[v] for v in vertex]
+
+
 def _chain_eval(
     items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]],
-    splits: Mapping[int, Sequence[tuple[tuple[int, ...], tuple[int, ...]]]],
+    masses: Sequence[float],
+    outs: Sequence[int],
+    splits: Mapping[int, _Split],
     order: tuple[int, ...],
 ) -> tuple[list[float], bool]:
-    transcripts: list[tuple[int, ...]] = [() for _ in items]
+    # transcripts by integer code: codes[k] is the code of point k's
+    # transcript and transcripts[c] the transcript of code c; every code
+    # 0..len(transcripts)-1 is some point's
+    codes = [0] * len(items)
+    transcripts: list[tuple[int, ...]] = [()]
     rates: list[float] = []
     converged = True
     for server in order:
-        # the decoder knows the transcript y, so it is part of both the vertex
-        # and the completion: only points with equal transcripts are confusable
-        points = [
-            ((x, y), (rest, y), m, dem)
-            for (_, m, dem), (x, rest), y in zip(items, splits[server], transcripts)
-        ]
-        g = confusability_graph(points)
-        ys = sorted({label[1] for label in g.vertices})
-        y_index = {y: k for k, y in enumerate(ys)}
+        g, ids = _stage_graph(splits[server], masses, outs, codes, transcripts)
         joint2 = JointPmf(
-            (g.n, len(ys)),
-            {(v, y_index[label[1]]): g.pmf[v] for v, label in enumerate(g.vertices)},
+            (g.n, len(transcripts)),
+            {(i, c): g.pmf[i] for i, c in dict(zip(ids, codes)).items()},
         )
         res = conditional_graph_entropy(g, joint2)
         rates.append(res.value)
@@ -496,14 +555,15 @@ def _chain_eval(
         # colors need only separate inside the transcript section the decoder
         # already knows; no edge of g leaves a section, so coloring g one
         # component at a time colors each section on its own
-        symbol = coloring_map(g)
-        for idx, point in enumerate(points):
-            transcripts[idx] += (symbol[point[0]],)
+        colors = min_coloring(g)
+        coded: dict[tuple[int, int], int] = {}  # (transcript code, color) -> next code
+        codes = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids)]
+        transcripts = [transcripts[c] + (color,) for c, color in coded]
 
     decoding_map(
-        ((z, dem) for (_, _, dem), z in zip(items, transcripts)),
-        lambda z, a, b: DecodeError(
-            f"ordering {order} is insufficient: transcript {z} is "
+        ((c, dem) for (_, _, dem), c in zip(items, codes)),
+        lambda c, a, b: DecodeError(
+            f"ordering {order} is insufficient: transcript {transcripts[c]} is "
             f"consistent with demands {a} and {b}"
         ),
     )

@@ -6,9 +6,15 @@ constraint U - X - Y; graph_entropy is the same program with a constant Y
 (Orlitsky & Roche 2001), where it reduces to minimizing I(X;U). Whenever Y
 is a function of X (always so for graph_entropy) the program is solved
 block by block, over the components of each section of Y, as
-graphs.components splits them. A block whose vertices each lie in one MIS
-(a complete multipartite block) is evaluated in closed form; every other
-block runs one alternating minimization with multi-restart certification.
+graphs.components splits them. A one-vertex block costs nothing and
+enumerates nothing. Every other block enumerates its MISs once, on its
+vertex ids within the whole graph, and one test, shared with the
+whole-graph path for a general Y, decides whether it is exact: the MISs
+partition the vertices (their sizes add up to the vertex count) exactly
+when the graph is complete multipartite, and then the value is summed in
+closed form from the part masses. Only the other blocks reach _solve,
+which takes the enumerated family and runs one alternating minimization
+with multi-restart certification.
 Each step of it holds the restarts as one array P[u, r, x] (MIS, restart,
 vertex), so that both products are single 2-D matrix products and the
 reductions over u run along axis 0; the iterates and values are those of
@@ -32,10 +38,10 @@ from .graphs import (
     EXACT_COLOR_GUARD,
     SOLVE_CELL_GUARD,
     CharGraph,
+    MisFamily,
     components,
     enumerate_mis,
     greedy_coloring,
-    induced_subgraph,
 )
 from .probability import JointPmf
 
@@ -61,13 +67,28 @@ class GraphEntropyResult:
         }
 
 
-def _mis_mask(g: CharGraph) -> np.ndarray:
+def _mis_mask(mis: MisFamily, n: int) -> np.ndarray:
     """Support mask of P(U|x) on the MISs containing x, shape (n, m)."""
-    mis = enumerate_mis(g)
-    mask = np.zeros((g.n, mis.count))
+    mask = np.zeros((n, mis.count))
     for u, s in enumerate(mis.sets):
         mask[list(s), u] = 1.0
     return mask
+
+
+def _partitions(mis: MisFamily, n: int) -> bool:
+    """Whether the MISs partition the n vertices, i.e. the graph is complete
+    multipartite with the MISs as its parts. Every vertex lies in some MIS,
+    so this holds iff the set sizes add up to n."""
+    return sum(map(len, mis.sets)) == n
+
+
+def _partition_cost(masses: Sequence[float], mis: MisFamily) -> float:
+    """P(S) H(U | S) = sum_u m_u log2(P(S) / m_u) for the masses of one
+    section S of Y over the vertices, when the MISs partition them: U is
+    then the part of X, the only feasible point, where I(X;U|Y) = H(U|Y)."""
+    parts = [math.fsum(masses[x] for x in s) for s in mis.sets]
+    total = math.fsum(parts)
+    return math.fsum(m * math.log2(total / m) for m in parts if m > 0.0)
 
 
 def _start(mask: np.ndarray) -> np.ndarray:
@@ -85,25 +106,19 @@ def _xlog2x(a: np.ndarray) -> np.ndarray:
     return a * np.log2(np.where(a > 0, a, 1.0))
 
 
-def _solve(g: CharGraph, W: np.ndarray) -> GraphEntropyResult:
-    """Minimize I(X;U|Y) over P(U|x) for the (x, y) mass matrix W, whose rows
-    sum to the vertex pmf and whose columns all carry positive mass.
+def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
+    """Minimize I(X;U|Y) over P(U|x) supported on the MISs of mis, for the
+    (x, y) mass matrix W, whose rows sum to the vertex pmf and whose columns
+    all carry positive mass.
 
-    When every vertex lies in exactly one MIS (g is complete multipartite,
-    its parts are the MISs), P(U|x) has one feasible point: U is a function
-    of X, and I(X;U|Y) = H(U|Y) there, with no iteration.
-
-    Otherwise alternate: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to
-    the geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
+    Alternate: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to the
+    geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
     Monotone on a convex objective, so restarts certify the minimum rather
-    than hunt for it.
+    than hunt for it. The library's callers evaluate a complete
+    multipartite graph in closed form instead of calling this.
     """
     neg_h_y = _xlog2x(W.sum(axis=0)).sum()
-    mask = _mis_mask(g)
-    if np.all(mask.sum(axis=1) == 1):
-        value = float(neg_h_y - _xlog2x(mask.T @ W).sum())
-        return GraphEntropyResult(max(value, 0.0), 0, True, (value,) * RESTARTS)
-
+    mask = _mis_mask(mis, W.shape[0])
     n, m = mask.shape
     ny = W.shape[1]
     if RESTARTS * m * max(n, ny) > SOLVE_CELL_GUARD:
@@ -162,21 +177,27 @@ def _solve_blocks(g: CharGraph, side: Sequence[int]) -> GraphEntropyResult:
     over the blocks B = graphs.components(g, side): the program splits over
     the sections of Y (Orlitsky & Roche 2001) and, since VP(G1 + G2) =
     VP(G1) x VP(G2), over the components of each section. A one-vertex
-    block costs 0."""
-    parts: list[tuple[float, GraphEntropyResult]] = []
+    block costs 0 and a block whose MISs partition it costs
+    _partition_cost; only the other blocks iterate."""
+    exact: list[float] = []
+    solved: list[tuple[float, GraphEntropyResult]] = []
     for block in components(g, side):
-        mass = math.fsum(g.pmf[v] for v in block)
         if len(block) == 1:
-            parts.append((mass, GraphEntropyResult(0.0, 0, True, (0.0,) * RESTARTS)))
             continue
-        sub = induced_subgraph(g, block)
-        parts.append((mass, _solve(sub, np.asarray(sub.pmf)[:, None])))
+        mis = enumerate_mis(g, block)
+        masses = [g.pmf[v] for v in block]
+        if _partitions(mis, len(block)):
+            exact.append(_partition_cost(masses, mis))
+            continue
+        mass = math.fsum(masses)
+        solved.append((mass, _solve(mis, np.array(masses)[:, None] / mass)))
     return GraphEntropyResult(
-        value=math.fsum(m * r.value for m, r in parts),
-        iterations=max(r.iterations for _, r in parts),
-        converged=all(r.converged for _, r in parts),
+        value=math.fsum(exact + [m * r.value for m, r in solved]),
+        iterations=max((r.iterations for _, r in solved), default=0),
+        converged=all(r.converged for _, r in solved),
         restart_values=tuple(
-            math.fsum(m * r.restart_values[k] for m, r in parts) for k in range(RESTARTS)
+            math.fsum(exact + [m * r.restart_values[k] for m, r in solved])
+            for k in range(RESTARTS)
         ),
     )
 
@@ -208,7 +229,12 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
     positive = W > 0
     if np.all(positive.sum(axis=1) == 1):
         return _solve_blocks(g, positive.argmax(axis=1).tolist())
-    return _solve(g, W[:, W.sum(axis=0) > 0])
+    W = W[:, W.sum(axis=0) > 0]
+    mis = enumerate_mis(g)
+    if _partitions(mis, g.n):
+        value = math.fsum(_partition_cost(column, mis) for column in W.T.tolist())
+        return GraphEntropyResult(value, 0, True, (value,) * RESTARTS)
+    return _solve(mis, W)
 
 
 def chromatic_entropy(g: CharGraph) -> float:

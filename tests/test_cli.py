@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chargraph import solvers
+from chargraph import cli, solvers
 from chargraph.cli import CSV_HEADER, main
 from chargraph.errors import ValidationError
 from chargraph.graphs import make_graph
@@ -688,6 +688,19 @@ class TestCustomScenario:
         assert code == 0
         (row,) = json.loads(out)["rows"]
         assert row["R_graph"] >= binary_entropy(parity_param(5, 0.1)) - 1e-9
+
+    def test_unwritable_out_exits_before_the_first_row(self, capsys, monkeypatch, tmp_path):
+        # --out is opened before the sweep, so a directory exits 2 at once,
+        # without a single chain evaluation
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was computed before --out was opened")
+
+        monkeypatch.setattr(cli, "chain_rate", refuse)
+        argv = ["scenario", "--scenario", "custom", "--demand",
+                str(self._demand_file(tmp_path, k=5)), "--n", "5", "--k", "5",
+                "--nr", "4", "--eps-grid", "0.1,0.4,4", "--out", str(tmp_path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_needs_demand_file(self, capsys):
         code, _, err = run(

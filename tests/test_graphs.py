@@ -183,23 +183,27 @@ class TestBuildCharGraph:
 
 class TestConfusabilityGraph:
     def test_masses_add_and_edges_need_shared_completion(self):
-        # (vertex, completion key, mass, outputs)
+        # support points by codes: vertex, completion key, mass, outputs
         g = confusability_graph(
-            [
-                ("a", 0, 0.25, 0),
-                ("a", 1, 0.25, 1),
-                ("b", 0, 0.25, 1),  # shares completion 0 with "a", differs
-                ("c", 1, 0.125, 1),  # shares completion 1 with "a", agrees
-                ("d", 2, 0.125, 0),  # shares no completion
-            ]
+            [0, 0, 1, 2, 3],
+            [0, 1, 0, 1, 2],  # b shares completion 0 with a, c completion 1
+            [0.25, 0.25, 0.25, 0.125, 0.125],
+            [0, 1, 1, 1, 0],  # a and b differ there, a and c agree; d is alone
+            "abcd".__getitem__,
         )
         assert g.vertices == ("a", "b", "c", "d")
         assert g.pmf == (0.5, 0.25, 0.125, 0.125)
         assert g.edges == frozenset({(0, 1)})
 
+    def test_vertices_follow_label_repr_not_code(self):
+        labels = {0: "d", 1: "c", 2: "b", 3: "a"}
+        g = confusability_graph([0, 1, 2, 3], [0, 0, 1, 1], [0.25] * 4, [0, 1, 0, 0], labels.get)
+        assert g.vertices == ("a", "b", "c", "d")
+        assert g.edges == frozenset({(2, 3)})  # codes 0 and 1 are d and c
+
     def test_outputs_must_follow_vertex_and_completion(self):
         with pytest.raises(ValidationError):
-            confusability_graph([("a", 0, 0.5, 0), ("a", 0, 0.5, 1)])
+            confusability_graph([0, 0], [0, 0], [0.5, 0.5], [0, 1], "a".__getitem__)
 
 
 class TestUnionGraph:

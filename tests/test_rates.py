@@ -10,6 +10,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from chargraph import rates
 
 from chargraph.errors import DecodeError, MisStructureError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
@@ -17,6 +20,7 @@ from chargraph.graphs import (
     EXACT_COLOR_GUARD,
     build_char_graph,
     greedy_coloring,
+    integer_codes,
     make_graph,
     validate_coloring,
 )
@@ -565,3 +569,112 @@ def test_rates_respect_information_floor():
             assert rr.sum_rate >= floor, (name, bound, rr.sum_rate, floor)
             checked[bound] += 1
     assert all(count > 0 for count in checked.values()), checked
+
+
+# chain_rate over every ordering of the first Nr servers, recorded from the
+# implementation that built each stage graph from tuple-keyed points:
+# (demand, N = K, Nr, eps) -> (R_graph, winning ordering)
+FROZEN_CHAIN = {
+    ("parity", 5, 4, 0.1): (1.8291496850458409, [1, 2, 4, 3]),
+    ("parity", 5, 4, 0.3): (2.8441986892979996, [1, 2, 4, 3]),
+    ("and", 6, 5, 0.1): (0.08160914656845973, [1, 3, 2, 5, 4]),
+    ("and", 6, 5, 0.3): (0.4792875061180914, [1, 3, 2, 5, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CHAIN))
+def test_chain_matches_frozen_values(case):
+    name, n, nr, eps = case
+    d = LinearlySeparable(q=2, gamma=((1,) * n,)) if name == "parity" else MultiLinear(k=n)
+    t = topo(n, n, nr)
+    orderings = list(itertools.permutations(range(1, nr + 1)))
+    rr = chain_rate(t, cyclic_placement(t), d, iid_bernoulli_joint(n, eps), orderings)
+    r_graph, ordering = FROZEN_CHAIN[case]
+    assert rr.sum_rate == pytest.approx(r_graph, abs=1e-12)
+    assert rr.metadata["ordering"] == ordering
+
+
+def test_near_tied_orderings_go_to_the_earliest():
+    # the servers of a parity are interchangeable, so orderings tie in exact
+    # arithmetic, while their float sums may differ in the last bits
+    t = topo(4, 4, 3)
+    d = LinearlySeparable(q=2, gamma=((1,) * 4,))
+    joint = iid_bernoulli_joint(4, 0.1)
+    orderings = list(itertools.permutations(range(1, 4)))
+    sums = [chain_rate(t, cyclic_placement(t), d, joint, o).sum_rate for o in orderings]
+    least = min(sums)
+    tied = [o for o, s in zip(orderings, sums) if s - least <= 1e-12 * least]
+    assert len(tied) > 1
+    rr = chain_rate(t, cyclic_placement(t), d, joint, orderings)
+    assert rr.metadata["ordering"] == list(tied[0])
+
+
+# transcripts a stage may meet; (10,) and (2,) sort one way as tuples and
+# the other way by repr, which orders the vertices
+TRANSCRIPT_POOL = [(), (0,), (1,), (2,), (10,), (0, 12), (1, 3), (10, 2), (2, 10)]
+
+
+def _stage_by_definition(points, transcripts):
+    """The stage graph from its definition: vertices (local tuple,
+    transcript) in repr order with their total masses, and two vertices
+    adjacent when some pair of their points shares (rest, transcript) but
+    not the outputs. points holds (local, rest, mass, outputs)."""
+    masses = {}
+    for (x, _, m, _), y in zip(points, transcripts):
+        masses[(x, y)] = masses.get((x, y), 0.0) + m
+    vertices = sorted(masses, key=repr)
+    total = math.fsum(masses.values())
+    idx = {v: i for i, v in enumerate(vertices)}
+    nbrs = [set() for _ in vertices]
+    for (xa, ra, _, oa), ya in zip(points, transcripts):
+        for (xb, rb, _, ob), yb in zip(points, transcripts):
+            if (ra, ya) == (rb, yb) and oa != ob:
+                nbrs[idx[(xa, ya)]].add(idx[(xb, yb)])
+    return tuple(vertices), tuple(map(frozenset, nbrs)), tuple(masses[v] / total for v in vertices)
+
+
+def _check_stage_graph(ws, zone, rng):
+    """Random masses, outputs and transcripts on the support ws: the coded
+    stage builder against the definition."""
+    masses = [rng.uniform(0.05, 1.0) for _ in ws]
+    masses = [m / math.fsum(masses) for m in masses]
+    outputs = [(rng.randrange(2), rng.randrange(2)) for _ in ws]
+    transcripts = [rng.choice(TRANSCRIPT_POOL) for _ in ws]
+    rest_coords = [c for c in range(len(ws[0])) if c not in zone]
+    points = [
+        (tuple(w[c] for c in zone), tuple(w[c] for c in rest_coords), m, o)
+        for w, m, o in zip(ws, masses, outputs)
+    ]
+    codes, by_code = integer_codes(transcripts)
+    outs, _ = integer_codes(outputs)
+    g, ids = rates._stage_graph(rates._split(ws, zone), masses, outs, codes, by_code)
+    vertices, neighbors, pmf = _stage_by_definition(points, transcripts)
+    assert g.vertices == vertices
+    assert g.neighbors == neighbors
+    assert g.pmf == pmf
+    assert [g.vertices[i] for i in ids] == [(x, y) for (x, _, _, _), y in zip(points, transcripts)]
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_stage_graph_matches_its_definition(k, data):
+    cube = list(itertools.product((0, 1), repeat=k))
+    ws = data.draw(st.lists(st.sampled_from(cube), min_size=1, max_size=len(cube), unique=True))
+    zone = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k - 1, unique=True))
+    _check_stage_graph(sorted(ws), sorted(zone), random.Random(data.draw(st.integers(0, 2**32))))
+
+
+@pytest.mark.parametrize("server", [1, 4, 7])
+def test_stage_graph_on_overlapping_zones(server):
+    # the cyclic placement at N = K = 7, Nr = 6 (configs/parity7.json) puts
+    # 2 of the 7 bits in each zone, and every zone shares a bit with the next
+    t = topo(7, 7, 6)
+    zone = cyclic_placement(t).zone0(server)
+    assert len(zone) == 2
+    ws = list(itertools.product((0, 1), repeat=7))
+    g = _check_stage_graph(ws, zone, random.Random(server))
+    # among the vertices of one local tuple, the two-digit transcript sorts
+    # before (2,) by repr, not after it as a tuple
+    ys = [y for x, y in g.vertices if x == g.vertices[0][0]]
+    assert ys.index((10,)) < ys.index((2,))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chargraph import solvers
 from chargraph.errors import DeskScaleError, ValidationError
@@ -101,7 +102,7 @@ class TestGraphEntropy:
             for block in components(g.n, g.edges):
                 sub = induced_subgraph(g, block)
                 p = np.asarray(sub.pmf)
-                mask = solvers._mis_mask(sub)
+                mask = solvers._mis_mask(enumerate_mis(sub), sub.n)
                 P = solvers._start(mask)
                 objs = np.full(solvers.RESTARTS, np.inf)
                 done = np.zeros(solvers.RESTARTS, dtype=bool)
@@ -228,9 +229,85 @@ class TestExactBlocks:
             W[np.arange(n), side] = g.pmf
             joint = JointPmf((n, 2), {(x, side[x]): g.pmf[x] for x in range(n)})
             got = conditional_graph_entropy(g, joint).value
-            whole = solvers._solve(g, W[:, W.sum(axis=0) > 0]).value
+            whole = solvers._solve(enumerate_mis(g), W[:, W.sum(axis=0) > 0]).value
             worst = max(worst, abs(got - whole))
         assert worst < 1e-6
+
+
+@st.composite
+def complete_multipartite(draw):
+    """A complete multipartite graph with 2-4 parts of 1-3 vertices each,
+    shuffled labels and random masses, and its parts as label sets."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    labels = draw(st.permutations(range(sum(sizes))))
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(labels[start:start + size])
+        start += size
+    edges = [
+        (a, b) for pa, pb in combinations(parts, 2) for a in pa for b in pb
+    ]
+    masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(labels), max_size=len(labels)))
+    return make_graph(dict(zip(labels, masses)), edges), parts
+
+
+def counting_mis(monkeypatch):
+    """Count the solver's calls of enumerate_mis."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_mis(*args)
+
+    monkeypatch.setattr(solvers, "enumerate_mis", counted)
+    return calls
+
+
+class TestPartitionBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(complete_multipartite(), st.integers(1, 3), st.data())
+    def test_closed_form_matches_iteration(self, case, ny, data):
+        # the MISs of a complete multipartite graph are its parts: the
+        # closed form reports no iteration and agrees with the loop, for a
+        # constant side symbol and for a general side law alike
+        g, parts = case
+        mis = enumerate_mis(g)
+        assert solvers._partitions(mis, g.n)
+        exact = graph_entropy(g)
+        looped = solvers._solve(mis, np.asarray(g.pmf)[:, None])
+        assert exact.iterations == 0 and looped.iterations > 0
+        assert abs(exact.value - looped.value) <= 1e-9
+        index = {label: v for v, label in enumerate(g.vertices)}
+        part_mass = [math.fsum(g.pmf[index[label]] for label in part) for part in parts]
+        assert exact.value == pytest.approx(-math.fsum(m * math.log2(m) for m in part_mass), abs=1e-12)
+
+        rows = np.array(
+            [data.draw(st.lists(st.floats(0.05, 1.0), min_size=ny, max_size=ny)) for _ in range(g.n)]
+        )
+        W = np.asarray(g.pmf)[:, None] * rows / rows.sum(axis=1, keepdims=True)
+        joint = JointPmf((g.n, ny), {(x, y): W[x, y] for x in range(g.n) for y in range(ny)})
+        exact = conditional_graph_entropy(g, joint)
+        looped = solvers._solve(mis, W)
+        assert exact.iterations == 0 and looped.iterations > 0
+        assert abs(exact.value - looped.value) <= 1e-9
+
+    def test_other_blocks_iterate_and_enumerate_once(self, monkeypatch):
+        # the path 0-1-2-3 puts vertex 0 in two MISs, {0, 2} and {0, 3}
+        p4 = make_graph({0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, [(0, 1), (1, 2), (2, 3)])
+        assert not solvers._partitions(enumerate_mis(p4), p4.n)
+        calls = counting_mis(monkeypatch)
+        assert graph_entropy(p4).iterations > 0
+        assert len(calls) == 1
+        joint = JointPmf((4, 2), {(x, y): p4.pmf[x] / 2 for x in range(4) for y in range(2)})
+        assert conditional_graph_entropy(p4, joint).iterations > 0
+        assert len(calls) == 2
+
+    def test_lone_vertices_cost_nothing_and_enumerate_nothing(self, monkeypatch):
+        # two sections of Y, one vertex each once the cross edge is dropped
+        g = make_graph({0: 0.5, 1: 0.5}, [(0, 1)])
+        calls = counting_mis(monkeypatch)
+        res = conditional_graph_entropy(g, JointPmf((2, 2), {(0, 0): 0.5, (1, 1): 0.5}))
+        assert res.value == 0.0 and res.iterations == 0 and calls == []
 
 
 class TestConditionalGraphEntropy:
@@ -283,7 +360,7 @@ def einsum_solve(g, W):
         return a * np.log2(np.where(a > 0, a, 1.0))
 
     neg_h_y = xlog2x(W.sum(axis=0)).sum()
-    mask = solvers._mis_mask(g)
+    mask = solvers._mis_mask(enumerate_mis(g), g.n)
     p_x = W.sum(axis=1)
     pyx = W / p_x[:, None]
     P = solvers._start(mask)
@@ -322,12 +399,13 @@ class TestIterativeKernel:
             n = rng.randint(2, 8)
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
-            if np.all(solvers._mis_mask(g).sum(axis=1) == 1):
+            mis = enumerate_mis(g)
+            if solvers._partitions(mis, g.n):
                 continue  # complete multipartite: closed form, no loop
             ny = 1 + checked % 3
             rows = np.array([[rng.uniform(0.05, 1.0) for _ in range(ny)] for _ in range(n)])
             W = np.asarray(g.pmf)[:, None] * rows / rows.sum(axis=1, keepdims=True)
-            got = solvers._solve(g, W)
+            got = solvers._solve(mis, W)
             objs, iterations, converged = einsum_solve(g, W)
             assert got.iterations == iterations and got.converged == converged
             assert got.restart_values == pytest.approx(tuple(objs), abs=1e-12)
