@@ -321,6 +321,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             )
         order = {label: v for v, label in enumerate(g.vertices)}
         ncols = len(matrix[0])
+        if ncols == 0:
+            raise ValidationError("'side_joint' rows must not be empty")
         mass: dict[tuple[int, int], float] = {}
         for i, row in enumerate(matrix):
             if len(row) != ncols:

@@ -3,9 +3,9 @@ split, MIS enumeration, and deterministic colorings.
 
 A vertex is a positive-probability local symbol; an edge joins two symbols
 that some shared positive-probability completion forces the user to tell
-apart. components is the one place a graph is split: the entropy solvers
-(solvers.py) take their blocks from it, and rates.min_coloring colors one
-of its components at a time.
+apart. Each graph-layer decision has one place: zone_split codes every
+graph's coordinates, components is the one split (solver blocks, coloring
+components), and is_clique lets both price or color a clique directly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as iter_product
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,6 +173,32 @@ def components(g: CharGraph, side: Sequence[Hashable] | None = None) -> list[lis
     return comps
 
 
+def is_clique(g: CharGraph, vs: Sequence[int]) -> bool:
+    """Whether the ids vs are pairwise adjacent; neighbours outside vs do not count."""
+    for i in range(1, len(vs)):
+        if not g.neighbors[vs[i]].issuperset(vs[:i]):  # joined to every earlier id
+            return False
+    return True
+
+
+class ZoneSplit(NamedTuple):
+    """A server's split of support points: each point's local code, each local
+    code's tuple, and each point's code of the rest, which has n_rest codes."""
+
+    local: list[int]
+    labels: list[tuple[int, ...]]
+    rest: list[int]
+    n_rest: int
+
+
+def zone_split(ws: Sequence[tuple[int, ...]], zone: Sequence[int]) -> ZoneSplit:
+    """The split of the support points ws by the coordinates in zone."""
+    rest_coords = tuple(c for c in range(len(ws[0])) if c not in zone)
+    local, labels = integer_codes(tuple(w[c] for c in zone) for w in ws)
+    rest, rest_values = integer_codes(tuple(w[c] for c in rest_coords) for w in ws)
+    return ZoneSplit(local, labels, rest, len(rest_values))
+
+
 def build_char_graph(
     d: DemandSpec,
     p: Placement,
@@ -191,11 +217,8 @@ def build_char_graph(
     if joint.arity != d.k or p.k != d.k:
         raise ValidationError("joint, placement, and demand disagree on K")
     sel = _demand_ids(d, demand_subset)
-    zone = p.zone0(i)
-    rest_coords = tuple(c for c in range(d.k) if c not in zone)
     support = joint.support()
-    local, labels = integer_codes(tuple(w[c] for c in zone) for w, _ in support)
-    rest, _ = integer_codes(tuple(w[c] for c in rest_coords) for w, _ in support)
+    local, labels, rest, _ = zone_split([w for w, _ in support], p.zone0(i))
     outs, _ = integer_codes(
         tuple(full[j - 1] for j in sel)
         for full in (evaluate_demand(d, w) for w, _ in support)

@@ -10,7 +10,7 @@ colors one component of graphs.components at a time; a chain stage graph
 has no edge across transcript sections, so one coloring of it colors each
 section on its own.
 
-chain_rate codes each server's local and remaining coordinates and the
+chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage codes each point's transcript,
 groups the points by (transcript, local) and (transcript, rest) codes and
 builds its graph with graphs.confusability_graph; the vertex labels stay
@@ -34,6 +34,7 @@ from .functions import DemandSpec, decoding_map, evaluate_demand
 from .graphs import (
     EXACT_COLOR_GUARD,
     CharGraph,
+    ZoneSplit,
     build_char_graph,
     components,
     confusability_graph,
@@ -42,7 +43,9 @@ from .graphs import (
     greedy_coloring,
     induced_subgraph,
     integer_codes,
+    is_clique,
     make_graph,
+    zone_split,
 )
 from .probability import (
     JointPmf,
@@ -115,15 +118,6 @@ class GainReport:
     lin: RateReport
     sw: RateReport
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "eta_lin": self.eta_lin,
-            "eta_sw": self.eta_sw,
-            "graph": self.graph.to_json(),
-            "lin": self.lin.to_json(),
-            "sw": self.sw.to_json(),
-        }
-
 
 def gains(graph_rr: RateReport, lin_rr: RateReport, sw_rr: RateReport) -> GainReport:
     """eta_lin and eta_SW as plain rate ratios; a zero graph rate (both
@@ -158,9 +152,9 @@ def _support_items(
 
 def min_coloring(g: CharGraph) -> tuple[int, ...]:
     """The color of each vertex id, one component at a time: colors 0, 1, ...
-    in id order on a clique (a lone vertex included), the exact minimum on
-    another component of at most EXACT_COLOR_GUARD vertices, degree-ordered
-    greedy on a larger one. On a clique that is what greedy gives (every
+    in id order on a clique (graphs.is_clique; a lone vertex included), the
+    exact minimum on another component of at most EXACT_COLOR_GUARD
+    vertices, degree-ordered greedy on a larger one. On a clique that is what greedy gives (every
     degree ties, so ids decide) and what the exact search keeps (greedy's
     clique proves it minimal). Greedy is local (a vertex's color depends
     only on its colored neighbours, and the degree order restricted to a
@@ -168,7 +162,7 @@ def min_coloring(g: CharGraph) -> tuple[int, ...]:
     colors whole-graph greedy gives it."""
     colors = [0] * g.n
     for comp in components(g):
-        if all(len(g.neighbors[v]) == len(comp) - 1 for v in comp):
+        if is_clique(g, comp):
             for c, v in enumerate(comp):
                 colors[v] = c
             continue
@@ -436,9 +430,8 @@ def chain_rate(
     # every ordering splits a point into a server's local tuple and the rest
     # the same way, so each server's split is coded once
     ws = [w for w, _, _ in items]
-    splits = {
-        server: _split(ws, p.zone0(server)) for server in {s for order in orderings for s in order}
-    }
+    servers = {s for order in orderings for s in order}
+    splits = {server: zone_split(ws, p.zone0(server)) for server in servers}
     decodable: list[tuple[float, list[float], tuple[int, ...], bool]] = []
     failures: list[str] = []
     for order in orderings:
@@ -482,28 +475,8 @@ def _normalize_orderings(
     return many
 
 
-@dataclass(frozen=True)
-class _Split:
-    """One server's split of the support points: the code of each point's
-    local tuple, the local tuple of each code, and the code of each point's
-    remaining coordinates, of which there are n_rest."""
-
-    local: list[int]
-    labels: list[tuple[int, ...]]
-    rest: list[int]
-    n_rest: int
-
-
-def _split(ws: Sequence[tuple[int, ...]], zone: Sequence[int]) -> _Split:
-    """The split of the support points ws by the coordinates in zone."""
-    rest_coords = tuple(c for c in range(len(ws[0])) if c not in zone)
-    local, labels = integer_codes(tuple(w[c] for c in zone) for w in ws)
-    rest, rest_values = integer_codes(tuple(w[c] for c in rest_coords) for w in ws)
-    return _Split(local, labels, rest, len(rest_values))
-
-
 def _stage_graph(
-    split: _Split,
+    split: ZoneSplit,
     masses: Sequence[float],
     outs: Sequence[int],
     codes: Sequence[int],
@@ -532,7 +505,7 @@ def _chain_eval(
     items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]],
     masses: Sequence[float],
     outs: Sequence[int],
-    splits: Mapping[int, _Split],
+    splits: Mapping[int, ZoneSplit],
     order: tuple[int, ...],
 ) -> tuple[list[float], bool]:
     # transcripts by integer code: codes[k] is the code of point k's

@@ -3,18 +3,19 @@
 conditional_graph_entropy minimizes I(X;U|Y) over conditionals P(U|x)
 supported on the maximal independent sets containing x, under the Markov
 constraint U - X - Y; graph_entropy is the same program with a constant Y
-(Orlitsky & Roche 2001), where it reduces to minimizing I(X;U). Whenever Y
-is a function of X (always so for graph_entropy) the program is solved
-block by block, over the components of each section of Y, as
-graphs.components splits them. A one-vertex block costs nothing and
-enumerates nothing. Every other block enumerates its MISs once, on its
-vertex ids within the whole graph, and one test, shared with the
-whole-graph path for a general Y, decides whether it is exact: the MISs
-partition the vertices (their sizes add up to the vertex count) exactly
-when the graph is complete multipartite, and then the value is summed in
-closed form from the part masses. Only the other blocks reach _solve,
-which takes the enumerated family and runs one alternating minimization
-with multi-restart certification.
+(Orlitsky & Roche 2001), where it reduces to minimizing I(X;U). Both hand
+one block loop their blocks and mass columns by vertex id. When Y is a
+function of X, as it always is for graph_entropy, the blocks are the
+components of each section of Y (graphs.components) and the one column is
+the pmf: a block meets one symbol, and each vertex's mass is its mass with
+that symbol. Otherwise the whole vertex set is one block, with a column
+per symbol of Y. A clique block (graphs.is_clique; a lone vertex costs 0)
+is exact with its vertices as parts and enumerates nothing. Any other
+block enumerates its MISs once, on its ids in the whole graph, and is
+exact when they partition it, i.e. when it is complete multipartite; an
+exact block is summed in closed form from its part masses. Only the other
+blocks reach _solve, scaled by their mass: one alternating minimization
+with multi-restart certification on the enumerated family.
 Each step of it holds the restarts as one array P[u, r, x] (MIS, restart,
 vertex), so that both products are single 2-D matrix products and the
 reductions over u run along axis 0; the iterates and values are those of
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .graphs import (
     components,
     enumerate_mis,
     greedy_coloring,
+    is_clique,
 )
 from .probability import JointPmf
 
@@ -50,6 +52,7 @@ _NEG_BIG = -1e18  # stand-in for log(0) that survives multiplication by weights
 TOL = 1e-9  # stop a restart when its objective improves by less than this
 MAX_ITERS = 100_000
 RESTARTS = 8  # the first restart starts uniform, the rest at random
+
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,12 @@ def _partitions(mis: MisFamily, n: int) -> bool:
     return sum(map(len, mis.sets)) == n
 
 
-def _partition_cost(masses: Sequence[float], mis: MisFamily) -> float:
-    """P(S) H(U | S) = sum_u m_u log2(P(S) / m_u) for the masses of one
-    section S of Y over the vertices, when the MISs partition them: U is
-    then the part of X, the only feasible point, where I(X;U|Y) = H(U|Y)."""
-    parts = [math.fsum(masses[x] for x in s) for s in mis.sets]
-    total = math.fsum(parts)
-    return math.fsum(m * math.log2(total / m) for m in parts if m > 0.0)
+def _partition_cost(part_masses: Sequence[float]) -> float:
+    """P(y) H(U | Y = y) = sum_u m_u log2(P(y) / m_u) for the masses m_u of a
+    block's parts jointly with one side symbol y: U is then the part of X,
+    the only feasible point, where I(X;U|Y) = H(U|Y)."""
+    total = math.fsum(part_masses)
+    return math.fsum([m * math.log2(total / m) for m in part_masses if m > 0.0])
 
 
 def _start(mask: np.ndarray) -> np.ndarray:
@@ -114,8 +116,7 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     Alternate: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to the
     geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
     Monotone on a convex objective, so restarts certify the minimum rather
-    than hunt for it. The library's callers evaluate a complete
-    multipartite graph in closed form instead of calling this.
+    than hunt for it. Exact blocks are priced in closed form instead.
     """
     neg_h_y = _xlog2x(W.sum(axis=0)).sum()
     mask = _mis_mask(mis, W.shape[0])
@@ -172,33 +173,38 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     )
 
 
-def _solve_blocks(g: CharGraph, side: Sequence[int]) -> GraphEntropyResult:
-    """H_G(X|Y) when Y = side[X] is a function of X, as sum_B P(B) H_{G[B]}
-    over the blocks B = graphs.components(g, side): the program splits over
-    the sections of Y (Orlitsky & Roche 2001) and, since VP(G1 + G2) =
-    VP(G1) x VP(G2), over the components of each section. A one-vertex
-    block costs 0 and a block whose MISs partition it costs
-    _partition_cost; only the other blocks iterate."""
+def _solve_blocks(
+    g: CharGraph, blocks: Iterable[Sequence[int]], columns: Sequence[Sequence[float]]
+) -> GraphEntropyResult:
+    """sum_B P(B) H_{G[B]}(X|Y) over the blocks B (vertex ids), where each
+    column gives every vertex's mass jointly with one symbol of Y: the
+    program splits over the sections of a Y that is a function of X
+    (Orlitsky & Roche 2001) and, since VP(G1 + G2) = VP(G1) x VP(G2), over
+    the components of each. Exact blocks cost _partition_cost per column;
+    the others iterate."""
     exact: list[float] = []
     solved: list[tuple[float, GraphEntropyResult]] = []
-    for block in components(g, side):
-        if len(block) == 1:
-            continue
-        mis = enumerate_mis(g, block)
-        masses = [g.pmf[v] for v in block]
-        if _partitions(mis, len(block)):
-            exact.append(_partition_cost(masses, mis))
-            continue
-        mass = math.fsum(masses)
-        solved.append((mass, _solve(mis, np.array(masses)[:, None] / mass)))
+    for block in blocks:
+        if is_clique(g, block):  # each vertex is a part
+            parts = [[c[v] for v in block] for c in columns]
+        else:
+            mis = enumerate_mis(g, block)
+            if not _partitions(mis, len(block)):
+                mass = math.fsum(c[v] for c in columns for v in block)
+                W = np.array([[c[v] for c in columns] for v in block]) / mass
+                solved.append((mass, _solve(mis, W)))
+                continue
+            parts = [[math.fsum(c[block[x]] for x in s) for s in mis.sets] for c in columns]
+        exact.append(math.fsum(map(_partition_cost, parts)))
+    exact_cost = math.fsum(exact)
     return GraphEntropyResult(
-        value=math.fsum(exact + [m * r.value for m, r in solved]),
+        value=math.fsum([exact_cost] + [m * r.value for m, r in solved]),
         iterations=max((r.iterations for _, r in solved), default=0),
         converged=all(r.converged for _, r in solved),
-        restart_values=tuple(
-            math.fsum(exact + [m * r.restart_values[k] for m, r in solved])
-            for k in range(RESTARTS)
-        ),
+        # restart k sums exact_cost and the k-th value of every solved block
+        restart_values=tuple(map(math.fsum, zip(
+            [exact_cost] * RESTARTS, *([m * v for v in r.restart_values] for m, r in solved)
+        ))),
     )
 
 
@@ -209,14 +215,13 @@ def graph_entropy(g: CharGraph) -> GraphEntropyResult:
     The geometric mean over that one column is Q(u) itself, so each step
     sets P(u|x) prop. to Q(u) on the allowed cells.
     """
-    return _solve_blocks(g, [0] * g.n)
+    return _solve_blocks(g, components(g), [g.pmf])
 
 
 def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResult:
     """Minimize I(X;U|Y) over P(U|x); the Markov chain U - X - Y holds by
-    construction since the conditional never depends on y. When Y is a
-    function of X (each row of the mass matrix has one positive cell) the
-    program is solved block by block, else on the whole graph."""
+    construction since the conditional never depends on y. Y is a function
+    of X when each row of the mass matrix has one positive cell."""
     if joint.arity != 2:
         raise ValidationError("conditional entropy needs an arity-2 joint (X, Y)")
     if joint.sizes[0] != g.n:
@@ -224,17 +229,11 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
     W = np.zeros(joint.sizes)
     for (x, y), mass in joint.mass.items():
         W[x, y] = mass
-    if np.max(np.abs(W.sum(axis=1) - np.asarray(g.pmf))) > 1e-9:
+    if np.abs(W.sum(axis=1) - g.pmf).max() > 1e-9:
         raise ValidationError("joint's X-marginal does not match the vertex PMF")
-    positive = W > 0
-    if np.all(positive.sum(axis=1) == 1):
-        return _solve_blocks(g, positive.argmax(axis=1).tolist())
-    W = W[:, W.sum(axis=0) > 0]
-    mis = enumerate_mis(g)
-    if _partitions(mis, g.n):
-        value = math.fsum(_partition_cost(column, mis) for column in W.T.tolist())
-        return GraphEntropyResult(value, 0, True, (value,) * RESTARTS)
-    return _solve(mis, W)
+    if (np.count_nonzero(W, axis=1) == 1).all():  # masses are >= 0: nonzero is positive
+        return _solve_blocks(g, components(g, W.argmax(axis=1).tolist()), [g.pmf])
+    return _solve_blocks(g, [range(g.n)], W[:, W.sum(axis=0) > 0].T.tolist())
 
 
 def chromatic_entropy(g: CharGraph) -> float:

@@ -156,6 +156,8 @@ class TestEntropy:
             ({"side_joint": {"0": [0.5]}}, "one row per vertex"),
             ({"side_joint": [[0.25, 0.25], 0.5]}, "rows must be lists of numbers"),
             ({"side_joint": [[0.25, 0.25], [0.5]]}, "unequal lengths"),
+            ({"side_joint": [[], []]}, "'side_joint' rows must not be empty"),
+            ({"pmf": [1.0, 0.0], "side_joint": [[1.0], [0.0]]}, "zero-mass vertices"),
         ],
     )
     def test_spec_check_exits_2(self, capsys, tmp_path, extra, message):
@@ -523,6 +525,7 @@ class TestScenario:
         [
             ({"scenario": "s2-table2", "format": "xml"}, "unknown format 'xml'"),
             ({"eps_grid": [0.1, 0.5, 3]}, "no scenario named"),
+            ({"scenario": "s9"}, "unknown scenario 's9'"),
         ],
     )
     def test_config_check_exits_2(self, capsys, tmp_path, config, message):

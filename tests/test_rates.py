@@ -23,6 +23,7 @@ from chargraph.graphs import (
     integer_codes,
     make_graph,
     validate_coloring,
+    zone_split,
 )
 from chargraph.probability import (
     JointPmf,
@@ -647,7 +648,7 @@ def _check_stage_graph(ws, zone, rng):
     ]
     codes, by_code = integer_codes(transcripts)
     outs, _ = integer_codes(outputs)
-    g, ids = rates._stage_graph(rates._split(ws, zone), masses, outs, codes, by_code)
+    g, ids = rates._stage_graph(zone_split(ws, zone), masses, outs, codes, by_code)
     vertices, neighbors, pmf = _stage_by_definition(points, transcripts)
     assert g.vertices == vertices
     assert g.neighbors == neighbors

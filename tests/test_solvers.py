@@ -301,6 +301,20 @@ class TestPartitionBlocks:
         joint = JointPmf((4, 2), {(x, y): p4.pmf[x] / 2 for x in range(4) for y in range(2)})
         assert conditional_graph_entropy(p4, joint).iterations > 0
         assert len(calls) == 2
+        # the path 0-1-2 inside section 0, with the cross-section edges 0-3
+        # and 2-4: every vertex of the block has degree 2 = |B| - 1, yet it
+        # is the star with parts {1} and {0, 2}, so it enumerates once and
+        # is exact; the lone vertices 3 and 4 of section 1 enumerate nothing
+        star = make_graph(
+            {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.15, 4: 0.25}, [(0, 1), (1, 2), (0, 3), (2, 4)]
+        )
+        side = (0, 0, 0, 1, 1)
+        joint = JointPmf((5, 2), {(x, side[x]): star.pmf[x] for x in range(5)})
+        res = conditional_graph_entropy(star, joint)
+        assert res.iterations == 0 and len(calls) == 3
+        parts = (star.pmf[1], star.pmf[0] + star.pmf[2])
+        want = math.fsum(m * math.log2(sum(parts) / m) for m in parts)
+        assert res.value == pytest.approx(want, abs=1e-15)
 
     def test_lone_vertices_cost_nothing_and_enumerate_nothing(self, monkeypatch):
         # two sections of Y, one vertex each once the cross edge is dropped
@@ -308,6 +322,14 @@ class TestPartitionBlocks:
         calls = counting_mis(monkeypatch)
         res = conditional_graph_entropy(g, JointPmf((2, 2), {(0, 0): 0.5, (1, 1): 0.5}))
         assert res.value == 0.0 and res.iterations == 0 and calls == []
+        # a lone vertex is the one-vertex clique; an edge and a triangle are
+        # cliques too, priced from their vertex masses with no enumeration
+        for masses in ((0.25, 0.75), (0.5, 0.3, 0.2)):
+            clique = make_graph(dict(enumerate(masses)), combinations(range(len(masses)), 2))
+            res = graph_entropy(clique)
+            want = -math.fsum(m * math.log2(m) for m in masses)
+            assert res.value == pytest.approx(want, abs=1e-15) and res.iterations == 0
+        assert calls == []
 
 
 class TestConditionalGraphEntropy:
