@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ChargraphError, DeskScaleError, ValidationError
 from .functions import demand_from_json
 from .graphs import make_graph
-from .probability import JointPmf, crossover_feasible, iid_bernoulli_joint
+from .probability import CONSTRUCTION_TOL, JointPmf, crossover_feasible, iid_bernoulli_joint
 from .rates import (
     GainReport,
     chain_rate,
@@ -323,13 +323,19 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         ncols = len(matrix[0])
         if ncols == 0:
             raise ValidationError("'side_joint' rows must not be empty")
-        mass: dict[tuple[int, int], float] = {}
-        for i, row in enumerate(matrix):
-            if len(row) != ncols:
-                raise ValidationError("'side_joint' rows have unequal lengths")
-            for j, val in enumerate(row):
-                if val:
-                    mass[(order[labels[i]], j)] = float(val)
+        if any(len(row) != ncols for row in matrix):
+            raise ValidationError("'side_joint' rows have unequal lengths")
+        mass = {
+            (order[labels[i]], j): float(val)
+            for i, row in enumerate(matrix)
+            for j, val in enumerate(row)
+            if val
+        }
+        if not all(0.0 <= val < math.inf for val in mass.values()):
+            raise ValidationError("'side_joint' has a negative or non-finite cell")
+        total = math.fsum(mass.values())
+        if not abs(total - 1.0) <= CONSTRUCTION_TOL:
+            raise ValidationError(f"'side_joint' cells sum to {total}, not 1")
         joint = JointPmf((g.n, ncols), mass)
         res = conditional_graph_entropy(g, joint)
     else:

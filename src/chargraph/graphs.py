@@ -3,8 +3,9 @@ split, MIS enumeration, and deterministic colorings.
 
 A vertex is a positive-probability local symbol; an edge joins two symbols
 that some shared positive-probability completion forces the user to tell
-apart. Each graph-layer decision has one place: zone_split codes every
-graph's coordinates, components is the one split (solver blocks, coloring
+apart. Each graph-layer decision has one place: support_items reads a
+law's support and its demanded outputs, zone_split codes every graph's
+coordinates, components is the one split (solver blocks, coloring
 components), and is_clique lets both price or color a clique directly.
 """
 
@@ -199,6 +200,20 @@ def zone_split(ws: Sequence[tuple[int, ...]], zone: Sequence[int]) -> ZoneSplit:
     return ZoneSplit(local, labels, rest, len(rest_values))
 
 
+def support_items(
+    d: DemandSpec, p: Placement, joint: JointPmf
+) -> list[tuple[tuple[int, ...], float, tuple[int, ...]]]:
+    """Each support point of joint with its mass and its demanded outputs:
+    the one place that checks that the joint, the placement and the demand
+    agree on K."""
+    if joint.arity != d.k or p.k != d.k:
+        raise ValidationError("joint, placement, and demand disagree on K")
+    items = [(w, m, evaluate_demand(d, w)) for w, m in joint.support()]
+    if not items:
+        raise ValidationError("joint has empty support")
+    return items
+
+
 def build_char_graph(
     d: DemandSpec,
     p: Placement,
@@ -214,16 +229,11 @@ def build_char_graph(
     with both and makes a selected demand differ.  A point local support
     gives a one-vertex graph.
     """
-    if joint.arity != d.k or p.k != d.k:
-        raise ValidationError("joint, placement, and demand disagree on K")
+    items = support_items(d, p, joint)
     sel = _demand_ids(d, demand_subset)
-    support = joint.support()
-    local, labels, rest, _ = zone_split([w for w, _ in support], p.zone0(i))
-    outs, _ = integer_codes(
-        tuple(full[j - 1] for j in sel)
-        for full in (evaluate_demand(d, w) for w, _ in support)
-    )
-    return confusability_graph(local, rest, [m for _, m in support], outs, labels.__getitem__)
+    local, labels, rest, _ = zone_split([w for w, _, _ in items], p.zone0(i))
+    outs, _ = integer_codes(tuple(dem[j - 1] for j in sel) for _, _, dem in items)
+    return confusability_graph(local, rest, [m for _, m, _ in items], outs, labels.__getitem__)
 
 
 def _demand_ids(d: DemandSpec, demand_subset: Iterable[int] | None) -> tuple[int, ...]:

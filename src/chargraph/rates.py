@@ -8,7 +8,11 @@ the eta_lin / eta_SW gain ratios, plus the closed-form scenario sweeps the
 CLI exposes. Every symbol a server sends comes from min_coloring, which
 colors one component of graphs.components at a time; a chain stage graph
 has no edge across transcript sections, so one coloring of it colors each
-section on its own.
+section on its own. Each rate-layer decision has one place: every best-of
+pick (theorem1's and prop2's per-server candidate, the chain's ordering)
+goes through _earliest_least, every support point and its demanded
+outputs come from graphs.support_items, and every uniform Slepian-Wolf
+report from _uniform_split.
 
 chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage codes each point's transcript,
@@ -30,7 +34,7 @@ from .errors import (
     MisStructureError,
     ValidationError,
 )
-from .functions import DemandSpec, decoding_map, evaluate_demand
+from .functions import DemandSpec, decoding_map
 from .graphs import (
     EXACT_COLOR_GUARD,
     CharGraph,
@@ -45,6 +49,7 @@ from .graphs import (
     integer_codes,
     is_clique,
     make_graph,
+    support_items,
     zone_split,
 )
 from .probability import (
@@ -61,7 +66,7 @@ from .solvers import conditional_graph_entropy, graph_entropy
 from .topology import Placement, Topology, coverage_check, derived_params
 
 COMBO_GUARD = 10**6  # max (subset, candidate-combination) decodability checks
-TIE_RTOL = 1e-12  # chain sums this close (relative) to the least one tie
+TIE_RTOL = 1e-12  # values this close (relative) to the least tie in every best-of pick
 
 EncodingMap = Mapping[tuple[int, ...], int]
 
@@ -90,14 +95,6 @@ class RateReport:
             raise ValidationError("negative per-server rate")
         if abs(self.sum_rate - math.fsum(self.per_server_rates)) > 1e-9:
             raise ValidationError("sum_rate disagrees with per-server rates")
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "per_server_rates": list(self.per_server_rates),
-            "sum_rate": self.sum_rate,
-            "method": self.method,
-            "metadata": dict(self.metadata),
-        }
 
 
 def rate_report(rates: Iterable[float], method: str, **metadata: Any) -> RateReport:
@@ -136,18 +133,15 @@ def gains(graph_rr: RateReport, lin_rr: RateReport, sw_rr: RateReport) -> GainRe
 
 
 # ---------------------------------------------------------------------------
-# support/codebook plumbing
+# tie rule, colorings and codebook plumbing
 
 
-def _support_items(
-    d: DemandSpec, p: Placement, joint: JointPmf
-) -> list[tuple[tuple[int, ...], float, tuple[int, ...]]]:
-    if joint.arity != d.k or p.k != d.k:
-        raise ValidationError("joint, placement, and demand disagree on K")
-    items = [(w, m, evaluate_demand(d, w)) for w, m in joint.support()]
-    if not items:
-        raise ValidationError("joint has empty support")
-    return items
+def _earliest_least(values: Sequence[float]) -> int:
+    """The index of the earliest value within TIE_RTOL (relative) of the
+    least: values that tie in exact arithmetic differ in their last bits,
+    so the earliest of them is picked, not the one that rounding favours."""
+    least = min(values)
+    return next(i for i, v in enumerate(values) if v <= least * (1.0 + TIE_RTOL))
 
 
 def min_coloring(g: CharGraph) -> tuple[int, ...]:
@@ -251,11 +245,9 @@ def theorem1_sum_rate(
     graph entropy over its candidate encodings, taken on the graph induced on
     the encoding's image; the codebook must be decodable from every Nr-subset.
     """
-    if p.n != t.n or p.k != t.k:
-        raise ValidationError("placement does not match the topology")
     if not coverage_check(p, t):
         raise ValidationError("placement fails Nr-subset coverage; no recovery")
-    items = _support_items(d, p, joint)
+    items = support_items(d, p, joint)
     graphs = {i: build_char_graph(d, p, joint, i) for i in range(1, t.n + 1)}
     if cb is None:
         cb = Codebook(candidates={i: (coloring_map(g),) for i, g in graphs.items()})
@@ -267,13 +259,9 @@ def theorem1_sum_rate(
     rates: list[float] = []
     chosen: dict[int, int] = {}
     for i in range(1, t.nr + 1):
-        best, best_idx = math.inf, 0
-        for idx, gmap in enumerate(cb.for_server(i)):
-            value = graph_entropy(_pushforward(graphs[i], gmap)).value
-            if value < best:
-                best, best_idx = value, idx
-        rates.append(best)
-        chosen[i] = best_idx
+        values = [graph_entropy(_pushforward(graphs[i], gmap)).value for gmap in cb.for_server(i)]
+        chosen[i] = _earliest_least(values)
+        rates.append(values[chosen[i]])
     return rate_report(rates, "theorem1", servers=list(range(1, t.nr + 1)), chosen=chosen)
 
 
@@ -333,16 +321,11 @@ def prop2_rate(
                 f"server {i} union graph has {fam.count} maximal independent "
                 f"sets; the two-MIS bound does not apply"
             )
-        candidates = _boolean_candidates(g, fam, cb, i)
-        best, best_idx, best_p1 = math.inf, 0, 0.0
-        for idx, gmap in enumerate(candidates):
-            p1 = _level_one_mass(g, gmap, i)
-            value = binary_entropy(p1)
-            if value < best:
-                best, best_idx, best_p1 = value, idx, p1
-        rates.append(best)
-        chosen[i] = best_idx
-        skews.append(best_p1)
+        p1s = [_level_one_mass(g, gmap, i) for gmap in _boolean_candidates(g, fam, cb, i)]
+        values = [binary_entropy(p1) for p1 in p1s]
+        chosen[i] = _earliest_least(values)
+        rates.append(values[chosen[i]])
+        skews.append(p1s[chosen[i]])
     return rate_report(rates, "prop2", chosen=chosen, level_one_mass=skews)
 
 
@@ -395,7 +378,12 @@ def slepian_wolf_rate(joint: JointPmf, t: Topology, p: Placement) -> RateReport:
     Nr servers for reporting purposes."""
     if joint.arity != t.k or p.k != t.k:
         raise ValidationError("joint/placement do not match the topology")
-    h = joint.entropy()
+    return _uniform_split(joint.entropy(), t)
+
+
+def _uniform_split(h: float, t: Topology) -> RateReport:
+    """A Slepian-Wolf baseline: the entropy h split uniformly over the first
+    Nr servers, for reporting."""
     return rate_report([h / t.nr] * t.nr, "slepian_wolf", split="uniform")
 
 
@@ -414,17 +402,22 @@ def chain_rate(
     union graph; each later server pays the conditional graph entropy of its
     side-information-extended graph given all previous transmissions.
 
+    A stage vertex is (local tuple, earlier transcript), so every server
+    hears the earlier transmissions and its color may depend on them: in
+    Orlitsky & Roche's terms, side information at both ends. prop3_rate's
+    stage cost eps_M^(l-1) h(eps_M) has the same shape.
+
     A transmission is the minimum coloring of the current graph, which has
     no edge across the sections of the previous transcript (the decoder
     already knows the transcript, so colors only need to separate within a
     section), so coloring it component by component colors each section. The
     final transcripts must determine every demanded output; otherwise the
     ordering is insufficient. When several orderings are supplied the best
-    decodable one is reported; of orderings whose sum rates tie within
-    TIE_RTOL, the earliest.
+    decodable one is reported, by the tie rule of every best-of pick: of
+    orderings whose sum rates tie within TIE_RTOL, the earliest.
     """
     orderings = _normalize_orderings(t, ordering)
-    items = _support_items(d, p, joint)
+    items = support_items(d, p, joint)
     masses = [m for _, m, _ in items]
     outs, _ = integer_codes(dem for _, _, dem in items)
     # every ordering splits a point into a server's local tuple and the rest
@@ -445,12 +438,7 @@ def chain_rate(
         raise DecodeError(
             "no supplied ordering decodes the demands: " + "; ".join(failures)
         )
-    # orderings that tie in exact arithmetic differ in the last bits of their
-    # sums, so the earliest within TIE_RTOL of the least sum wins, not the
-    # one that rounding favours
-    least = min(total for total, _, _, _ in decodable)
-    best = next(entry for entry in decodable if entry[0] <= least * (1.0 + TIE_RTOL))
-    _, rates, order, converged = best
+    _, rates, order, converged = decodable[_earliest_least([e[0] for e in decodable])]
     return rate_report(
         rates, "chain", ordering=list(order), orderings_tried=len(orderings),
         converged=converged,
@@ -549,7 +537,11 @@ def _chain_eval(
 
 def scenario1_rates(t: Topology, epsilon: float, rho: float) -> GainReport:
     """Single linearly separable demand (sum of all K subfunctions) under the
-    correlated mixture model; closed forms for all three rates."""
+    correlated mixture model; closed forms for all three rates. The graph
+    rate is a scheme in which each disjoint-storage stage pays its local
+    parity's entropy h(e_M), with no conditioning on earlier stages: the
+    chain's value for independent bits (rho = 0), and above it for rho > 0,
+    where the chain's stages condition on the earlier transcripts."""
     if t.kc != 1:
         raise ValidationError("scenario takes a single demanded function")
     dp = derived_params(t)
@@ -559,10 +551,7 @@ def scenario1_rates(t: Topology, epsilon: float, rho: float) -> GainReport:
     if dp.delta_n > 0:
         stages.append(binary_entropy(diniz_parity(dp.xi_n, epsilon, rho)))
     graph = rate_report(stages, "chain", model="mixture", n_star=dp.n_star, xi_n=dp.xi_n)
-    sw = rate_report(
-        [diniz_entropy(t.k, epsilon, rho) / t.nr] * t.nr, "slepian_wolf", split="uniform"
-    )
-    return gains(graph, lin, sw)
+    return gains(graph, lin, _uniform_split(diniz_entropy(t.k, epsilon, rho), t))
 
 
 def scenario2_table2_rates(epsilon: float, p: float) -> GainReport:
@@ -597,7 +586,9 @@ def scenario2_diniz_rates(epsilon: float, rho: float) -> GainReport:
 
 def scenario3_rates(t: Topology, epsilon: float) -> GainReport:
     """Kc = t.kc parity-style demands, independent subfunctions, K = N: linear
-    cost Nr h(eps_M) against the graph cost Kc N* h(eps)."""
+    cost Nr h(eps_M) against the graph cost Kc N* h(eps). That graph cost
+    can fall below the information floor: at K = N = 3, Nr = 2, Kc = 1 and
+    eps 0.1 it is 0.469 bit against H(f) = 0.802."""
     kc = t.kc
     if t.k != t.n:
         raise ValidationError("this comparison needs K = N (delta = 1)")
@@ -609,8 +600,7 @@ def scenario3_rates(t: Topology, epsilon: float) -> GainReport:
     e_m = parity_param(t.m, epsilon)
     lin = rate_report([binary_entropy(e_m)] * t.nr, "prop2")
     graph = rate_report([kc * binary_entropy(epsilon)] * dp.n_star, "chain", kc=kc)
-    sw = rate_report([t.k * binary_entropy(epsilon) / t.nr] * t.nr, "slepian_wolf")
-    return gains(graph, lin, sw)
+    return gains(graph, lin, _uniform_split(t.k * binary_entropy(epsilon), t))
 
 
 def multilinear_rates(t: Topology, epsilon: float) -> GainReport:
@@ -623,7 +613,4 @@ def multilinear_rates(t: Topology, epsilon: float) -> GainReport:
     lin = rate_report(
         [binary_entropy(product_param(t.m, epsilon))] * t.nr, "prop2", model="product"
     )
-    sw = rate_report(
-        [t.k * binary_entropy(epsilon) / t.nr] * t.nr, "slepian_wolf", split="uniform"
-    )
-    return gains(graph, lin, sw)
+    return gains(graph, lin, _uniform_split(t.k * binary_entropy(epsilon), t))

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DecodeError, DeskScaleError, ValidationError
-from .functions import DemandSpec, decoding_map, evaluate_demand
-from .graphs import build_char_graph, or_power
+from .functions import DemandSpec, decoding_map
+from .graphs import build_char_graph, or_power, support_items
 from .probability import JointPmf
 from .rates import min_coloring
 from .solvers import graph_entropy
@@ -70,15 +70,6 @@ class SimResult:
     empirical_rate_bits_per_symbol: tuple[float, ...]
     theoretical_rate: tuple[float, ...]
     seed: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "trials": self.trials,
-            "errors": self.errors,
-            "empirical": list(self.empirical_rate_bits_per_symbol),
-            "theoretical": list(self.theoretical_rate),
-            "seed": self.seed,
-        }
 
 
 def build_encoders(
@@ -210,7 +201,7 @@ def build_decode_table(
     if any(e.n != n for e in enc):
         raise ValidationError("encoders disagree on blocklength")
     symbols, _ = _sweep(joint, n)
-    demands = [evaluate_demand(d, w) for w in symbols]
+    demands = [dem for _, _, dem in support_items(d, p, joint)]
 
     # coverage: the pooled local symbols must determine the demands
     decoding_map(

@@ -136,7 +136,6 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     barrier = np.where(mask.T > 0, 0.0, -np.inf)[:, None, :]  # (m, 1, n)
     inv_ln2 = 1.0 / math.log(2.0)
     objs = np.full(RESTARTS, np.inf)
-    conv_iter = np.full(RESTARTS, -1, dtype=int)
     pending = np.ones(RESTARTS, dtype=bool)
     for it in range(1, MAX_ITERS + 1):
         Q = P.reshape(m * RESTARTS, n) @ W  # joint of (U, Y), rows (u, r)
@@ -152,7 +151,6 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
         newly = pending & (objs - new_objs < TOL)
         objs = new_objs
         if newly.any():
-            conv_iter[newly] = it
             pending &= ~newly
             if not pending.any():
                 break
@@ -163,12 +161,13 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
         L -= L.max(axis=0)  # max sits on an allowed cell, so finite
         P = np.exp(L, out=L)
         P /= P.sum(axis=0)
+    # the steps the loop ran, not the winning restart's: rounding may pick
+    # any of several tied restarts as the winner
     best = int(np.argmin(objs))
-    converged = conv_iter[best] >= 0
     return GraphEntropyResult(
         value=max(float(objs[best]), 0.0),
-        iterations=int(conv_iter[best]) if converged else MAX_ITERS,
-        converged=bool(converged),
+        iterations=it,
+        converged=not pending[best],
         restart_values=tuple(float(v) for v in objs),
     )
 

@@ -158,6 +158,8 @@ class TestEntropy:
             ({"side_joint": [[0.25, 0.25], [0.5]]}, "unequal lengths"),
             ({"side_joint": [[], []]}, "'side_joint' rows must not be empty"),
             ({"pmf": [1.0, 0.0], "side_joint": [[1.0], [0.0]]}, "zero-mass vertices"),
+            ({"side_joint": [[0.6, -0.1], [0.5, 0]]}, "'side_joint' has a negative"),
+            ({"side_joint": [[0.3, 0.1], [0.4, 0]]}, "'side_joint' cells sum to 0.8"),
         ],
     )
     def test_spec_check_exits_2(self, capsys, tmp_path, extra, message):

@@ -141,12 +141,6 @@ class TestReports:
         with pytest.raises(ValidationError):
             RateReport(per_server_rates=(1.0, 1.0), sum_rate=1.0, method="x")
 
-    def test_to_json_shape(self):
-        obj = rate_report([0.5, 0.5], "chain", ordering=[1, 2]).to_json()
-        assert obj["sum_rate"] == 1.0
-        assert obj["method"] == "chain"
-        assert obj["metadata"] == {"ordering": [1, 2]}
-
     def test_gains_ratios(self):
         g = rate_report([1.0], "chain")
         lin = rate_report([3.0], "prop2")
@@ -194,13 +188,18 @@ class TestProp2:
             assert rr.per_server_rates == pytest.approx((want, want), abs=1e-12)
 
     def test_level_one_mass_metadata(self):
-        t, p, d, joint = parity_instance(0.3)
-        rr = prop2_rate(t, p, d, joint)
-        # the two maximal-independent-set indicators are entropy ties, so
-        # either skew may be reported; its entropy must be the quoted rate
-        for mass, rate in zip(rr.metadata["level_one_mass"], rr.per_server_rates):
-            assert mass == pytest.approx(0.42) or mass == pytest.approx(0.58)
-            assert binary_entropy(mass) == pytest.approx(rate, abs=1e-12)
+        # the two maximal-independent-set indicators tie in exact arithmetic
+        # (h(p) = h(1 - p)) but may differ in their last bits, so the tie rule
+        # picks the first candidate, whose level-one class (the even local
+        # parities) holds vertex 0; N=K=n, Nr=2
+        for n, eps, mass in ((3, 0.3, 0.58), (2, 0.2, 0.8)):
+            t = topo(n, n, 2)
+            d = LinearlySeparable(q=2, gamma=((1,) * n,))
+            rr = prop2_rate(t, cyclic_placement(t), d, iid_bernoulli_joint(n, eps))
+            assert rr.metadata["chosen"] == {1: 0, 2: 0}
+            for got, rate in zip(rr.metadata["level_one_mass"], rr.per_server_rates):
+                assert got == pytest.approx(mass, abs=1e-12)
+                assert binary_entropy(got) == pytest.approx(rate, abs=1e-12)
 
     def test_rich_mis_structure_rejected(self):
         # the pair-demand middle server must separate everything: four
@@ -608,6 +607,40 @@ def test_near_tied_orderings_go_to_the_earliest():
     assert len(tied) > 1
     rr = chain_rate(t, cyclic_placement(t), d, joint, orderings)
     assert rr.metadata["ordering"] == list(tied[0])
+
+
+def _mixture_joint(k, eps, rho):
+    """The explicit K-bit mixture law: weight 1 - rho on i.i.d. Bern(eps),
+    and rho on the all-zero and all-one tuples in the ratio (1 - eps) : eps."""
+    mass = {}
+    for w in itertools.product((0, 1), repeat=k):
+        ones = sum(w)
+        mass[w] = (1 - rho) * eps**ones * (1 - eps) ** (k - ones)
+        if ones == 0:
+            mass[w] += rho * (1 - eps)
+        if ones == k:
+            mass[w] += rho * eps
+    return JointPmf((2,) * k, mass)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_scenario1_graph_rate_against_the_chain(n):
+    # s1 charges each disjoint-storage stage its local parity's entropy with
+    # no conditioning: the chain's value under independence, and above it
+    # once the bits are correlated, since the chain's stages condition on
+    # the earlier transcripts
+    d = LinearlySeparable(q=2, gamma=((1,) * n,))
+    for nr in range(2, n + 1):
+        t = topo(n, n, nr)
+        orderings = list(itertools.permutations(range(1, nr + 1)))
+        for eps in (0.1, 0.3):
+            for rho in (0.0, 0.25, 0.5):
+                chain = chain_rate(t, cyclic_placement(t), d, _mixture_joint(n, eps, rho), orderings)
+                s1 = scenario1_rates(t, eps, rho).graph.sum_rate
+                if rho == 0.0:
+                    assert s1 == pytest.approx(chain.sum_rate, abs=1e-12)
+                else:
+                    assert s1 >= chain.sum_rate
 
 
 # transcripts a stage may meet; (10,) and (2,) sort one way as tuples and

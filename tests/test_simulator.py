@@ -230,9 +230,8 @@ class TestRunSimulation:
         t, p, d, joint = scenario_ii()
         encs = build_encoders(t, p, d, joint, 1)
         tab = build_decode_table(encs, t, p, d, joint, (2, 3))
-        obj = run_simulation(encs, tab, joint, 1, 1000, seed=7).to_json()
-        assert set(obj) == {"trials", "errors", "empirical", "theoretical", "seed"}
-        assert obj["errors"] == 0 and obj["trials"] == 1000
+        res = run_simulation(encs, tab, joint, 1, 1000, seed=7)
+        assert res.errors == 0 and res.trials == 1000
 
 
 class TestExpectedRates:

@@ -376,7 +376,7 @@ class TestConditionalGraphEntropy:
 def einsum_solve(g, W):
     """The alternation loop as it was written before the 2-D GEMM layout,
     one einsum per product over a (restart, vertex, MIS) stack; returns
-    (restart values, iterations of the best restart, converged)."""
+    (restart values, steps run, whether the best restart converged)."""
 
     def xlog2x(a):
         return a * np.log2(np.where(a > 0, a, 1.0))
@@ -406,8 +406,7 @@ def einsum_solve(g, W):
         P = np.exp(L)
         P /= P.sum(axis=2, keepdims=True)
     best = int(np.argmin(objs))
-    converged = bool(conv_iter[best] >= 0)
-    return objs, int(conv_iter[best]) if converged else solvers.MAX_ITERS, converged
+    return objs, it, bool(conv_iter[best] >= 0)
 
 
 class TestIterativeKernel:
