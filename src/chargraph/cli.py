@@ -277,6 +277,15 @@ def cmd_placement(args: argparse.Namespace) -> int:
     return 0
 
 
+def _float(value: int | float, field: str) -> float:
+    """A JSON number of the field as a float; an integer too large for one
+    is refused, not left to raise OverflowError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{field} has a number too large for a float") from exc
+
+
 def cmd_entropy(args: argparse.Namespace) -> int:
     spec = _load_json(args.spec)
     if not isinstance(spec, dict):
@@ -303,7 +312,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         raise ValidationError("'labels' entries must be numbers or strings")
     if len(set(labels)) != len(labels):
         raise ValidationError("'labels' repeats a label")
-    masses = {labels[i]: float(pmf[i]) for i in range(len(pmf))}
+    masses = {labels[i]: _float(pmf[i], "'pmf'") for i in range(len(pmf))}
     edge_pairs = [(labels[i], labels[j]) for i, j in edges]
     g = make_graph(masses, edge_pairs)
     if "side_joint" in spec:
@@ -326,7 +335,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         if any(len(row) != ncols for row in matrix):
             raise ValidationError("'side_joint' rows have unequal lengths")
         mass = {
-            (order[labels[i]], j): float(val)
+            (order[labels[i]], j): _float(val, "'side_joint'")
             for i, row in enumerate(matrix)
             for j, val in enumerate(row)
             if val

@@ -6,7 +6,8 @@ that some shared positive-probability completion forces the user to tell
 apart. Each graph-layer decision has one place: support_items reads a
 law's support and its demanded outputs, zone_split codes every graph's
 coordinates, components is the one split (solver blocks, coloring
-components), and is_clique lets both price or color a clique directly.
+components), made once per graph, and is_clique lets both price or color a
+clique directly.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class CharGraph:
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, s in enumerate(self.neighbors) for j in s if i < j)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        return _split(self, None)
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbors[i]
@@ -154,12 +159,24 @@ def induced_subgraph(g: CharGraph, vs: Sequence[int]) -> CharGraph:
     )
 
 
-def components(g: CharGraph, side: Sequence[Hashable] | None = None) -> list[list[int]]:
+def components(
+    g: CharGraph, side: Sequence[Hashable] | None = None
+) -> tuple[tuple[int, ...], ...]:
     """Connected components of g, as ascending vertex ids, in the order of
-    their smallest ids. With side symbols, the edges between vertices whose
-    symbols differ are dropped first: the blocks of a conditional program."""
+    their smallest ids; g is split once, however often it is asked. With
+    side symbols, the edges between vertices whose symbols differ are
+    dropped first: the blocks of a conditional program. When every
+    component meets one symbol (a chain stage graph, which has no edge
+    across transcript sections), they are those blocks."""
+    comps = g._components
+    if side is None or all(side[v] == side[c[0]] for c in comps for v in c):
+        return comps
+    return _split(g, side)
+
+
+def _split(g: CharGraph, side: Sequence[Hashable] | None) -> tuple[tuple[int, ...], ...]:
     comp_of = [-1] * g.n
-    comps: list[list[int]] = []
+    comps: list[tuple[int, ...]] = []
     for s in range(g.n):
         if comp_of[s] >= 0:
             continue
@@ -170,8 +187,8 @@ def components(g: CharGraph, side: Sequence[Hashable] | None = None) -> list[lis
                 if comp_of[u] < 0 and (side is None or side[u] == side[v]):
                     comp_of[u] = len(comps)
                     comp.append(u)
-        comps.append(sorted(comp))
-    return comps
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def is_clique(g: CharGraph, vs: Sequence[int]) -> bool:

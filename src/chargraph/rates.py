@@ -18,14 +18,17 @@ chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage codes each point's transcript,
 groups the points by (transcript, local) and (transcript, rest) codes and
 builds its graph with graphs.confusability_graph; the vertex labels stay
-(local tuple, transcript), built once per vertex.
+(local tuple, transcript), built once per vertex. A transcript section
+whose points all demand one output is settled: from then on its points
+leave the stage loops, and each stage sees it as one lone vertex
+((), transcript) carrying its mass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product as iter_product
+from itertools import combinations, compress, product as iter_product
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -410,11 +413,18 @@ def chain_rate(
     A transmission is the minimum coloring of the current graph, which has
     no edge across the sections of the previous transcript (the decoder
     already knows the transcript, so colors only need to separate within a
-    section), so coloring it component by component colors each section. The
-    final transcripts must determine every demanded output; otherwise the
-    ordering is insufficient. When several orderings are supplied the best
-    decodable one is reported, by the tie rule of every best-of pick: of
-    orderings whose sum rates tie within TIE_RTOL, the earliest.
+    section), so coloring it component by component colors each section. A
+    section whose points all demand one output is settled: every later
+    stage graph has only lone vertices there, which cost 0 and get color 0,
+    so it sends nothing more and costs 0. Its points leave the stage loops,
+    and each stage prices and colors it as one lone vertex carrying its
+    mass, which changes neither the stage's value nor any other vertex's
+    color (merging non-adjacent twins costs nothing; Korner, Simonyi & Tuza
+    1992). The final transcripts must determine every demanded output;
+    otherwise the ordering is insufficient. When several orderings are
+    supplied the best decodable one is reported, by the tie rule of every
+    best-of pick: of orderings whose sum rates tie within TIE_RTOL, the
+    earliest.
     """
     orderings = _normalize_orderings(t, ordering)
     items = support_items(d, p, joint)
@@ -465,28 +475,80 @@ def _normalize_orderings(
 
 def _stage_graph(
     split: ZoneSplit,
+    live: Sequence[int],
+    codes: Sequence[int],
     masses: Sequence[float],
     outs: Sequence[int],
-    codes: Sequence[int],
     transcripts: Sequence[tuple[int, ...]],
+    settled: Mapping[int, tuple[float, list[int]]],
 ) -> tuple[CharGraph, list[int]]:
-    """A chain stage's graph and the vertex id of each support point, given
-    the server's split, the point masses and output codes, the transcript
-    code of each point and the transcript of each code. The decoder knows
-    the transcript, so it is part of both the vertex (local tuple,
-    transcript) and the completion (rest, transcript): only points with
-    equal transcripts are confusable."""
-    nl, labels = len(split.labels), split.labels
-    vertex = [c * nl + x for c, x in zip(codes, split.local)]
-    key = [c * split.n_rest + r for c, r in zip(codes, split.rest)]
+    """A chain stage's graph and the vertex id of each live point, then of
+    each settled section, given the server's split, the live points (ids
+    into the split, masses and output codes) with their transcript codes,
+    the transcript of each code, and the mass and points of each settled
+    section by its transcript code. The decoder knows the transcript, so it
+    is part of both the vertex (local tuple, transcript) and the completion
+    (rest, transcript): only live points with equal transcripts are
+    confusable. A settled section enters as one point with a completion of
+    its own, so it is one lone vertex, labelled ((), transcript)."""
+    nl, labels, local, rest = len(split.labels), split.labels, split.local, split.rest
+    lone = [~c for c in settled]  # negative: apart from every live vertex and key
+    vertex = [c * nl + local[k] for c, k in zip(codes, live)] + lone
+    key = [c * split.n_rest + rest[k] for c, k in zip(codes, live)] + lone
+    mass = [*map(masses.__getitem__, live), *(m for m, _ in settled.values())]
+    out = [*map(outs.__getitem__, live), *[0] * len(lone)]
 
     def label(v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if v < 0:
+            return (), transcripts[~v]
         return labels[v % nl], transcripts[v // nl]
 
-    g = confusability_graph(vertex, key, masses, outs, label)
+    g = confusability_graph(vertex, key, mass, out, label)
     index = {lab: i for i, lab in enumerate(g.vertices)}
     ids = {v: index[label(v)] for v in set(vertex)}
     return g, [ids[v] for v in vertex]
+
+
+def _settle(
+    live: list[int],
+    codes: list[int],
+    masses: Sequence[float],
+    outs: Sequence[int],
+    settled: dict[int, tuple[float, list[int]]],
+) -> tuple[list[int], list[int]]:
+    """Move each transcript section of the live points whose points all
+    demand one output into settled, as its mass and points under its code;
+    return the live points left and their codes."""
+    pairs = set(zip(codes, map(outs.__getitem__, live)))  # (code, output) met
+    one = dict(pairs)  # an output met by each code
+    mixed = {c for c, o in pairs if one[c] != o}
+    if len(mixed) == len(one):
+        return live, codes
+    keep = [c in mixed for c in codes]
+    points: dict[int, list[int]] = {}
+    for k, c, kept in zip(live, codes, keep):
+        if not kept:
+            points.setdefault(c, []).append(k)
+    for c, ks in points.items():
+        settled[c] = (math.fsum(map(masses.__getitem__, ks)), ks)
+    return list(compress(live, keep)), list(compress(codes, keep))
+
+
+def _point_codes(
+    n: int,
+    live: Sequence[int],
+    codes: Sequence[int],
+    settled: Mapping[int, tuple[float, list[int]]],
+) -> list[int]:
+    """The transcript code of each of the n points: a live point's own, a
+    settled point's its section's."""
+    every = [0] * n
+    for k, c in zip(live, codes):
+        every[k] = c
+    for c, (_, points) in settled.items():
+        for k in points:
+            every[k] = c
+    return every
 
 
 def _chain_eval(
@@ -496,18 +558,24 @@ def _chain_eval(
     splits: Mapping[int, ZoneSplit],
     order: tuple[int, ...],
 ) -> tuple[list[float], bool]:
-    # transcripts by integer code: codes[k] is the code of point k's
-    # transcript and transcripts[c] the transcript of code c; every code
-    # 0..len(transcripts)-1 is some point's
+    # transcripts by integer code: transcripts[c] is the transcript of code
+    # c. A section is live until all of its points demand one output, and
+    # settled from then on: live holds the points of the live sections and
+    # codes their transcript codes, and settled the mass and points of each
+    # settled section by its code
+    live = list(range(len(items)))
     codes = [0] * len(items)
     transcripts: list[tuple[int, ...]] = [()]
+    settled: dict[int, tuple[float, list[int]]] = {}
+    live, codes = _settle(live, codes, masses, outs, settled)
     rates: list[float] = []
     converged = True
     for server in order:
-        g, ids = _stage_graph(splits[server], masses, outs, codes, transcripts)
+        g, ids = _stage_graph(splits[server], live, codes, masses, outs, transcripts, settled)
+        side = codes + list(settled)  # the transcript code of each entry of ids
         joint2 = JointPmf(
             (g.n, len(transcripts)),
-            {(i, c): g.pmf[i] for i, c in dict(zip(ids, codes)).items()},
+            {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()},
         )
         res = conditional_graph_entropy(g, joint2)
         rates.append(res.value)
@@ -515,14 +583,18 @@ def _chain_eval(
 
         # colors need only separate inside the transcript section the decoder
         # already knows; no edge of g leaves a section, so coloring g one
-        # component at a time colors each section on its own
+        # component at a time colors each section on its own, and a settled
+        # section, a lone vertex, sends the constant color 0
         colors = min_coloring(g)
         coded: dict[tuple[int, int], int] = {}  # (transcript code, color) -> next code
-        codes = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids)]
+        new = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(side, ids)]
         transcripts = [transcripts[c] + (color,) for c, color in coded]
+        settled = dict(zip(new[len(live):], settled.values()))
+        live, codes = _settle(live, new[: len(live)], masses, outs, settled)
 
+    every = _point_codes(len(items), live, codes, settled)
     decoding_map(
-        ((c, dem) for (_, _, dem), c in zip(items, codes)),
+        ((c, dem) for (_, _, dem), c in zip(items, every)),
         lambda c, a, b: DecodeError(
             f"ordering {order} is insufficient: transcript {transcripts[c]} is "
             f"consistent with demands {a} and {b}"

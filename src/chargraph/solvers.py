@@ -225,13 +225,17 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
         raise ValidationError("conditional entropy needs an arity-2 joint (X, Y)")
     if joint.sizes[0] != g.n:
         raise ValidationError(f"joint X-alphabet {joint.sizes[0]} != vertex count {g.n}")
-    W = np.zeros(joint.sizes)
+    rows: list[dict[int, float]] = [{} for _ in range(g.n)]  # the positive cells of each x
     for (x, y), mass in joint.mass.items():
-        W[x, y] = mass
-    if np.abs(W.sum(axis=1) - g.pmf).max() > 1e-9:
+        if mass > 0.0:  # masses are >= 0
+            rows[x][y] = mass
+    if max(abs(math.fsum(r.values()) - p) for r, p in zip(rows, g.pmf)) > 1e-9:
         raise ValidationError("joint's X-marginal does not match the vertex PMF")
-    if (np.count_nonzero(W, axis=1) == 1).all():  # masses are >= 0: nonzero is positive
-        return _solve_blocks(g, components(g, W.argmax(axis=1).tolist()), [g.pmf])
+    if all(len(r) == 1 for r in rows):
+        return _solve_blocks(g, components(g, [next(iter(r)) for r in rows]), [g.pmf])
+    W = np.zeros(joint.sizes)
+    for x, r in enumerate(rows):
+        W[x, list(r)] = list(r.values())
     return _solve_blocks(g, [range(g.n)], W[:, W.sum(axis=0) > 0].T.tolist())
 
 

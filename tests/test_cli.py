@@ -160,6 +160,9 @@ class TestEntropy:
             ({"pmf": [1.0, 0.0], "side_joint": [[1.0], [0.0]]}, "zero-mass vertices"),
             ({"side_joint": [[0.6, -0.1], [0.5, 0]]}, "'side_joint' has a negative"),
             ({"side_joint": [[0.3, 0.1], [0.4, 0]]}, "'side_joint' cells sum to 0.8"),
+            # a 401-digit integer passes the type check but overflows a float
+            ({"pmf": [10**400, 0.5]}, "'pmf' has a number too large"),
+            ({"side_joint": [[10**400, 0], [0.5, 0]]}, "'side_joint' has a number too large"),
         ],
     )
     def test_spec_check_exits_2(self, capsys, tmp_path, extra, message):

@@ -6,19 +6,22 @@ package.
 """
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chargraph import rates
+from chargraph import rates, solvers
 
 from chargraph.errors import DecodeError, MisStructureError, ValidationError
-from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
+from chargraph.functions import LinearlySeparable, MultiLinear, demand_from_json, evaluate_demand
 from chargraph.graphs import (
     EXACT_COLOR_GUARD,
     build_char_graph,
+    enumerate_mis,
     greedy_coloring,
     integer_codes,
     make_graph,
@@ -51,6 +54,7 @@ from chargraph.rates import (
     slepian_wolf_rate,
     theorem1_sum_rate,
 )
+from chargraph.solvers import conditional_graph_entropy
 from chargraph.topology import Placement, Topology, cyclic_placement
 
 # (N, K, Nr, Kc, total q-ary symbols) for the piecewise linear-demand cost
@@ -681,7 +685,8 @@ def _check_stage_graph(ws, zone, rng):
     ]
     codes, by_code = integer_codes(transcripts)
     outs, _ = integer_codes(outputs)
-    g, ids = rates._stage_graph(zone_split(ws, zone), masses, outs, codes, by_code)
+    live = list(range(len(ws)))  # every point live, no section settled
+    g, ids = rates._stage_graph(zone_split(ws, zone), live, codes, masses, outs, by_code, {})
     vertices, neighbors, pmf = _stage_by_definition(points, transcripts)
     assert g.vertices == vertices
     assert g.neighbors == neighbors
@@ -712,3 +717,124 @@ def test_stage_graph_on_overlapping_zones(server):
     # before (2,) by repr, not after it as a tuple
     ys = [y for x, y in g.vertices if x == g.vertices[0][0]]
     assert ys.index((10,)) < ys.index((2,))
+
+
+# each point's demanded outputs; "random" draws an output code per point
+MERGE_DEMANDS = {
+    "parity": lambda w, rng: sum(w) % 2,
+    "and": lambda w, rng: int(all(w)),
+    "pair": lambda w, rng: (w[1], w[1] ^ w[2]),
+    "random": lambda w, rng: rng.randrange(3),
+}
+
+
+def _stage_value(g, ids, side, n_codes):
+    """A stage's conditional graph entropy given the transcript code of
+    each entry of ids, as the chain prices it."""
+    joint = JointPmf((g.n, n_codes), {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()})
+    return conditional_graph_entropy(g, joint).value
+
+
+def _check_merged_stages(ws, zones, order, demand, rng):
+    """Run the chain on the support ws stage by stage, as rates._chain_eval
+    does, with random masses. At every stage with settled sections, build
+    the full stage graph over every point as well and check that merging
+    each settled section into one lone vertex keeps the stage value (within
+    1e-15) and every live vertex's color. Returns the number of stages
+    compared."""
+    n = len(ws)
+    masses = [rng.uniform(0.05, 1.0) for _ in ws]
+    masses = [m / math.fsum(masses) for m in masses]
+    outs, _ = integer_codes(MERGE_DEMANDS[demand](w, rng) for w in ws)
+    live, codes, transcripts, settled = list(range(n)), [0] * n, [()], {}
+    live, codes = rates._settle(live, codes, masses, outs, settled)
+    values, compared = [], 0
+    for server in order:
+        split = zone_split(ws, zones[server])
+        g, ids = rates._stage_graph(split, live, codes, masses, outs, transcripts, settled)
+        side = codes + list(settled)
+        values.append(_stage_value(g, ids, side, len(transcripts)))
+        colors = min_coloring(g)
+        if settled:
+            every = rates._point_codes(n, live, codes, settled)
+            full, full_ids = rates._stage_graph(
+                split, range(n), every, masses, outs, transcripts, {}
+            )
+            assert abs(values[-1] - _stage_value(full, full_ids, every, len(transcripts))) <= 1e-15
+            full_colors = min_coloring(full)
+            assert [colors[i] for i in ids[: len(live)]] == [full_colors[full_ids[k]] for k in live]
+            lone = ids[len(live):]
+            assert len(set(lone)) == len(settled) and not set(lone) & set(ids[: len(live)])
+            for (c, (_, points)), i in zip(settled.items(), lone):
+                assert g.vertices[i] == ((), transcripts[c]) and not g.neighbors[i]
+                assert all(not full.neighbors[full_ids[k]] for k in points)
+            compared += 1
+        coded = {}
+        new = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(side, ids)]
+        transcripts = [transcripts[c] + (color,) for c, color in coded]
+        settled = dict(zip(new[len(live):], settled.values()))
+        live, codes = rates._settle(live, new[: len(live)], masses, outs, settled)
+    # the loop above is the chain's: where the ordering decodes, its stage
+    # values are the chain's rates
+    items = [(w, m, (o,)) for w, m, o in zip(ws, masses, outs)]
+    splits = {s: zone_split(ws, zones[s]) for s in order}
+    try:
+        assert rates._chain_eval(items, masses, outs, splits, tuple(order))[0] == values
+    except DecodeError:
+        pass
+    return compared
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_merged_settled_sections_are_exact(k, data):
+    cube = list(itertools.product((0, 1), repeat=k))
+    ws = data.draw(st.lists(st.sampled_from(cube), min_size=1, max_size=len(cube), unique=True))
+    ws = sorted(ws)
+    nr = data.draw(st.integers(1, k))
+    zones = {s: cyclic_placement(topo(k, k, nr)).zone0(s) for s in range(1, k + 1)}
+    order = data.draw(st.permutations(range(1, k + 1)))
+    demand = data.draw(st.sampled_from(sorted(MERGE_DEMANDS)))
+    _check_merged_stages(ws, zones, order, demand, random.Random(data.draw(st.integers(0, 2**32))))
+
+
+@pytest.mark.parametrize("demand", sorted(MERGE_DEMANDS))
+def test_merged_settled_sections_on_overlapping_zones(demand):
+    # configs/parity7.json's placement: N = K = 7, Nr = 6, two bits a zone
+    p = cyclic_placement(topo(7, 7, 6))
+    zones = {s: p.zone0(s) for s in range(1, 8)}
+    ws = list(itertools.product((0, 1), repeat=7))
+    compared = _check_merged_stages(ws, zones, (3, 1, 6, 2, 7, 4, 5), demand, random.Random(demand))
+    # every section settles once six servers have spoken, so the seventh
+    # stage at least meets settled sections
+    assert compared >= 1
+
+
+def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
+    # perfbench's and-5-4 item: AND at N = K = 5, Nr = 4, all 24 orderings,
+    # eps 0.1 to 0.4 over 4 points
+    with open(Path(__file__).resolve().parents[1] / "perfbench/inputs/and5.json") as fh:
+        d = demand_from_json(json.load(fh), k=5)
+    t = topo(5, 5, 4)
+    p = cyclic_placement(t)
+    stages, settled_stages, sets = [], [], []
+
+    def counted_solve(g, joint):
+        stages.append(g.n)
+        # a settled section's one vertex is labelled with the empty local tuple
+        settled_stages.append(all(x == () for x, _ in g.vertices))
+        return conditional_graph_entropy(g, joint)
+
+    def counted_mis(g, vs=None):
+        fam = enumerate_mis(g, vs)
+        sets.append(fam.count)
+        return fam
+
+    monkeypatch.setattr(rates, "conditional_graph_entropy", counted_solve)
+    monkeypatch.setattr(solvers, "enumerate_mis", counted_mis)
+    orders = list(itertools.permutations(range(1, 5)))
+    for eps in (0.1, 0.2, 0.3, 0.4):
+        chain_rate(t, p, d, iid_bernoulli_joint(5, eps), orders)
+    assert len(stages) == 4 * 24 * 4
+    assert sum(sets) > 0
+    assert any(settled_stages)
