@@ -159,10 +159,19 @@ def decoding_map(
 
 
 def json_int(value: Any) -> int:
-    """An integer field of a JSON input, read from its text like the config
-    grids: 2.9, 1.0 and true raise ValueError instead of truncating to 2, 1
-    and 1."""
-    return int(str(value))
+    """An integer field of a JSON input: 2.9, 1.0, true and "2" raise
+    ValueError instead of being read as 2, 1, 1 and 2."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not a JSON integer")
+    return value
+
+
+def json_list(value: Any) -> list:
+    """An array field of a JSON input: "111" raises TypeError instead of
+    being read as the list of its characters."""
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not a JSON array")
+    return value
 
 
 def demand_to_json(d: DemandSpec) -> dict[str, Any]:
@@ -183,7 +192,9 @@ def demand_from_json(obj: Mapping[str, Any], k: int | None = None) -> DemandSpec
         if kind == "linsep":
             d: DemandSpec = LinearlySeparable(
                 q=json_int(obj["q"]),
-                gamma=tuple(tuple(json_int(v) for v in r) for r in obj["gamma"]),
+                gamma=tuple(
+                    tuple(json_int(v) for v in json_list(r)) for r in json_list(obj["gamma"])
+                ),
             )
         elif kind == "multilinear":
             if k is None:
@@ -191,7 +202,9 @@ def demand_from_json(obj: Mapping[str, Any], k: int | None = None) -> DemandSpec
             d = MultiLinear(k=k, q=json_int(obj.get("q", 2)))
         elif kind == "table":
             q = json_int(obj["q"])
-            tables = tuple(tuple(json_int(v) for v in t) for t in obj["tables"])
+            tables = tuple(
+                tuple(json_int(v) for v in json_list(t)) for t in json_list(obj["tables"])
+            )
             size = len(tables[0]) if tables else 0
             arity = k if k is not None else round(math.log(size, q)) if size else 0
             d = GeneralTable(q=q, k=arity, tables=tables)

@@ -20,8 +20,9 @@ groups the points by (transcript, local) and (transcript, rest) codes and
 builds its graph with graphs.confusability_graph; the vertex labels stay
 (local tuple, transcript), built once per vertex. A transcript section
 whose points all demand one output is settled: from then on its points
-leave the stage loops, and each stage sees it as one lone vertex
-((), transcript) carrying its mass.
+leave the chain, and each stage sees all settled mass as one lone vertex
+((), ()). The ordering decodes iff no live section is left after the
+last stage.
 """
 
 from __future__ import annotations
@@ -416,12 +417,14 @@ def chain_rate(
     section), so coloring it component by component colors each section. A
     section whose points all demand one output is settled: every later
     stage graph has only lone vertices there, which cost 0 and get color 0,
-    so it sends nothing more and costs 0. Its points leave the stage loops,
-    and each stage prices and colors it as one lone vertex carrying its
-    mass, which changes neither the stage's value nor any other vertex's
-    color (merging non-adjacent twins costs nothing; Korner, Simonyi & Tuza
-    1992). The final transcripts must determine every demanded output;
-    otherwise the ordering is insufficient. When several orderings are
+    so it sends nothing more and costs 0. Its points leave the chain, and
+    each stage prices and colors all settled mass as one lone vertex, which
+    changes neither the stage's value nor any other vertex's color (merging
+    non-adjacent twins costs nothing; Korner, Simonyi & Tuza 1992). A
+    settled section decodes to its one output, so the final transcripts
+    determine every demanded output iff no live section is left after the
+    last stage; otherwise the ordering is insufficient, and the first clash
+    among the live points names it. When several orderings are
     supplied the best decodable one is reported, by the tie rule of every
     best-of pick: of orderings whose sum rates tie within TIE_RTOL, the
     earliest.
@@ -480,28 +483,30 @@ def _stage_graph(
     masses: Sequence[float],
     outs: Sequence[int],
     transcripts: Sequence[tuple[int, ...]],
-    settled: Mapping[int, tuple[float, list[int]]],
+    settled: float,
 ) -> tuple[CharGraph, list[int]]:
     """A chain stage's graph and the vertex id of each live point, then of
-    each settled section, given the server's split, the live points (ids
-    into the split, masses and output codes) with their transcript codes,
-    the transcript of each code, and the mass and points of each settled
-    section by its transcript code. The decoder knows the transcript, so it
-    is part of both the vertex (local tuple, transcript) and the completion
-    (rest, transcript): only live points with equal transcripts are
-    confusable. A settled section enters as one point with a completion of
-    its own, so it is one lone vertex, labelled ((), transcript)."""
+    the settled vertex if there is one, given the server's split, the live
+    points (ids into the split, masses and output codes) with their
+    transcript codes, the transcript of each code, and the settled mass.
+    The decoder knows the transcript, so it is part of both the vertex
+    (local tuple, transcript) and the completion (rest, transcript): only
+    live points with equal transcripts are confusable. A positive settled
+    mass enters as one point with a completion of its own, so it is one
+    lone vertex, labelled ((), ())."""
     nl, labels, local, rest = len(split.labels), split.labels, split.local, split.rest
-    lone = [~c for c in settled]  # negative: apart from every live vertex and key
-    vertex = [c * nl + local[k] for c, k in zip(codes, live)] + lone
-    key = [c * split.n_rest + rest[k] for c, k in zip(codes, live)] + lone
-    mass = [*map(masses.__getitem__, live), *(m for m, _ in settled.values())]
-    out = [*map(outs.__getitem__, live), *[0] * len(lone)]
+    vertex = [c * nl + local[k] for c, k in zip(codes, live)]
+    key = [c * split.n_rest + rest[k] for c, k in zip(codes, live)]
+    mass = list(map(masses.__getitem__, live))
+    out = list(map(outs.__getitem__, live))
+    if settled:  # -1: apart from every live vertex and key
+        vertex.append(-1)
+        key.append(-1)
+        mass.append(settled)
+        out.append(0)
 
     def label(v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if v < 0:
-            return (), transcripts[~v]
-        return labels[v % nl], transcripts[v // nl]
+        return ((), ()) if v < 0 else (labels[v % nl], transcripts[v // nl])
 
     g = confusability_graph(vertex, key, mass, out, label)
     index = {lab: i for i, lab in enumerate(g.vertices)}
@@ -510,45 +515,20 @@ def _stage_graph(
 
 
 def _settle(
-    live: list[int],
-    codes: list[int],
-    masses: Sequence[float],
-    outs: Sequence[int],
-    settled: dict[int, tuple[float, list[int]]],
-) -> tuple[list[int], list[int]]:
-    """Move each transcript section of the live points whose points all
-    demand one output into settled, as its mass and points under its code;
-    return the live points left and their codes."""
+    live: list[int], codes: list[int], masses: Sequence[float], outs: Sequence[int]
+) -> float:
+    """Drop from live, and from codes, the points of each transcript section
+    whose points all demand one output; return the mass dropped."""
     pairs = set(zip(codes, map(outs.__getitem__, live)))  # (code, output) met
     one = dict(pairs)  # an output met by each code
     mixed = {c for c, o in pairs if one[c] != o}
     if len(mixed) == len(one):
-        return live, codes
+        return 0.0
     keep = [c in mixed for c in codes]
-    points: dict[int, list[int]] = {}
-    for k, c, kept in zip(live, codes, keep):
-        if not kept:
-            points.setdefault(c, []).append(k)
-    for c, ks in points.items():
-        settled[c] = (math.fsum(map(masses.__getitem__, ks)), ks)
-    return list(compress(live, keep)), list(compress(codes, keep))
-
-
-def _point_codes(
-    n: int,
-    live: Sequence[int],
-    codes: Sequence[int],
-    settled: Mapping[int, tuple[float, list[int]]],
-) -> list[int]:
-    """The transcript code of each of the n points: a live point's own, a
-    settled point's its section's."""
-    every = [0] * n
-    for k, c in zip(live, codes):
-        every[k] = c
-    for c, (_, points) in settled.items():
-        for k in points:
-            every[k] = c
-    return every
+    mass = math.fsum(masses[k] for k, kept in zip(live, keep) if not kept)
+    live[:] = compress(live, keep)
+    codes[:] = compress(codes, keep)
+    return mass
 
 
 def _chain_eval(
@@ -558,23 +538,22 @@ def _chain_eval(
     splits: Mapping[int, ZoneSplit],
     order: tuple[int, ...],
 ) -> tuple[list[float], bool]:
-    # transcripts by integer code: transcripts[c] is the transcript of code
-    # c. A section is live until all of its points demand one output, and
-    # settled from then on: live holds the points of the live sections and
-    # codes their transcript codes, and settled the mass and points of each
-    # settled section by its code
+    # a transcript section is live until all of its points demand one
+    # output: live holds the points of the live sections, codes their
+    # transcript codes and transcripts[c] the transcript of code c; the
+    # settled sections are only their summed mass
     live = list(range(len(items)))
     codes = [0] * len(items)
     transcripts: list[tuple[int, ...]] = [()]
-    settled: dict[int, tuple[float, list[int]]] = {}
-    live, codes = _settle(live, codes, masses, outs, settled)
+    settled = _settle(live, codes, masses, outs)
     rates: list[float] = []
     converged = True
     for server in order:
         g, ids = _stage_graph(splits[server], live, codes, masses, outs, transcripts, settled)
-        side = codes + list(settled)  # the transcript code of each entry of ids
+        # the settled vertex's side symbol is one of its own
+        side = codes + [len(transcripts)] * (len(ids) - len(live))
         joint2 = JointPmf(
-            (g.n, len(transcripts)),
+            (g.n, len(transcripts) + 1),
             {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()},
         )
         res = conditional_graph_entropy(g, joint2)
@@ -583,18 +562,17 @@ def _chain_eval(
 
         # colors need only separate inside the transcript section the decoder
         # already knows; no edge of g leaves a section, so coloring g one
-        # component at a time colors each section on its own, and a settled
-        # section, a lone vertex, sends the constant color 0
+        # component at a time colors each section on its own
         colors = min_coloring(g)
         coded: dict[tuple[int, int], int] = {}  # (transcript code, color) -> next code
-        new = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(side, ids)]
+        codes = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids)]
         transcripts = [transcripts[c] + (color,) for c, color in coded]
-        settled = dict(zip(new[len(live):], settled.values()))
-        live, codes = _settle(live, new[: len(live)], masses, outs, settled)
+        settled += _settle(live, codes, masses, outs)
 
-    every = _point_codes(len(items), live, codes, settled)
+    # a settled section decodes to its one output, so the ordering decodes
+    # iff no live section is left
     decoding_map(
-        ((c, dem) for (_, _, dem), c in zip(items, every)),
+        ((c, items[k][2]) for k, c in zip(live, codes)),
         lambda c, a, b: DecodeError(
             f"ordering {order} is insufficient: transcript {transcripts[c]} is "
             f"consistent with demands {a} and {b}"

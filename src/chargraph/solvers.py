@@ -233,10 +233,8 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
         raise ValidationError("joint's X-marginal does not match the vertex PMF")
     if all(len(r) == 1 for r in rows):
         return _solve_blocks(g, components(g, [next(iter(r)) for r in rows]), [g.pmf])
-    W = np.zeros(joint.sizes)
-    for x, r in enumerate(rows):
-        W[x, list(r)] = list(r.values())
-    return _solve_blocks(g, [range(g.n)], W[:, W.sum(axis=0) > 0].T.tolist())
+    ys = sorted({y for r in rows for y in r})  # the symbols with positive mass
+    return _solve_blocks(g, [range(g.n)], [[r.get(y, 0.0) for r in rows] for y in ys])
 
 
 def chromatic_entropy(g: CharGraph) -> float:

@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Any, Mapping
 
 from .errors import DeskScaleError, ValidationError
-from .functions import json_int
+from .functions import json_int, json_list
 
 COVERAGE_GUARD = 10**6  # max number of Nr-subsets checked exhaustively
 
@@ -140,7 +140,9 @@ def placement_to_json(p: Placement) -> dict[str, Any]:
 def placement_from_json(obj: Mapping[str, Any]) -> Placement:
     try:
         n, k = json_int(obj["N"]), json_int(obj["K"])
-        zones = tuple(tuple(sorted(json_int(d) for d in z)) for z in obj["Z"])
+        zones = tuple(
+            tuple(sorted(json_int(d) for d in json_list(z))) for z in json_list(obj["Z"])
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"placement object needs N, K, Z fields: {exc}") from exc
     return Placement(n=n, k=k, zones=zones)

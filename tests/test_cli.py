@@ -734,6 +734,7 @@ class TestCustomScenario:
             {"kind": "linsep", "q": 2, "gamma": [[1, 1, "x"]]},
             [1, 1, 1],
             {"kind": "linsep", "q": 2, "gamma": [[1, 1, 1.7]]},
+            {"kind": "linsep", "q": "2", "gamma": [["1", "1", "1"]]},
         ],
     )
     def test_malformed_demand_exits_2(self, capsys, tmp_path, demand):

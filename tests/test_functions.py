@@ -157,13 +157,20 @@ class TestDemandJson:
             {"kind": "linsep", "q": 2, "gamma": [[1, True, 0]]},
             {"kind": "linsep", "q": 2.0, "gamma": [[1, 1, 0]]},
             {"kind": "table", "q": 2, "tables": [[0, 1, 1, 0.0]]},
+            # int(str()) and iteration would read these strings as the
+            # numbers and lists they spell
+            {"kind": "linsep", "q": "2", "gamma": [["1", "1", "1"]]},
+            {"kind": "linsep", "q": 2, "gamma": ["111"]},
+            {"kind": "linsep", "q": 2, "gamma": "111"},
+            {"kind": "table", "q": 2, "tables": ["0110"]},
+            {"kind": "table", "q": "2", "tables": [[0, 1, 1, 0]]},
         ],
     )
     def test_malformed_object_rejected(self, obj):
         with pytest.raises(ValidationError):
             demand_from_json(obj)
 
-    @pytest.mark.parametrize("q", [2.5, True, 3.0])
+    @pytest.mark.parametrize("q", [2.5, True, 3.0, "3"])
     def test_multilinear_field_must_be_integer(self, q):
         with pytest.raises(ValidationError):
             demand_from_json({"kind": "multilinear", "q": q}, k=3)

@@ -685,13 +685,19 @@ def _check_stage_graph(ws, zone, rng):
     ]
     codes, by_code = integer_codes(transcripts)
     outs, _ = integer_codes(outputs)
-    live = list(range(len(ws)))  # every point live, no section settled
-    g, ids = rates._stage_graph(zone_split(ws, zone), live, codes, masses, outs, by_code, {})
+    split, live = zone_split(ws, zone), list(range(len(ws)))  # every point live
+    g, ids = rates._stage_graph(split, live, codes, masses, outs, by_code, 0.0)
     vertices, neighbors, pmf = _stage_by_definition(points, transcripts)
     assert g.vertices == vertices
     assert g.neighbors == neighbors
     assert g.pmf == pmf
     assert [g.vertices[i] for i in ids] == [(x, y) for (x, _, _, _), y in zip(points, transcripts)]
+    # settled mass adds one lone vertex ((), ()), which sorts first by repr,
+    # and keeps every other vertex, its order and its edges
+    h, h_ids = rates._stage_graph(split, live, codes, masses, outs, by_code, 0.5)
+    assert h.vertices == (((), ()),) + vertices and h.pmf[0] == pytest.approx(1 / 3)
+    assert h.neighbors == (frozenset(),) + tuple(frozenset(j + 1 for j in s) for s in neighbors)
+    assert h_ids == [i + 1 for i in ids] + [0]
     return g
 
 
@@ -735,54 +741,67 @@ def _stage_value(g, ids, side, n_codes):
     return conditional_graph_entropy(g, joint).value
 
 
-def _check_merged_stages(ws, zones, order, demand, rng):
-    """Run the chain on the support ws stage by stage, as rates._chain_eval
-    does, with random masses. At every stage with settled sections, build
-    the full stage graph over every point as well and check that merging
-    each settled section into one lone vertex keeps the stage value (within
-    1e-15) and every live vertex's color. Returns the number of stages
-    compared."""
+def _reference_chain(ws, zones, order, masses, outs):
+    """The chain with no section settled: every point stays in every stage
+    graph. Returns its stage values, the number of stages that meet a
+    section whose points all demand one output, and the message of the
+    ordering's DecodeError (None when the last transcripts decode)."""
     n = len(ws)
+    codes, transcripts = [0] * n, [()]
+    values, meets_settled = [], 0
+    for server in order:
+        sections = {}
+        for c, o in zip(codes, outs):
+            sections.setdefault(c, set()).add(o)
+        meets_settled += any(len(s) == 1 for s in sections.values())
+        split = zone_split(ws, zones[server])
+        g, ids = rates._stage_graph(split, range(n), codes, masses, outs, transcripts, 0.0)
+        values.append(_stage_value(g, ids, codes, len(transcripts)))
+        colors = min_coloring(g)
+        coded = {}
+        codes = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids)]
+        transcripts = [transcripts[c] + (color,) for c, color in coded]
+    first = {}
+    for c, o in zip(codes, outs):
+        if first.setdefault(c, o) != o:
+            return values, meets_settled, (
+                f"ordering {order} is insufficient: transcript {transcripts[c]} "
+                f"is consistent with demands {(first[c],)} and {(o,)}"
+            )
+    return values, meets_settled, None
+
+
+def _check_merged_stages(ws, zones, order, demand, rng):
+    """Run rates._chain_eval on the support ws with random masses against
+    the reference chain that settles nothing: every stage value agrees
+    within 1e-15, and the ordering decodes in both or fails in both with
+    the same message. Returns the number of stages that meet a settled
+    section."""
     masses = [rng.uniform(0.05, 1.0) for _ in ws]
     masses = [m / math.fsum(masses) for m in masses]
     outs, _ = integer_codes(MERGE_DEMANDS[demand](w, rng) for w in ws)
-    live, codes, transcripts, settled = list(range(n)), [0] * n, [()], {}
-    live, codes = rates._settle(live, codes, masses, outs, settled)
-    values, compared = [], 0
-    for server in order:
-        split = zone_split(ws, zones[server])
-        g, ids = rates._stage_graph(split, live, codes, masses, outs, transcripts, settled)
-        side = codes + list(settled)
-        values.append(_stage_value(g, ids, side, len(transcripts)))
-        colors = min_coloring(g)
-        if settled:
-            every = rates._point_codes(n, live, codes, settled)
-            full, full_ids = rates._stage_graph(
-                split, range(n), every, masses, outs, transcripts, {}
-            )
-            assert abs(values[-1] - _stage_value(full, full_ids, every, len(transcripts))) <= 1e-15
-            full_colors = min_coloring(full)
-            assert [colors[i] for i in ids[: len(live)]] == [full_colors[full_ids[k]] for k in live]
-            lone = ids[len(live):]
-            assert len(set(lone)) == len(settled) and not set(lone) & set(ids[: len(live)])
-            for (c, (_, points)), i in zip(settled.items(), lone):
-                assert g.vertices[i] == ((), transcripts[c]) and not g.neighbors[i]
-                assert all(not full.neighbors[full_ids[k]] for k in points)
-            compared += 1
-        coded = {}
-        new = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(side, ids)]
-        transcripts = [transcripts[c] + (color,) for c, color in coded]
-        settled = dict(zip(new[len(live):], settled.values()))
-        live, codes = rates._settle(live, new[: len(live)], masses, outs, settled)
-    # the loop above is the chain's: where the ordering decodes, its stage
-    # values are the chain's rates
+    order = tuple(order)
+    expected, meets_settled, message = _reference_chain(ws, zones, order, masses, outs)
     items = [(w, m, (o,)) for w, m, o in zip(ws, masses, outs)]
     splits = {s: zone_split(ws, zones[s]) for s in order}
-    try:
-        assert rates._chain_eval(items, masses, outs, splits, tuple(order))[0] == values
-    except DecodeError:
-        pass
-    return compared
+    values = []
+
+    def recorded_solve(g, joint):
+        res = conditional_graph_entropy(g, joint)
+        values.append(res.value)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
+        try:
+            rates._chain_eval(items, masses, outs, splits, order)
+        except DecodeError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+    assert len(values) == len(expected)
+    assert all(abs(a - b) <= 1e-15 for a, b in zip(values, expected))
+    return meets_settled
 
 
 @settings(max_examples=80, deadline=None)
@@ -804,10 +823,10 @@ def test_merged_settled_sections_on_overlapping_zones(demand):
     p = cyclic_placement(topo(7, 7, 6))
     zones = {s: p.zone0(s) for s in range(1, 8)}
     ws = list(itertools.product((0, 1), repeat=7))
-    compared = _check_merged_stages(ws, zones, (3, 1, 6, 2, 7, 4, 5), demand, random.Random(demand))
+    meets_settled = _check_merged_stages(ws, zones, (3, 1, 6, 2, 7, 4, 5), demand, random.Random(demand))
     # every section settles once six servers have spoken, so the seventh
     # stage at least meets settled sections
-    assert compared >= 1
+    assert meets_settled >= 1
 
 
 def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
@@ -821,8 +840,8 @@ def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
 
     def counted_solve(g, joint):
         stages.append(g.n)
-        # a settled section's one vertex is labelled with the empty local tuple
-        settled_stages.append(all(x == () for x, _ in g.vertices))
+        # every section settled: the stage graph is the settled vertex alone
+        settled_stages.append(g.vertices == (((), ()),))
         return conditional_graph_entropy(g, joint)
 
     def counted_mis(g, vs=None):

@@ -123,6 +123,11 @@ class TestPlacementJson:
             {"N": 3, "K": 3.0, "Z": [[1, 2], [2, 3], [1, 3]]},
             {"N": 3, "K": 3, "Z": [[1, 2], [2, 3], [3, 1.5]]},
             {"N": 3, "K": 3, "Z": [[1, 2], [2, 3], [True, 3]]},
+            # and int(str()) and iteration would read these strings the same way
+            {"N": "3", "K": 3, "Z": [[1, 2], [2, 3], [1, 3]]},
+            {"N": 3, "K": 3, "Z": [[1, 2], [2, 3], ["1", "3"]]},
+            {"N": 3, "K": 3, "Z": ["12", "23", "13"]},
+            {"N": 3, "K": 3, "Z": "123"},
         ],
     )
     def test_rejects_non_integer_numbers(self, obj):
