@@ -6,8 +6,9 @@ that some shared positive-probability completion forces the user to tell
 apart. Each graph-layer decision has one place: support_items reads a
 law's support and its demanded outputs, zone_split codes every graph's
 coordinates, components is the one split (solver blocks, coloring
-components), made once per graph, and is_clique lets both price or color a
-clique directly.
+components), made once per graph, is_clique lets both price or color a
+clique directly, and is_complete_multipartite lets the solver price, and
+the block simulator color, a graph whose MISs partition it by its parts.
 """
 
 from __future__ import annotations
@@ -348,6 +349,13 @@ def enumerate_mis(g: CharGraph, vs: Sequence[int] | None = None) -> MisFamily:
 
     expand(0, full, 0)
     return MisFamily(sets=tuple(sorted(found)))
+
+
+def is_complete_multipartite(mis: MisFamily, n: int) -> bool:
+    """Whether the MISs of an n-vertex graph partition it, i.e. the graph is
+    complete multipartite with the MISs as its parts. Every vertex lies in
+    some MIS, so this holds iff the set sizes add up to n."""
+    return sum(map(len, mis.sets)) == n
 
 
 def _bits(mask: int) -> list[int]:

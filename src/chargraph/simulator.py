@@ -7,6 +7,11 @@ exhaustive sweep over every positive-probability length-n input, and its
 construction fails loudly on any collision.  Monte-Carlo only estimates the
 empirical transmitted entropy.  A length-n block is its index in support^n:
 colors and demanded outputs are numpy gathers over it, not per-block loops.
+The simulator works on the structure of its graphs: the OR power of a
+complete multipartite graph is complete multipartite, with the tuples of
+parts as its parts, so such an encoder colors a block by the index of its
+labels' part tuple and builds no OR power; and decoding groups blocks by
+one integer code per block, folded from its color profile and its outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ import numpy as np
 
 from .errors import DecodeError, DeskScaleError, ValidationError
 from .functions import DemandSpec, decoding_map
-from .graphs import build_char_graph, or_power, support_items
+from .graphs import (
+    CharGraph,
+    build_char_graph,
+    enumerate_mis,
+    is_complete_multipartite,
+    or_power,
+    support_items,
+)
 from .probability import JointPmf
 from .rates import min_coloring
 from .solvers import graph_entropy
@@ -33,7 +45,9 @@ class Encoder:
     """One server's block encoder: a minimum-count coloring of the n-th
     OR power of its union characteristic graph.  colors[b] is the color of
     OR-power vertex b: the n-tuple of labels whose ids l_0..l_{n-1} give
-    b = sum_j l_j * len(labels)^(n-1-j), as in or_power's vertex order."""
+    b = sum_j l_j * len(labels)^(n-1-j), as in or_power's vertex order.
+    Colors lie in 0..len(labels)^n - 1, which bounds the integer codes that
+    decoding folds them into."""
 
     server: int
     n: int
@@ -48,6 +62,8 @@ class Encoder:
             raise ValidationError(
                 f"{len(self.colors)} colors for {len(self.labels)}^{self.n} blocks of labels"
             )
+        if self.colors and not 0 <= min(self.colors) <= max(self.colors) < len(self.colors):
+            raise ValidationError(f"colors must lie in 0..{len(self.colors) - 1}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +95,14 @@ def build_encoders(
     joint: JointPmf,
     n: int,
 ) -> list[Encoder]:
-    """One encoder per server: color the n-th OR power of the server's union
-    characteristic graph (exact minimum when small, degree-ordered greedy
-    otherwise).  A server whose local support is a single point has a
-    one-vertex graph, so it transmits a constant."""
+    """One encoder per server: a minimum coloring of the n-th OR power of
+    the server's union characteristic graph g1.  When g1 is complete
+    multipartite (graphs.is_complete_multipartite), so is its OR power, with
+    the n-tuples of parts as its parts.  Those parts are its only minimum
+    coloring, the classes min_coloring finds, so a block's color is the
+    index of its labels' part tuple and no OR power is built.  Any other g1
+    gets min_coloring(or_power(g1, n)).  A server whose local support is a
+    single point has a one-vertex graph, so it transmits a constant."""
     if n < 1:
         raise ValidationError("blocklength n must be >= 1")
     if joint.arity != t.k or p.k != t.k or p.n != t.n:
@@ -90,7 +110,7 @@ def build_encoders(
     encoders: list[Encoder] = []
     for i in range(1, t.n + 1):
         g1 = build_char_graph(d, p, joint, i)
-        colors = min_coloring(or_power(g1, n))
+        colors = _power_coloring(g1, n)
         encoders.append(
             Encoder(
                 server=i,
@@ -103,6 +123,24 @@ def build_encoders(
             )
         )
     return encoders
+
+
+def _power_coloring(g: CharGraph, n: int) -> tuple[int, ...]:
+    """A minimum coloring of or_power(g, n), indexed by its vertex ids.  When
+    g is complete multipartite, its MISs (in their order) are its parts,
+    and vertex b gets the mixed-radix index of its labels' part ids.  A
+    graph that is not, or that enumerate_mis refuses (more than MIS_GUARD
+    vertices, or too many MISs), gets min_coloring of the built power."""
+    try:
+        mis = enumerate_mis(g)
+    except DeskScaleError:
+        mis = None
+    if mis is None or not is_complete_multipartite(mis, g.n):
+        return min_coloring(or_power(g, n))
+    part = np.empty(g.n, dtype=np.int64)
+    for u, s in enumerate(mis.sets):
+        part[list(s)] = u
+    return tuple(_block_index(part, mis.count, n).tolist())
 
 
 def _sweep(joint: JointPmf, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -148,18 +186,26 @@ def _colors(encoders: Sequence[Encoder], symbols: list, n: int) -> np.ndarray:
 def _outcomes(profiles: np.ndarray, demands: list, n: int) -> tuple[list, np.ndarray]:
     """The distinct (color profile, demanded sequences) pairs over all
     blocks in order of first appearance, and each block's pair.  profiles
-    is (servers, blocks); demands[s] are support symbol s's outputs."""
+    is (servers, blocks); demands[s] are support symbol s's outputs.
+    Blocks are grouped by one integer code each: the index of the block's
+    demanded outputs, then, one color row at a time, the code made dense
+    (below the block count) times the row's range plus the color.  A color
+    is below its encoder's len(labels)^n, so for encoders built on the
+    swept law a code stays below POWER_GUARD^2 = 1e10."""
     dems, dem_ids = np.unique(np.array(demands), axis=0, return_inverse=True)
     truth = _block_index(dem_ids.reshape(-1), len(dems), n)
-    stacked = np.column_stack([profiles.T, truth])
-    rows, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
+    code = truth
+    for col in profiles:
+        code = np.unique(code, return_inverse=True)[1] * (int(col.max()) + 1) + col
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    digits = np.unravel_index(rows[order, -1], (len(dems),) * n)
+    reps = first[order]  # each pair's first block
+    digits = np.unravel_index(truth[reps], (len(dems),) * n)
     pairs = [
         (tuple(pr), tuple(zip(*(dems[i].tolist() for i in ds))))
-        for pr, ds in zip(rows[order, :-1].tolist(), np.column_stack(digits).tolist())
+        for pr, ds in zip(profiles[:, reps].T.tolist(), np.column_stack(digits).tolist())
     ]
-    return pairs, np.argsort(order)[inverse.reshape(-1)]
+    return pairs, np.argsort(order)[inverse]
 
 
 def _rates(colors: np.ndarray, weights: np.ndarray, n: int) -> list[float]:

@@ -12,7 +12,7 @@ that symbol. Otherwise the whole vertex set is one block, with a column
 per symbol of Y. A clique block (graphs.is_clique; a lone vertex costs 0)
 is exact with its vertices as parts and enumerates nothing. Any other
 block enumerates its MISs once, on its ids in the whole graph, and is
-exact when they partition it, i.e. when it is complete multipartite; an
+exact when they partition it (graphs.is_complete_multipartite); an
 exact block is summed in closed form from its part masses. Only the other
 blocks reach _solve, scaled by their mass: one alternating minimization
 with multi-restart certification on the enumerated family.
@@ -44,6 +44,7 @@ from .graphs import (
     enumerate_mis,
     greedy_coloring,
     is_clique,
+    is_complete_multipartite,
 )
 from .probability import JointPmf
 
@@ -76,13 +77,6 @@ def _mis_mask(mis: MisFamily, n: int) -> np.ndarray:
     for u, s in enumerate(mis.sets):
         mask[list(s), u] = 1.0
     return mask
-
-
-def _partitions(mis: MisFamily, n: int) -> bool:
-    """Whether the MISs partition the n vertices, i.e. the graph is complete
-    multipartite with the MISs as its parts. Every vertex lies in some MIS,
-    so this holds iff the set sizes add up to n."""
-    return sum(map(len, mis.sets)) == n
 
 
 def _partition_cost(part_masses: Sequence[float]) -> float:
@@ -188,7 +182,7 @@ def _solve_blocks(
             parts = [[c[v] for v in block] for c in columns]
         else:
             mis = enumerate_mis(g, block)
-            if not _partitions(mis, len(block)):
+            if not is_complete_multipartite(mis, len(block)):
                 mass = math.fsum(c[v] for c in columns for v in block)
                 W = np.array([[c[v] for c in columns] for v in block]) / mass
                 solved.append((mass, _solve(mis, W)))

@@ -11,22 +11,35 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chargraph.errors import DecodeError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
-from chargraph.graphs import build_char_graph, or_power
+from chargraph.graphs import (
+    PAIR_GUARD,
+    build_char_graph,
+    enumerate_mis,
+    is_complete_multipartite,
+    or_power,
+    validate_coloring,
+)
 from chargraph.probability import JointPmf, binary_entropy, iid_bernoulli_joint
-from chargraph.rates import coloring_map
+from chargraph.rates import coloring_map, min_coloring
 from chargraph.simulator import (
     DecodeTable,
     Encoder,
+    _block_index,
     _colors,
+    _outcomes,
+    _power_coloring,
     build_decode_table,
     build_encoders,
     expected_rates,
     run_simulation,
 )
+from chargraph.solvers import graph_entropy
 from chargraph.topology import Topology, cyclic_placement
+from graph_strategies import complete_multipartite
 
 
 def scenario_ii(eps=0.5):
@@ -96,6 +109,47 @@ class TestBuildEncoders:
         t, p, d, joint = scenario_ii()
         with pytest.raises(ValidationError):
             build_encoders(t, p, d, joint, 0)
+
+
+def classes(cmap):
+    """The color classes of a label -> color map, as sorted lists of labels."""
+    out = {}
+    for label, c in cmap.items():
+        out.setdefault(c, set()).add(label)
+    return sorted(map(sorted, out.values()))
+
+
+class TestPartTupleColoring:
+    """On a complete multipartite graph the encoder's colors are the part
+    tuples of the OR power's vertices, computed without building it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(complete_multipartite(), st.integers(1, 3))
+    def test_part_tuples_color_the_power_minimally(self, case, n):
+        g1, parts = case
+        k = len(parts)
+        colors = _power_coloring(g1, n)
+        assert len(set(colors)) == k**n  # one vertex per part gives a k^n clique
+        if g1.n ** (2 * n) <= PAIR_GUARD:
+            power = or_power(g1, n)
+            validate_coloring(power, colors)
+            want = min_coloring(power)
+            assert classes(dict(enumerate(colors))) == classes(dict(enumerate(want)))
+        # the i.i.d. part tuple has k^n values and n times the part entropy,
+        # which is the graph entropy of a complete multipartite graph
+        joint = JointPmf((g1.n,), {(v,): m for v, m in zip(g1.vertices, g1.pmf)})
+        labels = tuple((v,) for v in g1.vertices)
+        enc = Encoder(1, n, (0,), labels, colors, k**n, graph_entropy(g1).value)
+        assert abs(expected_rates([enc], joint, n)[0] - enc.theoretical_rate) <= 1e-12
+
+    def test_colors_must_name_power_vertices(self):
+        # a color outside 0..|labels|^n - 1 is refused: decoding folds the
+        # colors into integer codes bounded by that range
+        labels = ((0,), (1,))
+        with pytest.raises(ValidationError, match="colors must lie in 0..3"):
+            Encoder(1, 2, (0,), labels, (0, 1, 1, 4), 2, 0.0)
+        with pytest.raises(ValidationError, match="colors must lie"):
+            Encoder(1, 1, (0,), labels, (-1, 0), 2, 0.0)
 
 
 class TestBuildDecodeTable:
@@ -258,6 +312,24 @@ class TestExpectedRates:
             expected_rates(encs, joint, 2)
 
 
+def direct_coloring(g1, n):
+    """The color of each OR-power vertex label by the encoder's rule, written
+    per label: on a complete multipartite g1 the base-k number whose digits
+    are the labels' parts, else min_coloring of the built power.  Either way
+    its classes are those of the power's minimum coloring."""
+    power = coloring_map(or_power(g1, n))
+    mis = enumerate_mis(g1)
+    if not is_complete_multipartite(mis, g1.n):
+        return power
+    part = {g1.vertices[v]: u for u, s in enumerate(mis.sets) for v in s}
+    cmap = {
+        labels: sum(part[lb] * mis.count ** (n - 1 - j) for j, lb in enumerate(labels))
+        for labels in power
+    }
+    assert classes(cmap) == classes(power)
+    return cmap
+
+
 class TestGatherMatchesDirect:
     """The block-index gathers against a direct sweep that encodes, decodes
     and scores every block as a tuple of support symbols."""
@@ -270,9 +342,10 @@ class TestGatherMatchesDirect:
         support = joint.support()
         blocks = [tuple(w for w, _ in b) for b in product(support, repeat=n)]
         masses = np.array([math.prod(m for _, m in b) for b in product(support, repeat=n)])
-        # each server's coloring keyed by OR-power vertex labels: n-tuples
-        # of local tuples
-        maps = [coloring_map(or_power(build_char_graph(d, p, joint, e.server), n)) for e in encs]
+        # each server's coloring keyed by OR-power vertex labels (n-tuples of
+        # local tuples), by the encoder's rule, with the classes of the
+        # minimum coloring of the built power
+        maps = [direct_coloring(build_char_graph(d, p, joint, e.server), n) for e in encs]
         direct = np.array([
             [cmap[tuple(tuple(w[c] for c in e.zone) for w in ws)] for ws in blocks]
             for e, cmap in zip(encs, maps)
@@ -312,6 +385,60 @@ class TestGatherMatchesDirect:
         holed = Encoder(enc.server, 2, enc.zone, labels, (0,) * len(labels) ** 2, 1, 0.0)
         with pytest.raises(ValidationError, match=re.escape(f"off-support local tuple {dropped!r}")):
             expected_rates([holed], joint, 2)
+
+
+def outcomes_by_rows(profiles, demands, n):
+    """_outcomes grouped by np.unique over the (servers + 1)-column rows of
+    color profile and output index: the oracle for its integer codes."""
+    dems, dem_ids = np.unique(np.array(demands), axis=0, return_inverse=True)
+    truth = _block_index(dem_ids.reshape(-1), len(dems), n)
+    stacked = np.column_stack([profiles.T, truth])
+    rows, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    digits = np.unravel_index(rows[order, -1], (len(dems),) * n)
+    pairs = [
+        (tuple(pr), tuple(zip(*(dems[i].tolist() for i in ds))))
+        for pr, ds in zip(rows[order, :-1].tolist(), np.column_stack(digits).tolist())
+    ]
+    return pairs, np.argsort(order)[inverse.reshape(-1)]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_outcomes_match_row_unique(seed):
+    # 2-4 servers send at most 3 distinct color profiles, with colors from
+    # 0 to 1e5 - 1, and the symbols have at most 2 distinct demands; then at
+    # most 3 * 2^n < 4^n rows are distinct, so whole rows repeat
+    rng = np.random.default_rng(seed)
+    servers, symbols, n, kc, distinct = (
+        int(v) for v in rng.integers((2, 4, 2, 1, 1), (5, 7, 4, 3, 4))
+    )
+    two = rng.integers(0, 3, size=(2, kc))
+    demands = [tuple(two[i].tolist()) for i in rng.integers(0, 2, size=symbols)]
+    colors = np.array([0, 99_999, *rng.choice(99_999, size=2)])
+    base = colors[rng.integers(0, len(colors), size=(servers, distinct))]
+    profiles = base[:, rng.integers(0, distinct, size=symbols**n)]
+    pairs, pair_of = _outcomes(profiles, demands, n)
+    want_pairs, want_of = outcomes_by_rows(profiles, demands, n)
+    assert len(pairs) < symbols**n
+    assert pairs == want_pairs and np.array_equal(pair_of, want_of)
+
+
+@pytest.mark.parametrize("instance,parts", [(scenario_ii, [2, 4, 2]), (product_instance, [2, 2, 2])])
+@pytest.mark.parametrize("eps", [0.5, 0.3])
+def test_blocklength_five(instance, parts, eps):
+    # 8^5 = 32,768 blocks; the OR power of a server's 4-vertex graph would
+    # have 4^10 vertex pairs, past its 1e6 guard, so only the part tuples
+    # color it
+    t, p, d, joint = instance(eps)
+    encs = build_encoders(t, p, d, joint, 5)
+    assert [e.num_colors for e in encs] == [k**5 for k in parts]
+    assert expected_rates(encs, joint, 5) == pytest.approx(
+        [e.theoretical_rate for e in encs], abs=1e-12
+    )
+    for sub in combinations((1, 2, 3), 2):
+        tab = build_decode_table(encs, t, p, d, joint, sub)
+        res = run_simulation(encs, tab, joint, 5, 100_000, seed=13)
+        assert res.errors == 0
 
 
 def test_and_four_servers_blocklength_four():

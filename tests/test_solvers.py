@@ -26,6 +26,7 @@ from chargraph.graphs import (
     build_char_graph,
     enumerate_mis,
     induced_subgraph,
+    is_complete_multipartite,
     make_graph,
     or_power,
 )
@@ -36,6 +37,7 @@ from chargraph.solvers import (
     graph_entropy,
 )
 from chargraph.topology import Topology, cyclic_placement
+from graph_strategies import complete_multipartite
 
 CHROMATIC_TERNARY_UNIFORM = 0.918295834054490
 CHROMATIC_TERNARY_SKEWED = 0.721928094887362
@@ -234,23 +236,6 @@ class TestExactBlocks:
         assert worst < 1e-6
 
 
-@st.composite
-def complete_multipartite(draw):
-    """A complete multipartite graph with 2-4 parts of 1-3 vertices each,
-    shuffled labels and random masses, and its parts as label sets."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
-    labels = draw(st.permutations(range(sum(sizes))))
-    parts, start = [], 0
-    for size in sizes:
-        parts.append(labels[start:start + size])
-        start += size
-    edges = [
-        (a, b) for pa, pb in combinations(parts, 2) for a in pa for b in pb
-    ]
-    masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(labels), max_size=len(labels)))
-    return make_graph(dict(zip(labels, masses)), edges), parts
-
-
 def counting_mis(monkeypatch):
     """Count the solver's calls of enumerate_mis."""
     calls = []
@@ -272,7 +257,7 @@ class TestPartitionBlocks:
         # constant side symbol and for a general side law alike
         g, parts = case
         mis = enumerate_mis(g)
-        assert solvers._partitions(mis, g.n)
+        assert is_complete_multipartite(mis, g.n)
         exact = graph_entropy(g)
         looped = solvers._solve(mis, np.asarray(g.pmf)[:, None])
         assert exact.iterations == 0 and looped.iterations > 0
@@ -294,7 +279,7 @@ class TestPartitionBlocks:
     def test_other_blocks_iterate_and_enumerate_once(self, monkeypatch):
         # the path 0-1-2-3 puts vertex 0 in two MISs, {0, 2} and {0, 3}
         p4 = make_graph({0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, [(0, 1), (1, 2), (2, 3)])
-        assert not solvers._partitions(enumerate_mis(p4), p4.n)
+        assert not is_complete_multipartite(enumerate_mis(p4), p4.n)
         calls = counting_mis(monkeypatch)
         assert graph_entropy(p4).iterations > 0
         assert len(calls) == 1
@@ -421,7 +406,7 @@ class TestIterativeKernel:
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
             mis = enumerate_mis(g)
-            if solvers._partitions(mis, g.n):
+            if is_complete_multipartite(mis, g.n):
                 continue  # complete multipartite: closed form, no loop
             ny = 1 + checked % 3
             rows = np.array([[rng.uniform(0.05, 1.0) for _ in range(ny)] for _ in range(n)])
