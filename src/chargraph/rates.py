@@ -22,7 +22,12 @@ builds its graph with graphs.confusability_graph; the vertex labels stay
 whose points all demand one output is settled: from then on its points
 leave the chain, and each stage sees all settled mass as one lone vertex
 ((), ()). The ordering decodes iff no live section is left after the
-last stage.
+last stage. A stage depends only on its prefix of the ordering, so
+_chain_eval walks the orderings in lexicographic order as a prefix tree:
+each stage (_Stage: graph, joint law, coloring's transcripts, live points
+and settled mass) is built once per distinct prefix, and the walk holds
+one path of at most Nr stages. Every ordering still solves each of its
+stages once, and the pick and the failures follow the supplied order.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, compress, product as iter_product
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DecodeError,
@@ -427,7 +432,14 @@ def chain_rate(
     among the live points names it. When several orderings are
     supplied the best decodable one is reported, by the tie rule of every
     best-of pick: of orderings whose sum rates tie within TIE_RTOL, the
-    earliest.
+    earliest in the supplied order; when none decodes, their failures are
+    joined in the supplied order.
+
+    A stage's graph, coloring and transcripts depend only on the servers
+    before it and its own, so orderings that share a prefix share those
+    stages: _chain_eval walks the orderings as a prefix tree and builds
+    each stage once per distinct prefix. Each ordering still solves each of
+    its stages once.
     """
     orderings = _normalize_orderings(t, ordering)
     items = support_items(d, p, joint)
@@ -440,12 +452,11 @@ def chain_rate(
     splits = {server: zone_split(ws, p.zone0(server)) for server in servers}
     decodable: list[tuple[float, list[float], tuple[int, ...], bool]] = []
     failures: list[str] = []
-    for order in orderings:
-        try:
-            rates, converged = _chain_eval(items, masses, outs, splits, order)
-        except DecodeError as exc:
-            failures.append(str(exc))
+    for order, result in zip(orderings, _chain_eval(items, masses, outs, splits, orderings)):
+        if isinstance(result, DecodeError):
+            failures.append(str(result))
             continue
+        rates, converged = result
         decodable.append((math.fsum(rates), rates, order, converged))
     if not decodable:
         raise DecodeError(
@@ -516,19 +527,64 @@ def _stage_graph(
 
 def _settle(
     live: list[int], codes: list[int], masses: Sequence[float], outs: Sequence[int]
-) -> float:
-    """Drop from live, and from codes, the points of each transcript section
-    whose points all demand one output; return the mass dropped."""
+) -> tuple[list[int], list[int], float]:
+    """The points of live, and their codes, left once each transcript
+    section whose points all demand one output is dropped, and the mass
+    dropped. The lists passed in are never edited: a stage's parent is
+    shared by every ordering under it."""
     pairs = set(zip(codes, map(outs.__getitem__, live)))  # (code, output) met
     one = dict(pairs)  # an output met by each code
     mixed = {c for c, o in pairs if one[c] != o}
     if len(mixed) == len(one):
-        return 0.0
+        return live, codes, 0.0
     keep = [c in mixed for c in codes]
     mass = math.fsum(masses[k] for k, kept in zip(live, keep) if not kept)
-    live[:] = compress(live, keep)
-    codes[:] = compress(codes, keep)
-    return mass
+    return list(compress(live, keep)), list(compress(codes, keep)), mass
+
+
+class _Stage(NamedTuple):
+    """A chain stage, built once per distinct prefix of the orderings: its
+    server, its graph and the joint law of its vertices with the earlier
+    transcript codes, then the state after it. A transcript section is live until all of its points demand one
+    output: live holds the points of the live sections (ids into the
+    support), codes their transcript codes and transcripts[c] the
+    transcript of code c; the settled sections are only their summed mass.
+    The root, before any server speaks, has server 0 and no graph."""
+
+    server: int
+    graph: CharGraph | None
+    joint: JointPmf | None
+    live: list[int]
+    codes: list[int]
+    transcripts: list[tuple[int, ...]]
+    settled: float
+
+
+def _next_stage(
+    parent: _Stage, server: int, split: ZoneSplit, masses: Sequence[float], outs: Sequence[int]
+) -> _Stage:
+    """The stage in which server speaks after parent's prefix. Its graph
+    depends only on that prefix and the server, since a completion key is
+    the earlier transcript and the server's rest; a key that also held the
+    later servers' coordinates would need the record keyed by the servers
+    still to come as well."""
+    live, codes, transcripts = parent.live, parent.codes, parent.transcripts
+    g, ids = _stage_graph(split, live, codes, masses, outs, transcripts, parent.settled)
+    # the settled vertex's side symbol is one of its own
+    side = codes + [len(transcripts)] * (len(ids) - len(live))
+    joint = JointPmf(
+        (g.n, len(transcripts) + 1),
+        {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()},
+    )
+    # colors need only separate inside the transcript section the decoder
+    # already knows; no edge of g leaves a section, so coloring g one
+    # component at a time colors each section on its own
+    colors = min_coloring(g)
+    coded: dict[tuple[int, int], int] = {}  # (transcript code, color) -> next code
+    codes = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids)]
+    transcripts = [transcripts[c] + (color,) for c, color in coded]
+    live, codes, mass = _settle(live, codes, masses, outs)
+    return _Stage(server, g, joint, live, codes, transcripts, parent.settled + mass)
 
 
 def _chain_eval(
@@ -536,49 +592,50 @@ def _chain_eval(
     masses: Sequence[float],
     outs: Sequence[int],
     splits: Mapping[int, ZoneSplit],
-    order: tuple[int, ...],
-) -> tuple[list[float], bool]:
-    # a transcript section is live until all of its points demand one
-    # output: live holds the points of the live sections, codes their
-    # transcript codes and transcripts[c] the transcript of code c; the
-    # settled sections are only their summed mass
-    live = list(range(len(items)))
-    codes = [0] * len(items)
-    transcripts: list[tuple[int, ...]] = [()]
-    settled = _settle(live, codes, masses, outs)
-    rates: list[float] = []
-    converged = True
-    for server in order:
-        g, ids = _stage_graph(splits[server], live, codes, masses, outs, transcripts, settled)
-        # the settled vertex's side symbol is one of its own
-        side = codes + [len(transcripts)] * (len(ids) - len(live))
-        joint2 = JointPmf(
-            (g.n, len(transcripts) + 1),
-            {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()},
-        )
-        res = conditional_graph_entropy(g, joint2)
-        rates.append(res.value)
-        converged = converged and res.converged
+    orderings: Sequence[tuple[int, ...]],
+) -> list[tuple[list[float], bool] | DecodeError]:
+    """Each ordering's stage rates and convergence, or its DecodeError, in
+    the supplied order. The orderings are walked in lexicographic order as
+    a prefix tree: path holds the root and the stages of the last ordering,
+    an ordering keeps the stages of the prefix it shares with the last one
+    and builds the rest, so each distinct prefix is built once and only one
+    path is held at a time. Every ordering solves each of its stages."""
+    live, codes, settled = _settle(list(range(len(items))), [0] * len(items), masses, outs)
+    path = [_Stage(0, None, None, live, codes, [()], settled)]
+    results: list[Any] = [None] * len(orderings)
+    for i in sorted(range(len(orderings)), key=orderings.__getitem__):
+        order = orderings[i]
+        depth = 0
+        for stage, server in zip(path[1:], order):
+            if stage.server != server:
+                break
+            depth += 1
+        del path[depth + 1:]
+        for server in order[depth:]:
+            path.append(_next_stage(path[-1], server, splits[server], masses, outs))
 
-        # colors need only separate inside the transcript section the decoder
-        # already knows; no edge of g leaves a section, so coloring g one
-        # component at a time colors each section on its own
-        colors = min_coloring(g)
-        coded: dict[tuple[int, int], int] = {}  # (transcript code, color) -> next code
-        codes = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids)]
-        transcripts = [transcripts[c] + (color,) for c, color in coded]
-        settled += _settle(live, codes, masses, outs)
-
-    # a settled section decodes to its one output, so the ordering decodes
-    # iff no live section is left
-    decoding_map(
-        ((c, items[k][2]) for k, c in zip(live, codes)),
-        lambda c, a, b: DecodeError(
-            f"ordering {order} is insufficient: transcript {transcripts[c]} is "
-            f"consistent with demands {a} and {b}"
-        ),
-    )
-    return rates, converged
+        rates: list[float] = []
+        converged = True
+        for stage in path[1:]:
+            res = conditional_graph_entropy(stage.graph, stage.joint)
+            rates.append(res.value)
+            converged = converged and res.converged
+        # a settled section decodes to its one output, so the ordering
+        # decodes iff no live section is left
+        last = path[-1]
+        try:
+            decoding_map(
+                ((c, items[k][2]) for k, c in zip(last.live, last.codes)),
+                lambda c, a, b: DecodeError(
+                    f"ordering {order} is insufficient: transcript {last.transcripts[c]} is "
+                    f"consistent with demands {a} and {b}"
+                ),
+            )
+        except DecodeError as exc:
+            results[i] = exc
+        else:
+            results[i] = (rates, converged)
+    return results
 
 
 # ---------------------------------------------------------------------------

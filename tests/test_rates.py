@@ -613,6 +613,131 @@ def test_near_tied_orderings_go_to_the_earliest():
     assert rr.metadata["ordering"] == list(tied[0])
 
 
+def _walk_instance(rng, kind):
+    """A seeded chain instance: N = K in 3..5, Nr in 2..4, a parity, AND or
+    random GF(2) demand, and eps in (0, 1)."""
+    n = rng.randint(3, 5)
+    nr = rng.randint(2, min(4, n))
+    if kind == "parity":
+        d = LinearlySeparable(q=2, gamma=((1,) * n,))
+    elif kind == "and":
+        d = MultiLinear(k=n)
+    else:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        for row in rows:
+            row[rng.randrange(n)] = 1  # no constant demand
+        d = LinearlySeparable(q=2, gamma=tuple(map(tuple, rows)))
+    t = topo(n, n, nr, kc=d.kc)
+    return t, cyclic_placement(t), d, iid_bernoulli_joint(n, rng.uniform(0.02, 0.98))
+
+
+def _one_by_one(t, p, d, joint, orders):
+    """chain_rate on each ordering alone: its report, or its DecodeError."""
+    out = []
+    for o in orders:
+        try:
+            out.append(chain_rate(t, p, d, joint, [o]))
+        except DecodeError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_walk_matches_one_by_one(t, p, d, joint, orders):
+    alone = _one_by_one(t, p, d, joint, orders)
+    decodable = [rr for rr in alone if not isinstance(rr, DecodeError)]
+    if not decodable:
+        # the text joins every ordering's failure, in the supplied order
+        prefix = "no supplied ordering decodes the demands: "
+        with pytest.raises(DecodeError) as exc:
+            chain_rate(t, p, d, joint, orders)
+        assert str(exc.value) == prefix + "; ".join(str(e)[len(prefix):] for e in alone)
+        return
+    want = decodable[rates._earliest_least([rr.sum_rate for rr in decodable])]
+    got = chain_rate(t, p, d, joint, orders)
+    assert got.sum_rate == want.sum_rate
+    assert got.per_server_rates == want.per_server_rates
+    assert got.metadata["ordering"] == want.metadata["ordering"]
+    assert got.metadata["converged"] == want.metadata["converged"]
+    assert got.metadata["orderings_tried"] == len(orders)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["parity", "and", "gf2"])
+def test_prefix_walk_matches_each_ordering_alone(kind, seed):
+    # the walk builds each distinct prefix once and visits the orderings in
+    # lexicographic order; its pick and its failures must be those of the
+    # orderings taken one by one in the supplied order
+    rng = random.Random(f"{kind}-{seed}")
+    t, p, d, joint = _walk_instance(rng, kind)
+    orders = list(itertools.permutations(range(1, t.nr + 1)))
+    orders.append(rng.choice(orders))  # a duplicate
+    orders.append(orders[0][: rng.randint(1, t.nr - 1)])  # a shorter ordering
+    # a lone server that misses a bit of the demand does not decode
+    lone = [(s,) for s in range(1, t.n + 1)]
+    failing = [o for o, rr in zip(lone, _one_by_one(t, p, d, joint, lone))
+               if isinstance(rr, DecodeError)]
+    orders.append(failing[0])
+    rng.shuffle(orders)
+    _assert_walk_matches_one_by_one(t, p, d, joint, orders)
+    # no ordering decodes: shuffled lone servers with a repeat
+    failing.append(failing[0])
+    rng.shuffle(failing)
+    _assert_walk_matches_one_by_one(t, p, d, joint, failing)
+
+
+def _solves(t, p, d, joint, orders):
+    """The graph and value of every stage solve chain_rate makes on orders."""
+    solves = []
+
+    def recorded_solve(g, joint2):
+        res = conditional_graph_entropy(g, joint2)
+        solves.append((g, res.value))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
+        try:
+            chain_rate(t, p, d, joint, orders)
+        except DecodeError:
+            pass
+    return solves
+
+
+def test_prefix_walk_siblings_after_a_settling_stage():
+    # AND settles every section where server 1's bits are not all ones, so
+    # (1, 2, 3, 4) and (1, 3, 2, 4) share a stage that settles and split
+    # right after it: each sibling must start from that stage's live points,
+    # not from what the other sibling's stages left of them
+    t = topo(5, 5, 4)
+    p = cyclic_placement(t)
+    d = MultiLinear(k=5)
+    joint = iid_bernoulli_joint(5, 0.3)
+    stage2 = _solves(t, p, d, joint, [(1, 2, 3, 4)])[1][0]
+    assert ((), ()) in stage2.vertices  # stage 1 settled sections
+    for orders in ([(1, 2, 3, 4), (1, 3, 2, 4)], [(1, 3, 2, 4), (1, 2, 3, 4), (1, 3), (1, 2, 4)]):
+        _assert_walk_matches_one_by_one(t, p, d, joint, orders)
+        # every stage of every ordering, not only the winner's, is priced
+        # as if its ordering were alone
+        alone = [v for o in orders for _, v in _solves(t, p, d, joint, [o])]
+        assert sorted(v for _, v in _solves(t, p, d, joint, orders)) == sorted(alone)
+
+
+def test_no_ordering_decodes_message_is_unchanged():
+    # recorded from the chain that evaluated each ordering on its own
+    t = topo(4, 4, 3)
+    d = LinearlySeparable(q=2, gamma=((1,) * 4,))
+    with pytest.raises(DecodeError) as exc:
+        chain_rate(t, cyclic_placement(t), d, iid_bernoulli_joint(4, 0.3),
+                   [(2, 3), (2,), (1, 2), (2, 3)])
+    assert str(exc.value) == (
+        "no supplied ordering decodes the demands: "
+        "ordering (2, 3) is insufficient: transcript (0, 0) is consistent with demands (0,) and (1,); "
+        "ordering (2,) is insufficient: transcript (0,) is consistent with demands (0,) and (1,); "
+        "ordering (1, 2) is insufficient: transcript (0, 0) is consistent with demands (0,) and (1,); "
+        "ordering (2, 3) is insufficient: transcript (0, 0) is consistent with demands (0,) and (1,)"
+    )
+
+
 def _mixture_joint(k, eps, rho):
     """The explicit K-bit mixture law: weight 1 - rho on i.i.d. Bern(eps),
     and rho on the all-zero and all-one tuples in the ratio (1 - eps) : eps."""
@@ -793,12 +918,11 @@ def _check_merged_stages(ws, zones, order, demand, rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
-        try:
-            rates._chain_eval(items, masses, outs, splits, order)
-        except DecodeError as exc:
-            assert str(exc) == message
-        else:
-            assert message is None
+        [result] = rates._chain_eval(items, masses, outs, splits, [order])
+    if isinstance(result, DecodeError):
+        assert str(result) == message
+    else:
+        assert message is None
     assert len(values) == len(expected)
     assert all(abs(a - b) <= 1e-15 for a, b in zip(values, expected))
     return meets_settled
@@ -857,3 +981,33 @@ def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
     assert len(stages) == 4 * 24 * 4
     assert sum(sets) > 0
     assert any(settled_stages)
+
+
+@pytest.mark.parametrize("stem, n, nr, grid, builds", [
+    ("and5", 5, 4, (0.1, 0.2, 0.3, 0.4), 4 + 12 + 24 + 24),
+    ("and6", 6, 6, (0.1,), 6 + 30 + 120 + 360 + 720 + 720),
+])
+def test_chain_builds_each_prefix_once(monkeypatch, stem, n, nr, grid, builds):
+    # a stage is built (and colored) once per distinct prefix of the
+    # orderings, sum_k Nr!/(Nr - k)!, and solved once per ordering and stage
+    with open(Path(__file__).resolve().parents[1] / f"perfbench/inputs/{stem}.json") as fh:
+        d = demand_from_json(json.load(fh), k=n)
+    t = topo(n, n, nr)
+    p = cyclic_placement(t)
+    counts = {"builds": 0, "solves": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(rates, "min_coloring", counted("builds", min_coloring))
+    monkeypatch.setattr(rates, "conditional_graph_entropy",
+                        counted("solves", conditional_graph_entropy))
+    orders = list(itertools.permutations(range(1, nr + 1)))
+    for eps in grid:
+        counts.update(builds=0, solves=0)
+        rr = chain_rate(t, p, d, iid_bernoulli_joint(n, eps), orders)
+        assert rr.metadata["orderings_tried"] == len(orders)
+        assert counts == {"builds": builds, "solves": nr * len(orders)}
