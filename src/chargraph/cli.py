@@ -74,11 +74,11 @@ EVERY_SCENARIO = ("scenario", "eps_grid", "out", "format")
 TOPOLOGY = ("n", "k", "nr")
 # the options each scenario reads besides EVERY_SCENARIO; any other exits 2
 READS = {
-    "s1": TOPOLOGY + ("kc", "rho_grid"),
+    "s1": TOPOLOGY + ("rho_grid",),  # one demanded function: Kc = 1
     "s2-table2": ("p_grid",),
     "s2-diniz": ("rho_grid",),
     "s3": TOPOLOGY + ("kc",),
-    "multilinear": TOPOLOGY + ("kc",),
+    "multilinear": TOPOLOGY,  # one product demand: Kc = 1
     "custom": TOPOLOGY + ("demand", "placement"),  # Kc is the demand's row count
 }
 

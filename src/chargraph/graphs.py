@@ -1,5 +1,5 @@
-"""Characteristic graphs: construction, unions, OR powers, the component
-split, MIS enumeration, and deterministic colorings.
+"""Characteristic graphs: construction, OR powers, the component split, MIS
+enumeration, and deterministic colorings.
 
 A vertex is a positive-probability local symbol; an edge joins two symbols
 that some shared positive-probability completion forces the user to tell
@@ -9,6 +9,11 @@ coordinates, components is the one split (solver blocks, coloring
 components), made once per graph, is_clique lets both price or color a
 clique directly, and is_complete_multipartite lets the solver price, and
 the block simulator color, a graph whose MISs partition it by its parts.
+A block is named by ascending vertex ids of its one graph: is_clique,
+enumerate_mis and the two colorings read the subgraph those ids induce,
+in that subgraph's ids (position in the block), without building it. The
+demand spec alone picks which demands a graph covers: build_char_graph
+joins what any demanded function tells apart (the union graph).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as iter_product
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,18 +153,6 @@ def confusability_graph(
     return make_graph(masses, edge_pairs, label)
 
 
-def induced_subgraph(g: CharGraph, vs: Sequence[int]) -> CharGraph:
-    """g restricted to the ascending vertex ids vs, with the pmf renormalized
-    and the vertices kept in g's order."""
-    idx = {v: i for i, v in enumerate(vs)}
-    mass = math.fsum(g.pmf[v] for v in vs)
-    return CharGraph(
-        vertices=tuple(g.vertices[v] for v in vs),
-        neighbors=tuple(frozenset(idx[u] for u in g.neighbors[v] if u in idx) for v in vs),
-        pmf=tuple(g.pmf[v] / mass for v in vs),
-    )
-
-
 def components(
     g: CharGraph, side: Sequence[Hashable] | None = None
 ) -> tuple[tuple[int, ...], ...]:
@@ -232,49 +225,20 @@ def support_items(
     return items
 
 
-def build_char_graph(
-    d: DemandSpec,
-    p: Placement,
-    joint: JointPmf,
-    i: int,
-    demand_subset: Iterable[int] | None = None,
-) -> CharGraph:
-    """Characteristic graph of server i for the demanded functions in
-    demand_subset (1-based ids; default all, which realizes the union graph).
+def build_char_graph(d: DemandSpec, p: Placement, joint: JointPmf, i: int) -> CharGraph:
+    """Characteristic graph of server i for every function d demands: the
+    union over the demanded functions. A graph for some of them is built
+    from a spec that holds only those.
 
     Vertices are the positive-probability local tuples W_{Z_i}; two are joined
     iff some completion of every other coordinate has positive probability
-    with both and makes a selected demand differ.  A point local support
-    gives a one-vertex graph.
+    with both and makes a demand differ.  A point local support gives a
+    one-vertex graph.
     """
     items = support_items(d, p, joint)
-    sel = _demand_ids(d, demand_subset)
     local, labels, rest, _ = zone_split([w for w, _, _ in items], p.zone0(i))
-    outs, _ = integer_codes(tuple(dem[j - 1] for j in sel) for _, _, dem in items)
+    outs, _ = integer_codes(dem for _, _, dem in items)
     return confusability_graph(local, rest, [m for _, m, _ in items], outs, labels.__getitem__)
-
-
-def _demand_ids(d: DemandSpec, demand_subset: Iterable[int] | None) -> tuple[int, ...]:
-    if demand_subset is None:
-        return tuple(range(1, d.kc + 1))
-    sel = tuple(sorted(set(int(j) for j in demand_subset)))
-    if not sel or sel[0] < 1 or sel[-1] > d.kc:
-        raise ValidationError(f"demand subset {sel} outside 1..{d.kc}")
-    return sel
-
-
-def union_graph(gs: Sequence[CharGraph]) -> CharGraph:
-    """Edge-union of graphs sharing one vertex set and PMF."""
-    if not gs:
-        raise ValidationError("union of zero graphs")
-    base = gs[0]
-    for g in gs[1:]:
-        if g.vertices != base.vertices:
-            raise ValidationError("union requires identical vertex lists")
-        if any(abs(a - b) > 1e-12 for a, b in zip(g.pmf, base.pmf)):
-            raise ValidationError("union requires identical vertex PMFs")
-    neighbors = tuple(frozenset().union(*s) for s in zip(*(g.neighbors for g in gs)))
-    return CharGraph(vertices=base.vertices, neighbors=neighbors, pmf=base.pmf)
 
 
 def or_power(g: CharGraph, n: int) -> CharGraph:
@@ -368,18 +332,30 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _degree_order(g: CharGraph) -> list[int]:
+def _block_neighbors(g: CharGraph, vs: Sequence[int] | None) -> Sequence[AbstractSet[int]]:
+    """The neighbour sets of g's subgraph induced on the ascending vertex ids
+    vs, in that subgraph's ids (position in vs); g's own when vs is None or
+    holds every id."""
+    if vs is None or len(vs) == g.n:
+        return g.neighbors
+    pos = {v: i for i, v in enumerate(vs)}
+    return [{pos[u] for u in g.neighbors[v] if u in pos} for v in vs]
+
+
+def _degree_order(nbrs: Sequence[AbstractSet[int]]) -> list[int]:
     """Vertex ids by decreasing degree, ties by id."""
-    return sorted(range(g.n), key=lambda v: (-len(g.neighbors[v]), v))
+    return sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v))
 
 
-def greedy_coloring(g: CharGraph) -> tuple[int, ...]:
-    """Deterministic greedy coloring, the color of each vertex id: vertices
-    by decreasing degree, ties by id; each gets the smallest color absent
-    from its colored neighbors."""
-    colors = [-1] * g.n  # -1: not colored yet
-    for v in _degree_order(g):
-        used = {colors[u] for u in g.neighbors[v]}
+def greedy_coloring(g: CharGraph, vs: Sequence[int] | None = None) -> tuple[int, ...]:
+    """Deterministic greedy coloring of g, or of its subgraph induced on the
+    ascending vertex ids vs, the color of each of that graph's ids (position
+    in vs): vertices by decreasing degree, ties by id; each gets the
+    smallest color absent from its colored neighbors."""
+    nbrs = _block_neighbors(g, vs)
+    colors = [-1] * len(nbrs)  # -1: not colored yet
+    for v in _degree_order(nbrs):
+        used = {colors[u] for u in nbrs[v]}
         c = 0
         while c in used:
             c += 1
@@ -387,37 +363,41 @@ def greedy_coloring(g: CharGraph) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def exact_min_coloring(g: CharGraph) -> tuple[int, ...]:
-    """Minimum-count coloring by branch and bound (saturation-guided), exact
-    for |V| <= 12; starts from the greedy upper bound, and returns it at once
-    when a clique grown greedily in the same vertex order is as large."""
-    if g.n > EXACT_COLOR_GUARD:
-        raise DeskScaleError(f"|V| = {g.n} exceeds the exact-coloring guard")
-    best = greedy_coloring(g)
+def exact_min_coloring(g: CharGraph, vs: Sequence[int] | None = None) -> tuple[int, ...]:
+    """Minimum-count coloring of g, or of its subgraph induced on the
+    ascending vertex ids vs (colors by position in vs), by branch and bound
+    (saturation-guided), exact for |V| <= 12; starts from the greedy upper
+    bound, and returns it at once when a clique grown greedily in the same
+    vertex order is as large."""
+    nbrs = _block_neighbors(g, vs)
+    n = len(nbrs)
+    if n > EXACT_COLOR_GUARD:
+        raise DeskScaleError(f"|V| = {n} exceeds the exact-coloring guard")
+    best = greedy_coloring(g, vs)
     best_k = max(best) + 1
     # a clique needs one color per vertex, so no coloring beats greedy's, and
     # the search below (which only keeps strictly fewer colors) would return it
     clique: list[int] = []
-    for v in _degree_order(g):
-        if g.neighbors[v].issuperset(clique):
+    for v in _degree_order(nbrs):
+        if nbrs[v].issuperset(clique):
             clique.append(v)
     if len(clique) == best_k:
         return best
 
-    colors = [-1] * g.n  # -1: not colored yet
+    colors = [-1] * n  # -1: not colored yet
 
     def used_by_neighbors(v: int) -> set[int]:
-        return {colors[u] for u in g.neighbors[v]} - {-1}
+        return {colors[u] for u in nbrs[v]} - {-1}
 
     def descend(used_k: int) -> None:
         nonlocal best, best_k
         if used_k >= best_k:
             return
-        uncolored = [v for v in range(g.n) if colors[v] < 0]
+        uncolored = [v for v in range(n) if colors[v] < 0]
         if not uncolored:
             best, best_k = tuple(colors), used_k
             return
-        v = max(uncolored, key=lambda u: (len(used_by_neighbors(u)), len(g.neighbors[u]), -u))
+        v = max(uncolored, key=lambda u: (len(used_by_neighbors(u)), len(nbrs[u]), -u))
         forbidden = used_by_neighbors(v)
         for c in range(min(used_k + 1, best_k)):
             if c in forbidden:

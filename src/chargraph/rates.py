@@ -6,7 +6,8 @@ piecewise bound (prop1_rate), the two-MIS skewed-Bernoulli bound
 conditional-chain evaluation (chain_rate), the Slepian-Wolf baseline, and
 the eta_lin / eta_SW gain ratios, plus the closed-form scenario sweeps the
 CLI exposes. Every symbol a server sends comes from min_coloring, which
-colors one component of graphs.components at a time; a chain stage graph
+colors one component of graphs.components at a time, in place by its
+vertex ids (no subgraph is built); a chain stage graph
 has no edge across transcript sections, so one coloring of it colors each
 section on its own. Each rate-layer decision has one place: every best-of
 pick (theorem1's and prop2's per-server candidate, the chain's ordering)
@@ -18,7 +19,8 @@ chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage codes each point's transcript,
 groups the points by (transcript, local) and (transcript, rest) codes and
 builds its graph with graphs.confusability_graph; the vertex labels stay
-(local tuple, transcript), built once per vertex. A transcript section
+(local tuple, transcript), built twice per vertex (once by make_graph,
+once to map the vertex codes to ids). A transcript section
 whose points all demand one output is settled: from then on its points
 leave the chain, and each stage sees all settled mass as one lone vertex
 ((), ()). The ordering decodes iff no live section is left after the
@@ -54,7 +56,6 @@ from .graphs import (
     enumerate_mis,
     exact_min_coloring,
     greedy_coloring,
-    induced_subgraph,
     integer_codes,
     is_clique,
     make_graph,
@@ -157,21 +158,21 @@ def min_coloring(g: CharGraph) -> tuple[int, ...]:
     """The color of each vertex id, one component at a time: colors 0, 1, ...
     in id order on a clique (graphs.is_clique; a lone vertex included), the
     exact minimum on another component of at most EXACT_COLOR_GUARD
-    vertices, degree-ordered greedy on a larger one. On a clique that is what greedy gives (every
-    degree ties, so ids decide) and what the exact search keeps (greedy's
-    clique proves it minimal). Greedy is local (a vertex's color depends
-    only on its colored neighbours, and the degree order restricted to a
-    component is the component's own), so a large component gets the
-    colors whole-graph greedy gives it."""
+    vertices, degree-ordered greedy on a larger one; both color the
+    component's ids in g, as the subgraph they induce. On a clique that is
+    what greedy gives (every degree ties, so ids decide) and what the exact
+    search keeps (greedy's clique proves it minimal). Greedy is local (a
+    vertex's color depends only on its colored neighbours, and the degree
+    order restricted to a component is the component's own), so a large
+    component gets the colors whole-graph greedy gives it."""
     colors = [0] * g.n
     for comp in components(g):
         if is_clique(g, comp):
             for c, v in enumerate(comp):
                 colors[v] = c
             continue
-        h = g if len(comp) == g.n else induced_subgraph(g, comp)  # connected: in place
-        small = h.n <= EXACT_COLOR_GUARD
-        for v, c in zip(comp, exact_min_coloring(h) if small else greedy_coloring(h)):
+        color = exact_min_coloring if len(comp) <= EXACT_COLOR_GUARD else greedy_coloring
+        for v, c in zip(comp, color(g, comp)):
             colors[v] = c
     return tuple(colors)
 

@@ -231,8 +231,12 @@ def build_decode_table(
     """Exhaustively sweep every positive-probability length-n input and
     record color profile -> demands.  Two failure modes are distinguished:
     the subset's pooled local data may not determine the demands at all
-    (coverage, a precondition violation), or the encoders may have merged a
-    confusable pair (collision, the zero-error test itself)."""
+    (coverage, a precondition violation), or one color profile may meet
+    two demands (collision, the zero-error test itself).  A collision has
+    two causes: an encoder merged a confusable pair of its own graph, or
+    every encoder colors its own graph properly and the colorings still
+    fail jointly, which the coloring connectivity condition of Doshi, Shah,
+    Medard and Effros (2010) rules out."""
     subset = tuple(int(s) for s in subset)
     if not 0 < len(set(subset)) == len(subset) or any(not 1 <= s <= t.n for s in subset):
         raise ValidationError(
@@ -264,7 +268,8 @@ def build_decode_table(
         pairs,
         lambda profile, a, b: DecodeError(
             f"collision at servers {subset}: color profile {profile} is "
-            f"consistent with {a} and {b}; an encoder merged a confusable pair"
+            f"consistent with {a} and {b}; an encoder merged a confusable pair, "
+            "or the encoders' colorings, each proper on its own graph, fail jointly"
         ),
     )
     return DecodeTable(subset=subset, n=n, table=table, truth=dict(zip(symbols, demands)))

@@ -1,10 +1,24 @@
-"""Hypothesis strategies for graphs that more than one test module draws."""
+"""Hypothesis strategies for graphs that more than one test module draws,
+and the induced subgraph that test references build."""
 
+import math
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from chargraph.graphs import make_graph
+from chargraph.graphs import CharGraph, make_graph
+
+
+def induced_subgraph(g, vs):
+    """g restricted to the ascending vertex ids vs as a graph of its own: the
+    vertices kept in g's order, the pmf renormalized."""
+    idx = {v: i for i, v in enumerate(vs)}
+    mass = math.fsum(g.pmf[v] for v in vs)
+    return CharGraph(
+        vertices=tuple(g.vertices[v] for v in vs),
+        neighbors=tuple(frozenset(idx[u] for u in g.neighbors[v] if u in idx) for v in vs),
+        pmf=tuple(g.pmf[v] / mass for v in vs),
+    )
 
 
 @st.composite

@@ -464,14 +464,15 @@ class TestScenario:
         assert repr(scenario) in err and f"config key {option}" in err
 
     def test_multilinear_takes_one_demand(self, capsys):
-        # the product demand is one function: a Kc above 1 is refused, as s1
-        # refuses it, instead of printing the Kc = 1 row
-        argv = ["scenario", "--scenario", "multilinear", "--n", "4", "--k", "8",
-                "--nr", "3", "--eps-grid", "0.1,0.1,1"]
-        assert run(capsys, argv + ["--kc", "1"])[:2] == run(capsys, argv)[:2]
-        code, out, err = run(capsys, argv + ["--kc", "5"])
-        assert code == 2 and out == ""
-        assert "single demanded function" in err
+        # s1 and the product demand are one function each: Kc is 1, so --kc
+        # has no second legal value and is refused as an unread option
+        for scenario in ("s1", "multilinear"):
+            argv = ["scenario", "--scenario", scenario, "--n", "4", "--k", "8",
+                    "--nr", "3", "--eps-grid", "0.1,0.1,1"]
+            assert run(capsys, argv)[0] == 0
+            code, out, err = run(capsys, argv + ["--kc", "1"])
+            assert code == 2 and out == ""
+            assert f"scenario {scenario!r} does not read --kc " in err
 
     def test_json_rows_are_strict_json(self, capsys, tmp_path):
         # at eps = 0 the graph rate is 0 and both gains are infinite: JSON

@@ -22,7 +22,6 @@ from chargraph.graphs import (
     greedy_coloring,
     make_graph,
     or_power,
-    union_graph,
     validate_coloring,
 )
 from chargraph.probability import JointPmf, iid_bernoulli_joint
@@ -61,6 +60,10 @@ def label_edges(g: CharGraph) -> set[frozenset]:
 class TestCharGraph:
     def test_validation(self):
         none = (frozenset(), frozenset())
+        with pytest.raises(ValidationError, match="at least one vertex"):
+            CharGraph(vertices=(), neighbors=(), pmf=())
+        with pytest.raises(ValidationError, match="sum to 1"):
+            CharGraph(vertices=(1, 2), neighbors=none, pmf=(0.5, 0.6))
         with pytest.raises(ValidationError, match="duplicate"):
             CharGraph(vertices=(1, 1), neighbors=none, pmf=(0.5, 0.5))
         with pytest.raises(ValidationError, match="pmf length"):
@@ -139,30 +142,25 @@ class TestBuildCharGraph:
         assert label_edges(g) == want
 
     def test_demand_subset_selects_functions(self):
+        # a graph for some of the demands is built from a spec holding those
         _, p, d, joint = scenario_ii()
         # server 3 never needs to separate anything for f1 = w2 alone
-        g1 = build_char_graph(d, p, joint, 3, demand_subset=(1,))
+        g1 = build_char_graph(LinearlySeparable(q=2, gamma=d.gamma[:1]), p, joint, 3)
         assert g1.edges == frozenset()
         # f2 alone already forces the full server-3 edge set
-        g2 = build_char_graph(d, p, joint, 3, demand_subset=(2,))
+        g2 = build_char_graph(LinearlySeparable(q=2, gamma=d.gamma[1:]), p, joint, 3)
         assert g2.edges == build_char_graph(d, p, joint, 3).edges
 
     def test_union_of_single_demand_graphs_is_default(self):
         _, p, d, joint = scenario_ii()
         for server in (1, 2, 3):
             singles = [
-                build_char_graph(d, p, joint, server, demand_subset=(j,))
-                for j in (1, 2)
+                build_char_graph(LinearlySeparable(q=2, gamma=(row,)), p, joint, server)
+                for row in d.gamma
             ]
-            assert union_graph(singles).edges == build_char_graph(
-                d, p, joint, server
-            ).edges
-
-    def test_rejects_bad_subset(self):
-        _, p, d, joint = scenario_ii()
-        for bad in [(0,), (3,), ()]:
-            with pytest.raises(ValidationError):
-                build_char_graph(d, p, joint, 1, demand_subset=bad)
+            full = build_char_graph(d, p, joint, server)
+            assert all(h.vertices == full.vertices and h.pmf == full.pmf for h in singles)
+            assert frozenset().union(*(h.edges for h in singles)) == full.edges
 
     def test_vertex_masses_are_local_marginals(self):
         _, p, d, joint = scenario_ii()
@@ -204,19 +202,6 @@ class TestConfusabilityGraph:
     def test_outputs_must_follow_vertex_and_completion(self):
         with pytest.raises(ValidationError):
             confusability_graph([0, 0], [0, 0], [0.5, 0.5], [0, 1], "a".__getitem__)
-
-
-class TestUnionGraph:
-    def test_requires_matching_vertices_and_pmf(self):
-        a = make_graph({1: 0.5, 2: 0.5}, [])
-        b = make_graph({1: 0.5, 3: 0.5}, [])
-        with pytest.raises(ValidationError):
-            union_graph([a, b])
-        c = make_graph({1: 0.4, 2: 0.6}, [])
-        with pytest.raises(ValidationError):
-            union_graph([a, c])
-        with pytest.raises(ValidationError):
-            union_graph([])
 
 
 class TestOrPower:

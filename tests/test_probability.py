@@ -5,6 +5,7 @@ import math
 import pytest
 
 from chargraph import (
+    DeskScaleError,
     JointPmf,
     ModelIntegrityError,
     ValidationError,
@@ -20,6 +21,7 @@ from chargraph import (
     product_param,
     uniform_joint,
 )
+from chargraph import probability
 from chargraph.probability import _joint_from_masses
 
 # frozen by tests/oracles/gen_frozen.py (brute 2^K enumeration of the
@@ -72,6 +74,12 @@ class TestPmf:
                 JointPmf((2,), {(x,): m for x, m in enumerate(mass)})
             with pytest.raises(ValidationError):
                 product_joint([mass])
+
+    def test_product_alphabet_guard(self, monkeypatch):
+        monkeypatch.setattr(probability, "PRODUCT_GUARD", 3)
+        assert len(product_joint([(0.5, 0.5)]).support()) == 2
+        with pytest.raises(DeskScaleError, match="product alphabet"):
+            product_joint([(0.5, 0.5)] * 2)  # 4 points
 
     def test_from_masses_rejects_negative_as_model_integrity(self):
         with pytest.raises(ModelIntegrityError, match="negative mass"):

@@ -4,16 +4,16 @@ import math
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chargraph.graphs import (
+    EXACT_COLOR_GUARD,
+    build_char_graph,
     components,
     exact_min_coloring,
     greedy_coloring,
-    induced_subgraph,
     make_graph,
     or_power,
-    union_graph,
 )
 from chargraph.probability import (
     JointPmf,
@@ -24,7 +24,7 @@ from chargraph.probability import (
     product_param,
     _joint_from_masses,
 )
-from chargraph.functions import LinearlySeparable, demand_from_json, demand_to_json
+from chargraph.functions import GeneralTable, LinearlySeparable, demand_from_json, demand_to_json
 from chargraph.rates import min_coloring
 from chargraph.solvers import (
     chromatic_entropy,
@@ -32,6 +32,7 @@ from chargraph.solvers import (
     graph_entropy,
 )
 from chargraph.topology import Topology, coverage_check, cyclic_placement
+from graph_strategies import induced_subgraph
 
 
 @st.composite
@@ -215,22 +216,42 @@ class TestGraphProperties:
     @given(char_graphs(max_n=5), st.data())
     def test_every_builder_keeps_one_symmetric_adjacency(self, g, data):
         # the neighbour sets are the stored adjacency; edges is their view
+        # (the test-built subgraph is checked too: references color it)
         vs = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
         sub = induced_subgraph(g, vs)
-        other = make_graph(
-            dict(zip(g.vertices, g.pmf)),
-            [(g.vertices[i], g.vertices[j]) for i, j in combinations(range(g.n), 2)
-             if data.draw(st.booleans())],
-        )
-        union = union_graph([g, other])
-        for h in (g, sub, union, or_power(g, 2)):
+        for h in (g, sub, or_power(g, 2)):
             assert all(i in h.neighbors[j] for i in range(h.n) for j in h.neighbors[i])
             assert h.edges == {(i, j) for i in range(h.n) for j in h.neighbors[i] if i < j}
         assert all(
             sub.adjacent(a, b) == g.adjacent(vs[a], vs[b])
             for a, b in combinations(range(sub.n), 2)
         )
-        assert union.edges == g.edges | other.edges
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_graph_of_all_demands_is_union_of_one_demand_graphs(self, data):
+        # a server's graph joins what any demanded function tells apart: the
+        # edge union of the graphs built from one-table specs, on the same
+        # vertices and masses
+        tables = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=8, max_size=8).map(tuple),
+            min_size=2, max_size=3,
+        ))
+        masses = data.draw(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+        total = sum(masses)
+        assume(total > 0.1)
+        joint = JointPmf(
+            (2, 2, 2), {w: m / total for w, m in zip(product((0, 1), repeat=3), masses)}
+        )
+        p = cyclic_placement(Topology(n=3, k=3, kc=len(tables), m=2, nr=2))
+        for server in (1, 2, 3):
+            full = build_char_graph(GeneralTable(q=2, k=3, tables=tuple(tables)), p, joint, server)
+            singles = [
+                build_char_graph(GeneralTable(q=2, k=3, tables=(tab,)), p, joint, server)
+                for tab in tables
+            ]
+            assert all(h.vertices == full.vertices and h.pmf == full.pmf for h in singles)
+            assert frozenset().union(*(h.edges for h in singles)) == full.edges
 
     @settings(max_examples=25, deadline=None)
     @given(char_graphs(max_n=5))
@@ -260,6 +281,17 @@ class TestColoringProperties:
         greedy = greedy_coloring(g)
         assert exact_min_coloring(g) == greedy
         assert len(set(greedy)) == most_parts
+
+    @settings(max_examples=200, deadline=None)
+    @given(char_graphs(max_n=14), st.data())
+    def test_colorings_of_ids_are_colorings_of_their_subgraph(self, g, data):
+        # any ascending ids, not only a component: the colorings read the
+        # subgraph they induce, in its ids, exactly as if it were built
+        vs = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+        sub = induced_subgraph(g, vs)
+        assert greedy_coloring(g, vs) == greedy_coloring(sub)
+        if len(vs) <= EXACT_COLOR_GUARD:
+            assert exact_min_coloring(g, vs) == exact_min_coloring(sub)
 
     @settings(max_examples=100, deadline=None)
     @given(disjoint_unions())

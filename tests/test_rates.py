@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from chargraph import rates, solvers
 
-from chargraph.errors import DecodeError, MisStructureError, ValidationError
+from chargraph.errors import DecodeError, DeskScaleError, MisStructureError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, demand_from_json, evaluate_demand
 from chargraph.graphs import (
     EXACT_COLOR_GUARD,
@@ -305,6 +305,13 @@ class TestTheorem1:
             prop2_rate(t, p, d, joint).sum_rate, abs=1e-6
         )
 
+    def test_codebook_sweep_guard(self, monkeypatch):
+        # three 2-subsets of servers make at least three checks
+        monkeypatch.setattr(rates, "COMBO_GUARD", 2)
+        t, p, d, joint = scenario_ii()
+        with pytest.raises(DeskScaleError, match="codebook decodability sweep"):
+            theorem1_sum_rate(t, p, d, joint)
+
     def test_merging_codebook_rejected(self):
         t, p, d, joint = scenario_ii()
         constant = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
@@ -514,6 +521,16 @@ class TestScenarioClosedForms:
         assert rep.lin.sum_rate == pytest.approx(
             4 * binary_entropy(product_param(2, 0.5)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("kc", [2, 3])
+    def test_single_demand_scenarios_refuse_other_kc(self, kc):
+        # the CLI no longer reads --kc for these, so the library's own check
+        # is the one that keeps a Kc > 1 topology out
+        t = topo(4, 8, 3, kc=kc)
+        with pytest.raises(ValidationError, match="single demanded function"):
+            scenario1_rates(t, 0.3, 0.5)
+        with pytest.raises(ValidationError, match="single demanded function"):
+            multilinear_rates(t, 0.3)
 
 
 def _demand_entropy(d, joint):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chargraph.errors import DecodeError, ValidationError
+from chargraph import simulator
+from chargraph.errors import DecodeError, DeskScaleError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
 from chargraph.graphs import (
     PAIR_GUARD,
@@ -152,6 +153,57 @@ class TestPartTupleColoring:
             Encoder(1, 1, (0,), labels, (-1, 0), 2, 0.0)
 
 
+def star_instance():
+    """AND of three bits, N = K = 3, Nr = 2, cyclic zones, uniform on the
+    seven points other than (0, 1, 0). Server 3 stores (w1, w3): its graph
+    is a 2-edge star plus an isolated vertex, which is not complete
+    multipartite, so its encoder colors the built OR power."""
+    t = Topology(n=3, k=3, kc=1, m=2, nr=2)
+    points = [w for w in product((0, 1), repeat=3) if w != (0, 1, 0)]
+    joint = JointPmf((2, 2, 2), {w: 1 / 7 for w in points})
+    return t, cyclic_placement(t), MultiLinear(k=3), joint
+
+
+class TestGeneralEncoderPath:
+    """Encoders of graphs that are not complete multipartite, and the
+    fallback when MIS enumeration refuses a graph."""
+
+    def test_star_graph_colors_its_or_power(self):
+        t, p, d, joint = star_instance()
+        g3 = build_char_graph(d, p, joint, 3)
+        assert g3.edges == frozenset({(1, 3), (2, 3)})
+        assert not is_complete_multipartite(enumerate_mis(g3), g3.n)
+        for n in (1, 2):
+            encs = build_encoders(t, p, d, joint, n)
+            for i, e in enumerate(encs, 1):
+                validate_coloring(or_power(build_char_graph(d, p, joint, i), n), e.colors)
+            assert encs[2].colors == min_coloring(or_power(g3, n))
+            want = expected_rates(encs, joint, n)
+            for sub in combinations((1, 2, 3), 2):
+                tab = build_decode_table(encs, t, p, d, joint, sub)
+                res = run_simulation(encs, tab, joint, n, 200_000, seed=11)
+                assert res.errors == 0
+                assert list(res.empirical_rate_bits_per_symbol) == pytest.approx(
+                    want, abs=0.005
+                )
+
+    @settings(max_examples=20, deadline=None)
+    @given(complete_multipartite(), st.integers(1, 2))
+    def test_refused_enumeration_falls_back_to_min_coloring(self, case, n):
+        # a graph enumerate_mis refuses is colored on its built OR power;
+        # on a complete multipartite graph that gives the part-tuple classes
+        g1, _ = case  # at most 12 vertices: the power stays under PAIR_GUARD
+        parts = classes(dict(enumerate(_power_coloring(g1, n))))
+
+        def refuse(*args, **kwargs):
+            raise DeskScaleError("refused")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "enumerate_mis", refuse)
+            fallback = _power_coloring(g1, n)
+        assert classes(dict(enumerate(fallback))) == parts
+
+
 class TestBuildDecodeTable:
     def test_all_pairs_decodable(self):
         t, p, d, joint = scenario_ii()
@@ -191,6 +243,32 @@ class TestBuildDecodeTable:
         broken = [encs[0], mute, encs[2]]
         with pytest.raises(DecodeError, match="merged a confusable pair"):
             build_decode_table(broken, t, p, d, joint, (2,))
+
+    def test_proper_colorings_can_fail_jointly(self):
+        # parity of three bits, uniform on {000, 001, 011, 100, 110}: every
+        # encoder is a proper minimum coloring of its own graph, yet no pair
+        # of servers decodes, since the colorings fail jointly
+        t = Topology(n=3, k=3, kc=1, m=2, nr=2)
+        p = cyclic_placement(t)
+        d = LinearlySeparable(q=2, gamma=((1, 1, 1),))
+        points = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+        joint = JointPmf((2, 2, 2), {w: 1 / 5 for w in points})
+        encs = build_encoders(t, p, d, joint, 1)
+        for i, e in enumerate(encs, 1):
+            g = build_char_graph(d, p, joint, i)
+            validate_coloring(g, e.colors)
+            assert e.colors == min_coloring(g)
+        for sub in combinations((1, 2, 3), 2):
+            with pytest.raises(DecodeError, match="fail jointly"):
+                build_decode_table(encs, t, p, d, joint, sub)
+
+    def test_block_sweep_guard(self, monkeypatch):
+        # three i.i.d. bits have 8 support points, so one letter is 8 blocks
+        monkeypatch.setattr(simulator, "POWER_GUARD", 7)
+        t, p, d, joint = scenario_ii()
+        encs = build_encoders(t, p, d, joint, 1)
+        with pytest.raises(DeskScaleError, match="sweep guard"):
+            build_decode_table(encs, t, p, d, joint, (1, 2))
 
     def test_subset_validation(self):
         t, p, d, joint = scenario_ii()

@@ -25,7 +25,6 @@ from chargraph.graphs import (
     SOLVE_CELL_GUARD,
     build_char_graph,
     enumerate_mis,
-    induced_subgraph,
     is_complete_multipartite,
     make_graph,
     or_power,
@@ -37,7 +36,7 @@ from chargraph.solvers import (
     graph_entropy,
 )
 from chargraph.topology import Topology, cyclic_placement
-from graph_strategies import complete_multipartite
+from graph_strategies import complete_multipartite, induced_subgraph
 
 CHROMATIC_TERNARY_UNIFORM = 0.918295834054490
 CHROMATIC_TERNARY_SKEWED = 0.721928094887362

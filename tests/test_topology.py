@@ -3,6 +3,7 @@
 import pytest
 
 from chargraph import (
+    DeskScaleError,
     Placement,
     Topology,
     ValidationError,
@@ -12,6 +13,7 @@ from chargraph import (
     placement_from_json,
     placement_to_json,
 )
+from chargraph import topology
 
 
 class TestTopology:
@@ -87,6 +89,12 @@ class TestCoverage:
         assert coverage_check(full, t) is True
         partial = Placement(n=2, k=2, zones=((1, 2), (1,)))
         assert coverage_check(partial, t) is False
+
+    def test_exhaustive_check_guard(self, monkeypatch):
+        monkeypatch.setattr(topology, "COVERAGE_GUARD", 2)
+        t = Topology(n=3, k=3, kc=1, m=2, nr=2)  # C(3, 2) = 3 subsets
+        with pytest.raises(DeskScaleError, match="exhaustive-check guard"):
+            coverage_check(cyclic_placement(t), t)
 
     def test_mismatched_shapes_rejected(self):
         t = Topology(n=3, k=3, kc=1, m=2, nr=2)
