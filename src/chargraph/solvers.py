@@ -16,18 +16,26 @@ exact when they partition it (graphs.is_complete_multipartite); an
 exact block is summed in closed form from its part masses. Only the other
 blocks reach _solve, scaled by their mass: one alternating minimization
 with multi-restart certification on the enumerated family.
-Each step of it holds the restarts as one array P[u, r, x] (MIS, restart,
-vertex), so that both products are single 2-D matrix products and the
-reductions over u run along axis 0; the iterates and values are those of
-the per-restart einsum loop this layout replaced, up to rounding. A step
-whose largest tensor, restarts x MIS count x max(|V|, |Y|), would pass
-SOLVE_CELL_GUARD is refused before it starts.
+Its first step evaluates the restarts' random starts; each later step
+does only the work its iterate needs. A block with one mass column (every
+graph_entropy block, and any block whose side symbol is a function of X)
+iterates on the (MIS, restart) marginal Q alone, since from the second
+step on P(u|x) = Q(u) / D(x) on the MISs u containing x, where D(x) sums
+Q over them. Any other
+block holds the restarts as one array P[u, r, x] (MIS, restart, vertex),
+so that both products are single 2-D matrix products and the reductions
+over u run along axis 0. Both loops take H(U|X) from the normalizer of
+the update instead of summing P log P. The iterates, step counts and
+values are those of the per-restart einsum loop these loops replaced, up
+to rounding. A solve whose largest tensor, restarts x MIS count x
+max(|V|, |Y|), would pass SOLVE_CELL_GUARD is refused before it starts.
 chromatic_entropy is an exact branch-and-bound over independent-set
 partitions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -91,15 +99,76 @@ def _start(mask: np.ndarray) -> np.ndarray:
     """Stack of restart starts on the mask, shape (R, n, m); every allowed
     cell starts strictly positive (a zero cell would be stuck at zero)."""
     rng = np.random.default_rng(0)
-    stack = [mask / mask.sum(axis=1, keepdims=True)]
-    for _ in range(RESTARTS - 1):
-        raw = mask * (rng.random(mask.shape) + 1e-3)
-        stack.append(raw / raw.sum(axis=1, keepdims=True))
-    return np.stack(stack)
+    raw = mask * (rng.random((RESTARTS - 1,) + mask.shape) + 1e-3)
+    stack = np.concatenate([mask[None], raw])
+    return stack / stack.sum(axis=2, keepdims=True)
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
     return a * np.log2(np.where(a > 0, a, 1.0))
+
+
+def _log_joint(Q: np.ndarray) -> np.ndarray:
+    """log Q, with _NEG_BIG on a zero cell (no x in u meets y, or P
+    underflowed on all that do); the 1e-300 floor keeps x log x at 0 on a
+    cell that underflows to 0."""
+    logQ = np.log(np.maximum(Q, 1e-300))
+    if np.count_nonzero(Q) < Q.size:  # cheaper than Q.all() on these small arrays
+        logQ[Q == 0] = _NEG_BIG
+    return logQ
+
+
+def _column_steps(mask: np.ndarray, p_x: np.ndarray, Q: np.ndarray):
+    """I(X;U) in nats at each step from the second, for a one-column block
+    whose first step has the (MIS, restart) marginal Q. Each iterate from
+    the second is P'(u|x) = mask(u, x) Q(u) / D(x) with D = mask @ Q, so Q
+    alone carries it: Q' = Q F with F = mask^T @ (p / D). Then
+    sum_x p(x) sum_u P' log P' = sum_u Q' log Q - p . log D, and with
+    H(U) = -sum_u Q' log Q' this gives I(X;U) = -sum_u Q' log F - p . log D,
+    as Q' / Q = F. D(x) >= p(x) > 0, since Q(u) >= p(x) P(u|x) for every u
+    that contains x, so F > 0 too: no log of 0 arises."""
+    mask_t = np.ascontiguousarray(mask.T)
+    p_col = p_x[:, None]
+    while True:
+        D = mask @ Q
+        F = mask_t @ (p_col / D)
+        Q = Q * F
+        yield -(p_x @ np.log(D)) - (Q * np.log(F)).sum(axis=0)
+
+
+def _general_steps(mask: np.ndarray, W: np.ndarray, p_x: np.ndarray, logQ: np.ndarray):
+    """I(X;U|Y) + H(Y) in nats at each step from the second, for the mass
+    matrix W, from the log of the first step's (U, Y) joint, rows (u, r).
+    The next iterate is P'(u|x) = exp(L(u, x) - c(x)) / s(x) on the allowed
+    cells, with L = log Q @ p(y|x)^T, c its max over u and s the normalizing
+    sum. Since sum_x p(x) sum_u P' L = sum_{u,y} Q' log Q, the identity
+    sum_x p(x) sum_u P' log P' = sum_{u,y} Q' log Q - p . (c + log s) holds
+    exactly for the same log Q array, _NEG_BIG stand-ins included, and
+    -H(U|X) comes from the normalizer, not from P' log P' over the tensor."""
+    n, m = mask.shape
+    ny = W.shape[1]
+    # p(y|x) as (y, x); every vertex mass is positive
+    pyx_t = np.ascontiguousarray((W / p_x[:, None]).T)
+    barrier = np.where(mask.T > 0, 0.0, -np.inf)[:, None, :]  # (m, 1, n)
+    ones_m, ones_y = np.ones(m), np.ones(ny)
+    while True:
+        # geometric-mean update in log space; per-row constants (the p_y
+        # normalization of Q) cancel in the normalization below
+        L = (logQ @ pyx_t).reshape(m, RESTARTS, n)
+        L += barrier
+        c = L.max(axis=0)  # max sits on an allowed cell, so finite
+        L -= c
+        P = np.exp(L, out=L)
+        s = P.sum(axis=0)
+        P /= s
+        Q = P.reshape(m * RESTARTS, n) @ W
+        log_ratio = logQ
+        logQ = _log_joint(Q)
+        log_ratio -= logQ
+        # H(U,Y) - H(U|X) = sum_{u,y} Q' log(Q / Q') - p . (c + log s), summed
+        # over u and y per restart by two matrix-vector products
+        cross = ones_m @ (Q * log_ratio).reshape(m, RESTARTS * ny)
+        yield cross.reshape(RESTARTS, ny) @ ones_y - (c + np.log(s)) @ p_x
 
 
 def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
@@ -111,6 +180,10 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
     Monotone on a convex objective, so restarts certify the minimum rather
     than hunt for it. Exact blocks are priced in closed form instead.
+    Step 1 evaluates the random starts themselves; every later step takes
+    H(U|X) from the normalizer of its update. With one column the geometric
+    mean is Q(u) itself, and _column_steps iterates on the (MIS, restart)
+    marginal Q alone; otherwise _general_steps holds P[u, r, x].
     """
     neg_h_y = _xlog2x(W.sum(axis=0)).sum()
     mask = _mis_mask(mis, W.shape[0])
@@ -122,39 +195,34 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
             f"passes the {SOLVE_CELL_GUARD} solve guard"
         )
     p_x = W.sum(axis=1)
-    pyx_t = (W / p_x[:, None]).T  # p(y|x) as (y, x); every vertex mass is positive
     # P[u, r, x] = P_r(u|x): with the restarts stacked inside the MIS axis
     # both products are single 2-D GEMMs, and the max and the sum over u run
     # along axis 0, elementwise across rows
     P = np.ascontiguousarray(_start(mask).transpose(2, 0, 1))
-    barrier = np.where(mask.T > 0, 0.0, -np.inf)[:, None, :]  # (m, 1, n)
+    Q = P.reshape(m * RESTARTS, n) @ W  # joint of (U, Y), rows (u, r)
+    logQ = _log_joint(Q)
+    # I(X;U|Y) = H(U|Y) - H(U|X), and H(U|Y) = H(U,Y) - H(Y) since
+    # sum_u Q(u,y) = p(y). The 1e-300 floor keeps x log x at 0 on the cells
+    # outside the mask
+    neg_h_u_given_x = (P * np.log(np.maximum(P, 1e-300))).sum(axis=0) @ p_x
+    neg_h_uy = (Q * logQ).reshape(m, RESTARTS, ny).sum(axis=(0, 2))
+    if ny == 1:
+        later = _column_steps(mask, p_x, Q.reshape(m, RESTARTS))
+    else:
+        later = _general_steps(mask, W, p_x, logQ)
     inv_ln2 = 1.0 / math.log(2.0)
     objs = np.full(RESTARTS, np.inf)
     pending = np.ones(RESTARTS, dtype=bool)
-    for it in range(1, MAX_ITERS + 1):
-        Q = P.reshape(m * RESTARTS, n) @ W  # joint of (U, Y), rows (u, r)
-        logQ = np.log(np.maximum(Q, 1e-300))
-        if not Q.all():  # no x in u meets y, or P underflowed on all that do
-            logQ[Q == 0] = _NEG_BIG
-        # I(X;U|Y) = H(U|Y) - H(U|X), and H(U|Y) = H(U,Y) - H(Y) since
-        # sum_u Q(u,y) = p(y); both sums are in nats. An allowed cell of P
-        # may underflow to 0, and the 1e-300 floor keeps x log x at 0 there
-        neg_h_u_given_x = (P * np.log(np.maximum(P, 1e-300))).sum(axis=0) @ p_x
-        neg_h_uy = (Q * logQ).reshape(m, RESTARTS, ny).sum(axis=(0, 2))
-        new_objs = neg_h_u_given_x * inv_ln2 - (neg_h_uy * inv_ln2 - neg_h_y)
+    # each step's I(X;U|Y) + H(Y) in nats
+    steps = itertools.chain([neg_h_u_given_x - neg_h_uy], later)
+    for it, nats in zip(range(1, MAX_ITERS + 1), steps):
+        new_objs = nats * inv_ln2 + neg_h_y
         newly = pending & (objs - new_objs < TOL)
         objs = new_objs
         if newly.any():
             pending &= ~newly
             if not pending.any():
                 break
-        # geometric-mean update in log space; per-row constants (the p_y
-        # normalization of Q) cancel in the normalization below
-        L = (logQ @ pyx_t).reshape(m, RESTARTS, n)
-        L += barrier
-        L -= L.max(axis=0)  # max sits on an allowed cell, so finite
-        P = np.exp(L, out=L)
-        P /= P.sum(axis=0)
     # the steps the loop ran, not the winning restart's: rounding may pick
     # any of several tied restarts as the winner
     best = int(np.argmin(objs))
@@ -190,9 +258,11 @@ def _solve_blocks(
             parts = [[math.fsum(c[block[x]] for x in s) for s in mis.sets] for c in columns]
         exact.append(math.fsum(map(_partition_cost, parts)))
     exact_cost = math.fsum(exact)
+    if not solved:
+        return GraphEntropyResult(exact_cost, 0, True, (exact_cost,) * RESTARTS)
     return GraphEntropyResult(
         value=math.fsum([exact_cost] + [m * r.value for m, r in solved]),
-        iterations=max((r.iterations for _, r in solved), default=0),
+        iterations=max(r.iterations for _, r in solved),
         converged=all(r.converged for _, r in solved),
         # restart k sums exact_cost and the k-th value of every solved block
         restart_values=tuple(map(math.fsum, zip(
@@ -206,7 +276,8 @@ def graph_entropy(g: CharGraph) -> GraphEntropyResult:
     conditional program with a constant side symbol, the one-column mass
     matrix pmf[:, None], solved block by block over the components of g.
     The geometric mean over that one column is Q(u) itself, so each step
-    sets P(u|x) prop. to Q(u) on the allowed cells.
+    sets P(u|x) prop. to Q(u) on the allowed cells, and every iterative
+    block runs on the (MIS, restart) marginal Q alone (_column_steps).
     """
     return _solve_blocks(g, components(g), [g.pmf])
 

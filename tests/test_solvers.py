@@ -94,20 +94,38 @@ class TestGraphEntropy:
                 groups.setdefault(find(v), []).append(v)
             return list(groups.values())
 
+        # the reported steps are the most any iterative component ran;
+        # complete multipartite components (cliques and lone vertices among
+        # them) are summed in closed form and run none
         rng = random.Random(7)
-        for _ in range(10):
-            n = rng.randint(2, 7)
-            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+        split_and_iterated = 0
+        for i in range(20):
+            # ten random graphs, then ten disjoint unions of two 3-5-vertex
+            # random graphs, whose parts may each iterate
+            if i < 10:
+                n = rng.randint(2, 7)
+                edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            else:
+                n, edges = 0, []
+                for size in (rng.randint(3, 5), rng.randint(3, 5)):
+                    part = combinations(range(n, n + size), 2)
+                    edges += [e for e in part if rng.random() < 0.6]
+                    n += size
             g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
             want = np.zeros(solvers.RESTARTS)
-            for block in components(g.n, g.edges):
+            want_steps = []
+            blocks = components(g.n, g.edges)
+            for block in blocks:
                 sub = induced_subgraph(g, block)
                 p = np.asarray(sub.pmf)
-                mask = solvers._mis_mask(enumerate_mis(sub), sub.n)
+                mis = enumerate_mis(sub)
+                mask = solvers._mis_mask(mis, sub.n)
                 P = solvers._start(mask)
                 objs = np.full(solvers.RESTARTS, np.inf)
                 done = np.zeros(solvers.RESTARTS, dtype=bool)
+                steps = 0
                 while not done.all():
+                    steps += 1
                     Q = np.einsum("x,rxu->ru", p, P)
                     new_objs = np.einsum("x,rxu->r", p, xlog2x(P)) - xlog2x(Q).sum(axis=1)
                     done |= objs - new_objs < solvers.TOL
@@ -115,8 +133,13 @@ class TestGraphEntropy:
                     P = mask[None, :, :] * Q[:, None, :]
                     P /= P.sum(axis=2, keepdims=True)
                 want += sum(g.pmf[v] for v in block) * objs
-            got = graph_entropy(g).restart_values
-            assert got == pytest.approx(tuple(want), abs=1e-12)
+                if not is_complete_multipartite(mis, sub.n):
+                    want_steps.append(steps)
+            got = graph_entropy(g)
+            assert got.restart_values == pytest.approx(tuple(want), abs=1e-12)
+            assert got.iterations == max(want_steps, default=0)
+            split_and_iterated += len(blocks) > 1 and bool(want_steps)
+        assert split_and_iterated >= 5
 
     def test_edgeless_graph_is_free(self):
         g = make_graph({v: 0.25 for v in range(4)}, [])
@@ -395,27 +418,41 @@ def einsum_solve(g, W):
 
 class TestIterativeKernel:
     def test_matches_einsum_loop_with_side_columns(self):
-        # the conditional program on whole graphs with 1-3 side columns and
-        # full-support side laws, which the block-by-block paths never reach:
-        # the same iterates as the einsum loop, up to rounding
+        # the conditional program on whole graphs with 1-3 side columns, which
+        # the block-by-block paths never reach: the same iterates as the
+        # einsum loop, up to rounding. Every other law has zero cells, as in
+        # configs/ternary_conditional.json, so that in many of them some MIS
+        # u meets no x of some symbol y: Q(u, y) = 0, and the _NEG_BIG
+        # stand-in sits in the log Q array that both the update and the
+        # H(U|X) taken from its normalizer read
         rng = random.Random(20261018)
-        checked = 0
-        while checked < 40:
+        checked = zero_joint_cells = 0
+        while checked < 80:
             n = rng.randint(2, 8)
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
             mis = enumerate_mis(g)
             if is_complete_multipartite(mis, g.n):
                 continue  # complete multipartite: closed form, no loop
-            ny = 1 + checked % 3
-            rows = np.array([[rng.uniform(0.05, 1.0) for _ in range(ny)] for _ in range(n)])
+            sparse = checked % 2 == 1
+            ny = 2 + checked % 4 // 2 if sparse else 1 + checked % 3
+            rows = np.array([
+                [0.0 if sparse and rng.random() < 0.4 else rng.uniform(0.05, 1.0) for _ in range(ny)]
+                for _ in range(n)
+            ])
+            if not (rows.any(axis=1).all() and rows.any(axis=0).all()):
+                continue  # every vertex and every side symbol carries mass
             W = np.asarray(g.pmf)[:, None] * rows / rows.sum(axis=1, keepdims=True)
+            zero_joint_cells += any(
+                not W[list(u), y].any() for u in mis.sets for y in range(ny)
+            )
             got = solvers._solve(mis, W)
             objs, iterations, converged = einsum_solve(g, W)
             assert got.iterations == iterations and got.converged == converged
             assert got.restart_values == pytest.approx(tuple(objs), abs=1e-12)
             assert got.value == pytest.approx(max(objs.min(), 0.0), abs=1e-12)
             checked += 1
+        assert zero_joint_cells >= 10
 
     def test_solve_guard_refuses_before_the_first_step(self):
         # 8 disjoint triangles and a vertex adjacent to all of them: connected,
