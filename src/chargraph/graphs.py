@@ -8,7 +8,9 @@ law's support and its demanded outputs, zone_split codes every graph's
 coordinates, components is the one split (solver blocks, coloring
 components), made once per graph, is_clique lets both price or color a
 clique directly, and is_complete_multipartite lets the solver price, and
-the block simulator color, a graph whose MISs partition it by its parts.
+the block simulator color, a graph whose MISs partition it by its parts,
+and min_partition is the one exact search over independent-set partitions
+(exact_min_coloring, solvers.chromatic_entropy).
 A block is named by ascending vertex ids of its one graph: is_clique,
 enumerate_mis and the two colorings read the subgraph those ids induce,
 in that subgraph's ids (position in the block), without building it. The
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import product as iter_product
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -363,51 +365,59 @@ def greedy_coloring(g: CharGraph, vs: Sequence[int] | None = None) -> tuple[int,
     return tuple(colors)
 
 
+def min_partition(
+    g: CharGraph, vs: Sequence[int], cost: Callable[[tuple[int, ...]], float]
+) -> tuple[float, tuple[tuple[int, ...], ...]]:
+    """The least total cost(class) over the partitions of the ascending ids vs
+    into independent sets, and one such partition (classes as ascending ids
+    of g). Each level takes, in turn, every maximal independent set of the
+    ids left as the next class, memoized on the ids left, so the search is
+    exact for any cost under which some optimal partition can take an MIS
+    of the ids left first; each caller proves that for its cost."""
+
+    @cache
+    def best(left: tuple[int, ...]) -> tuple[float, tuple[tuple[int, ...], ...]]:
+        if not left:
+            return 0, ()
+        options = []
+        for s in enumerate_mis(g, left).sets:
+            cls = tuple(left[i] for i in s)
+            total, classes = best(tuple(v for v in left if v not in cls))
+            options.append((total + cost(cls), (cls,) + classes))
+        return min(options, key=lambda option: option[0])  # the first of any tie
+
+    return best(tuple(vs))
+
+
 def exact_min_coloring(g: CharGraph, vs: Sequence[int] | None = None) -> tuple[int, ...]:
     """Minimum-count coloring of g, or of its subgraph induced on the
-    ascending vertex ids vs (colors by position in vs), by branch and bound
-    (saturation-guided), exact for |V| <= 12; starts from the greedy upper
-    bound, and returns it at once when a clique grown greedily in the same
-    vertex order is as large."""
+    ascending vertex ids vs (colors by position in vs), exact for
+    |V| <= 12. Greedy's coloring when it is minimal: at once when a clique
+    grown greedily in the same vertex order is as large, else when
+    min_partition with cost 1 per class finds no fewer classes; otherwise
+    min_partition's classes, colored 0, 1, ... by their smallest ids.
+    Cost 1 is exact there: growing any class of a minimum coloring to a
+    maximal independent set, by taking vertices from the other classes,
+    never adds a class (Lawler 1976)."""
     nbrs = _block_neighbors(g, vs)
     n = len(nbrs)
     if n > EXACT_COLOR_GUARD:
         raise DeskScaleError(f"|V| = {n} exceeds the exact-coloring guard")
-    best = greedy_coloring(g, vs)
-    best_k = max(best) + 1
-    # a clique needs one color per vertex, so no coloring beats greedy's, and
-    # the search below (which only keeps strictly fewer colors) would return it
+    greedy = greedy_coloring(g, vs)
+    greedy_k = max(greedy) + 1
+    # a clique needs one color per vertex, so no coloring beats greedy's
     clique: list[int] = []
     for v in _degree_order(nbrs):
         if nbrs[v].issuperset(clique):
             clique.append(v)
-    if len(clique) == best_k:
-        return best
-
-    colors = [-1] * n  # -1: not colored yet
-
-    def used_by_neighbors(v: int) -> set[int]:
-        return {colors[u] for u in nbrs[v]} - {-1}
-
-    def descend(used_k: int) -> None:
-        nonlocal best, best_k
-        if used_k >= best_k:
-            return
-        uncolored = [v for v in range(n) if colors[v] < 0]
-        if not uncolored:
-            best, best_k = tuple(colors), used_k
-            return
-        v = max(uncolored, key=lambda u: (len(used_by_neighbors(u)), len(nbrs[u]), -u))
-        forbidden = used_by_neighbors(v)
-        for c in range(min(used_k + 1, best_k)):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            descend(max(used_k, c + 1))
-            colors[v] = -1
-
-    descend(0)
-    return best
+    if len(clique) == greedy_k:
+        return greedy
+    ids = range(n) if vs is None else vs
+    count, classes = min_partition(g, ids, lambda cls: 1)
+    if count == greedy_k:
+        return greedy
+    color = {v: c for c, cls in enumerate(sorted(classes)) for v in cls}
+    return tuple(color[v] for v in ids)
 
 
 def validate_coloring(g: CharGraph, coloring: Sequence[int]) -> None:

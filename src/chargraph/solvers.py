@@ -29,8 +29,8 @@ the update instead of summing P log P. The iterates, step counts and
 values are those of the per-restart einsum loop these loops replaced, up
 to rounding. A solve whose largest tensor, restarts x MIS count x
 max(|V|, |Y|), would pass SOLVE_CELL_GUARD is refused before it starts.
-chromatic_entropy is an exact branch-and-bound over independent-set
-partitions.
+chromatic_entropy is graphs.min_partition, one recursion over the
+maximal independent sets of the vertices left, memoized on them.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .graphs import (
     MisFamily,
     components,
     enumerate_mis,
-    greedy_coloring,
     is_clique,
     is_complete_multipartite,
+    min_partition,
 )
 from .probability import JointPmf
 
@@ -304,55 +304,20 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
 
 def chromatic_entropy(g: CharGraph) -> float:
     """Exact minimum, over valid colorings, of the entropy of the color of a
-    pmf-distributed vertex; branch and bound over independent-set partitions
-    (color classes and independent-set partitions induce the same entropies).
+    pmf-distributed vertex: graphs.min_partition with cost -m log2 m for a
+    class of mass m (color classes and independent-set partitions induce
+    the same entropies). That is exact: in an optimal partition, moving a
+    vertex from a lighter class into the heaviest never raises
+    -sum m log2 m, and the heaviest stays the heaviest, so growing it to a
+    maximal independent set keeps the partition optimal.
     """
     if g.n > EXACT_COLOR_GUARD:
         raise DeskScaleError(
             f"|V| = {g.n} exceeds the exact chromatic-entropy guard {EXACT_COLOR_GUARD}"
         )
-    p = g.pmf
 
-    best = _partition_entropy(np.bincount(greedy_coloring(g), weights=p).tolist())
+    def cost(cls: tuple[int, ...]) -> float:
+        m = math.fsum(g.pmf[v] for v in cls)
+        return -m * math.log2(m)
 
-    classes: list[set[int]] = []
-    masses: list[float] = []
-
-    def lower_bound(remaining: float) -> float:
-        # later vertices can never merge existing classes, and entropy is
-        # concave in how the remaining mass is spread, so dumping it all on
-        # a single existing class bounds every completion from below
-        return min(
-            _partition_entropy(
-                m + (remaining if i == j else 0.0) for j, m in enumerate(masses)
-            )
-            for i in range(len(masses))
-        )
-
-    def descend(v: int, remaining: float) -> None:
-        nonlocal best
-        if v == g.n:
-            best = min(best, _partition_entropy(masses))
-            return
-        if masses and lower_bound(remaining) >= best - 1e-15:
-            return
-        for i, cls in enumerate(classes):
-            if g.neighbors[v] & cls:
-                continue
-            cls.add(v)
-            masses[i] += p[v]
-            descend(v + 1, remaining - p[v])
-            masses[i] -= p[v]
-            cls.remove(v)
-        classes.append({v})
-        masses.append(p[v])
-        descend(v + 1, remaining - p[v])
-        classes.pop()
-        masses.pop()
-
-    descend(0, 1.0)
-    return best
-
-
-def _partition_entropy(masses) -> float:
-    return -math.fsum(m * math.log2(m) for m in masses if m > 0)
+    return min_partition(g, range(g.n), cost)[0]

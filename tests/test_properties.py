@@ -4,7 +4,7 @@ import math
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chargraph.graphs import (
     EXACT_COLOR_GUARD,
@@ -309,6 +309,10 @@ class TestColoringProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(char_graphs(max_n=8), relabelled_paths()))
+    # the triangle 2-3-4 with the path 0-1-3: greedy's 3 colors are minimal,
+    # but the clique grown in degree order (3, 1) misses the triangle, so the
+    # search runs, and its own classes would color the graph differently
+    @example(make_graph({v: 0.2 for v in range(5)}, [(0, 1), (1, 3), (2, 3), (2, 4), (3, 4)]))
     def test_exact_matches_brute_force_minimum(self, g):
         def partitions(prefix):  # restricted growth strings: each partition once
             if len(prefix) == g.n:
@@ -317,12 +321,21 @@ class TestColoringProperties:
             for c in range(max(prefix, default=-1) + 2):
                 yield from partitions(prefix + [c])
 
-        fewest = min(
-            max(p) + 1 for p in partitions([]) if all(p[i] != p[j] for i, j in g.edges)
-        )
+        def entropy(p):  # of the class of a pmf-distributed vertex
+            masses = [math.fsum(m for m, c in zip(g.pmf, p) if c == k) for k in set(p)]
+            return -math.fsum(m * math.log2(m) for m in masses)
+
+        proper = [p for p in partitions([]) if all(p[i] != p[j] for i, j in g.edges)]
+        fewest = min(max(p) + 1 for p in proper)
         coloring = exact_min_coloring(g)
         assert all(coloring[i] != coloring[j] for i, j in g.edges)
         assert len(set(coloring)) == fewest
+        # the chain's transcripts rely on greedy's coloring being kept
+        # whenever it is minimal, whether or not a clique proves it
+        greedy = greedy_coloring(g)
+        if max(greedy) + 1 == fewest:
+            assert coloring == greedy
+        assert chromatic_entropy(g) == pytest.approx(min(map(entropy, proper)), abs=1e-12)
 
 
 class TestStructureProperties:

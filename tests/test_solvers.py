@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chargraph import solvers
+from chargraph import graphs, solvers
 from chargraph.errors import DeskScaleError, ValidationError
 from chargraph.functions import GeneralTable, evaluate_demand
 from chargraph.graphs import (
@@ -526,6 +526,31 @@ class TestChromaticEntropy:
     def test_complete_graph_pays_full_entropy(self):
         g = make_graph({0: 0.75, 1: 0.25}, [(0, 1)])
         assert chromatic_entropy(g) == pytest.approx(binary_entropy(0.25))
+
+    def test_guard_size_graphs_enumerate_each_remainder_once(self, monkeypatch):
+        # 12 vertices, uniform masses: 3K4 is colored by 4 classes of one
+        # vertex per K4, and the complement of C12 by 6 cycle edges
+        n = 12
+        ring = {frozenset((v, (v + 1) % n)) for v in range(n)}
+        three_k4 = make_graph(
+            {v: 1.0 for v in range(n)},
+            [(a, b) for a, b in combinations(range(n), 2) if a // 4 == b // 4],
+        )
+        co_ring = make_graph(
+            {v: 1.0 for v in range(n)},
+            [e for e in combinations(range(n), 2) if frozenset(e) not in ring],
+        )
+        seen = []
+
+        def counting(g, vs=None):
+            seen.append(tuple(vs))
+            return enumerate_mis(g, vs)
+
+        monkeypatch.setattr(graphs, "enumerate_mis", counting)
+        for g, want in ((three_k4, 2.0), (co_ring, math.log2(6))):
+            seen.clear()
+            assert chromatic_entropy(g) == pytest.approx(want, abs=1e-12)
+            assert seen and len(seen) == len(set(seen))  # one enumeration per remainder
 
     def test_guard(self):
         big = make_graph({v: 1.0 / 13 for v in range(13)}, [])

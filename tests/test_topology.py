@@ -1,9 +1,11 @@
 """Topology layer: parameters, cyclic placement, coverage."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from chargraph import (
-    DeskScaleError,
     Placement,
     Topology,
     ValidationError,
@@ -13,7 +15,6 @@ from chargraph import (
     placement_from_json,
     placement_to_json,
 )
-from chargraph import topology
 
 
 class TestTopology:
@@ -90,11 +91,28 @@ class TestCoverage:
         partial = Placement(n=2, k=2, zones=((1, 2), (1,)))
         assert coverage_check(partial, t) is False
 
-    def test_exhaustive_check_guard(self, monkeypatch):
-        monkeypatch.setattr(topology, "COVERAGE_GUARD", 2)
-        t = Topology(n=3, k=3, kc=1, m=2, nr=2)  # C(3, 2) = 3 subsets
-        with pytest.raises(DeskScaleError, match="exhaustive-check guard"):
-            coverage_check(cyclic_placement(t), t)
+    def test_matches_brute_force_over_subsets(self):
+        # the holder-count rule against the definition: the union of every
+        # Nr-subset's zones, on random placements of up to 7 servers
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(500):
+            n = rng.randint(1, 7)
+            k = n * rng.randint(1, 2)
+            nr = rng.randint(1, n)
+            density = rng.uniform(0.3, 0.9)
+            zones = []
+            for _ in range(n):
+                zone = [d for d in range(1, k + 1) if rng.random() < density]
+                zones.append(tuple(zone or [rng.randint(1, k)]))
+            p = Placement(n=n, k=k, zones=tuple(zones))
+            want = all(
+                set().union(*(zones[s] for s in subset)) == set(range(1, k + 1))
+                for subset in combinations(range(n), nr)
+            )
+            assert coverage_check(p, Topology(n=n, k=k, kc=1, m=1, nr=nr)) is want
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
     def test_mismatched_shapes_rejected(self):
         t = Topology(n=3, k=3, kc=1, m=2, nr=2)
