@@ -16,20 +16,20 @@ outputs come from graphs.support_items, and every uniform Slepian-Wolf
 report from _uniform_split.
 
 chain_rate codes each server's zone split (graphs.zone_split) and the
-demanded outputs as integers once; a stage codes each point's transcript,
-groups the points by (transcript, local) and (transcript, rest) codes and
-builds its graph with graphs.confusability_graph; the vertex labels stay
-(local tuple, transcript), built twice per vertex (once by make_graph,
-once to map the vertex codes to ids). A transcript section
-whose points all demand one output is settled: from then on its points
-leave the chain, and each stage sees all settled mass as one lone vertex
-((), ()). The ordering decodes iff no live section is left after the
-last stage. A stage depends only on its prefix of the ordering, so
-_chain_eval walks the orderings in lexicographic order as a prefix tree:
-each stage (_Stage: graph, joint law, coloring's transcripts, live points
-and settled mass) is built once per distinct prefix, and the walk holds
-one path of at most Nr stages. Every ordering still solves each of its
-stages once, and the pick and the failures follow the supplied order.
+demanded outputs as integers once; a stage groups the live points by
+(section, local) and (section, rest) codes and builds its graph with
+graphs.confusability_graph; the vertex labels are (local tuple, section
+code), built twice per vertex (once by make_graph, once to map the vertex
+codes to ids). A section whose points all demand one output is settled:
+from then on its points leave the chain, and each stage sees the mass the
+live points leave as one lone vertex ((), ()). The ordering decodes iff
+no live section is left after the last stage. A stage reads only its
+server, the live points and their section codes, so _chain_eval builds
+each stage (_Stage: graph, joint law, the (earlier code, color) of each
+new code, live points and their codes) once per such state, and every
+ordering that reaches the state shares it. Every ordering still solves
+each of its stages once, and the pick and the failures follow the
+supplied order.
 """
 
 from __future__ import annotations
@@ -412,10 +412,10 @@ def chain_rate(
     union graph; each later server pays the conditional graph entropy of its
     side-information-extended graph given all previous transmissions.
 
-    A stage vertex is (local tuple, earlier transcript), so every server
-    hears the earlier transmissions and its color may depend on them: in
-    Orlitsky & Roche's terms, side information at both ends. prop3_rate's
-    stage cost eps_M^(l-1) h(eps_M) has the same shape.
+    A stage vertex is (local tuple, code of the earlier transcript), so
+    every server hears the earlier transmissions and its color may depend
+    on them: in Orlitsky & Roche's terms, side information at both ends.
+    prop3_rate's stage cost eps_M^(l-1) h(eps_M) has the same shape.
 
     A transmission is the minimum coloring of the current graph, which has
     no edge across the sections of the previous transcript (the decoder
@@ -436,11 +436,13 @@ def chain_rate(
     earliest in the supplied order; when none decodes, their failures are
     joined in the supplied order.
 
-    A stage's graph, coloring and transcripts depend only on the servers
-    before it and its own, so orderings that share a prefix share those
-    stages: _chain_eval walks the orderings as a prefix tree and builds
-    each stage once per distinct prefix. Each ordering still solves each of
-    its stages once.
+    A stage's graph and coloring depend only on its server and on the
+    live points with their section codes, not on the order in which the
+    earlier servers spoke or on the transcripts' names: every component of
+    a stage graph lies in one section, and inside a section the vertices
+    order by their local tuples alone. So _chain_eval builds each stage
+    once per such state, shared by every ordering that reaches it. Each
+    ordering still solves each of its stages once.
     """
     orderings = _normalize_orderings(t, ordering)
     items = support_items(d, p, joint)
@@ -494,31 +496,29 @@ def _stage_graph(
     codes: Sequence[int],
     masses: Sequence[float],
     outs: Sequence[int],
-    transcripts: Sequence[tuple[int, ...]],
-    settled: float,
 ) -> tuple[CharGraph, list[int]]:
     """A chain stage's graph and the vertex id of each live point, then of
-    the settled vertex if there is one, given the server's split, the live
-    points (ids into the split, masses and output codes) with their
-    transcript codes, the transcript of each code, and the settled mass.
-    The decoder knows the transcript, so it is part of both the vertex
-    (local tuple, transcript) and the completion (rest, transcript): only
-    live points with equal transcripts are confusable. A positive settled
-    mass enters as one point with a completion of its own, so it is one
-    lone vertex, labelled ((), ())."""
+    the settled vertex if there is one, given the server's split and the
+    live points (ids into the split, masses and output codes) with their
+    section codes. The decoder knows the section, so it is part of both the
+    vertex (local tuple, section code) and the completion (rest, section):
+    only live points of one section are confusable. The mass of the points
+    left out of live is settled: it enters as one point with a completion
+    of its own, so it is one lone vertex, labelled ((), ())."""
     nl, labels, local, rest = len(split.labels), split.labels, split.local, split.rest
     vertex = [c * nl + local[k] for c, k in zip(codes, live)]
     key = [c * split.n_rest + rest[k] for c, k in zip(codes, live)]
     mass = list(map(masses.__getitem__, live))
     out = list(map(outs.__getitem__, live))
+    settled = math.fsum(masses) - math.fsum(mass)
     if settled:  # -1: apart from every live vertex and key
         vertex.append(-1)
         key.append(-1)
         mass.append(settled)
         out.append(0)
 
-    def label(v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return ((), ()) if v < 0 else (labels[v % nl], transcripts[v // nl])
+    def label(v: int) -> tuple[tuple[int, ...], int | tuple[()]]:
+        return ((), ()) if v < 0 else (labels[v % nl], v // nl)
 
     g = confusability_graph(vertex, key, mass, out, label)
     index = {lab: i for i, lab in enumerate(g.vertices)}
@@ -527,65 +527,66 @@ def _stage_graph(
 
 
 def _settle(
-    live: list[int], codes: list[int], masses: Sequence[float], outs: Sequence[int]
-) -> tuple[list[int], list[int], float]:
-    """The points of live, and their codes, left once each transcript
-    section whose points all demand one output is dropped, and the mass
-    dropped. The lists passed in are never edited: a stage's parent is
-    shared by every ordering under it."""
+    live: Sequence[int], codes: Sequence[int], outs: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The points of live, and their codes, left once each section whose
+    points all demand one output is dropped."""
     pairs = set(zip(codes, map(outs.__getitem__, live)))  # (code, output) met
     one = dict(pairs)  # an output met by each code
     mixed = {c for c, o in pairs if one[c] != o}
-    if len(mixed) == len(one):
-        return live, codes, 0.0
     keep = [c in mixed for c in codes]
-    mass = math.fsum(masses[k] for k, kept in zip(live, keep) if not kept)
-    return list(compress(live, keep)), list(compress(codes, keep)), mass
+    return tuple(compress(live, keep)), tuple(compress(codes, keep))
 
 
 class _Stage(NamedTuple):
-    """A chain stage, built once per distinct prefix of the orderings: its
-    server, its graph and the joint law of its vertices with the earlier
-    transcript codes, then the state after it. A transcript section is live until all of its points demand one
-    output: live holds the points of the live sections (ids into the
-    support), codes their transcript codes and transcripts[c] the
-    transcript of code c; the settled sections are only their summed mass.
-    The root, before any server speaks, has server 0 and no graph."""
+    """A chain stage, built once per state it reads: its graph and the
+    joint law of its vertices with their section codes, then the state
+    after it. A section is live until all of its points demand one output:
+    live holds the points of the live sections (ids into the support) and
+    codes their section codes; coded[c] is the (earlier code, color) of
+    new code c, from which _transcript rebuilds a section's transcript.
+    The root, before any server speaks, has no graph."""
 
-    server: int
     graph: CharGraph | None
     joint: JointPmf | None
-    live: list[int]
-    codes: list[int]
-    transcripts: list[tuple[int, ...]]
-    settled: float
+    live: tuple[int, ...]
+    codes: tuple[int, ...]
+    coded: list[tuple[int, int]]
 
 
 def _next_stage(
-    parent: _Stage, server: int, split: ZoneSplit, masses: Sequence[float], outs: Sequence[int]
+    parent: _Stage, split: ZoneSplit, masses: Sequence[float], outs: Sequence[int]
 ) -> _Stage:
-    """The stage in which server speaks after parent's prefix. Its graph
-    depends only on that prefix and the server, since a completion key is
-    the earlier transcript and the server's rest; a key that also held the
-    later servers' coordinates would need the record keyed by the servers
-    still to come as well."""
-    live, codes, transcripts = parent.live, parent.codes, parent.transcripts
-    g, ids = _stage_graph(split, live, codes, masses, outs, transcripts, parent.settled)
+    """The stage in which the server of split speaks after parent. It reads
+    only the server and parent's live points and section codes: a
+    completion key is the section and the server's rest, and the settled
+    mass is what the live points leave."""
+    live, codes = parent.live, parent.codes
+    g, ids = _stage_graph(split, live, codes, masses, outs)
     # the settled vertex's side symbol is one of its own
-    side = codes + [len(transcripts)] * (len(ids) - len(live))
+    top = max(codes, default=-1) + 1
+    side = codes + (top,) * (len(ids) - len(live))
     joint = JointPmf(
-        (g.n, len(transcripts) + 1),
+        (g.n, top + 1),
         {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()},
     )
-    # colors need only separate inside the transcript section the decoder
-    # already knows; no edge of g leaves a section, so coloring g one
-    # component at a time colors each section on its own
+    # colors need only separate inside the section the decoder already
+    # knows; no edge of g leaves a section, so coloring g one component at
+    # a time colors each section on its own
     colors = min_coloring(g)
-    coded: dict[tuple[int, int], int] = {}  # (transcript code, color) -> next code
-    codes = [coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids)]
-    transcripts = [transcripts[c] + (color,) for c, color in coded]
-    live, codes, mass = _settle(live, codes, masses, outs)
-    return _Stage(server, g, joint, live, codes, transcripts, parent.settled + mass)
+    coded: dict[tuple[int, int], int] = {}  # (section code, color) -> next code
+    codes = tuple(coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids))
+    return _Stage(g, joint, *_settle(live, codes, outs), list(coded))
+
+
+def _transcript(path: Sequence[_Stage], code: int) -> tuple[int, ...]:
+    """The colors that led to section code at the end of path, whose first
+    stage is the root."""
+    colors = []
+    for stage in reversed(path[1:]):
+        code, color = stage.coded[code]
+        colors.append(color)
+    return tuple(reversed(colors))
 
 
 def _chain_eval(
@@ -596,24 +597,20 @@ def _chain_eval(
     orderings: Sequence[tuple[int, ...]],
 ) -> list[tuple[list[float], bool] | DecodeError]:
     """Each ordering's stage rates and convergence, or its DecodeError, in
-    the supplied order. The orderings are walked in lexicographic order as
-    a prefix tree: path holds the root and the stages of the last ordering,
-    an ordering keeps the stages of the prefix it shares with the last one
-    and builds the rest, so each distinct prefix is built once and only one
-    path is held at a time. Every ordering solves each of its stages."""
-    live, codes, settled = _settle(list(range(len(items))), [0] * len(items), masses, outs)
-    path = [_Stage(0, None, None, live, codes, [()], settled)]
-    results: list[Any] = [None] * len(orderings)
-    for i in sorted(range(len(orderings)), key=orderings.__getitem__):
-        order = orderings[i]
-        depth = 0
-        for stage, server in zip(path[1:], order):
-            if stage.server != server:
-                break
-            depth += 1
-        del path[depth + 1:]
-        for server in order[depth:]:
-            path.append(_next_stage(path[-1], server, splits[server], masses, outs))
+    the supplied order. A stage reads only its server, the live points and
+    their section codes, so built holds one stage per such key for the
+    call, and every ordering that reaches a key shares its stage. Every
+    ordering solves each of its stages."""
+    root = _Stage(None, None, *_settle(range(len(items)), (0,) * len(items), outs), [])
+    built: dict[tuple[int, tuple[int, ...], tuple[int, ...]], _Stage] = {}
+    results: list[tuple[list[float], bool] | DecodeError] = []
+    for order in orderings:
+        path = [root]
+        for server in order:
+            key = (server, path[-1].live, path[-1].codes)
+            if key not in built:
+                built[key] = _next_stage(path[-1], splits[server], masses, outs)
+            path.append(built[key])
 
         rates: list[float] = []
         converged = True
@@ -628,14 +625,14 @@ def _chain_eval(
             decoding_map(
                 ((c, items[k][2]) for k, c in zip(last.live, last.codes)),
                 lambda c, a, b: DecodeError(
-                    f"ordering {order} is insufficient: transcript {last.transcripts[c]} is "
+                    f"ordering {order} is insufficient: transcript {_transcript(path, c)} is "
                     f"consistent with demands {a} and {b}"
                 ),
             )
         except DecodeError as exc:
-            results[i] = exc
+            results.append(exc)
         else:
-            results[i] = (rates, converged)
+            results.append((rates, converged))
     return results
 
 

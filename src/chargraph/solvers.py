@@ -56,12 +56,9 @@ from .graphs import (
 )
 from .probability import JointPmf
 
-_NEG_BIG = -1e18  # stand-in for log(0) that survives multiplication by weights
-
 TOL = 1e-9  # stop a restart when its objective improves by less than this
 MAX_ITERS = 100_000
 RESTARTS = 8  # the first restart starts uniform, the rest at random
-
 
 
 @dataclass(frozen=True)
@@ -108,16 +105,6 @@ def _xlog2x(a: np.ndarray) -> np.ndarray:
     return a * np.log2(np.where(a > 0, a, 1.0))
 
 
-def _log_joint(Q: np.ndarray) -> np.ndarray:
-    """log Q, with _NEG_BIG on a zero cell (no x in u meets y, or P
-    underflowed on all that do); the 1e-300 floor keeps x log x at 0 on a
-    cell that underflows to 0."""
-    logQ = np.log(np.maximum(Q, 1e-300))
-    if np.count_nonzero(Q) < Q.size:  # cheaper than Q.all() on these small arrays
-        logQ[Q == 0] = _NEG_BIG
-    return logQ
-
-
 def _column_steps(mask: np.ndarray, p_x: np.ndarray, Q: np.ndarray):
     """I(X;U) in nats at each step from the second, for a one-column block
     whose first step has the (MIS, restart) marginal Q. Each iterate from
@@ -143,8 +130,11 @@ def _general_steps(mask: np.ndarray, W: np.ndarray, p_x: np.ndarray, logQ: np.nd
     cells, with L = log Q @ p(y|x)^T, c its max over u and s the normalizing
     sum. Since sum_x p(x) sum_u P' L = sum_{u,y} Q' log Q, the identity
     sum_x p(x) sum_u P' log P' = sum_{u,y} Q' log Q - p . (c + log s) holds
-    exactly for the same log Q array, _NEG_BIG stand-ins included, and
-    -H(U|X) comes from the normalizer, not from P' log P' over the tensor."""
+    exactly for the same log Q array, and -H(U|X) comes from the
+    normalizer, not from P' log P' over the tensor. log Q is floored at
+    log 1e-300, which keeps x log x at 0 where Q underflows. A cell where
+    Q is 0 because no x of u meets y weighs nothing: every x of u has
+    p(y|x) = 0 in the update, and Q'(u, y) = 0 in the objective."""
     n, m = mask.shape
     ny = W.shape[1]
     # p(y|x) as (y, x); every vertex mass is positive
@@ -163,7 +153,7 @@ def _general_steps(mask: np.ndarray, W: np.ndarray, p_x: np.ndarray, logQ: np.nd
         P /= s
         Q = P.reshape(m * RESTARTS, n) @ W
         log_ratio = logQ
-        logQ = _log_joint(Q)
+        logQ = np.log(np.maximum(Q, 1e-300))
         log_ratio -= logQ
         # H(U,Y) - H(U|X) = sum_{u,y} Q' log(Q / Q') - p . (c + log s), summed
         # over u and y per restart by two matrix-vector products
@@ -200,10 +190,10 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     # along axis 0, elementwise across rows
     P = np.ascontiguousarray(_start(mask).transpose(2, 0, 1))
     Q = P.reshape(m * RESTARTS, n) @ W  # joint of (U, Y), rows (u, r)
-    logQ = _log_joint(Q)
+    logQ = np.log(np.maximum(Q, 1e-300))
     # I(X;U|Y) = H(U|Y) - H(U|X), and H(U|Y) = H(U,Y) - H(Y) since
-    # sum_u Q(u,y) = p(y). The 1e-300 floor keeps x log x at 0 on the cells
-    # outside the mask
+    # sum_u Q(u,y) = p(y). The 1e-300 floors keep x log x at 0 on the cells
+    # of Q that are 0 and on those of P outside the mask
     neg_h_u_given_x = (P * np.log(np.maximum(P, 1e-300))).sum(axis=0) @ p_x
     neg_h_uy = (Q * logQ).reshape(m, RESTARTS, ny).sum(axis=(0, 2))
     if ny == 1:

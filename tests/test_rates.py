@@ -25,6 +25,7 @@ from chargraph.graphs import (
     greedy_coloring,
     integer_codes,
     make_graph,
+    support_items,
     validate_coloring,
     zone_split,
 )
@@ -630,11 +631,13 @@ def test_near_tied_orderings_go_to_the_earliest():
     assert rr.metadata["ordering"] == list(tied[0])
 
 
-def _walk_instance(rng, kind):
+def _walk_instance(rng, kind, sparse=False):
     """A seeded chain instance: N = K in 3..5, Nr in 2..4, a parity, AND or
-    random GF(2) demand, and eps in (0, 1)."""
+    random GF(2) demand, and eps in (0, 1); sparse puts random masses on
+    2 to 2/3 of the cube's points instead of the i.i.d. law, with Nr >= 3
+    so that two prefixes can reach one state."""
     n = rng.randint(3, 5)
-    nr = rng.randint(2, min(4, n))
+    nr = rng.randint(3 if sparse else 2, min(4, n))
     if kind == "parity":
         d = LinearlySeparable(q=2, gamma=((1,) * n,))
     elif kind == "and":
@@ -645,7 +648,47 @@ def _walk_instance(rng, kind):
             row[rng.randrange(n)] = 1  # no constant demand
         d = LinearlySeparable(q=2, gamma=tuple(map(tuple, rows)))
     t = topo(n, n, nr, kc=d.kc)
-    return t, cyclic_placement(t), d, iid_bernoulli_joint(n, rng.uniform(0.02, 0.98))
+    joint = iid_bernoulli_joint(n, rng.uniform(0.02, 0.98))
+    if sparse:
+        cube = list(itertools.product((0, 1), repeat=n))
+        support = rng.sample(cube, rng.randint(2, len(cube) * 2 // 3))
+        masses = [rng.uniform(0.05, 1.0) for _ in support]
+        joint = JointPmf((2,) * n, {w: m / math.fsum(masses) for w, m in zip(support, masses)})
+    return t, cyclic_placement(t), d, joint
+
+
+def _chain_inputs(p, d, joint):
+    """The support items, masses, output codes and points chain_rate passes
+    to rates._chain_eval."""
+    items = support_items(d, p, joint)
+    outs, _ = integer_codes(dem for _, _, dem in items)
+    return items, [m for _, m, _ in items], outs, [w for w, _, _ in items]
+
+
+def _stage_results(p, d, joint, orders):
+    """rates._chain_eval on orders in one call: each ordering's stage rates
+    and convergence, or its DecodeError's text."""
+    items, masses, outs, ws = _chain_inputs(p, d, joint)
+    splits = {s: zone_split(ws, p.zone0(s)) for o in orders for s in o}
+    return [r if isinstance(r, tuple) else str(r)
+            for r in rates._chain_eval(items, masses, outs, splits, orders)]
+
+
+def _state_transcripts(p, d, joint, orders):
+    """Each stage key (server, live points, section codes) that the
+    orderings reach, with the set of the live sections' transcripts along
+    each prefix that reaches it; every stage is built afresh."""
+    items, masses, outs, ws = _chain_inputs(p, d, joint)
+    root = rates._Stage(None, None, *rates._settle(range(len(items)), (0,) * len(items), outs), [])
+    seen = {}
+    for order in orders:
+        path = [root]
+        for server in order:
+            key = (server, path[-1].live, path[-1].codes)
+            names = tuple(rates._transcript(path, c) for c in path[-1].codes)
+            seen.setdefault(key, set()).add(names)
+            path.append(rates._next_stage(path[-1], zone_split(ws, p.zone0(server)), masses, outs))
+    return seen
 
 
 def _one_by_one(t, p, d, joint, orders):
@@ -678,14 +721,10 @@ def _assert_walk_matches_one_by_one(t, p, d, joint, orders):
     assert got.metadata["orderings_tried"] == len(orders)
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("kind", ["parity", "and", "gf2"])
-def test_prefix_walk_matches_each_ordering_alone(kind, seed):
-    # the walk builds each distinct prefix once and visits the orderings in
-    # lexicographic order; its pick and its failures must be those of the
-    # orderings taken one by one in the supplied order
-    rng = random.Random(f"{kind}-{seed}")
-    t, p, d, joint = _walk_instance(rng, kind)
+def _check_walk(rng, t, p, d, joint):
+    """All orderings of servers 1..Nr with a duplicate, a shorter ordering
+    and a failing lone server, shuffled: the walk's stage results, pick and
+    failures against the orderings one by one; then lone servers alone."""
     orders = list(itertools.permutations(range(1, t.nr + 1)))
     orders.append(rng.choice(orders))  # a duplicate
     orders.append(orders[0][: rng.randint(1, t.nr - 1)])  # a shorter ordering
@@ -693,13 +732,38 @@ def test_prefix_walk_matches_each_ordering_alone(kind, seed):
     lone = [(s,) for s in range(1, t.n + 1)]
     failing = [o for o, rr in zip(lone, _one_by_one(t, p, d, joint, lone))
                if isinstance(rr, DecodeError)]
-    orders.append(failing[0])
+    orders += failing[:1]
     rng.shuffle(orders)
     _assert_walk_matches_one_by_one(t, p, d, joint, orders)
-    # no ordering decodes: shuffled lone servers with a repeat
-    failing.append(failing[0])
-    rng.shuffle(failing)
-    _assert_walk_matches_one_by_one(t, p, d, joint, failing)
+    assert _stage_results(p, d, joint, orders) == [
+        r for o in orders for r in _stage_results(p, d, joint, [o])
+    ]
+    if failing:
+        # no ordering decodes: shuffled lone servers with a repeat
+        failing.append(failing[0])
+        rng.shuffle(failing)
+        _assert_walk_matches_one_by_one(t, p, d, joint, failing)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["parity", "and", "gf2"])
+def test_prefix_walk_matches_each_ordering_alone(kind, seed):
+    # the walk builds each stage once per state (server, live points,
+    # section codes) and shares it between the orderings that reach it;
+    # every ordering's stage rates or DecodeError text, the pick and the
+    # joined failures must be those of the orderings taken one by one
+    rng = random.Random(f"{kind}-{seed}")
+    _check_walk(rng, *_walk_instance(rng, kind))
+    # a sparse random support, drawn until prefixes whose transcripts
+    # differ reach one state
+    for _ in range(50):
+        t, p, d, joint = _walk_instance(rng, kind, sparse=True)
+        orders = list(itertools.permutations(range(1, t.nr + 1)))
+        if any(len(names) > 1 for names in _state_transcripts(p, d, joint, orders).values()):
+            break
+    else:
+        pytest.fail("no sparse draw reaches one state through differing transcripts")
+    _check_walk(rng, t, p, d, joint)
 
 
 def _solves(t, p, d, joint, orders):
@@ -789,57 +853,65 @@ def test_scenario1_graph_rate_against_the_chain(n):
                     assert s1 >= chain.sum_rate
 
 
-# transcripts a stage may meet; (10,) and (2,) sort one way as tuples and
-# the other way by repr, which orders the vertices
-TRANSCRIPT_POOL = [(), (0,), (1,), (2,), (10,), (0, 12), (1, 3), (10, 2), (2, 10)]
+# section codes a stage may meet; 10 and 2 sort one way as ints and the
+# other way by repr, which orders the vertices
+CODE_POOL = [0, 1, 2, 3, 10, 12, 21, 100]
 
 
-def _stage_by_definition(points, transcripts):
-    """The stage graph from its definition: vertices (local tuple,
-    transcript) in repr order with their total masses, and two vertices
-    adjacent when some pair of their points shares (rest, transcript) but
-    not the outputs. points holds (local, rest, mass, outputs)."""
-    masses = {}
-    for (x, _, m, _), y in zip(points, transcripts):
+def _stage_by_definition(points, codes, settled=0.0):
+    """The stage graph from its definition: vertices (local tuple, section
+    code) in repr order with their total masses, and two vertices adjacent
+    when some pair of their points shares (rest, section) but not the
+    outputs; a positive settled mass adds the lone vertex ((), ()). points
+    holds (local, rest, mass, outputs)."""
+    masses = {((), ()): settled} if settled else {}
+    for (x, _, m, _), y in zip(points, codes):
         masses[(x, y)] = masses.get((x, y), 0.0) + m
     vertices = sorted(masses, key=repr)
     total = math.fsum(masses.values())
     idx = {v: i for i, v in enumerate(vertices)}
     nbrs = [set() for _ in vertices]
-    for (xa, ra, _, oa), ya in zip(points, transcripts):
-        for (xb, rb, _, ob), yb in zip(points, transcripts):
+    for (xa, ra, _, oa), ya in zip(points, codes):
+        for (xb, rb, _, ob), yb in zip(points, codes):
             if (ra, ya) == (rb, yb) and oa != ob:
                 nbrs[idx[(xa, ya)]].add(idx[(xb, yb)])
     return tuple(vertices), tuple(map(frozenset, nbrs)), tuple(masses[v] / total for v in vertices)
 
 
 def _check_stage_graph(ws, zone, rng):
-    """Random masses, outputs and transcripts on the support ws: the coded
-    stage builder against the definition."""
+    """Random masses, outputs and section codes on the support ws: the
+    coded stage builder against the definition, with every point live and
+    with a random part of them left out as settled mass."""
     masses = [rng.uniform(0.05, 1.0) for _ in ws]
     masses = [m / math.fsum(masses) for m in masses]
     outputs = [(rng.randrange(2), rng.randrange(2)) for _ in ws]
-    transcripts = [rng.choice(TRANSCRIPT_POOL) for _ in ws]
+    codes = [rng.choice(CODE_POOL) for _ in ws]
     rest_coords = [c for c in range(len(ws[0])) if c not in zone]
     points = [
         (tuple(w[c] for c in zone), tuple(w[c] for c in rest_coords), m, o)
         for w, m, o in zip(ws, masses, outputs)
     ]
-    codes, by_code = integer_codes(transcripts)
     outs, _ = integer_codes(outputs)
     split, live = zone_split(ws, zone), list(range(len(ws)))  # every point live
-    g, ids = rates._stage_graph(split, live, codes, masses, outs, by_code, 0.0)
-    vertices, neighbors, pmf = _stage_by_definition(points, transcripts)
+    g, ids = rates._stage_graph(split, live, codes, masses, outs)
+    vertices, neighbors, pmf = _stage_by_definition(points, codes)
     assert g.vertices == vertices
     assert g.neighbors == neighbors
     assert g.pmf == pmf
-    assert [g.vertices[i] for i in ids] == [(x, y) for (x, _, _, _), y in zip(points, transcripts)]
-    # settled mass adds one lone vertex ((), ()), which sorts first by repr,
-    # and keeps every other vertex, its order and its edges
-    h, h_ids = rates._stage_graph(split, live, codes, masses, outs, by_code, 0.5)
-    assert h.vertices == (((), ()),) + vertices and h.pmf[0] == pytest.approx(1 / 3)
-    assert h.neighbors == (frozenset(),) + tuple(frozenset(j + 1 for j in s) for s in neighbors)
-    assert h_ids == [i + 1 for i in ids] + [0]
+    assert [g.vertices[i] for i in ids] == [(x, y) for (x, _, _, _), y in zip(points, codes)]
+    # the points left out of live are settled: their mass is one lone
+    # vertex ((), ()), which sorts first by repr, and the live points keep
+    # the vertices, order and edges of their own definition
+    live = sorted(rng.sample(live, rng.randint(0, len(ws) - 1)))
+    settled = math.fsum(m for k, m in enumerate(masses) if k not in live)
+    h, h_ids = rates._stage_graph(split, live, [codes[k] for k in live], masses, outs)
+    vertices, neighbors, pmf = _stage_by_definition(
+        [points[k] for k in live], [codes[k] for k in live], settled
+    )
+    assert h.vertices[0] == ((), ()) and h.vertices == vertices
+    assert h.neighbors == neighbors and h.neighbors[0] == frozenset()
+    assert h.pmf == pytest.approx(pmf, rel=1e-12) and h.pmf[0] == pytest.approx(settled)
+    assert h_ids == [vertices.index((points[k][0], codes[k])) for k in live] + [0]
     return g
 
 
@@ -861,10 +933,10 @@ def test_stage_graph_on_overlapping_zones(server):
     assert len(zone) == 2
     ws = list(itertools.product((0, 1), repeat=7))
     g = _check_stage_graph(ws, zone, random.Random(server))
-    # among the vertices of one local tuple, the two-digit transcript sorts
-    # before (2,) by repr, not after it as a tuple
+    # among the vertices of one local tuple, the two-digit code sorts
+    # before 2 by repr, not after it as an int
     ys = [y for x, y in g.vertices if x == g.vertices[0][0]]
-    assert ys.index((10,)) < ys.index((2,))
+    assert ys.index(10) < ys.index(2)
 
 
 # each point's demanded outputs; "random" draws an output code per point
@@ -897,7 +969,7 @@ def _reference_chain(ws, zones, order, masses, outs):
             sections.setdefault(c, set()).add(o)
         meets_settled += any(len(s) == 1 for s in sections.values())
         split = zone_split(ws, zones[server])
-        g, ids = rates._stage_graph(split, range(n), codes, masses, outs, transcripts, 0.0)
+        g, ids = rates._stage_graph(split, range(n), codes, masses, outs)
         values.append(_stage_value(g, ids, codes, len(transcripts)))
         colors = min_coloring(g)
         coded = {}
@@ -1001,12 +1073,14 @@ def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
 
 
 @pytest.mark.parametrize("stem, n, nr, grid, builds", [
-    ("and5", 5, 4, (0.1, 0.2, 0.3, 0.4), 4 + 12 + 24 + 24),
-    ("and6", 6, 6, (0.1,), 6 + 30 + 120 + 360 + 720 + 720),
+    ("and5", 5, 4, (0.1, 0.2, 0.3, 0.4), 4 * 2**3),
+    ("and6", 6, 6, (0.1,), 6 * 2**5),
 ])
-def test_chain_builds_each_prefix_once(monkeypatch, stem, n, nr, grid, builds):
-    # a stage is built (and colored) once per distinct prefix of the
-    # orderings, sum_k Nr!/(Nr - k)!, and solved once per ordering and stage
+def test_chain_builds_each_state_once(monkeypatch, stem, n, nr, grid, builds):
+    # a stage is built (and colored) once per state it reads, and for AND
+    # at these sizes the set of servers that have spoken fixes the state:
+    # Nr 2^(Nr - 1) builds, one per server and set of the others. Each
+    # ordering still solves each of its stages once
     with open(Path(__file__).resolve().parents[1] / f"perfbench/inputs/{stem}.json") as fh:
         d = demand_from_json(json.load(fh), k=n)
     t = topo(n, n, nr)

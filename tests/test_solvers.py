@@ -422,9 +422,9 @@ class TestIterativeKernel:
         # the block-by-block paths never reach: the same iterates as the
         # einsum loop, up to rounding. Every other law has zero cells, as in
         # configs/ternary_conditional.json, so that in many of them some MIS
-        # u meets no x of some symbol y: Q(u, y) = 0, and the _NEG_BIG
-        # stand-in sits in the log Q array that both the update and the
-        # H(U|X) taken from its normalizer read
+        # u meets no x of some symbol y: Q(u, y) = 0, and the floored
+        # log Q there sits in the array that both the update and the
+        # H(U|X) taken from its normalizer read, weighted by zeros
         rng = random.Random(20261018)
         checked = zero_joint_cells = 0
         while checked < 80:
