@@ -1,6 +1,15 @@
 """Batch command-line front end: placements, entropy solves, and scenario
 sweeps emitted as CSV/JSON tables for external plotting.
 
+A sweep's grid is a pair of arrays (eps, param). A closed-form scenario
+prices the whole grid in one call of its rates.*_grid function; custom runs
+one chain_rate per eps point. Either way the sweep yields the R_graph,
+R_lin and R_SW columns, and the gains and rows are assembled from columns.
+JSON is written from one row template (repr of each float, null for a
+non-finite one), byte-identical to json.dumps(payload, indent=2,
+allow_nan=False), which with indent set would run CPython's pure-Python
+encoder on every row.
+
 Exit codes: 0 success, 2 bad input (an invalid value, or a file that cannot
 be read or written), 3 desk-scale guard, 4 solver non-convergence.
 """
@@ -23,21 +32,23 @@ from .functions import demand_from_json
 from .graphs import make_graph
 from .probability import CONSTRUCTION_TOL, JointPmf, crossover_feasible, iid_bernoulli_joint
 from .rates import (
-    GainReport,
     chain_rate,
-    gains,
-    multilinear_rates,
+    gain_ratio,
+    multilinear_grid,
     prop1_rate,
-    scenario1_rates,
-    scenario2_diniz_rates,
-    scenario2_table2_rates,
-    scenario3_rates,
+    scenario1_grid,
+    scenario2_diniz_grid,
+    scenario2_table2_grid,
+    scenario3_grid,
     slepian_wolf_rate,
 )
 from .solvers import conditional_graph_entropy, graph_entropy
 from .topology import Topology, cyclic_placement, placement_from_json, placement_to_json
 
-CSV_HEADER = "eps,param,R_graph,R_lin,R_SW,eta_lin,eta_SW"
+COLUMNS = ("eps", "param", "R_graph", "R_lin", "R_SW", "eta_lin", "eta_SW")
+CSV_HEADER = ",".join(COLUMNS)
+# one row of json.dumps(payload, indent=2): each %s is a value's JSON text
+JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in COLUMNS) + "\n    }"
 FORMATS = ("csv", "json")
 MAX_CHAIN_SERVERS = 6  # orderings grow factorially; cap the exhaustive sweep
 
@@ -86,11 +97,6 @@ READS = {
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _grid_values(grid: tuple[float, float, int]) -> list[float]:
-    a, b, count = grid
-    return [float(v) for v in np.linspace(a, b, count)]
 
 
 def _make_topology(n: int, k: int, kc: int, nr: int) -> Topology:
@@ -150,20 +156,22 @@ def _config(args: argparse.Namespace) -> dict[str, Any]:
     return cfg
 
 
-def _points(cfg: dict[str, Any]) -> list[tuple[float, float]]:
-    eps_values = _grid_values(cfg.get("eps_grid", (0.1, 0.5, 5)))
+def _points(cfg: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's grid points as arrays of eps and param, eps-major."""
+    eps = np.linspace(*cfg.get("eps_grid", (0.1, 0.5, 5)))
     if "p_grid" in cfg:
         # crossed sweeps run past the pair model's validity boundary
         # (p' = eps*p/(1-eps) <= 1); each curve simply ends there
-        ps = _grid_values(cfg["p_grid"])
-        points = [(e, p) for e in eps_values for p in ps if crossover_feasible(e, p)]
-        if not points:
+        e, p = (a.ravel() for a in np.meshgrid(eps, np.linspace(*cfg["p_grid"]), indexing="ij"))
+        keep = crossover_feasible(e, p)
+        if not keep.any():
             raise ValidationError("no feasible (eps, p) grid points: eps*p must not exceed 1-eps")
-        return points
+        return e[keep], p[keep]
     if cfg["scenario"] == "s2-table2":
-        return [(e, 1.0 - e) for e in eps_values]  # independent pair
-    rhos = _grid_values(cfg["rho_grid"]) if "rho_grid" in cfg else [0.0]
-    return [(e, r) for e in eps_values for r in rhos]
+        return eps, 1.0 - eps  # independent pair
+    rhos = np.linspace(*cfg["rho_grid"]) if "rho_grid" in cfg else np.zeros(1)
+    e, r = np.meshgrid(eps, rhos, indexing="ij")
+    return e.ravel(), r.ravel()
 
 
 def _topology(cfg: dict[str, Any], kc: int) -> Topology:
@@ -172,25 +180,31 @@ def _topology(cfg: dict[str, Any], kc: int) -> Topology:
     return _make_topology(cfg["n"], cfg["k"], kc, cfg["nr"])
 
 
-def _evaluator(cfg: dict[str, Any]) -> Callable[[float, float], GainReport]:
-    """The scenario's (eps, param) -> GainReport, with its topology and
-    input files read once for the whole sweep."""
+# a sweep's evaluation: the grid's (eps, param) arrays -> the R_graph, R_lin
+# and R_SW columns, and whether every solve converged
+Evaluate = Callable[[np.ndarray, np.ndarray], tuple[tuple[Any, Any, Any], bool]]
+
+
+def _evaluator(cfg: dict[str, Any]) -> Evaluate:
+    """The scenario's evaluation, with its topology and input files read
+    once for the whole sweep. A closed form prices the whole grid at once,
+    and its domain checks run over the whole grid before any row exists."""
     scenario = cfg["scenario"]
     if scenario == "s2-table2":
-        return scenario2_table2_rates
+        return lambda eps, p: (scenario2_table2_grid(eps, p).sum_rates(), True)
     if scenario == "s2-diniz":
-        return scenario2_diniz_rates
+        return lambda eps, rho: (scenario2_diniz_grid(eps, rho).sum_rates(), True)
     if scenario == "custom":
         return _custom_evaluator(cfg)
     t = _topology(cfg, cfg.get("kc", 1))
     if scenario == "s1":
-        return lambda eps, rho: scenario1_rates(t, eps, rho)
+        return lambda eps, rho: (scenario1_grid(t, eps, rho).sum_rates(), True)
     if scenario == "s3":
-        return lambda eps, _: scenario3_rates(t, eps)
-    return lambda eps, _: multilinear_rates(t, eps)
+        return lambda eps, _: (scenario3_grid(t, eps).sum_rates(), True)
+    return lambda eps, _: (multilinear_grid(t, eps).sum_rates(), True)
 
 
-def _custom_evaluator(cfg: dict[str, Any]) -> Callable[[float, float], GainReport]:
+def _custom_evaluator(cfg: dict[str, Any]) -> Evaluate:
     if "demand" not in cfg:
         raise ValidationError("custom scenario needs --demand (a demand JSON file)")
     d = demand_from_json(_load_json(cfg["demand"]), k=cfg.get("k"))
@@ -207,47 +221,49 @@ def _custom_evaluator(cfg: dict[str, Any]) -> Callable[[float, float], GainRepor
             f"Nr={t.nr} exceeds {MAX_CHAIN_SERVERS}"
         )
     orderings = list(permutations(range(1, t.nr + 1)))
-    lin = prop1_rate(t)
+    lin = prop1_rate(t).sum_rate
 
-    def evaluate(eps: float, _: float) -> GainReport:
-        joint = iid_bernoulli_joint(t.k, eps)
-        return gains(chain_rate(t, p, d, joint, orderings), lin, slepian_wolf_rate(joint, t, p))
+    def evaluate(eps: np.ndarray, _: np.ndarray) -> tuple[tuple[Any, Any, Any], bool]:
+        graph, sw = [], []
+        converged = True
+        for e in eps.tolist():  # one chain per point, in grid order
+            joint = iid_bernoulli_joint(t.k, e)
+            rr = chain_rate(t, p, d, joint, orderings)
+            converged = converged and rr.metadata["converged"]
+            graph.append(rr.sum_rate)
+            sw.append(slepian_wolf_rate(joint, t, p).sum_rate)
+        return (graph, lin, sw), converged
 
     return evaluate
 
 
-def _scenario_rows(
-    points: Sequence[tuple[float, float]], evaluate: Callable[[float, float], GainReport]
-) -> tuple[list[dict[str, float]], bool]:
-    rows = []
-    converged = True
-    for eps, param in points:
-        g = evaluate(eps, param)
-        converged = converged and bool(g.graph.metadata.get("converged", True))
-        rows.append(
-            {
-                "eps": eps,
-                "param": param,
-                "R_graph": g.graph.sum_rate,
-                "R_lin": g.lin.sum_rate,
-                "R_SW": g.sw.sum_rate,
-                "eta_lin": g.eta_lin,
-                "eta_SW": g.eta_sw,
-            }
-        )
-    return rows, converged
+def _columns(
+    eps: np.ndarray, param: np.ndarray, rates: tuple[Any, Any, Any]
+) -> list[list[float]]:
+    """The table's columns, in COLUMNS order, as lists of Python floats."""
+    graph, lin, sw = rates
+    columns = (eps, param, graph, lin, sw, gain_ratio(lin, graph), gain_ratio(sw, graph))
+    return [c.tolist() for c in np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))]
 
 
-def _render_csv(rows: Sequence[dict[str, float]]) -> str:
+def _render_csv(columns: Sequence[Sequence[float]]) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                f"{r[c]:.9g}"
-                for c in ("eps", "param", "R_graph", "R_lin", "R_SW", "eta_lin", "eta_SW")
-            )
-        )
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.9g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _render_json(scenario: str, columns: Sequence[Sequence[float]]) -> str:
+    """json.dumps({"scenario": scenario, "rows": [row dicts]}, indent=2,
+    allow_nan=False) + newline, byte for byte. RFC 8259 has no Infinity or
+    NaN: a non-finite value (the gain at a zero graph rate) is written as
+    null."""
+    texts = [
+        [repr(v) if math.isfinite(v) else "null" for v in column] for column in columns
+    ]
+    rows = ",\n".join(JSON_ROW % row for row in zip(*texts))
+    body = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{{\n  "scenario": {json.dumps(scenario)},\n  "rows": {body}\n}}\n'
 
 
 @contextlib.contextmanager
@@ -355,22 +371,17 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    points = _points(cfg)
+    eps, param = _points(cfg)
     evaluate = _evaluator(cfg)
-    # --out is opened before the first row, so an unwritable path exits 2
-    # at once instead of after the whole sweep
+    # --out is opened before the sweep, so an unwritable path exits 2 at
+    # once instead of after the whole sweep
     with _output(cfg.get("out")) as fh:
-        rows, converged = _scenario_rows(points, evaluate)
+        rates, converged = evaluate(eps, param)
+        columns = _columns(eps, param, rates)
         if cfg["format"] == "csv":
-            fh.write(_render_csv(rows))
+            fh.write(_render_csv(columns))
         else:
-            # RFC 8259 has no Infinity or NaN: a non-finite value (the gain
-            # at a zero graph rate) is written as null
-            payload = {
-                "scenario": cfg["scenario"],
-                "rows": [{c: v if math.isfinite(v) else None for c, v in r.items()} for r in rows],
-            }
-            fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+            fh.write(_render_json(cfg["scenario"], columns))
     return 0 if converged else 4
 
 

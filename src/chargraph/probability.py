@@ -2,6 +2,12 @@
 
 Everything is in bits (log base 2) with the convention 0*log2(0) = 0.
 Rates counted in q-ary symbols elsewhere are converted as bits/log2(q).
+
+The closed-form model functions (binary_entropy, parity_param,
+product_param, diniz_parity, diniz_entropy, diniz_sum_entropy,
+crossover_feasible) take a float or an array of laws: an array is checked
+whole before any value is computed, the first offending value naming the
+error, and priced elementwise in one numpy pass; a float gives a float.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import DeskScaleError, ModelIntegrityError, ValidationError
 
@@ -23,11 +31,38 @@ def _plog2p(p: float) -> float:
     return -p * math.log2(p) if p > 0.0 else 0.0
 
 
-def binary_entropy(p: float) -> float:
+Grid = float | np.ndarray  # one law's parameter, or one per grid point
+
+
+def _floats(x: np.ndarray) -> Grid:
+    """A 0-d result as a Python float, so that a scalar caller gets a float."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def check_all(ok: Grid, message: str, value: Grid) -> None:
+    """Raise ValidationError(message with value's entry filled in) at the
+    first grid point where ok fails."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        first = int(np.argmin(ok))  # the first False
+        raise ValidationError(message.format(np.broadcast_to(value, ok.shape).flat[first].item()))
+
+
+def _check_unit(x: Grid, message: str) -> None:
+    check_all((0.0 <= x) & (x <= 1.0), message, x)
+
+
+def _plog2p_grid(p: np.ndarray) -> np.ndarray:
+    """-p log2 p elementwise, 0 where p is 0 (no log of 0 is taken)."""
+    positive = p > 0.0
+    return np.where(positive, -p * np.log2(np.where(positive, p, 1.0)), 0.0)
+
+
+def binary_entropy(p: Grid) -> Grid:
     """h(p) in bits; defined on [0,1] with h(0)=h(1)=0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"binary_entropy argument {p} outside [0,1]")
-    return _plog2p(p) + _plog2p(1.0 - p)
+    _check_unit(p, "binary_entropy argument {} outside [0,1]")
+    p = np.asarray(p, dtype=float)
+    return _floats(_plog2p_grid(p) + _plog2p_grid(1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -115,8 +150,8 @@ def _joint_from_masses(
     return JointPmf(sizes, {c: m / total for c, m in cells.items() if m > 0.0})
 
 
-def _check_mixture(epsilon: float, rho: float) -> None:
-    if not 0.0 <= epsilon <= 1.0 or not 0.0 <= rho <= 1.0:
+def _check_mixture(epsilon: Grid, rho: Grid) -> None:
+    if not np.all((0.0 <= epsilon) & (epsilon <= 1.0) & (0.0 <= rho) & (rho <= 1.0)):
         raise ValidationError("epsilon and rho must lie in [0,1]")
 
 
@@ -132,26 +167,25 @@ def uniform_joint(q: int, k: int) -> JointPmf:
     return product_joint([[1.0 / q] * q] * k)
 
 
-def parity_param(l: int, epsilon: float) -> float:
+def parity_param(l: int, epsilon: Grid) -> Grid:
     """P(mod-2 sum of l i.i.d. Bern(eps) bits = 1), by the recursion
     eps_l = (1-eps_{l-1})*eps + eps_{l-1}*(1-eps), eps_1 = eps."""
     if l < 1:
         raise ValidationError("l must be >= 1")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
+    _check_unit(epsilon, "epsilon {} outside [0,1]")
+    epsilon = np.asarray(epsilon, dtype=float)
     e = epsilon
     for _ in range(l - 1):
         e = (1.0 - e) * epsilon + e * (1.0 - epsilon)
-    return e
+    return _floats(e)
 
 
-def product_param(l: int, epsilon: float) -> float:
+def product_param(l: int, epsilon: Grid) -> Grid:
     """P(product of l i.i.d. Bern(eps) bits = 1) = eps^l."""
     if l < 1:
         raise ValidationError("l must be >= 1")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
-    return epsilon**l
+    _check_unit(epsilon, "epsilon {} outside [0,1]")
+    return _floats(np.asarray(epsilon, dtype=float) ** l)
 
 
 def diniz_joint(k: int, epsilon: float, rho: float) -> JointPmf:
@@ -172,15 +206,16 @@ def diniz_joint(k: int, epsilon: float, rho: float) -> JointPmf:
     return _joint_from_masses((k + 1,), cells)
 
 
-def diniz_parity(l: int, epsilon: float, rho: float) -> float:
+def diniz_parity(l: int, epsilon: Grid, rho: Grid) -> Grid:
     """Odd-sum mass of the l-variable correlated model (restriction is closed:
     any l of the K variables follow the same mixture with K replaced by l)."""
     _check_mixture(epsilon, rho)
+    epsilon, rho = np.asarray(epsilon, dtype=float), np.asarray(rho, dtype=float)
     if l == 0:
-        return 0.0
-    return (1.0 - rho) * parity_param(l, epsilon) + (
+        return _floats(np.zeros(np.broadcast(epsilon, rho).shape))
+    return _floats((1.0 - rho) * parity_param(l, epsilon) + (
         rho * epsilon if l % 2 == 1 else 0.0
-    )
+    ))
 
 
 def diniz_pair_joint(epsilon: float, rho: float) -> JointPmf:
@@ -196,32 +231,43 @@ def diniz_pair_joint(epsilon: float, rho: float) -> JointPmf:
     return _joint_from_masses((2, 2), cells)
 
 
-def diniz_entropy(k: int, epsilon: float, rho: float) -> float:
+def _weight_classes(k: int, epsilon: Grid, rho: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture model's mass of one K-bit tuple of weight y, and the
+    number of such tuples, for y = 0..K on axis 0; K and the law are
+    checked first."""
+    if k < 1:
+        raise ValidationError("K must be >= 1")
+    _check_mixture(epsilon, rho)
+    e, r = np.asarray(epsilon, dtype=float), np.asarray(rho, dtype=float)
+    y = np.arange(k + 1).reshape((-1,) + (1,) * np.broadcast(e, r).ndim)
+    m = (1.0 - r) * e**y * (1.0 - e) ** (k - y)
+    m[0] += r * (1.0 - e)
+    m[k] += r * e
+    return m, np.array([math.comb(k, j) for j in range(k + 1)], dtype=float).reshape(y.shape)
+
+
+def diniz_entropy(k: int, epsilon: Grid, rho: Grid) -> Grid:
     """Joint entropy H(W_1..W_K) of K correlated bits under the mixture model.
 
     Computed over weight classes in O(K); never materializes 2^K outcomes.
     """
-    if k < 1:
-        raise ValidationError("K must be >= 1")
-    _check_mixture(epsilon, rho)
-    e, r = epsilon, rho
-    h = 0.0
-    for y in range(k + 1):
-        m = (1.0 - r) * e**y * (1.0 - e) ** (k - y)  # per-tuple mass at weight y
-        if y == 0:
-            m += r * (1.0 - e)
-        elif y == k:
-            m += r * e
-        h += math.comb(k, y) * _plog2p(m)
-    return h
+    m, count = _weight_classes(k, epsilon, rho)
+    return _floats((count * _plog2p_grid(m)).sum(axis=0))
 
 
-def crossover_feasible(epsilon: float, p: float) -> bool:
+def diniz_sum_entropy(k: int, epsilon: Grid, rho: Grid) -> Grid:
+    """Entropy of the integer sum of K correlated bits, the law diniz_joint
+    builds, over the same weight classes."""
+    m, count = _weight_classes(k, epsilon, rho)
+    return _floats(_plog2p_grid(count * m).sum(axis=0))
+
+
+def crossover_feasible(epsilon: Grid, p: Grid) -> bool | np.ndarray:
     """Whether p lies in the crossover pair law's domain at this eps: p in
     [0,1] and p' = eps*p/(1-eps) <= 1 (within CONSTRUCTION_TOL).  The bound is
     tested as eps*p <= (1-eps)(1+tol), so eps = 1 admits only p = 0; the
     caller checks eps itself."""
-    return 0.0 <= p <= 1.0 and epsilon * p <= (1.0 - epsilon) * (1.0 + CONSTRUCTION_TOL)
+    return (0.0 <= p) & (p <= 1.0) & (epsilon * p <= (1.0 - epsilon) * (1.0 + CONSTRUCTION_TOL))
 
 
 def crossover_joint(epsilon: float, p: float) -> JointPmf:

@@ -12,8 +12,16 @@ has no edge across transcript sections, so one coloring of it colors each
 section on its own. Each rate-layer decision has one place: every best-of
 pick (theorem1's and prop2's per-server candidate, the chain's ordering)
 goes through _earliest_least, every support point and its demanded
-outputs come from graphs.support_items, and every uniform Slepian-Wolf
-report from _uniform_split.
+outputs come from graphs.support_items, every uniform Slepian-Wolf
+split from _uniform, and every gain from gain_ratio.
+
+Each closed-form scenario (scenario1, scenario2_table2, scenario2_diniz,
+scenario3, multilinear) has one *_grid function: given an array per law
+parameter, it checks the domain at every grid point first, then prices
+the grid in one numpy pass as stages, (servers, rate) pairs whose rate is
+a column over the grid. The CLI sums the stages into the R_graph, R_lin
+and R_SW columns; the *_rates function of one law calls the same *_grid
+with floats and reports its stages server by server, as Python floats.
 
 chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage groups the live points by
@@ -24,7 +32,8 @@ codes to ids). A section whose points all demand one output is settled:
 from then on its points leave the chain, and each stage sees the mass the
 live points leave as one lone vertex ((), ()). The ordering decodes iff
 no live section is left after the last stage. A stage reads only its
-server, the live points and their section codes, so _chain_eval builds
+server, the live points and their section codes, renumbered by first
+appearance once the settled sections leave, so _chain_eval builds
 each stage (_Stage: graph, joint law, the (earlier code, color) of each
 new code, live points and their codes) once per such state, and every
 ordering that reaches the state shares it. Every ordering still solves
@@ -38,6 +47,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, compress, product as iter_product
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DecodeError,
@@ -63,12 +74,14 @@ from .graphs import (
     zone_split,
 )
 from .probability import (
+    Grid,
     JointPmf,
     binary_entropy,
+    check_all,
     crossover_feasible,
     diniz_entropy,
-    diniz_joint,
     diniz_parity,
+    diniz_sum_entropy,
     parity_param,
     product_param,
 )
@@ -79,6 +92,9 @@ COMBO_GUARD = 10**6  # max (subset, candidate-combination) decodability checks
 TIE_RTOL = 1e-12  # values this close (relative) to the least tie in every best-of pick
 
 EncodingMap = Mapping[tuple[int, ...], int]
+# (servers, rate) pairs: each of that many servers pays that rate, a float
+# for one law or an array with one entry per grid point
+Stages = list[tuple[int, Grid]]
 
 
 @dataclass(frozen=True)
@@ -117,6 +133,11 @@ def rate_report(rates: Iterable[float], method: str, **metadata: Any) -> RateRep
     )
 
 
+def _report(stages: Stages, method: str, **metadata: Any) -> RateReport:
+    """The rate report of one law's stages."""
+    return rate_report((rate for n, rate in stages for _ in range(n)), method, **metadata)
+
+
 @dataclass(frozen=True)
 class GainReport:
     eta_lin: float
@@ -126,16 +147,19 @@ class GainReport:
     sw: RateReport
 
 
+def gain_ratio(baseline: Grid, graph: Grid) -> np.ndarray:
+    """baseline / graph elementwise, a plain rate ratio; where the graph rate
+    is 0 (both endpoints deterministic) the gain is infinite, also at 0/0."""
+    graph = np.asarray(graph, dtype=float)
+    out = np.full(np.broadcast(baseline, graph).shape, math.inf)
+    return np.divide(baseline, graph, out=out, where=graph > 0.0)
+
+
 def gains(graph_rr: RateReport, lin_rr: RateReport, sw_rr: RateReport) -> GainReport:
-    """eta_lin and eta_SW as plain rate ratios; a zero graph rate (both
-    endpoints deterministic) is reported as an infinite gain."""
-
-    def ratio(num: float) -> float:
-        return num / graph_rr.sum_rate if graph_rr.sum_rate > 0.0 else math.inf
-
+    """eta_lin and eta_SW by gain_ratio."""
     return GainReport(
-        eta_lin=ratio(lin_rr.sum_rate),
-        eta_sw=ratio(sw_rr.sum_rate),
+        eta_lin=float(gain_ratio(lin_rr.sum_rate, graph_rr.sum_rate)),
+        eta_sw=float(gain_ratio(sw_rr.sum_rate, graph_rr.sum_rate)),
         graph=graph_rr,
         lin=lin_rr,
         sw=sw_rr,
@@ -370,16 +394,24 @@ def prop3_rate(t: Topology, epsilon: float) -> RateReport:
     stage l of the N* disjoint-storage servers costs eps_M^(l-1) h(eps_M)
     (earlier stages kill the product with probability 1 - eps_M^(l-1)), and
     a Delta_N > 0 tail adds eps_M^(N*) h(eps_xi)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
+    return _prop3_report(t, epsilon, _prop3_stages(t, epsilon))
+
+
+def _prop3_stages(t: Topology, epsilon: Grid) -> Stages:
+    eps_m = product_param(t.m, epsilon)  # checks eps first
     dp = derived_params(t)
-    eps_m = product_param(t.m, epsilon)
     h_m = binary_entropy(eps_m)
-    stages = [eps_m ** (l - 1) * h_m for l in range(1, dp.n_star + 1)]
+    stages = [(1, eps_m ** (l - 1) * h_m) for l in range(1, dp.n_star + 1)]
     if dp.delta_n > 0:
-        stages.append(eps_m**dp.n_star * binary_entropy(product_param(dp.xi_n, epsilon)))
-    return rate_report(
-        stages, "prop3", eps_m=eps_m, n_star=dp.n_star, delta_n=dp.delta_n, xi_n=dp.xi_n
+        stages.append((1, eps_m**dp.n_star * binary_entropy(product_param(dp.xi_n, epsilon))))
+    return stages
+
+
+def _prop3_report(t: Topology, epsilon: float, stages: Stages) -> RateReport:
+    dp = derived_params(t)
+    return _report(
+        stages, "prop3", eps_m=product_param(t.m, epsilon), n_star=dp.n_star,
+        delta_n=dp.delta_n, xi_n=dp.xi_n,
     )
 
 
@@ -388,13 +420,17 @@ def slepian_wolf_rate(joint: JointPmf, t: Topology, p: Placement) -> RateReport:
     Nr servers for reporting purposes."""
     if joint.arity != t.k or p.k != t.k:
         raise ValidationError("joint/placement do not match the topology")
-    return _uniform_split(joint.entropy(), t)
+    return _uniform_report(_uniform(joint.entropy(), t))
 
 
-def _uniform_split(h: float, t: Topology) -> RateReport:
+def _uniform(h: Grid, t: Topology) -> Stages:
     """A Slepian-Wolf baseline: the entropy h split uniformly over the first
     Nr servers, for reporting."""
-    return rate_report([h / t.nr] * t.nr, "slepian_wolf", split="uniform")
+    return [(t.nr, h / t.nr)]
+
+
+def _uniform_report(stages: Stages) -> RateReport:
+    return _report(stages, "slepian_wolf", split="uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +579,9 @@ class _Stage(NamedTuple):
     joint law of its vertices with their section codes, then the state
     after it. A section is live until all of its points demand one output:
     live holds the points of the live sections (ids into the support) and
-    codes their section codes; coded[c] is the (earlier code, color) of
-    new code c, from which _transcript rebuilds a section's transcript.
+    codes their section codes, numbered 0, 1, ... by first appearance;
+    coded[c] is the (earlier code, color) of live code c, from which
+    _transcript rebuilds a section's transcript.
     The root, before any server speaks, has no graph."""
 
     graph: CharGraph | None
@@ -576,7 +613,13 @@ def _next_stage(
     colors = min_coloring(g)
     coded: dict[tuple[int, int], int] = {}  # (section code, color) -> next code
     codes = tuple(coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids))
-    return _Stage(g, joint, *_settle(live, codes, outs), list(coded))
+    live, codes = _settle(live, codes, outs)
+    # the live codes renumbered by first appearance, so that every parent
+    # that leaves one partition of the live points leaves one state
+    renumber: dict[int, int] = {}
+    codes = tuple(renumber.setdefault(c, len(renumber)) for c in codes)
+    pairs = list(coded)
+    return _Stage(g, joint, live, codes, [pairs[c] for c in renumber])
 
 
 def _transcript(path: Sequence[_Stage], code: int) -> tuple[int, ...]:
@@ -640,6 +683,31 @@ def _chain_eval(
 # scenario closed forms
 
 
+class ScenarioRates(NamedTuple):
+    """A closed-form scenario's graph rate and its linear and Slepian-Wolf
+    baselines over a grid of laws, each as stages."""
+
+    graph: Stages
+    lin: Stages
+    sw: Stages
+
+    def sum_rates(self) -> tuple[Grid, Grid, Grid]:
+        """R_graph, R_lin and R_SW at every grid point."""
+        return tuple(sum(n * rate for n, rate in stages) for stages in self)
+
+
+def scenario1_grid(t: Topology, epsilon: Grid, rho: Grid) -> ScenarioRates:
+    """scenario1_rates over a grid of (eps, rho) laws."""
+    if t.kc != 1:
+        raise ValidationError("scenario takes a single demanded function")
+    dp = derived_params(t)
+    h_m = binary_entropy(diniz_parity(t.m, epsilon, rho))
+    graph = [(dp.n_star, h_m)]
+    if dp.delta_n > 0:
+        graph.append((1, binary_entropy(diniz_parity(dp.xi_n, epsilon, rho))))
+    return ScenarioRates(graph, [(t.nr, h_m)], _uniform(diniz_entropy(t.k, epsilon, rho), t))
+
+
 def scenario1_rates(t: Topology, epsilon: float, rho: float) -> GainReport:
     """Single linearly separable demand (sum of all K subfunctions) under the
     correlated mixture model; closed forms for all three rates. The graph
@@ -647,46 +715,74 @@ def scenario1_rates(t: Topology, epsilon: float, rho: float) -> GainReport:
     parity's entropy h(e_M), with no conditioning on earlier stages: the
     chain's value for independent bits (rho = 0), and above it for rho > 0,
     where the chain's stages condition on the earlier transcripts."""
-    if t.kc != 1:
-        raise ValidationError("scenario takes a single demanded function")
+    r = scenario1_grid(t, epsilon, rho)
     dp = derived_params(t)
-    e_m = diniz_parity(t.m, epsilon, rho)
-    lin = rate_report([binary_entropy(e_m)] * t.nr, "prop2", model="mixture")
-    stages = [binary_entropy(e_m)] * dp.n_star
-    if dp.delta_n > 0:
-        stages.append(binary_entropy(diniz_parity(dp.xi_n, epsilon, rho)))
-    graph = rate_report(stages, "chain", model="mixture", n_star=dp.n_star, xi_n=dp.xi_n)
-    return gains(graph, lin, _uniform_split(diniz_entropy(t.k, epsilon, rho), t))
+    return gains(
+        _report(r.graph, "chain", model="mixture", n_star=dp.n_star, xi_n=dp.xi_n),
+        _report(r.lin, "prop2", model="mixture"),
+        _uniform_report(r.sw),
+    )
+
+
+def scenario2_table2_grid(epsilon: Grid, p: Grid) -> ScenarioRates:
+    """scenario2_table2_rates over a grid of (eps, p) laws."""
+    if not np.all((0.0 < epsilon) & (epsilon < 1.0)):
+        raise ValidationError("epsilon must lie strictly inside (0,1)")
+    check_all(
+        crossover_feasible(epsilon, p),
+        "p {} outside [0,1] or derived p' = eps*p/(1-eps) above 1",
+        p,
+    )
+    e, p = np.asarray(epsilon, dtype=float), np.asarray(p, dtype=float)
+    h = binary_entropy
+    h_e = h(e)
+    lin = [(1, h_e), (1, h(np.minimum(2.0 * e * p, 1.0)))]
+    cond = (1.0 - e) * h(np.minimum(e * p / (1.0 - e), 1.0)) + e * h(p)
+    return ScenarioRates([(1, h_e), (1, cond)], lin, [(1, h_e), (1, h_e + cond)])
 
 
 def scenario2_table2_rates(epsilon: float, p: float) -> GainReport:
     """Two demands (one subfunction and a two-subfunction sum) with the
     crossover-parameter pair model; the remaining subfunction is independent.
     Omitting p (via p = 1 - eps) makes the pair independent."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError("epsilon must lie strictly inside (0,1)")
-    if not crossover_feasible(epsilon, p):
-        raise ValidationError(f"p {p} outside [0,1] or derived p' = eps*p/(1-eps) above 1")
-    p_prime = epsilon * p / (1.0 - epsilon)
+    return _pair_gains(scenario2_table2_grid(epsilon, p))
+
+
+def scenario2_diniz_grid(epsilon: Grid, rho: Grid) -> ScenarioRates:
+    """scenario2_diniz_rates over a grid of (eps, rho) laws."""
     h = binary_entropy
-    lin = rate_report([h(epsilon), h(min(2.0 * epsilon * p, 1.0))], "prop2")
-    cond = (1.0 - epsilon) * h(min(p_prime, 1.0)) + epsilon * h(p)
-    graph = rate_report([h(epsilon), cond], "chain")
-    sw = rate_report([h(epsilon), h(epsilon) + cond], "slepian_wolf")
-    return gains(graph, lin, sw)
+    h_e = h(epsilon)
+    lin = [(1, h_e), (1, diniz_sum_entropy(2, epsilon, rho))]
+    e, r = np.asarray(epsilon, dtype=float), np.asarray(rho, dtype=float)
+    zeta1 = (1.0 - e) * (1.0 - r) + r
+    zeta2 = (1.0 - e) * (1.0 - r)
+    cond = (1.0 - e) * h(zeta1) + e * h(zeta2)
+    return ScenarioRates([(1, h_e), (1, cond)], lin, [(1, h_e), (1, h_e + cond)])
 
 
 def scenario2_diniz_rates(epsilon: float, rho: float) -> GainReport:
     """Same demands with the mixture pair model; the linear baseline ships
     the integer sum of the pair, whose PMF is the K=2 mixture law."""
-    h = binary_entropy
-    zeta1 = (1.0 - epsilon) * (1.0 - rho) + rho
-    zeta2 = (1.0 - epsilon) * (1.0 - rho)
-    lin = rate_report([h(epsilon), diniz_joint(2, epsilon, rho).entropy()], "prop2")
-    cond = (1.0 - epsilon) * h(zeta1) + epsilon * h(zeta2)
-    graph = rate_report([h(epsilon), cond], "chain")
-    sw = rate_report([h(epsilon), h(epsilon) + cond], "slepian_wolf")
-    return gains(graph, lin, sw)
+    return _pair_gains(scenario2_diniz_grid(epsilon, rho))
+
+
+def _pair_gains(r: ScenarioRates) -> GainReport:
+    return gains(
+        _report(r.graph, "chain"), _report(r.lin, "prop2"), _report(r.sw, "slepian_wolf")
+    )
+
+
+def scenario3_grid(t: Topology, epsilon: Grid) -> ScenarioRates:
+    """scenario3_rates over a grid of eps."""
+    kc = t.kc
+    if t.k != t.n:
+        raise ValidationError("this comparison needs K = N (delta = 1)")
+    if kc > t.nr:
+        raise ValidationError(f"Kc={kc} outside 1..Nr={t.nr}")
+    lin = [(t.nr, binary_entropy(parity_param(t.m, epsilon)))]  # checks eps first
+    dp = derived_params(t)
+    h = binary_entropy(epsilon)
+    return ScenarioRates([(dp.n_star, kc * h)], lin, _uniform(t.k * h, t))
 
 
 def scenario3_rates(t: Topology, epsilon: float) -> GainReport:
@@ -694,28 +790,30 @@ def scenario3_rates(t: Topology, epsilon: float) -> GainReport:
     cost Nr h(eps_M) against the graph cost Kc N* h(eps). That graph cost
     can fall below the information floor: at K = N = 3, Nr = 2, Kc = 1 and
     eps 0.1 it is 0.469 bit against H(f) = 0.802."""
-    kc = t.kc
-    if t.k != t.n:
-        raise ValidationError("this comparison needs K = N (delta = 1)")
-    if kc > t.nr:
-        raise ValidationError(f"Kc={kc} outside 1..Nr={t.nr}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon {epsilon} outside [0,1]")
-    dp = derived_params(t)
-    e_m = parity_param(t.m, epsilon)
-    lin = rate_report([binary_entropy(e_m)] * t.nr, "prop2")
-    graph = rate_report([kc * binary_entropy(epsilon)] * dp.n_star, "chain", kc=kc)
-    return gains(graph, lin, _uniform_split(t.k * binary_entropy(epsilon), t))
+    r = scenario3_grid(t, epsilon)
+    return gains(
+        _report(r.graph, "chain", kc=t.kc),
+        _report(r.lin, "prop2"),
+        _uniform_report(r.sw),
+    )
+
+
+def multilinear_grid(t: Topology, epsilon: Grid) -> ScenarioRates:
+    """multilinear_rates over a grid of eps."""
+    if t.kc != 1:
+        raise ValidationError("scenario takes a single demanded function")
+    graph = _prop3_stages(t, epsilon)
+    lin = [(t.nr, binary_entropy(product_param(t.m, epsilon)))]
+    return ScenarioRates(graph, lin, _uniform(t.k * binary_entropy(epsilon), t))
 
 
 def multilinear_rates(t: Topology, epsilon: float) -> GainReport:
     """Product demand under i.i.d. Bern(eps): closed-form graph rate, the
     per-server product-parameter adaptation as the linear baseline, and the
     i.i.d. joint entropy as the Slepian-Wolf baseline."""
-    if t.kc != 1:
-        raise ValidationError("scenario takes a single demanded function")
-    graph = prop3_rate(t, epsilon)
-    lin = rate_report(
-        [binary_entropy(product_param(t.m, epsilon))] * t.nr, "prop2", model="product"
+    r = multilinear_grid(t, epsilon)
+    return gains(
+        _prop3_report(t, epsilon, r.graph),
+        _report(r.lin, "prop2", model="product"),
+        _uniform_report(r.sw),
     )
-    return gains(graph, lin, _uniform_split(t.k * binary_entropy(epsilon), t))

@@ -1,10 +1,12 @@
 """Command-line front end: subcommands, config merging, exit codes, formats."""
 
 import json
+import math
 import threading
 from itertools import takewhile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chargraph import cli, solvers
@@ -833,6 +835,100 @@ class TestSerialSweeps:
                     )
             total += len(rows)
         assert total == 1639
+
+
+def run_both(capsys, tmp_path, argv):
+    """A sweep's text on stdout and, run again, in its --out file."""
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    target = tmp_path / "table.txt"
+    assert run(capsys, argv + ["--out", str(target)]) == (0, "", "")
+    return out, target.read_text(encoding="utf-8")
+
+
+class TestJsonWriter:
+    # JSON tables come from one row template, not from json.dumps with
+    # indent (which runs the pure-Python encoder), so their text is checked
+    # against what json.dumps(payload, indent=2, allow_nan=False) writes
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("fig*.json")), ids=lambda p: p.stem)
+    def test_fig_sweep_rows_match_json_dumps(self, capsys, tmp_path, config):
+        argv = ["scenario", "--config", str(config), "--format", "json"]
+        out, written = run_both(capsys, tmp_path, argv)
+        # floats round-trip through repr, so the parsed payload holds the
+        # values the writer was given
+        want = json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n"
+        assert out == want and written == want
+
+    def test_special_values_match_json_dumps(self, capsys, monkeypatch, tmp_path):
+        graph = [2.0, 0.0, -0.0, 5e-324, 1e16, 1e-7, math.nan]
+        lin = [math.inf, math.nan, -0.0, 5e-324, 1e16, 1e-7, 1.0]
+        sw = lin[::-1]
+
+        def evaluator(cfg):
+            return lambda eps, param: ((graph, lin, sw), True)
+
+        monkeypatch.setattr(cli, "_evaluator", evaluator)
+        argv = ["scenario", "--scenario", "s2-table2", "--eps-grid", "0.1,0.7,7",
+                "--format", "json"]
+
+        def gain(baseline, g):
+            return baseline / g if g > 0.0 else math.inf
+
+        def value(v):
+            return v if math.isfinite(v) else None
+
+        rows = [
+            {"eps": e, "param": 1.0 - e, "R_graph": value(g), "R_lin": value(l),
+             "R_SW": value(w), "eta_lin": value(gain(l, g)), "eta_SW": value(gain(w, g))}
+            for e, g, l, w in zip(np.linspace(0.1, 0.7, 7).tolist(), graph, lin, sw)
+        ]
+        want = json.dumps({"scenario": "s2-table2", "rows": rows}, indent=2, allow_nan=False)
+        out, written = run_both(capsys, tmp_path, argv)
+        assert out == want + "\n" and written == want + "\n"
+        for text in ("-0.0", "5e-324", "1e+16", "1e-07", "null"):
+            assert text in out
+
+
+# every scenario that accepts eps = 0 and 1, with the options it reads
+ENDPOINT_SWEEPS = {
+    "s1": ["--n", "30", "--k", "30", "--nr", "20", "--rho-grid", "0,1,2"],
+    "s2-diniz": ["--rho-grid", "0,1,2"],
+    "s3": ["--n", "30", "--k", "30", "--nr", "20", "--kc", "4"],
+    "multilinear": ["--n", "4", "--k", "8", "--nr", "3"],
+}
+
+
+class TestGridEndpoints:
+    @pytest.mark.parametrize("scenario", sorted(ENDPOINT_SWEEPS))
+    def test_deterministic_laws_price_zero(self, capsys, tmp_path, scenario):
+        # at eps = 0 and 1 (and rho = 0 and 1) every rate is 0 and both
+        # gains are infinite: inf in CSV, null in JSON; a numpy warning from
+        # log2(0) or 0/0 would fail the test, as warnings are errors here
+        argv = ["scenario", "--scenario", scenario, "--eps-grid", "0,1,2",
+                *ENDPOINT_SWEEPS[scenario]]
+        points = 4 if "--rho-grid" in argv else 2
+        out, written = run_both(capsys, tmp_path, argv)
+        assert out == written
+        header, rows = parse_csv(out)
+        assert len(rows) == points
+        for row in rows:
+            assert row["eps"] in (0.0, 1.0)
+            assert (row["R_graph"], row["R_lin"], row["R_SW"]) == (0.0, 0.0, 0.0)
+            assert row["eta_lin"] == row["eta_SW"] == math.inf
+        assert all(line.endswith(",0,0,0,inf,inf") for line in out.splitlines()[1:])
+        out, _ = run_both(capsys, tmp_path, argv + ["--format", "json"])
+        rows = json.loads(out)["rows"]
+        assert len(rows) == points
+        for row in rows:
+            assert (row["R_graph"], row["R_lin"], row["R_SW"]) == (0.0, 0.0, 0.0)
+            assert row["eta_lin"] is None and row["eta_SW"] is None
+
+    def test_pair_model_refuses_the_endpoints(self, capsys):
+        argv = ["scenario", "--scenario", "s2-table2", "--eps-grid", "0,1,2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: epsilon must lie strictly inside (0,1)\n"
 
 
 def test_non_convergence_exits_4(capsys, monkeypatch, tmp_path):

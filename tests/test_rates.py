@@ -11,6 +11,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,8 @@ from chargraph.graphs import (
 from chargraph.probability import (
     JointPmf,
     binary_entropy,
+    crossover_joint,
+    diniz_joint,
     iid_bernoulli_joint,
     parity_param,
     product_param,
@@ -48,8 +51,11 @@ from chargraph.rates import (
     prop2_rate,
     prop3_rate,
     rate_report,
+    scenario1_grid,
     scenario1_rates,
+    scenario2_diniz_grid,
     scenario2_diniz_rates,
+    scenario2_table2_grid,
     scenario2_table2_rates,
     scenario3_rates,
     slepian_wolf_rate,
@@ -853,6 +859,54 @@ def test_scenario1_graph_rate_against_the_chain(n):
                     assert s1 >= chain.sum_rate
 
 
+def _bern_entropy(eps):
+    """h(eps) as the entropy of an explicit one-bit law."""
+    return JointPmf((2,), {(0,): 1.0 - eps, (1,): eps}).entropy()
+
+
+# a grid of 1-6 laws, the way the CLI passes one: an array per parameter
+UNIT_GRID = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.data(), UNIT_GRID)
+def test_scenario1_grid_sw_is_the_mixture_entropy(k, data, points):
+    # the grid's R_SW against the explicit K-bit mixture law, point by point
+    t = topo(k, k, data.draw(st.integers(1, k)))
+    eps, rho = np.array(points).T
+    _, _, sw = scenario1_grid(t, eps, rho).sum_rates()
+    for e, r, got in zip(eps.tolist(), rho.tolist(), sw.tolist()):
+        assert got == pytest.approx(_mixture_joint(k, e, r).entropy(), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(UNIT_GRID)
+def test_scenario2_diniz_grid_lin_is_the_pair_sum_entropy(points):
+    eps, rho = np.array(points).T
+    _, lin, _ = scenario2_diniz_grid(eps, rho).sum_rates()
+    for e, r, got in zip(eps.tolist(), rho.tolist(), lin.tolist()):
+        want = _bern_entropy(e) + diniz_joint(2, e, r).entropy()
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 1.0 - 1e-3), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+def test_scenario2_table2_grid_against_the_crossover_law(points):
+    # the pair (W1, W2) follows crossover_joint and W3 is an independent
+    # Bern(eps): the graph rate is H(W1, W2) = h(eps) + H(W2 | W1), the
+    # Slepian-Wolf rate adds H(W3), and the linear rate ships W3 and W1 + W2
+    eps = np.array([e for e, _ in points])
+    p = np.array([u * min(1.0, (1.0 - e) / e) for e, u in points])  # feasible p
+    graph, lin, sw = scenario2_table2_grid(eps, p).sum_rates()
+    for i, (e, q) in enumerate(zip(eps.tolist(), p.tolist())):
+        joint = crossover_joint(e, q)
+        odd = joint.prob((0, 1)) + joint.prob((1, 0))
+        xor = JointPmf((2,), {(0,): 1.0 - odd, (1,): odd})
+        assert graph[i] == pytest.approx(joint.entropy(), abs=1e-12)
+        assert sw[i] == pytest.approx(_bern_entropy(e) + joint.entropy(), abs=1e-12)
+        assert lin[i] == pytest.approx(_bern_entropy(e) + xor.entropy(), abs=1e-12)
+
+
 # section codes a stage may meet; 10 and 2 sort one way as ints and the
 # other way by repr, which orders the vertices
 CODE_POOL = [0, 1, 2, 3, 10, 12, 21, 100]
@@ -1073,14 +1127,19 @@ def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
 
 
 @pytest.mark.parametrize("stem, n, nr, grid, builds", [
-    ("and5", 5, 4, (0.1, 0.2, 0.3, 0.4), 4 * 2**3),
+    ("and5", 5, 4, (0.1, 0.2, 0.3, 0.4), 30),
     ("and6", 6, 6, (0.1,), 6 * 2**5),
+    ("and6", 6, 5, (0.1, 0.2, 0.3, 0.4), 68),
 ])
 def test_chain_builds_each_state_once(monkeypatch, stem, n, nr, grid, builds):
-    # a stage is built (and colored) once per state it reads, and for AND
-    # at these sizes the set of servers that have spoken fixes the state:
-    # Nr 2^(Nr - 1) builds, one per server and set of the others. Each
-    # ordering still solves each of its stages once
+    # a stage is built (and colored) once per state it reads: its server,
+    # the live points and their section codes, numbered by first
+    # appearance. For AND at these sizes the set of servers that have
+    # spoken fixes the state, so there are at most Nr 2^(Nr - 1) states,
+    # one per server and set of the others (32, 192 and 80 here); two sets
+    # that leave one partition of the live points share a state, which
+    # leaves 30 on and-5-4 and 68 on and-6-5. Each ordering still solves
+    # each of its stages once
     with open(Path(__file__).resolve().parents[1] / f"perfbench/inputs/{stem}.json") as fh:
         d = demand_from_json(json.load(fh), k=n)
     t = topo(n, n, nr)
