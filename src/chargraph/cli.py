@@ -2,7 +2,7 @@
 sweeps emitted as CSV/JSON tables for external plotting.
 
 A sweep's grid is a pair of arrays (eps, param). A closed-form scenario
-prices the whole grid in one call of its rates.*_grid function; custom runs
+prices the whole grid in one call of its rates.*_rates function; custom runs
 one chain_rate per eps point. Either way the sweep yields the R_graph,
 R_lin and R_SW columns, and the gains and rows are assembled from columns.
 JSON is written from one row template (repr of each float, null for a
@@ -34,12 +34,12 @@ from .probability import CONSTRUCTION_TOL, JointPmf, crossover_feasible, iid_ber
 from .rates import (
     chain_rate,
     gain_ratio,
-    multilinear_grid,
+    multilinear_rates,
     prop1_rate,
-    scenario1_grid,
-    scenario2_diniz_grid,
-    scenario2_table2_grid,
-    scenario3_grid,
+    scenario1_rates,
+    scenario2_diniz_rates,
+    scenario2_table2_rates,
+    scenario3_rates,
     slepian_wolf_rate,
 )
 from .solvers import conditional_graph_entropy, graph_entropy
@@ -191,17 +191,17 @@ def _evaluator(cfg: dict[str, Any]) -> Evaluate:
     and its domain checks run over the whole grid before any row exists."""
     scenario = cfg["scenario"]
     if scenario == "s2-table2":
-        return lambda eps, p: (scenario2_table2_grid(eps, p).sum_rates(), True)
+        return lambda eps, p: (scenario2_table2_rates(eps, p).sum_rates(), True)
     if scenario == "s2-diniz":
-        return lambda eps, rho: (scenario2_diniz_grid(eps, rho).sum_rates(), True)
+        return lambda eps, rho: (scenario2_diniz_rates(eps, rho).sum_rates(), True)
     if scenario == "custom":
         return _custom_evaluator(cfg)
     t = _topology(cfg, cfg.get("kc", 1))
     if scenario == "s1":
-        return lambda eps, rho: (scenario1_grid(t, eps, rho).sum_rates(), True)
+        return lambda eps, rho: (scenario1_rates(t, eps, rho).sum_rates(), True)
     if scenario == "s3":
-        return lambda eps, _: (scenario3_grid(t, eps).sum_rates(), True)
-    return lambda eps, _: (multilinear_grid(t, eps).sum_rates(), True)
+        return lambda eps, _: (scenario3_rates(t, eps).sum_rates(), True)
+    return lambda eps, _: (multilinear_rates(t, eps).sum_rates(), True)
 
 
 def _custom_evaluator(cfg: dict[str, Any]) -> Evaluate:

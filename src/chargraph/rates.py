@@ -7,21 +7,22 @@ conditional-chain evaluation (chain_rate), the Slepian-Wolf baseline, and
 the eta_lin / eta_SW gain ratios, plus the closed-form scenario sweeps the
 CLI exposes. Every symbol a server sends comes from min_coloring, which
 colors one component of graphs.components at a time, in place by its
-vertex ids (no subgraph is built); a chain stage graph
-has no edge across transcript sections, so one coloring of it colors each
-section on its own. Each rate-layer decision has one place: every best-of
-pick (theorem1's and prop2's per-server candidate, the chain's ordering)
-goes through _earliest_least, every support point and its demanded
-outputs come from graphs.support_items, every uniform Slepian-Wolf
-split from _uniform, and every gain from gain_ratio.
+vertex ids; a chain stage graph has no edge across transcript sections,
+so one coloring of it colors each section on its own. Each rate-layer
+decision has one place: every best-of pick (theorem1's and prop2's
+per-server candidate, the chain's ordering) goes through _earliest_least,
+every support point and its demanded outputs come from
+graphs.support_items, every uniform Slepian-Wolf split from _uniform,
+and every gain from gain_ratio.
 
-Each closed-form scenario (scenario1, scenario2_table2, scenario2_diniz,
-scenario3, multilinear) has one *_grid function: given an array per law
-parameter, it checks the domain at every grid point first, then prices
-the grid in one numpy pass as stages, (servers, rate) pairs whose rate is
-a column over the grid. The CLI sums the stages into the R_graph, R_lin
-and R_SW columns; the *_rates function of one law calls the same *_grid
-with floats and reports its stages server by server, as Python floats.
+Each closed-form scenario (scenario1_rates, scenario2_table2_rates,
+scenario2_diniz_rates, scenario3_rates, multilinear_rates) is one
+function that takes a float or an array per law parameter, as the
+probability model functions do. It checks the domain at every grid point
+first, then prices the grid in one numpy pass as stages, (servers, rate)
+pairs whose rate is a column over the grid, or a float for one law. The
+CLI sums the stages into the R_graph, R_lin and R_SW columns and takes
+both gains from gain_ratio.
 
 chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage groups the live points by
@@ -138,32 +139,12 @@ def _report(stages: Stages, method: str, **metadata: Any) -> RateReport:
     return rate_report((rate for n, rate in stages for _ in range(n)), method, **metadata)
 
 
-@dataclass(frozen=True)
-class GainReport:
-    eta_lin: float
-    eta_sw: float
-    graph: RateReport
-    lin: RateReport
-    sw: RateReport
-
-
 def gain_ratio(baseline: Grid, graph: Grid) -> np.ndarray:
     """baseline / graph elementwise, a plain rate ratio; where the graph rate
     is 0 (both endpoints deterministic) the gain is infinite, also at 0/0."""
     graph = np.asarray(graph, dtype=float)
     out = np.full(np.broadcast(baseline, graph).shape, math.inf)
     return np.divide(baseline, graph, out=out, where=graph > 0.0)
-
-
-def gains(graph_rr: RateReport, lin_rr: RateReport, sw_rr: RateReport) -> GainReport:
-    """eta_lin and eta_SW by gain_ratio."""
-    return GainReport(
-        eta_lin=float(gain_ratio(lin_rr.sum_rate, graph_rr.sum_rate)),
-        eta_sw=float(gain_ratio(sw_rr.sum_rate, graph_rr.sum_rate)),
-        graph=graph_rr,
-        lin=lin_rr,
-        sw=sw_rr,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +375,11 @@ def prop3_rate(t: Topology, epsilon: float) -> RateReport:
     stage l of the N* disjoint-storage servers costs eps_M^(l-1) h(eps_M)
     (earlier stages kill the product with probability 1 - eps_M^(l-1)), and
     a Delta_N > 0 tail adds eps_M^(N*) h(eps_xi)."""
-    return _prop3_report(t, epsilon, _prop3_stages(t, epsilon))
+    dp = derived_params(t)
+    return _report(
+        _prop3_stages(t, epsilon), "prop3", eps_m=product_param(t.m, epsilon),
+        n_star=dp.n_star, delta_n=dp.delta_n, xi_n=dp.xi_n,
+    )
 
 
 def _prop3_stages(t: Topology, epsilon: Grid) -> Stages:
@@ -407,30 +392,18 @@ def _prop3_stages(t: Topology, epsilon: Grid) -> Stages:
     return stages
 
 
-def _prop3_report(t: Topology, epsilon: float, stages: Stages) -> RateReport:
-    dp = derived_params(t)
-    return _report(
-        stages, "prop3", eps_m=product_param(t.m, epsilon), n_star=dp.n_star,
-        delta_n=dp.delta_n, xi_n=dp.xi_n,
-    )
-
-
 def slepian_wolf_rate(joint: JointPmf, t: Topology, p: Placement) -> RateReport:
     """Joint-entropy baseline H(W_1..W_K), split uniformly across the first
     Nr servers for reporting purposes."""
     if joint.arity != t.k or p.k != t.k:
         raise ValidationError("joint/placement do not match the topology")
-    return _uniform_report(_uniform(joint.entropy(), t))
+    return _report(_uniform(joint.entropy(), t), "slepian_wolf", split="uniform")
 
 
 def _uniform(h: Grid, t: Topology) -> Stages:
     """A Slepian-Wolf baseline: the entropy h split uniformly over the first
     Nr servers, for reporting."""
     return [(t.nr, h / t.nr)]
-
-
-def _uniform_report(stages: Stages) -> RateReport:
-    return _report(stages, "slepian_wolf", split="uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +456,7 @@ def chain_rate(
     orderings = _normalize_orderings(t, ordering)
     items = support_items(d, p, joint)
     masses = [m for _, m, _ in items]
-    outs, _ = integer_codes(dem for _, _, dem in items)
+    outs, values = integer_codes(dem for _, _, dem in items)
     # every ordering splits a point into a server's local tuple and the rest
     # the same way, so each server's split is coded once
     ws = [w for w, _, _ in items]
@@ -491,7 +464,7 @@ def chain_rate(
     splits = {server: zone_split(ws, p.zone0(server)) for server in servers}
     decodable: list[tuple[float, list[float], tuple[int, ...], bool]] = []
     failures: list[str] = []
-    for order, result in zip(orderings, _chain_eval(items, masses, outs, splits, orderings)):
+    for order, result in zip(orderings, _chain_eval(masses, outs, values, splits, orderings)):
         if isinstance(result, DecodeError):
             failures.append(str(result))
             continue
@@ -519,7 +492,9 @@ def _normalize_orderings(
     else:
         many = [tuple(int(s) for s in ordering)]
     for o in many:
-        if not o or len(set(o)) != len(o):
+        if not o:
+            raise ValidationError(f"ordering {o} names no server")
+        if len(set(o)) != len(o):
             raise ValidationError(f"ordering {o} repeats a server")
         if any(not 1 <= s <= t.n for s in o):
             raise ValidationError(f"ordering {o} names servers outside 1..{t.n}")
@@ -633,18 +608,19 @@ def _transcript(path: Sequence[_Stage], code: int) -> tuple[int, ...]:
 
 
 def _chain_eval(
-    items: Sequence[tuple[tuple[int, ...], float, tuple[int, ...]]],
     masses: Sequence[float],
     outs: Sequence[int],
+    values: Sequence[Any],
     splits: Mapping[int, ZoneSplit],
     orderings: Sequence[tuple[int, ...]],
 ) -> list[tuple[list[float], bool] | DecodeError]:
     """Each ordering's stage rates and convergence, or its DecodeError, in
-    the supplied order. A stage reads only its server, the live points and
-    their section codes, so built holds one stage per such key for the
-    call, and every ordering that reaches a key shares its stage. Every
-    ordering solves each of its stages."""
-    root = _Stage(None, None, *_settle(range(len(items)), (0,) * len(items), outs), [])
+    the supplied order, given each support point's mass and output code
+    and the demanded outputs of each code. A stage reads only its server,
+    the live points and their section codes, so built holds one stage per
+    such key for the call, and every ordering that reaches a key shares its
+    stage. Every ordering solves each of its stages."""
+    root = _Stage(None, None, *_settle(range(len(outs)), (0,) * len(outs), outs), [])
     built: dict[tuple[int, tuple[int, ...], tuple[int, ...]], _Stage] = {}
     results: list[tuple[list[float], bool] | DecodeError] = []
     for order in orderings:
@@ -666,10 +642,10 @@ def _chain_eval(
         last = path[-1]
         try:
             decoding_map(
-                ((c, items[k][2]) for k, c in zip(last.live, last.codes)),
+                ((c, outs[k]) for k, c in zip(last.live, last.codes)),
                 lambda c, a, b: DecodeError(
                     f"ordering {order} is insufficient: transcript {_transcript(path, c)} is "
-                    f"consistent with demands {a} and {b}"
+                    f"consistent with demands {values[a]} and {values[b]}"
                 ),
             )
         except DecodeError as exc:
@@ -685,19 +661,26 @@ def _chain_eval(
 
 class ScenarioRates(NamedTuple):
     """A closed-form scenario's graph rate and its linear and Slepian-Wolf
-    baselines over a grid of laws, each as stages."""
+    baselines, for one law or over a grid of laws, each as stages."""
 
     graph: Stages
     lin: Stages
     sw: Stages
 
     def sum_rates(self) -> tuple[Grid, Grid, Grid]:
-        """R_graph, R_lin and R_SW at every grid point."""
+        """R_graph, R_lin and R_SW, for the law or at every grid point."""
         return tuple(sum(n * rate for n, rate in stages) for stages in self)
 
 
-def scenario1_grid(t: Topology, epsilon: Grid, rho: Grid) -> ScenarioRates:
-    """scenario1_rates over a grid of (eps, rho) laws."""
+def scenario1_rates(t: Topology, epsilon: Grid, rho: Grid) -> ScenarioRates:
+    """Single linearly separable demand (sum of all K subfunctions) under the
+    correlated mixture model, for (eps, rho) laws; closed forms for all three
+    rates. The graph rate is a scheme in which each disjoint-storage stage
+    pays its local parity's entropy h(e_M), with no conditioning on earlier
+    stages: the chain's value for independent bits (rho = 0), and above it
+    for rho > 0, where the chain's stages condition on the earlier
+    transcripts. The linear baseline ships the same parity from each of the
+    Nr servers; the Slepian-Wolf baseline is the K-bit mixture entropy."""
     if t.kc != 1:
         raise ValidationError("scenario takes a single demanded function")
     dp = derived_params(t)
@@ -708,24 +691,11 @@ def scenario1_grid(t: Topology, epsilon: Grid, rho: Grid) -> ScenarioRates:
     return ScenarioRates(graph, [(t.nr, h_m)], _uniform(diniz_entropy(t.k, epsilon, rho), t))
 
 
-def scenario1_rates(t: Topology, epsilon: float, rho: float) -> GainReport:
-    """Single linearly separable demand (sum of all K subfunctions) under the
-    correlated mixture model; closed forms for all three rates. The graph
-    rate is a scheme in which each disjoint-storage stage pays its local
-    parity's entropy h(e_M), with no conditioning on earlier stages: the
-    chain's value for independent bits (rho = 0), and above it for rho > 0,
-    where the chain's stages condition on the earlier transcripts."""
-    r = scenario1_grid(t, epsilon, rho)
-    dp = derived_params(t)
-    return gains(
-        _report(r.graph, "chain", model="mixture", n_star=dp.n_star, xi_n=dp.xi_n),
-        _report(r.lin, "prop2", model="mixture"),
-        _uniform_report(r.sw),
-    )
-
-
-def scenario2_table2_grid(epsilon: Grid, p: Grid) -> ScenarioRates:
-    """scenario2_table2_rates over a grid of (eps, p) laws."""
+def scenario2_table2_rates(epsilon: Grid, p: Grid) -> ScenarioRates:
+    """Two demands (one subfunction and a two-subfunction sum) with the
+    crossover-parameter pair model, for (eps, p) laws; the remaining
+    subfunction is independent. Omitting p (via p = 1 - eps) makes the pair
+    independent."""
     if not np.all((0.0 < epsilon) & (epsilon < 1.0)):
         raise ValidationError("epsilon must lie strictly inside (0,1)")
     check_all(
@@ -733,47 +703,31 @@ def scenario2_table2_grid(epsilon: Grid, p: Grid) -> ScenarioRates:
         "p {} outside [0,1] or derived p' = eps*p/(1-eps) above 1",
         p,
     )
-    e, p = np.asarray(epsilon, dtype=float), np.asarray(p, dtype=float)
     h = binary_entropy
-    h_e = h(e)
-    lin = [(1, h_e), (1, h(np.minimum(2.0 * e * p, 1.0)))]
-    cond = (1.0 - e) * h(np.minimum(e * p / (1.0 - e), 1.0)) + e * h(p)
+    h_e = h(epsilon)
+    lin = [(1, h_e), (1, h(np.minimum(2.0 * epsilon * p, 1.0)))]
+    cond = (1.0 - epsilon) * h(np.minimum(epsilon * p / (1.0 - epsilon), 1.0)) + epsilon * h(p)
     return ScenarioRates([(1, h_e), (1, cond)], lin, [(1, h_e), (1, h_e + cond)])
 
 
-def scenario2_table2_rates(epsilon: float, p: float) -> GainReport:
-    """Two demands (one subfunction and a two-subfunction sum) with the
-    crossover-parameter pair model; the remaining subfunction is independent.
-    Omitting p (via p = 1 - eps) makes the pair independent."""
-    return _pair_gains(scenario2_table2_grid(epsilon, p))
-
-
-def scenario2_diniz_grid(epsilon: Grid, rho: Grid) -> ScenarioRates:
-    """scenario2_diniz_rates over a grid of (eps, rho) laws."""
+def scenario2_diniz_rates(epsilon: Grid, rho: Grid) -> ScenarioRates:
+    """The same demands with the mixture pair model, for (eps, rho) laws;
+    the linear baseline ships the integer sum of the pair, whose PMF is the
+    K=2 mixture law."""
     h = binary_entropy
     h_e = h(epsilon)
     lin = [(1, h_e), (1, diniz_sum_entropy(2, epsilon, rho))]
-    e, r = np.asarray(epsilon, dtype=float), np.asarray(rho, dtype=float)
-    zeta1 = (1.0 - e) * (1.0 - r) + r
-    zeta2 = (1.0 - e) * (1.0 - r)
-    cond = (1.0 - e) * h(zeta1) + e * h(zeta2)
+    zeta1 = (1.0 - epsilon) * (1.0 - rho) + rho
+    zeta2 = (1.0 - epsilon) * (1.0 - rho)
+    cond = (1.0 - epsilon) * h(zeta1) + epsilon * h(zeta2)
     return ScenarioRates([(1, h_e), (1, cond)], lin, [(1, h_e), (1, h_e + cond)])
 
 
-def scenario2_diniz_rates(epsilon: float, rho: float) -> GainReport:
-    """Same demands with the mixture pair model; the linear baseline ships
-    the integer sum of the pair, whose PMF is the K=2 mixture law."""
-    return _pair_gains(scenario2_diniz_grid(epsilon, rho))
-
-
-def _pair_gains(r: ScenarioRates) -> GainReport:
-    return gains(
-        _report(r.graph, "chain"), _report(r.lin, "prop2"), _report(r.sw, "slepian_wolf")
-    )
-
-
-def scenario3_grid(t: Topology, epsilon: Grid) -> ScenarioRates:
-    """scenario3_rates over a grid of eps."""
+def scenario3_rates(t: Topology, epsilon: Grid) -> ScenarioRates:
+    """Kc = t.kc parity-style demands, independent Bern(eps) subfunctions,
+    K = N: linear cost Nr h(eps_M) against the graph cost Kc N* h(eps). That
+    graph cost can fall below the information floor: at K = N = 3, Nr = 2,
+    Kc = 1 and eps 0.1 it is 0.469 bit against H(f) = 0.802."""
     kc = t.kc
     if t.k != t.n:
         raise ValidationError("this comparison needs K = N (delta = 1)")
@@ -785,35 +739,13 @@ def scenario3_grid(t: Topology, epsilon: Grid) -> ScenarioRates:
     return ScenarioRates([(dp.n_star, kc * h)], lin, _uniform(t.k * h, t))
 
 
-def scenario3_rates(t: Topology, epsilon: float) -> GainReport:
-    """Kc = t.kc parity-style demands, independent subfunctions, K = N: linear
-    cost Nr h(eps_M) against the graph cost Kc N* h(eps). That graph cost
-    can fall below the information floor: at K = N = 3, Nr = 2, Kc = 1 and
-    eps 0.1 it is 0.469 bit against H(f) = 0.802."""
-    r = scenario3_grid(t, epsilon)
-    return gains(
-        _report(r.graph, "chain", kc=t.kc),
-        _report(r.lin, "prop2"),
-        _uniform_report(r.sw),
-    )
-
-
-def multilinear_grid(t: Topology, epsilon: Grid) -> ScenarioRates:
-    """multilinear_rates over a grid of eps."""
+def multilinear_rates(t: Topology, epsilon: Grid) -> ScenarioRates:
+    """Product demand under i.i.d. Bern(eps): prop3_rate's closed-form
+    stages as the graph rate, the per-server product-parameter adaptation
+    as the linear baseline, and the i.i.d. joint entropy as the
+    Slepian-Wolf baseline."""
     if t.kc != 1:
         raise ValidationError("scenario takes a single demanded function")
     graph = _prop3_stages(t, epsilon)
     lin = [(t.nr, binary_entropy(product_param(t.m, epsilon)))]
     return ScenarioRates(graph, lin, _uniform(t.k * binary_entropy(epsilon), t))
-
-
-def multilinear_rates(t: Topology, epsilon: float) -> GainReport:
-    """Product demand under i.i.d. Bern(eps): closed-form graph rate, the
-    per-server product-parameter adaptation as the linear baseline, and the
-    i.i.d. joint entropy as the Slepian-Wolf baseline."""
-    r = multilinear_grid(t, epsilon)
-    return gains(
-        _prop3_report(t, epsilon, r.graph),
-        _report(r.lin, "prop2", model="product"),
-        _uniform_report(r.sw),
-    )

@@ -25,10 +25,9 @@ Q over them. Any other
 block holds the restarts as one array P[u, r, x] (MIS, restart, vertex),
 so that both products are single 2-D matrix products and the reductions
 over u run along axis 0. Both loops take H(U|X) from the normalizer of
-the update instead of summing P log P. The iterates, step counts and
-values are those of the per-restart einsum loop these loops replaced, up
-to rounding. A solve whose largest tensor, restarts x MIS count x
-max(|V|, |Y|), would pass SOLVE_CELL_GUARD is refused before it starts.
+the update instead of summing P log P. A solve whose largest tensor,
+restarts x MIS count x max(|V|, |Y|), would pass SOLVE_CELL_GUARD is
+refused before it starts.
 chromatic_entropy is graphs.min_partition, one recursion over the
 maximal independent sets of the vertices left, memoized on them.
 """

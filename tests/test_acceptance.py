@@ -39,7 +39,7 @@ from chargraph.solvers import (
 )
 from chargraph.topology import Topology, cyclic_placement
 
-from test_rates import PROP1_CASES
+from test_rates import PROP1_CASES, eta_lin
 
 TERNARY_CONDITIONAL = 0.5408520829727552  # (2/3) h(1/4)
 
@@ -93,10 +93,10 @@ def criterion_3() -> tuple[bool, str]:
     exactly), gain in [1.40, 1.50] at eps = 1e-6, and a 101-point sweep in
     under a second."""
     t0 = time.perf_counter()
-    mid = scenario2_table2_rates(0.5, 0.5).eta_lin
-    tiny = scenario2_table2_rates(1e-6, 1.0 - 1e-6).eta_lin
+    mid = eta_lin(scenario2_table2_rates(0.5, 0.5))
+    tiny = eta_lin(scenario2_table2_rates(1e-6, 1.0 - 1e-6))
     sweep = [
-        scenario2_table2_rates(e, 1.0 - e).eta_lin
+        eta_lin(scenario2_table2_rates(e, 1.0 - e))
         for e in np.linspace(0.005, 0.995, 101)
     ]
     dt = time.perf_counter() - t0
@@ -117,7 +117,7 @@ def criterion_4() -> tuple[bool, str]:
     baseline pays Nr = 20 stages against N* = 2 graph stages, so
     eta_lin = 10 within 1e-6."""
     t = Topology(n=30, k=30, kc=1, m=11, nr=20)
-    etas = [scenario1_rates(t, e, 1.0).eta_lin for e in (0.1, 0.25, 0.4)]
+    etas = [eta_lin(scenario1_rates(t, e, 1.0)) for e in (0.1, 0.25, 0.4)]
     ok = all(abs(v - 10.0) <= 1e-6 for v in etas)
     return ok, f"eta_lin at rho=1: {[round(v, 9) for v in etas]}, target 10 +- 1e-6"
 

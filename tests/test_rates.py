@@ -44,18 +44,15 @@ from chargraph.rates import (
     RateReport,
     chain_rate,
     coloring_map,
-    gains,
+    gain_ratio,
     min_coloring,
     multilinear_rates,
     prop1_rate,
     prop2_rate,
     prop3_rate,
     rate_report,
-    scenario1_grid,
     scenario1_rates,
-    scenario2_diniz_grid,
     scenario2_diniz_rates,
-    scenario2_table2_grid,
     scenario2_table2_rates,
     scenario3_rates,
     slepian_wolf_rate,
@@ -153,17 +150,12 @@ class TestReports:
             RateReport(per_server_rates=(1.0, 1.0), sum_rate=1.0, method="x")
 
     def test_gains_ratios(self):
-        g = rate_report([1.0], "chain")
-        lin = rate_report([3.0], "prop2")
-        sw = rate_report([4.5], "slepian_wolf")
-        rep = gains(g, lin, sw)
-        assert rep.eta_lin == pytest.approx(3.0)
-        assert rep.eta_sw == pytest.approx(4.5)
+        assert float(gain_ratio(3.0, 1.0)) == pytest.approx(3.0)
+        assert float(gain_ratio(4.5, 1.0)) == pytest.approx(4.5)
 
     def test_gains_zero_graph_rate(self):
-        g = rate_report([0.0], "chain")
-        rep = gains(g, rate_report([1.0], "prop2"), rate_report([1.0], "slepian_wolf"))
-        assert math.isinf(rep.eta_lin) and math.isinf(rep.eta_sw)
+        assert math.isinf(gain_ratio(1.0, 0.0))
+        assert math.isinf(gain_ratio(0.0, 0.0))
 
     def test_codebook_missing_server(self):
         cb = Codebook(candidates={1: ({(0,): 0},)})
@@ -464,6 +456,10 @@ class TestChain:
             chain_rate(t, p, d, joint, (0, 2))
         with pytest.raises(ValidationError):
             chain_rate(t, p, d, joint, [])
+        with pytest.raises(ValidationError, match=r"^ordering \(\) names no server$"):
+            chain_rate(t, p, d, joint, [()])
+        with pytest.raises(ValidationError, match=r"^ordering \(\) names no server$"):
+            chain_rate(t, p, d, joint, [(1, 2), ()])
 
 
 class TestSlepianWolf:
@@ -479,41 +475,40 @@ class TestSlepianWolf:
             slepian_wolf_rate(iid_bernoulli_joint(2, 0.3), t, p)
 
 
+def eta_lin(r):
+    """eta_lin of a closed-form scenario's rates: R_lin / R_graph."""
+    graph, lin, _ = r.sum_rates()
+    return float(gain_ratio(lin, graph))
+
+
 class TestScenarioClosedForms:
     def test_sum_demand_full_correlation_gain(self):
         t = topo(30, 30, 20, kc=1)  # M = 11
-        rep = scenario1_rates(t, 0.37, 1.0)
-        assert rep.eta_lin == pytest.approx(10.0, abs=1e-9)
+        assert eta_lin(scenario1_rates(t, 0.37, 1.0)) == pytest.approx(10.0, abs=1e-9)
 
     def test_sum_demand_independent_matches_parity(self):
         t = topo(30, 30, 20, kc=1)
-        rep = scenario1_rates(t, 0.3, 0.0)
+        _, first_lin = scenario1_rates(t, 0.3, 0.0).lin[0]
         want = binary_entropy(parity_param(11, 0.3))
-        assert rep.lin.per_server_rates[0] == pytest.approx(want, abs=1e-12)
+        assert first_lin == pytest.approx(want, abs=1e-12)
 
     def test_pair_demand_independent_point_has_no_gain(self):
-        rep = scenario2_table2_rates(0.5, 0.5)
-        assert rep.eta_lin == pytest.approx(1.0, abs=1e-12)
+        assert eta_lin(scenario2_table2_rates(0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_demand_tiny_eps_gain(self):
         eps = 1e-6
         rep = scenario2_table2_rates(eps, 1.0 - eps)
-        assert rep.eta_lin == pytest.approx(ETA_LIN_TINY_EPS, abs=1e-9)
+        assert eta_lin(rep) == pytest.approx(ETA_LIN_TINY_EPS, abs=1e-9)
 
     def test_mixture_pair_full_correlation_gain(self):
-        rep = scenario2_diniz_rates(0.3, 1.0)
-        assert rep.eta_lin == pytest.approx(2.0, abs=1e-9)
+        assert eta_lin(scenario2_diniz_rates(0.3, 1.0)) == pytest.approx(2.0, abs=1e-9)
 
     def test_parity_batch_values(self):
         t = topo(5, 5, 4, kc=2)  # K = N, M = 2, N* = 2
-        rep = scenario3_rates(t, 0.3)
-        assert rep.lin.sum_rate == pytest.approx(
-            4 * binary_entropy(parity_param(2, 0.3)), abs=1e-12
-        )
-        assert rep.graph.sum_rate == pytest.approx(
-            2 * 2 * binary_entropy(0.3), abs=1e-12
-        )
-        assert rep.sw.sum_rate == pytest.approx(5 * binary_entropy(0.3), abs=1e-12)
+        graph, lin, sw = scenario3_rates(t, 0.3).sum_rates()
+        assert lin == pytest.approx(4 * binary_entropy(parity_param(2, 0.3)), abs=1e-12)
+        assert graph == pytest.approx(2 * 2 * binary_entropy(0.3), abs=1e-12)
+        assert sw == pytest.approx(5 * binary_entropy(0.3), abs=1e-12)
 
     def test_parity_batch_validation(self):
         with pytest.raises(ValidationError):
@@ -523,11 +518,9 @@ class TestScenarioClosedForms:
 
     def test_multilinear_graph_is_closed_form(self):
         t = topo(5, 5, 4, kc=1)
-        rep = multilinear_rates(t, 0.5)
-        assert rep.graph.sum_rate == pytest.approx(PROP3_5_5_4_HALF, abs=1e-12)
-        assert rep.lin.sum_rate == pytest.approx(
-            4 * binary_entropy(product_param(2, 0.5)), abs=1e-12
-        )
+        graph, lin, _ = multilinear_rates(t, 0.5).sum_rates()
+        assert graph == pytest.approx(PROP3_5_5_4_HALF, abs=1e-12)
+        assert lin == pytest.approx(4 * binary_entropy(product_param(2, 0.5)), abs=1e-12)
 
     @pytest.mark.parametrize("kc", [2, 3])
     def test_single_demand_scenarios_refuse_other_kc(self, kc):
@@ -538,6 +531,35 @@ class TestScenarioClosedForms:
             scenario1_rates(t, 0.3, 0.5)
         with pytest.raises(ValidationError, match="single demanded function"):
             multilinear_rates(t, 0.3)
+
+
+# each closed-form scenario as a function of its law parameters alone, with
+# a law inside its domain and one outside it
+CLOSED_FORMS = {
+    "s1": (lambda e, r: scenario1_rates(topo(5, 5, 4), e, r), (0.3, 0.25), (1.5, 0.25)),
+    "s2-table2": (scenario2_table2_rates, (0.3, 0.4), (0.3, 2.5)),
+    "s2-diniz": (scenario2_diniz_rates, (0.3, 0.25), (0.3, 1.5)),
+    "s3": (lambda e: scenario3_rates(topo(5, 5, 4, kc=2), e), (0.3,), (-0.1,)),
+    "multilinear": (lambda e: multilinear_rates(topo(5, 5, 4), e), (0.3,), (1.5,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_takes_a_float_or_an_array(name):
+    rates_of, law, bad = CLOSED_FORMS[name]
+    one = rates_of(*law)
+    grid = rates_of(*(np.array([x]) for x in law))
+    # a float law is element 0 of the one-point grid, for each of R_graph,
+    # R_lin and R_SW
+    for got, want in zip(one.sum_rates(), grid.sum_rates()):
+        assert got == want[0]
+    # and each of its stages pays a float, not a 0-d array
+    assert all(type(rate) is float for stages in one for _, rate in stages)
+    with pytest.raises(ValidationError) as from_float:
+        rates_of(*bad)
+    with pytest.raises(ValidationError) as from_array:
+        rates_of(*(np.array([x]) for x in bad))
+    assert str(from_float.value) == str(from_array.value)
 
 
 def _demand_entropy(d, joint):
@@ -664,28 +686,28 @@ def _walk_instance(rng, kind, sparse=False):
 
 
 def _chain_inputs(p, d, joint):
-    """The support items, masses, output codes and points chain_rate passes
-    to rates._chain_eval."""
+    """The masses, output codes and outputs of each code that chain_rate
+    passes to rates._chain_eval, and the support points."""
     items = support_items(d, p, joint)
-    outs, _ = integer_codes(dem for _, _, dem in items)
-    return items, [m for _, m, _ in items], outs, [w for w, _, _ in items]
+    outs, values = integer_codes(dem for _, _, dem in items)
+    return [m for _, m, _ in items], outs, values, [w for w, _, _ in items]
 
 
 def _stage_results(p, d, joint, orders):
     """rates._chain_eval on orders in one call: each ordering's stage rates
     and convergence, or its DecodeError's text."""
-    items, masses, outs, ws = _chain_inputs(p, d, joint)
+    masses, outs, values, ws = _chain_inputs(p, d, joint)
     splits = {s: zone_split(ws, p.zone0(s)) for o in orders for s in o}
     return [r if isinstance(r, tuple) else str(r)
-            for r in rates._chain_eval(items, masses, outs, splits, orders)]
+            for r in rates._chain_eval(masses, outs, values, splits, orders)]
 
 
 def _state_transcripts(p, d, joint, orders):
     """Each stage key (server, live points, section codes) that the
     orderings reach, with the set of the live sections' transcripts along
     each prefix that reaches it; every stage is built afresh."""
-    items, masses, outs, ws = _chain_inputs(p, d, joint)
-    root = rates._Stage(None, None, *rates._settle(range(len(items)), (0,) * len(items), outs), [])
+    masses, outs, _, ws = _chain_inputs(p, d, joint)
+    root = rates._Stage(None, None, *rates._settle(range(len(outs)), (0,) * len(outs), outs), [])
     seen = {}
     for order in orders:
         path = [root]
@@ -852,7 +874,7 @@ def test_scenario1_graph_rate_against_the_chain(n):
         for eps in (0.1, 0.3):
             for rho in (0.0, 0.25, 0.5):
                 chain = chain_rate(t, cyclic_placement(t), d, _mixture_joint(n, eps, rho), orderings)
-                s1 = scenario1_rates(t, eps, rho).graph.sum_rate
+                s1, _, _ = scenario1_rates(t, eps, rho).sum_rates()
                 if rho == 0.0:
                     assert s1 == pytest.approx(chain.sum_rate, abs=1e-12)
                 else:
@@ -874,7 +896,7 @@ def test_scenario1_grid_sw_is_the_mixture_entropy(k, data, points):
     # the grid's R_SW against the explicit K-bit mixture law, point by point
     t = topo(k, k, data.draw(st.integers(1, k)))
     eps, rho = np.array(points).T
-    _, _, sw = scenario1_grid(t, eps, rho).sum_rates()
+    _, _, sw = scenario1_rates(t, eps, rho).sum_rates()
     for e, r, got in zip(eps.tolist(), rho.tolist(), sw.tolist()):
         assert got == pytest.approx(_mixture_joint(k, e, r).entropy(), abs=1e-12)
 
@@ -883,7 +905,7 @@ def test_scenario1_grid_sw_is_the_mixture_entropy(k, data, points):
 @given(UNIT_GRID)
 def test_scenario2_diniz_grid_lin_is_the_pair_sum_entropy(points):
     eps, rho = np.array(points).T
-    _, lin, _ = scenario2_diniz_grid(eps, rho).sum_rates()
+    _, lin, _ = scenario2_diniz_rates(eps, rho).sum_rates()
     for e, r, got in zip(eps.tolist(), rho.tolist(), lin.tolist()):
         want = _bern_entropy(e) + diniz_joint(2, e, r).entropy()
         assert got == pytest.approx(want, abs=1e-12)
@@ -897,7 +919,7 @@ def test_scenario2_table2_grid_against_the_crossover_law(points):
     # Slepian-Wolf rate adds H(W3), and the linear rate ships W3 and W1 + W2
     eps = np.array([e for e, _ in points])
     p = np.array([u * min(1.0, (1.0 - e) / e) for e, u in points])  # feasible p
-    graph, lin, sw = scenario2_table2_grid(eps, p).sum_rates()
+    graph, lin, sw = scenario2_table2_rates(eps, p).sum_rates()
     for i, (e, q) in enumerate(zip(eps.tolist(), p.tolist())):
         joint = crossover_joint(e, q)
         odd = joint.prob((0, 1)) + joint.prob((1, 0))
@@ -1050,7 +1072,7 @@ def _check_merged_stages(ws, zones, order, demand, rng):
     outs, _ = integer_codes(MERGE_DEMANDS[demand](w, rng) for w in ws)
     order = tuple(order)
     expected, meets_settled, message = _reference_chain(ws, zones, order, masses, outs)
-    items = [(w, m, (o,)) for w, m, o in zip(ws, masses, outs)]
+    demands = [(o,) for o in range(max(outs) + 1)]  # output code o demands (o,)
     splits = {s: zone_split(ws, zones[s]) for s in order}
     values = []
 
@@ -1061,7 +1083,7 @@ def _check_merged_stages(ws, zones, order, demand, rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
-        [result] = rates._chain_eval(items, masses, outs, splits, [order])
+        [result] = rates._chain_eval(masses, outs, demands, splits, [order])
     if isinstance(result, DecodeError):
         assert str(result) == message
     else:
