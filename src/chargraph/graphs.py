@@ -7,10 +7,10 @@ apart. Each graph-layer decision has one place: support_items reads a
 law's support and its demanded outputs, zone_split codes every graph's
 coordinates, components is the one split (solver blocks, coloring
 components), made once per graph, is_clique lets both price or color a
-clique directly, and is_complete_multipartite lets the solver price, and
-the block simulator color, a graph whose MISs partition it by its parts,
-and min_partition is the one exact search over independent-set partitions
-(exact_min_coloring, solvers.chromatic_entropy).
+clique directly, is_complete_multipartite lets the solver price a graph
+whose MISs partition it by its parts, and min_partition is the one exact
+search over independent-set partitions (exact_min_coloring,
+solvers.chromatic_entropy).
 A block is named by ascending vertex ids of its one graph: is_clique,
 enumerate_mis and the two colorings read the subgraph those ids induce,
 in that subgraph's ids (position in the block), without building it. The
@@ -35,7 +35,6 @@ from .topology import Placement
 
 MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration (recursion depth)
 MIS_CELL_GUARD = 10**6  # max |V| x MIS count: the cells of the solver's support mask
-SOLVE_CELL_GUARD = 10**6  # max restarts x MIS count x max(|V|, |Y|): a solver step's array
 PAIR_GUARD = 10**6      # max vertex pairs |V|^(2n) of an OR power
 EXACT_COLOR_GUARD = 12  # max |V| for exact colorings (per component) and partitions
 

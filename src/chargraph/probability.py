@@ -151,8 +151,8 @@ def _joint_from_masses(
 
 
 def _check_mixture(epsilon: Grid, rho: Grid) -> None:
-    if not np.all((0.0 <= epsilon) & (epsilon <= 1.0) & (0.0 <= rho) & (rho <= 1.0)):
-        raise ValidationError("epsilon and rho must lie in [0,1]")
+    _check_unit(epsilon, "epsilon {} outside [0,1]")
+    _check_unit(rho, "rho {} outside [0,1]")
 
 
 def iid_bernoulli_joint(k: int, epsilon: float) -> JointPmf:
@@ -211,8 +211,6 @@ def diniz_parity(l: int, epsilon: Grid, rho: Grid) -> Grid:
     any l of the K variables follow the same mixture with K replaced by l)."""
     _check_mixture(epsilon, rho)
     epsilon, rho = np.asarray(epsilon, dtype=float), np.asarray(rho, dtype=float)
-    if l == 0:
-        return _floats(np.zeros(np.broadcast(epsilon, rho).shape))
     return _floats((1.0 - rho) * parity_param(l, epsilon) + (
         rho * epsilon if l % 2 == 1 else 0.0
     ))

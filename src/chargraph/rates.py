@@ -77,6 +77,7 @@ from .graphs import (
 from .probability import (
     Grid,
     JointPmf,
+    _floats,
     binary_entropy,
     check_all,
     crossover_feasible,
@@ -113,25 +114,21 @@ class Codebook:
 @dataclass(frozen=True)
 class RateReport:
     per_server_rates: tuple[float, ...]
-    sum_rate: float
     method: str
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if any(r < 0.0 for r in self.per_server_rates):
             raise ValidationError("negative per-server rate")
-        if abs(self.sum_rate - math.fsum(self.per_server_rates)) > 1e-9:
-            raise ValidationError("sum_rate disagrees with per-server rates")
+
+    @property
+    def sum_rate(self) -> float:
+        return math.fsum(self.per_server_rates)
 
 
 def rate_report(rates: Iterable[float], method: str, **metadata: Any) -> RateReport:
     rates = tuple(max(float(r), 0.0) for r in rates)
-    return RateReport(
-        per_server_rates=rates,
-        sum_rate=math.fsum(rates),
-        method=method,
-        metadata=metadata,
-    )
+    return RateReport(per_server_rates=rates, method=method, metadata=metadata)
 
 
 def _report(stages: Stages, method: str, **metadata: Any) -> RateReport:
@@ -139,12 +136,13 @@ def _report(stages: Stages, method: str, **metadata: Any) -> RateReport:
     return rate_report((rate for n, rate in stages for _ in range(n)), method, **metadata)
 
 
-def gain_ratio(baseline: Grid, graph: Grid) -> np.ndarray:
-    """baseline / graph elementwise, a plain rate ratio; where the graph rate
-    is 0 (both endpoints deterministic) the gain is infinite, also at 0/0."""
+def gain_ratio(baseline: Grid, graph: Grid) -> Grid:
+    """baseline / graph elementwise, a plain rate ratio, a float for two
+    floats; where the graph rate is 0 (both endpoints deterministic) the
+    gain is infinite, also at 0/0."""
     graph = np.asarray(graph, dtype=float)
     out = np.full(np.broadcast(baseline, graph).shape, math.inf)
-    return np.divide(baseline, graph, out=out, where=graph > 0.0)
+    return _floats(np.divide(baseline, graph, out=out, where=graph > 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ empirical transmitted entropy.  A length-n block is its index in support^n:
 colors and demanded outputs are numpy gathers over it, not per-block loops.
 The simulator works on the structure of its graphs: the OR power of a
 complete multipartite graph is complete multipartite, with the tuples of
-parts as its parts, so such an encoder colors a block by the index of its
-labels' part tuple and builds no OR power; and decoding groups blocks by
-one integer code per block, folded from its color profile and its outputs.
+parts as its parts, so such an encoder reads the parts off the min_coloring
+of its server graph, colors a block by the index of its labels' part tuple
+and builds no OR power; and decoding groups blocks by one integer code per
+block, folded from its color profile and its outputs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
@@ -24,15 +26,8 @@ import numpy as np
 
 from .errors import DecodeError, DeskScaleError, ValidationError
 from .functions import DemandSpec, decoding_map
-from .graphs import (
-    CharGraph,
-    build_char_graph,
-    enumerate_mis,
-    is_complete_multipartite,
-    or_power,
-    support_items,
-)
-from .probability import JointPmf
+from .graphs import CharGraph, build_char_graph, or_power, support_items
+from .probability import JointPmf, _plog2p_grid
 from .rates import min_coloring
 from .solvers import graph_entropy
 from .topology import Placement, Topology
@@ -54,7 +49,6 @@ class Encoder:
     zone: tuple[int, ...]  # 0-based stored coordinates
     labels: tuple[tuple[int, ...], ...]  # local tuples: the length-1 graph's vertices
     colors: tuple[int, ...]
-    num_colors: int
     theoretical_rate: float  # graph entropy of the length-1 union graph
 
     def __post_init__(self) -> None:
@@ -64,6 +58,10 @@ class Encoder:
             )
         if self.colors and not 0 <= min(self.colors) <= max(self.colors) < len(self.colors):
             raise ValidationError(f"colors must lie in 0..{len(self.colors) - 1}")
+
+    @property
+    def num_colors(self) -> int:
+        return len(set(self.colors))
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class SimResult:
     trials: int
     errors: int
     empirical_rate_bits_per_symbol: tuple[float, ...]
-    theoretical_rate: tuple[float, ...]
     seed: int
 
 
@@ -96,13 +93,9 @@ def build_encoders(
     n: int,
 ) -> list[Encoder]:
     """One encoder per server: a minimum coloring of the n-th OR power of
-    the server's union characteristic graph g1.  When g1 is complete
-    multipartite (graphs.is_complete_multipartite), so is its OR power, with
-    the n-tuples of parts as its parts.  Those parts are its only minimum
-    coloring, the classes min_coloring finds, so a block's color is the
-    index of its labels' part tuple and no OR power is built.  Any other g1
-    gets min_coloring(or_power(g1, n)).  A server whose local support is a
-    single point has a one-vertex graph, so it transmits a constant."""
+    the server's union characteristic graph g1 (_power_coloring).  A server
+    whose local support is a single point has a one-vertex graph, so it
+    transmits a constant."""
     if n < 1:
         raise ValidationError("blocklength n must be >= 1")
     if joint.arity != t.k or p.k != t.k or p.n != t.n:
@@ -110,15 +103,13 @@ def build_encoders(
     encoders: list[Encoder] = []
     for i in range(1, t.n + 1):
         g1 = build_char_graph(d, p, joint, i)
-        colors = _power_coloring(g1, n)
         encoders.append(
             Encoder(
                 server=i,
                 n=n,
                 zone=p.zone0(i),
                 labels=g1.vertices,
-                colors=colors,
-                num_colors=len(set(colors)),
+                colors=_power_coloring(g1, n),
                 theoretical_rate=graph_entropy(g1).value,
             )
         )
@@ -126,21 +117,23 @@ def build_encoders(
 
 
 def _power_coloring(g: CharGraph, n: int) -> tuple[int, ...]:
-    """A minimum coloring of or_power(g, n), indexed by its vertex ids.  When
-    g is complete multipartite, its MISs (in their order) are its parts,
-    and vertex b gets the mixed-radix index of its labels' part ids.  A
-    graph that is not, or that enumerate_mis refuses (more than MIS_GUARD
-    vertices, or too many MISs), gets min_coloring of the built power."""
-    try:
-        mis = enumerate_mis(g)
-    except DeskScaleError:
-        mis = None
-    if mis is None or not is_complete_multipartite(mis, g.n):
+    """A minimum coloring of or_power(g, n), indexed by its vertex ids.  The
+    classes of min_coloring(g) are independent sets, so they are g's parts
+    exactly when every pair of vertices in different classes is an edge:
+    when the degrees add up to |V|^2 minus the squared class sizes.  On a
+    complete multipartite g they are (greedy gives each part one color, and
+    a clique grown greedily takes one vertex per part, so the exact search
+    keeps greedy's coloring).  Its OR power is then complete multipartite
+    with the n-tuples of parts as its parts, its only minimum coloring, so
+    vertex b gets the mixed-radix index of its labels' part ranks, parts
+    ranked by their smallest vertex id, and no power is built.  Any other g
+    gets min_coloring of the built power."""
+    colors = min_coloring(g)
+    if sum(map(len, g.neighbors)) != g.n**2 - sum(s * s for s in Counter(colors).values()):
         return min_coloring(or_power(g, n))
-    part = np.empty(g.n, dtype=np.int64)
-    for u, s in enumerate(mis.sets):
-        part[list(s)] = u
-    return tuple(_block_index(part, mis.count, n).tolist())
+    rank: dict[int, int] = {}
+    part = np.array([rank.setdefault(c, len(rank)) for c in colors])
+    return tuple(_block_index(part, len(rank), n).tolist())
 
 
 def _sweep(joint: JointPmf, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -215,8 +208,9 @@ def _rates(colors: np.ndarray, weights: np.ndarray, n: int) -> list[float]:
     for row in colors:
         _, color_ids = np.unique(row, return_inverse=True)
         q = np.bincount(color_ids, weights=weights)
-        q = q[q > 0]
-        out.append(float(-(q * np.log2(q)).sum()) / n)
+        # colors no block drew are left out: zero terms would regroup numpy's
+        # pairwise sum and move the last bit of an empirical rate
+        out.append(float(_plog2p_grid(q[q > 0]).sum()) / n)
     return out
 
 
@@ -314,7 +308,6 @@ def run_simulation(
         trials=trials,
         errors=errors,
         empirical_rate_bits_per_symbol=tuple(empirical),
-        theoretical_rate=tuple(e.theoretical_rate for e in encoders),
         seed=seed,
     )
 

@@ -44,7 +44,6 @@ import numpy as np
 from .errors import DeskScaleError, ValidationError
 from .graphs import (
     EXACT_COLOR_GUARD,
-    SOLVE_CELL_GUARD,
     CharGraph,
     MisFamily,
     components,
@@ -53,11 +52,12 @@ from .graphs import (
     is_complete_multipartite,
     min_partition,
 )
-from .probability import JointPmf
+from .probability import JointPmf, _plog2p, _plog2p_grid
 
 TOL = 1e-9  # stop a restart when its objective improves by less than this
 MAX_ITERS = 100_000
 RESTARTS = 8  # the first restart starts uniform, the rest at random
+SOLVE_CELL_GUARD = 10**6  # max restarts x MIS count x max(|V|, |Y|): a solver step's array
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,6 @@ def _start(mask: np.ndarray) -> np.ndarray:
     raw = mask * (rng.random((RESTARTS - 1,) + mask.shape) + 1e-3)
     stack = np.concatenate([mask[None], raw])
     return stack / stack.sum(axis=2, keepdims=True)
-
-
-def _xlog2x(a: np.ndarray) -> np.ndarray:
-    return a * np.log2(np.where(a > 0, a, 1.0))
 
 
 def _column_steps(mask: np.ndarray, p_x: np.ndarray, Q: np.ndarray):
@@ -174,7 +170,7 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     mean is Q(u) itself, and _column_steps iterates on the (MIS, restart)
     marginal Q alone; otherwise _general_steps holds P[u, r, x].
     """
-    neg_h_y = _xlog2x(W.sum(axis=0)).sum()
+    neg_h_y = -_plog2p_grid(W.sum(axis=0)).sum()
     mask = _mis_mask(mis, W.shape[0])
     n, m = mask.shape
     ny = W.shape[1]
@@ -306,7 +302,6 @@ def chromatic_entropy(g: CharGraph) -> float:
         )
 
     def cost(cls: tuple[int, ...]) -> float:
-        m = math.fsum(g.pmf[v] for v in cls)
-        return -m * math.log2(m)
+        return _plog2p(math.fsum(g.pmf[v] for v in cls))
 
     return min_partition(g, range(g.n), cost)[0]

@@ -41,10 +41,9 @@ class Topology:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Quantities the cyclic placement determines from T."""
+    """Quantities the cyclic placement determines from T (delta = K/N and
+    M = delta * (N - Nr + 1) are T's own)."""
 
-    delta: int    # K/N
-    m: int        # delta * (N - Nr + 1)
     n_star: int   # floor(N / (N - Nr + 1))
     delta_n: int  # N - n_star * (N - Nr + 1)
     xi_n: int     # delta * delta_n
@@ -58,9 +57,7 @@ def derived_params(t: Topology) -> DerivedParams:
         )
     n_star = t.n // width
     delta_n = t.n - n_star * width
-    return DerivedParams(
-        delta=t.delta, m=t.m, n_star=n_star, delta_n=delta_n, xi_n=t.delta * delta_n
-    )
+    return DerivedParams(n_star=n_star, delta_n=delta_n, xi_n=t.delta * delta_n)
 
 
 @dataclass(frozen=True)

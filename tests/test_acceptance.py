@@ -182,10 +182,8 @@ def criterion_6() -> tuple[bool, str]:
                 tab = build_decode_table(encs, t, p, d, joint, sub)
                 res = run_simulation(encs, tab, joint, n, 100_000, seed=2024)
                 total_errors += res.errors
-                for emp, theory in zip(
-                    res.empirical_rate_bits_per_symbol, res.theoretical_rate
-                ):
-                    worst_gap = max(worst_gap, abs(emp - theory))
+                for emp, e in zip(res.empirical_rate_bits_per_symbol, encs):
+                    worst_gap = max(worst_gap, abs(emp - e.theoretical_rate))
                 runs += 1
     ok = total_errors == 0 and worst_gap <= 0.02
     return ok, (

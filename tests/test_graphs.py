@@ -22,6 +22,7 @@ from chargraph.graphs import (
     greedy_coloring,
     make_graph,
     or_power,
+    support_items,
     validate_coloring,
 )
 from chargraph.probability import JointPmf, iid_bernoulli_joint
@@ -177,6 +178,11 @@ class TestBuildCharGraph:
         assert g.vertices == ((0,),) and g.edges == frozenset()
         assert g.pmf == (1.0,)
         assert graph_entropy(g).value == 0.0
+
+    def test_support_items_rejects_k_mismatch(self):
+        _, p, d, _ = scenario_ii()
+        with pytest.raises(ValidationError, match="disagree on K"):
+            support_items(d, p, iid_bernoulli_joint(2, 0.5))
 
 
 class TestConfusabilityGraph:

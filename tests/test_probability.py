@@ -1,6 +1,7 @@
 """Probability layer: joint PMFs, entropy helpers, skew/correlation models."""
 
 import math
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from chargraph import (
     uniform_joint,
 )
 from chargraph import probability
-from chargraph.probability import _joint_from_masses
+from chargraph.probability import _joint_from_masses, diniz_sum_entropy
 
 # frozen by tests/oracles/gen_frozen.py (brute 2^K enumeration of the
 # mixture law, independent of the package's closed forms)
@@ -135,6 +136,28 @@ class TestJointPmf:
         with pytest.raises(ValidationError):
             JointPmf((2,), {(0,): float("nan"), (1,): 1.0})
 
+    @pytest.mark.parametrize(
+        "sizes, mass, message",
+        [
+            ((), {(): 1.0}, "coordinate sizes must be positive"),
+            ((2, 0), {(0, 0): 1.0}, "coordinate sizes must be positive"),
+            ((2,), {(2,): 1.0}, r"symbol \(2,\) outside alphabet \(2,\)"),
+            ((2,), {(0, 1): 1.0}, r"symbol \(0, 1\) outside alphabet \(2,\)"),
+        ],
+    )
+    def test_rejects_bad_alphabet(self, sizes, mass, message):
+        with pytest.raises(ValidationError, match=message):
+            JointPmf(sizes, mass)
+
+    @pytest.mark.parametrize("coords", [(), (3,), (-1,)])
+    def test_marginal_rejects_bad_coordinates(self, coords):
+        with pytest.raises(ValidationError, match=r"outside arity 3"):
+            iid_bernoulli_joint(3, 0.3).marginal(coords)
+
+    def test_iid_rejects_bad_epsilon(self):
+        with pytest.raises(ValidationError, match=r"epsilon 1\.5 outside \[0,1\]"):
+            iid_bernoulli_joint(2, 1.5)
+
 
 class TestSkewModels:
     def test_parity_param_closed_form(self):
@@ -153,6 +176,16 @@ class TestSkewModels:
 
     def test_product_param(self):
         assert product_param(3, 0.5) == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("model, args", [(product_param, (0.3,)), (diniz_parity, (0.3, 0.5))])
+    def test_window_models_reject_empty_window(self, model, args):
+        with pytest.raises(ValidationError, match="l must be >= 1"):
+            model(0, *args)
+
+    @pytest.mark.parametrize("model", [diniz_joint, diniz_entropy, diniz_sum_entropy])
+    def test_mixture_models_reject_no_variables(self, model):
+        with pytest.raises(ValidationError, match="K must be >= 1"):
+            model(0, 0.3, 0.5)
 
     def test_mixture_parity_against_enumeration(self):
         for (l, eps, rho), expect in MIXTURE_PARITY.items():
@@ -226,24 +259,34 @@ class TestSkewModels:
 
     # outside [0,1] the mixture formulas return numbers that are not laws:
     # diniz_entropy(3, 1.5, 0.0) would be -4.33 bits
-    BAD_MIXTURE = [(1.5, 0.0), (0.2, 1.7), (-0.1, 0.5), (0.3, -0.2), (float("nan"), 0.5)]
+    # each bad law, with the error that names its first offending parameter
+    BAD_MIXTURE = [
+        pytest.param(eps, rho, rf"{name} {re.escape(str(value))} outside \[0,1\]", id=f"{eps}-{rho}")
+        for eps, rho, name, value in [
+            (1.5, 0.0, "epsilon", 1.5),
+            (0.2, 1.7, "rho", 1.7),
+            (-0.1, 0.5, "epsilon", -0.1),
+            (0.3, -0.2, "rho", -0.2),
+            (float("nan"), 0.5, "epsilon", float("nan")),
+        ]
+    ]
 
-    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
-    def test_mixture_joint_rejects_bad_params(self, eps, rho):
-        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+    @pytest.mark.parametrize("eps, rho, message", BAD_MIXTURE)
+    def test_mixture_joint_rejects_bad_params(self, eps, rho, message):
+        with pytest.raises(ValidationError, match=message):
             diniz_joint(3, eps, rho)
 
-    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
-    def test_mixture_entropy_rejects_bad_params(self, eps, rho):
-        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+    @pytest.mark.parametrize("eps, rho, message", BAD_MIXTURE)
+    def test_mixture_entropy_rejects_bad_params(self, eps, rho, message):
+        with pytest.raises(ValidationError, match=message):
             diniz_entropy(3, eps, rho)
 
-    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
-    def test_mixture_parity_rejects_bad_params(self, eps, rho):
-        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+    @pytest.mark.parametrize("eps, rho, message", BAD_MIXTURE)
+    def test_mixture_parity_rejects_bad_params(self, eps, rho, message):
+        with pytest.raises(ValidationError, match=message):
             diniz_parity(3, eps, rho)
 
-    @pytest.mark.parametrize("eps, rho", BAD_MIXTURE)
-    def test_pair_joint_rejects_bad_params(self, eps, rho):
-        with pytest.raises(ValidationError, match=r"epsilon and rho must lie in \[0,1\]"):
+    @pytest.mark.parametrize("eps, rho, message", BAD_MIXTURE)
+    def test_pair_joint_rejects_bad_params(self, eps, rho, message):
+        with pytest.raises(ValidationError, match=message):
             diniz_pair_joint(eps, rho)

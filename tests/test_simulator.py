@@ -21,6 +21,7 @@ from chargraph.graphs import (
     build_char_graph,
     enumerate_mis,
     is_complete_multipartite,
+    make_graph,
     or_power,
     validate_coloring,
 )
@@ -90,7 +91,7 @@ class TestBuildEncoders:
             assert e.labels == g1.vertices
             assert len(e.colors) == g1.n**2 == len(or_power(g1, 2).vertices)
             with pytest.raises(ValidationError, match="colors for"):
-                Encoder(e.server, 2, e.zone, e.labels, e.colors[1:], e.num_colors, 0.0)
+                Encoder(e.server, 2, e.zone, e.labels, e.colors[1:], 0.0)
 
     def test_off_support_block_rejected(self):
         # encoders colored for a narrower law meet local labels they never saw
@@ -110,6 +111,13 @@ class TestBuildEncoders:
         t, p, d, joint = scenario_ii()
         with pytest.raises(ValidationError):
             build_encoders(t, p, d, joint, 0)
+
+    def test_rejects_law_or_placement_of_another_topology(self):
+        t, p, d, joint = scenario_ii()
+        other = cyclic_placement(Topology(n=3, k=6, kc=2, m=4, nr=2))
+        for args in ((p, d, iid_bernoulli_joint(2, 0.5)), (other, d, joint)):
+            with pytest.raises(ValidationError, match="do not match the topology"):
+                build_encoders(t, *args, 1)
 
 
 def classes(cmap):
@@ -140,17 +148,29 @@ class TestPartTupleColoring:
         # which is the graph entropy of a complete multipartite graph
         joint = JointPmf((g1.n,), {(v,): m for v, m in zip(g1.vertices, g1.pmf)})
         labels = tuple((v,) for v in g1.vertices)
-        enc = Encoder(1, n, (0,), labels, colors, k**n, graph_entropy(g1).value)
+        enc = Encoder(1, n, (0,), labels, colors, graph_entropy(g1).value)
         assert abs(expected_rates([enc], joint, n)[0] - enc.theoretical_rate) <= 1e-12
+
+    def test_large_complete_bipartite_gets_part_tuples(self):
+        # K_{33,33} has 66 vertices and its square 66^4 vertex pairs, past
+        # PAIR_GUARD, but its min_coloring names its parts, so its encoder
+        # colors the 4,356 blocks by their part tuples and builds no power
+        evens, odds = range(0, 66, 2), range(1, 66, 2)
+        g1 = make_graph({v: 1.0 for v in range(66)}, product(evens, odds))
+        assert g1.n ** 4 > PAIR_GUARD
+        part = [label % 2 for label in g1.vertices]  # vertex 0 is label 0
+        colors = _power_coloring(g1, 2)
+        assert len(colors) == 4356 and len(set(colors)) == 4
+        assert colors == tuple(2 * part[a] + part[b] for a, b in product(range(66), repeat=2))
 
     def test_colors_must_name_power_vertices(self):
         # a color outside 0..|labels|^n - 1 is refused: decoding folds the
         # colors into integer codes bounded by that range
         labels = ((0,), (1,))
         with pytest.raises(ValidationError, match="colors must lie in 0..3"):
-            Encoder(1, 2, (0,), labels, (0, 1, 1, 4), 2, 0.0)
+            Encoder(1, 2, (0,), labels, (0, 1, 1, 4), 0.0)
         with pytest.raises(ValidationError, match="colors must lie"):
-            Encoder(1, 1, (0,), labels, (-1, 0), 2, 0.0)
+            Encoder(1, 1, (0,), labels, (-1, 0), 0.0)
 
 
 def star_instance():
@@ -165,8 +185,7 @@ def star_instance():
 
 
 class TestGeneralEncoderPath:
-    """Encoders of graphs that are not complete multipartite, and the
-    fallback when MIS enumeration refuses a graph."""
+    """Encoders of graphs that are not complete multipartite."""
 
     def test_star_graph_colors_its_or_power(self):
         t, p, d, joint = star_instance()
@@ -186,22 +205,6 @@ class TestGeneralEncoderPath:
                 assert list(res.empirical_rate_bits_per_symbol) == pytest.approx(
                     want, abs=0.005
                 )
-
-    @settings(max_examples=20, deadline=None)
-    @given(complete_multipartite(), st.integers(1, 2))
-    def test_refused_enumeration_falls_back_to_min_coloring(self, case, n):
-        # a graph enumerate_mis refuses is colored on its built OR power;
-        # on a complete multipartite graph that gives the part-tuple classes
-        g1, _ = case  # at most 12 vertices: the power stays under PAIR_GUARD
-        parts = classes(dict(enumerate(_power_coloring(g1, n))))
-
-        def refuse(*args, **kwargs):
-            raise DeskScaleError("refused")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "enumerate_mis", refuse)
-            fallback = _power_coloring(g1, n)
-        assert classes(dict(enumerate(fallback))) == parts
 
 
 class TestBuildDecodeTable:
@@ -237,7 +240,6 @@ class TestBuildDecodeTable:
             zone=(1, 2),
             labels=locals2,
             colors=(0,) * len(locals2),
-            num_colors=1,
             theoretical_rate=0.0,
         )
         broken = [encs[0], mute, encs[2]]
@@ -269,6 +271,12 @@ class TestBuildDecodeTable:
         encs = build_encoders(t, p, d, joint, 1)
         with pytest.raises(DeskScaleError, match="sweep guard"):
             build_decode_table(encs, t, p, d, joint, (1, 2))
+
+    def test_encoders_must_share_blocklength(self):
+        t, p, d, joint = scenario_ii()
+        one, two = build_encoders(t, p, d, joint, 1), build_encoders(t, p, d, joint, 2)
+        with pytest.raises(ValidationError, match="disagree on blocklength"):
+            build_decode_table([one[0], two[1]], t, p, d, joint, (1, 2))
 
     def test_subset_validation(self):
         t, p, d, joint = scenario_ii()
@@ -357,6 +365,8 @@ class TestRunSimulation:
             run_simulation(encs, tab, joint, 1, 100, seed=-1)
         with pytest.raises(ValidationError):
             run_simulation(encs, tab, joint, 2, 100, seed=0)
+        with pytest.raises(ValidationError, match=r"no encoder supplied for servers \[2\]"):
+            run_simulation(encs[:1], tab, joint, 1, 100, seed=0)
 
     def test_result_json(self):
         t, p, d, joint = scenario_ii()
@@ -460,7 +470,7 @@ class TestGatherMatchesDirect:
         enc = build_encoders(t, p, d, joint, 2)[1]
         dropped = enc.labels[2]
         labels = tuple(lb for lb in enc.labels if lb != dropped)
-        holed = Encoder(enc.server, 2, enc.zone, labels, (0,) * len(labels) ** 2, 1, 0.0)
+        holed = Encoder(enc.server, 2, enc.zone, labels, (0,) * len(labels) ** 2, 0.0)
         with pytest.raises(ValidationError, match=re.escape(f"off-support local tuple {dropped!r}")):
             expected_rates([holed], joint, 2)
 

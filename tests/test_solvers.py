@@ -22,7 +22,6 @@ from chargraph.errors import DeskScaleError, ValidationError
 from chargraph.functions import GeneralTable, evaluate_demand
 from chargraph.graphs import (
     MIS_CELL_GUARD,
-    SOLVE_CELL_GUARD,
     build_char_graph,
     enumerate_mis,
     is_complete_multipartite,
@@ -31,6 +30,7 @@ from chargraph.graphs import (
 )
 from chargraph.probability import JointPmf, binary_entropy
 from chargraph.solvers import (
+    SOLVE_CELL_GUARD,
     chromatic_entropy,
     conditional_graph_entropy,
     graph_entropy,

@@ -73,6 +73,25 @@ class TestCyclicPlacement:
         assert p.zone0(1) == (0, 1)
         assert p.zone0(3) == (0, 2)
 
+    @pytest.mark.parametrize("server", [0, 4])
+    def test_zone0_rejects_unknown_server(self, server):
+        p = cyclic_placement(Topology(n=3, k=3, kc=2, m=2, nr=2))
+        with pytest.raises(ValidationError, match=rf"server {server} outside 1\.\.3"):
+            p.zone0(server)
+
+    @pytest.mark.parametrize(
+        "zones, message",
+        [
+            (((1,),), "expected 2 zones, got 1"),
+            (((1,), ()), "server 2 stores nothing"),
+            (((2, 1), (2,)), "zone 1 must be sorted and duplicate-free"),
+            (((1,), (2, 2)), "zone 2 must be sorted and duplicate-free"),
+        ],
+    )
+    def test_placement_rejects_bad_zones(self, zones, message):
+        with pytest.raises(ValidationError, match=message):
+            Placement(n=2, k=2, zones=zones)
+
 
 class TestCoverage:
     def test_cyclic_placement_covers(self):
