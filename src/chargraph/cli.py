@@ -213,6 +213,11 @@ def _custom_evaluator(cfg: dict[str, Any]) -> Evaluate:
     t = _topology(cfg, d.kc)
     if "placement" in cfg:
         p = placement_from_json(_load_json(cfg["placement"]))
+        # support_items refuses a K mismatch; the chain prices any N
+        if p.n != t.n:
+            raise ValidationError(
+                f"placement is for (N={p.n}, K={p.k}), topology says (N={t.n}, K={t.k})"
+            )
     else:
         p = cyclic_placement(t)
     if t.nr > MAX_CHAIN_SERVERS:

@@ -90,27 +90,22 @@ class CharGraph:
 
 
 def make_graph(
-    masses: Mapping[Hashable, float],
-    edge_pairs: Iterable[tuple[Hashable, Hashable]],
-    label: Callable[[Hashable], Label] | None = None,
+    masses: Mapping[Label, float], edge_pairs: Iterable[tuple[Label, Label]]
 ) -> CharGraph:
     """Normalize masses (rejecting negative or non-finite ones, pruning
-    sub-threshold vertices), sort labels, and join the given pairs.  With
-    label, masses and edge_pairs name vertices by codes and label(code) is
-    the vertex's label; without it, each key is its own label."""
+    sub-threshold vertices), order the vertices by the repr of their
+    labels, the keys of masses, and join the given pairs of labels."""
     bad = [v for v, m in masses.items() if not 0.0 <= m < math.inf]
     if bad:
         raise ValidationError(f"vertex {bad[0]!r} has a negative or non-finite mass")
     kept = {v: m for v, m in masses.items() if m > SUPPORT_TOL}
     if not kept:
         raise ValidationError("no vertex has positive probability")
-    labels = {v: v if label is None else label(v) for v in kept}
-    codes = sorted(kept, key=lambda v: repr(labels[v]))
-    vertices = tuple(labels[v] for v in codes)
+    vertices = tuple(sorted(kept, key=repr))
     total = math.fsum(kept.values())
-    pmf = tuple(kept[v] / total for v in codes)
-    idx = {v: i for i, v in enumerate(codes)}
-    nbrs: list[set[int]] = [set() for _ in codes]
+    pmf = tuple(kept[v] / total for v in vertices)
+    idx = {v: i for i, v in enumerate(vertices)}
+    nbrs: list[set[int]] = [set() for _ in vertices]
     for a, b in edge_pairs:
         if a in idx and b in idx:  # else an endpoint was pruned
             nbrs[idx[a]].add(idx[b])
@@ -132,15 +127,16 @@ def confusability_graph(
     mass: Sequence[float],
     out: Sequence[int],
     label: Callable[[int], Label],
-) -> CharGraph:
+) -> tuple[CharGraph, dict[int, int]]:
     """Graph on the vertex codes of support points, point k given by its
     vertex code vertex[k], completion-key code key[k], mass mass[k] and
     output code out[k]: each vertex carries the total mass of its points,
     and two vertices are joined iff a point of each shares a completion key
-    but not the outputs.  label(code) is a vertex's label; vertices are
-    ordered by the repr of their labels.  Outputs must be a function of
-    (vertex, completion key): otherwise the vertex would be joined to
-    itself, which CharGraph rejects."""
+    but not the outputs.  label(code) is a vertex's label, built once per
+    code; make_graph orders the vertices by the repr of their labels.
+    Returns the graph and the vertex id of each code that make_graph keeps.
+    Outputs must be a function of (vertex, completion key): otherwise the
+    vertex would be joined to itself, which CharGraph rejects."""
     masses: dict[int, float] = {}
     groups: dict[int, list[tuple[int, int]]] = {}  # key -> (output, vertex) so far
     edge_pairs: set[tuple[int, int]] = set()
@@ -151,7 +147,15 @@ def confusability_graph(
             if out_u != o:
                 edge_pairs.add((u, v))
         group.append((o, v))
-    return make_graph(masses, edge_pairs, label)
+    labels = {v: label(v) for v in masses}
+    code = {lab: v for v, lab in labels.items()}
+    if len(code) != len(labels):
+        raise ValidationError("duplicate vertex labels")
+    g = make_graph(
+        {labels[v]: m for v, m in masses.items()},
+        [(labels[u], labels[v]) for u, v in edge_pairs],
+    )
+    return g, {code[lab]: i for i, lab in enumerate(g.vertices)}
 
 
 def components(
@@ -239,7 +243,7 @@ def build_char_graph(d: DemandSpec, p: Placement, joint: JointPmf, i: int) -> Ch
     items = support_items(d, p, joint)
     local, labels, rest, _ = zone_split([w for w, _, _ in items], p.zone0(i))
     outs, _ = integer_codes(dem for _, _, dem in items)
-    return confusability_graph(local, rest, [m for _, m, _ in items], outs, labels.__getitem__)
+    return confusability_graph(local, rest, [m for _, m, _ in items], outs, labels.__getitem__)[0]
 
 
 def or_power(g: CharGraph, n: int) -> CharGraph:

@@ -27,19 +27,20 @@ both gains from gain_ratio.
 chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage groups the live points by
 (section, local) and (section, rest) codes and builds its graph with
-graphs.confusability_graph; the vertex labels are (local tuple, section
-code), built twice per vertex (once by make_graph, once to map the vertex
-codes to ids). A section whose points all demand one output is settled:
-from then on its points leave the chain, and each stage sees the mass the
-live points leave as one lone vertex ((), ()). The ordering decodes iff
-no live section is left after the last stage. A stage reads only its
-server, the live points and their section codes, renumbered by first
-appearance once the settled sections leave, so _chain_eval builds
-each stage (_Stage: graph, joint law, the (earlier code, color) of each
-new code, live points and their codes) once per such state, and every
-ordering that reaches the state shares it. Every ordering still solves
-each of its stages once, and the pick and the failures follow the
-supplied order.
+graphs.confusability_graph, which builds each vertex's label, (local
+tuple, section code), once and returns the vertex id of each code. A
+section whose points all demand one output is settled: from then on its
+points leave the chain, and each stage sees the mass the live points
+leave as one lone vertex ((), ()). The ordering decodes iff no live
+section is left after the last stage. A stage reads only its server, the
+live points and their section codes; the next codes are
+graphs.integer_codes of the live points' (section code, color) pairs,
+once the settled sections leave, so _chain_eval builds each stage
+(_Stage: graph, joint law, the (earlier code, color) of each new code,
+live points and their codes) once per such state, and every ordering
+that reaches the state shares it. Every ordering still solves each of
+its stages once, and the pick and the failures follow the supplied
+order.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, compress, product as iter_product
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +76,7 @@ from .graphs import (
     zone_split,
 )
 from .probability import (
+    SUPPORT_TOL,
     Grid,
     JointPmf,
     _floats,
@@ -512,39 +514,36 @@ def _stage_graph(
     section codes. The decoder knows the section, so it is part of both the
     vertex (local tuple, section code) and the completion (rest, section):
     only live points of one section are confusable. The mass of the points
-    left out of live is settled: it enters as one point with a completion
-    of its own, so it is one lone vertex, labelled ((), ())."""
+    left out of live is settled: when make_graph would keep it, it enters
+    as one point with a completion of its own, so it is one lone vertex,
+    labelled ((), ())."""
     nl, labels, local, rest = len(split.labels), split.labels, split.local, split.rest
     vertex = [c * nl + local[k] for c, k in zip(codes, live)]
     key = [c * split.n_rest + rest[k] for c, k in zip(codes, live)]
     mass = list(map(masses.__getitem__, live))
     out = list(map(outs.__getitem__, live))
     settled = math.fsum(masses) - math.fsum(mass)
-    if settled:  # -1: apart from every live vertex and key
+    if settled > SUPPORT_TOL:  # -1: apart from every live vertex and key
         vertex.append(-1)
         key.append(-1)
         mass.append(settled)
         out.append(0)
-
-    def label(v: int) -> tuple[tuple[int, ...], int | tuple[()]]:
-        return ((), ()) if v < 0 else (labels[v % nl], v // nl)
-
-    g = confusability_graph(vertex, key, mass, out, label)
-    index = {lab: i for i, lab in enumerate(g.vertices)}
-    ids = {v: index[label(v)] for v in set(vertex)}
+    g, ids = confusability_graph(
+        vertex, key, mass, out, lambda v: ((), ()) if v < 0 else (labels[v % nl], v // nl)
+    )
     return g, [ids[v] for v in vertex]
 
 
 def _settle(
-    live: Sequence[int], codes: Sequence[int], outs: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The points of live, and their codes, left once each section whose
-    points all demand one output is dropped."""
-    pairs = set(zip(codes, map(outs.__getitem__, live)))  # (code, output) met
-    one = dict(pairs)  # an output met by each code
+    live: Sequence[int], sections: Sequence[Hashable], outs: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[Hashable, ...]]:
+    """The points of live, and their section keys, left once each section
+    whose points all demand one output is dropped."""
+    pairs = set(zip(sections, map(outs.__getitem__, live)))  # (section, output) met
+    one = dict(pairs)  # an output met by each section
     mixed = {c for c, o in pairs if one[c] != o}
-    keep = [c in mixed for c in codes]
-    return tuple(compress(live, keep)), tuple(compress(codes, keep))
+    keep = [c in mixed for c in sections]
+    return tuple(compress(live, keep)), tuple(compress(sections, keep))
 
 
 class _Stage(NamedTuple):
@@ -552,9 +551,10 @@ class _Stage(NamedTuple):
     joint law of its vertices with their section codes, then the state
     after it. A section is live until all of its points demand one output:
     live holds the points of the live sections (ids into the support) and
-    codes their section codes, numbered 0, 1, ... by first appearance;
-    coded[c] is the (earlier code, color) of live code c, from which
-    _transcript rebuilds a section's transcript.
+    codes their section codes, graphs.integer_codes of the live points'
+    (earlier code, color) pairs, so numbered 0, 1, ... by first
+    appearance; coded[c] is the pair of code c, from which _transcript
+    rebuilds a section's transcript.
     The root, before any server speaks, has no graph."""
 
     graph: CharGraph | None
@@ -573,26 +573,23 @@ def _next_stage(
     mass is what the live points leave."""
     live, codes = parent.live, parent.codes
     g, ids = _stage_graph(split, live, codes, masses, outs)
-    # the settled vertex's side symbol is one of its own
-    top = max(codes, default=-1) + 1
-    side = codes + (top,) * (len(ids) - len(live))
+    # the settled vertex is lone, so it is a block of its own under any
+    # side symbol: it takes 0
+    side = codes + (0,) * (len(ids) - len(live))
     joint = JointPmf(
-        (g.n, top + 1),
+        (g.n, max(codes, default=0) + 1),
         {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()},
     )
     # colors need only separate inside the section the decoder already
     # knows; no edge of g leaves a section, so coloring g one component at
     # a time colors each section on its own
     colors = min_coloring(g)
-    coded: dict[tuple[int, int], int] = {}  # (section code, color) -> next code
-    codes = tuple(coded.setdefault((c, colors[i]), len(coded)) for c, i in zip(codes, ids))
-    live, codes = _settle(live, codes, outs)
-    # the live codes renumbered by first appearance, so that every parent
-    # that leaves one partition of the live points leaves one state
-    renumber: dict[int, int] = {}
-    codes = tuple(renumber.setdefault(c, len(renumber)) for c in codes)
-    pairs = list(coded)
-    return _Stage(g, joint, live, codes, [pairs[c] for c in renumber])
+    live, pairs = _settle(live, tuple(zip(codes, map(colors.__getitem__, ids))), outs)
+    # a live section's next code is its (section code, color) pair's, by
+    # first appearance over the live points, so every parent that leaves
+    # one partition of the live points leaves one state
+    codes, coded = integer_codes(pairs)
+    return _Stage(g, joint, live, tuple(codes), coded)
 
 
 def _transcript(path: Sequence[_Stage], code: int) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ block, folded from its color profile and its outputs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import DecodeError, DeskScaleError, ValidationError
 from .functions import DemandSpec, decoding_map
-from .graphs import CharGraph, build_char_graph, or_power, support_items
+from .graphs import CharGraph, build_char_graph, integer_codes, or_power, support_items
 from .probability import JointPmf, _plog2p_grid
 from .rates import min_coloring
 from .solvers import graph_entropy
@@ -82,7 +81,6 @@ class SimResult:
     trials: int
     errors: int
     empirical_rate_bits_per_symbol: tuple[float, ...]
-    seed: int
 
 
 def build_encoders(
@@ -126,14 +124,12 @@ def _power_coloring(g: CharGraph, n: int) -> tuple[int, ...]:
     keeps greedy's coloring).  Its OR power is then complete multipartite
     with the n-tuples of parts as its parts, its only minimum coloring, so
     vertex b gets the mixed-radix index of its labels' part ranks, parts
-    ranked by their smallest vertex id, and no power is built.  Any other g
-    gets min_coloring of the built power."""
-    colors = min_coloring(g)
-    if sum(map(len, g.neighbors)) != g.n**2 - sum(s * s for s in Counter(colors).values()):
+    ranked by their smallest vertex id (integer_codes of the colors), and
+    no power is built.  Any other g gets min_coloring of the built power."""
+    part, parts = integer_codes(min_coloring(g))
+    if sum(map(len, g.neighbors)) != g.n**2 - int((np.bincount(part) ** 2).sum()):
         return min_coloring(or_power(g, n))
-    rank: dict[int, int] = {}
-    part = np.array([rank.setdefault(c, len(rank)) for c in colors])
-    return tuple(_block_index(part, len(rank), n).tolist())
+    return tuple(_block_index(np.array(part), len(parts), n).tolist())
 
 
 def _sweep(joint: JointPmf, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -303,13 +299,7 @@ def run_simulation(
     correct = np.array([table.table.get(pr) == out for pr, out in pairs])[pair_of]
     counts = np.random.default_rng(seed).multinomial(trials, masses / masses.sum())
     errors = int(counts[~correct].sum())
-    empirical = _rates(colors, counts / trials, n)
-    return SimResult(
-        trials=trials,
-        errors=errors,
-        empirical_rate_bits_per_symbol=tuple(empirical),
-        seed=seed,
-    )
+    return SimResult(trials, errors, tuple(_rates(colors, counts / trials, n)))
 
 
 def expected_rates(encoders: Sequence[Encoder], joint: JointPmf, n: int) -> list[float]:

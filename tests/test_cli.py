@@ -774,6 +774,17 @@ class TestCustomScenario:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and "N, K, Z" in err
 
+    def test_placement_for_another_n_exits_2(self, capsys, tmp_path):
+        # a 4-server placement would price the first Nr of 6 servers
+        f = tmp_path / "placement.json"
+        f.write_text(json.dumps({"N": 4, "K": 6, "Z": [[1, 2, 3, 4, 5, 6], [1, 2, 3], [4, 5, 6], [1, 2]]}))
+        argv = ["scenario", "--scenario", "custom", "--demand",
+                str(self._demand_file(tmp_path, k=6)), "--placement", str(f),
+                "--n", "6", "--k", "6", "--nr", "3", "--eps-grid", "0.5,0.5,1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "placement is for (N=4, K=6), topology says (N=6, K=6)" in err
+
     def test_ordering_sweep_guard(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

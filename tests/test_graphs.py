@@ -6,14 +6,15 @@ tests/oracles/gen_frozen.py, which share no code with the package.
 
 import math
 import random
-import time
 from itertools import combinations
 
 import pytest
 
+from chargraph import graphs
 from chargraph.errors import DeskScaleError, ValidationError
 from chargraph.functions import LinearlySeparable
 from chargraph.graphs import (
+    MIS_CELL_GUARD,
     CharGraph,
     build_char_graph,
     confusability_graph,
@@ -188,7 +189,7 @@ class TestBuildCharGraph:
 class TestConfusabilityGraph:
     def test_masses_add_and_edges_need_shared_completion(self):
         # support points by codes: vertex, completion key, mass, outputs
-        g = confusability_graph(
+        g, ids = confusability_graph(
             [0, 0, 1, 2, 3],
             [0, 1, 0, 1, 2],  # b shares completion 0 with a, c completion 1
             [0.25, 0.25, 0.25, 0.125, 0.125],
@@ -198,12 +199,20 @@ class TestConfusabilityGraph:
         assert g.vertices == ("a", "b", "c", "d")
         assert g.pmf == (0.5, 0.25, 0.125, 0.125)
         assert g.edges == frozenset({(0, 1)})
+        assert ids == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_vertices_follow_label_repr_not_code(self):
         labels = {0: "d", 1: "c", 2: "b", 3: "a"}
-        g = confusability_graph([0, 1, 2, 3], [0, 0, 1, 1], [0.25] * 4, [0, 1, 0, 0], labels.get)
+        g, ids = confusability_graph(
+            [0, 1, 2, 3], [0, 0, 1, 1], [0.25] * 4, [0, 1, 0, 0], labels.get
+        )
         assert g.vertices == ("a", "b", "c", "d")
         assert g.edges == frozenset({(2, 3)})  # codes 0 and 1 are d and c
+        assert ids == {0: 3, 1: 2, 2: 1, 3: 0}
+
+    def test_a_pruned_code_has_no_vertex_id(self):
+        g, ids = confusability_graph([0, 1], [0, 1], [0.5, 1e-16], [0, 0], "ab".__getitem__)
+        assert g.vertices == ("a",) and ids == {0: 0}
 
     def test_outputs_must_follow_vertex_and_completion(self):
         with pytest.raises(ValidationError):
@@ -247,14 +256,17 @@ class TestOrPower:
         with pytest.raises(ValidationError):
             or_power(g, 0)
 
-    def test_guard_counts_vertex_pairs(self):
+    def test_guard_counts_vertex_pairs(self, monkeypatch):
         # C8^4 has only 4,096 vertices but 16.7 M vertex pairs
         c8 = make_graph({i: 1 / 8 for i in range(8)}, [(i, (i + 1) % 8) for i in range(8)])
         assert len(or_power(c8, 3).edges) == 75_776  # 512^2 pairs fit the guard
-        start = time.perf_counter()
+
+        def no_tuples(*args, **kwargs):
+            raise AssertionError("the guard must refuse before any tuple is built")
+
+        monkeypatch.setattr(graphs, "iter_product", no_tuples)
         with pytest.raises(DeskScaleError, match="pairs"):
             or_power(c8, 4)
-        assert time.perf_counter() - start < 1.0
 
 
 def brute_force_mis(g: CharGraph) -> set[tuple[int, ...]]:
@@ -296,12 +308,22 @@ class TestEnumerateMis:
         with pytest.raises(DeskScaleError):
             enumerate_mis(big)
 
-    def test_cell_guard_stops_the_enumeration(self):
-        # 20 disjoint triangles: 60 vertices, 3^20 maximal independent sets
-        start = time.perf_counter()
+    def test_cell_guard_stops_the_enumeration(self, monkeypatch):
+        # 20 disjoint triangles: 60 vertices, 3^20 maximal independent sets,
+        # of which the guard admits 1e6 // 60 + 1 before it stops; the
+        # search makes about two _bits calls per set it finds
+        bits = graphs._bits
+        calls = 0
+
+        def counted(mask):
+            nonlocal calls
+            calls += 1
+            return bits(mask)
+
+        monkeypatch.setattr(graphs, "_bits", counted)
         with pytest.raises(DeskScaleError, match="cell guard"):
             enumerate_mis(disjoint_triangles(20))
-        assert time.perf_counter() - start < 1.0
+        assert calls <= 4 * (MIS_CELL_GUARD // 60 + 1)
         # the plain entropy still solves it block by block, in closed form
         res = graph_entropy(disjoint_triangles(20))
         assert res.value == pytest.approx(math.log2(3), abs=1e-12)

@@ -452,6 +452,18 @@ class TestChain:
         for order in orders:
             assert chain_rate(t, p, d, joint, order).metadata["ordering"] == list(order)
 
+    def test_settled_mass_at_the_support_threshold(self):
+        # after server 1 the section W1 = 0 settles; what the live points
+        # leave of the total is at most SUPPORT_TOL, so the settled vertex
+        # would be pruned, and the stage has no settled vertex instead
+        t = Topology(n=2, k=2, kc=2, m=1, nr=2)
+        p = Placement(n=2, k=2, zones=((1,), (2,)))
+        d = LinearlySeparable(q=2, gamma=((1, 0), (0, 1)))
+        tiny = 1.001e-15
+        joint = JointPmf((2, 2), {(0, 0): tiny, (1, 0): 0.37, (1, 1): 0.63 - tiny})
+        rr = chain_rate(t, p, d, joint, [1, 2])
+        assert rr.sum_rate == pytest.approx(binary_entropy(0.37), abs=1e-12)
+
     def test_ordering_validation(self):
         t, p, d, joint = scenario_ii()
         with pytest.raises(ValidationError):

@@ -368,12 +368,13 @@ class TestRunSimulation:
         with pytest.raises(ValidationError, match=r"no encoder supplied for servers \[2\]"):
             run_simulation(encs[:1], tab, joint, 1, 100, seed=0)
 
-    def test_result_json(self):
+    def test_result_counts_trials_errors_and_one_rate_per_encoder(self):
         t, p, d, joint = scenario_ii()
         encs = build_encoders(t, p, d, joint, 1)
         tab = build_decode_table(encs, t, p, d, joint, (2, 3))
         res = run_simulation(encs, tab, joint, 1, 1000, seed=7)
         assert res.errors == 0 and res.trials == 1000
+        assert len(res.empirical_rate_bits_per_symbol) == len(encs)
 
 
 class TestExpectedRates:

@@ -9,7 +9,6 @@ import json
 import math
 import random
 import sys
-import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -454,19 +453,22 @@ class TestIterativeKernel:
             checked += 1
         assert zero_joint_cells >= 10
 
-    def test_solve_guard_refuses_before_the_first_step(self):
+    def test_solve_guard_refuses_before_the_first_step(self, monkeypatch):
         # 8 disjoint triangles and a vertex adjacent to all of them: connected,
         # 3^8 + 1 maximal independent sets, within the MIS cell guard but a
         # step tensor of 8 x 6,562 x 25 cells
         edges = [(3 * t + a, 3 * t + b) for t in range(8) for a, b in ((0, 1), (0, 2), (1, 2))]
         g = make_graph({v: 1 / 25 for v in range(25)}, edges + [(24, v) for v in range(24)])
-        t0 = time.perf_counter()
         m = enumerate_mis(g).count
         assert m == 3**8 + 1 and g.n * m <= MIS_CELL_GUARD
         assert solvers.RESTARTS * m * g.n > SOLVE_CELL_GUARD
+
+        def no_start(mask):
+            raise AssertionError("the guard must refuse before the restarts start")
+
+        monkeypatch.setattr(solvers, "_start", no_start)
         with pytest.raises(DeskScaleError, match="solve guard"):
             graph_entropy(g)
-        assert time.perf_counter() - t0 < 1.0
 
     def test_entropy_graphs_match_benchmark_references(self):
         # the benchmark's 112 entropy-graphs instances, drawn by its own
