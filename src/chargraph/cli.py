@@ -213,8 +213,8 @@ def _custom_evaluator(cfg: dict[str, Any]) -> Evaluate:
     t = _topology(cfg, d.kc)
     if "placement" in cfg:
         p = placement_from_json(_load_json(cfg["placement"]))
-        # support_items refuses a K mismatch; the chain prices any N
-        if p.n != t.n:
+        # a placement for another N or K would price other servers or datasets
+        if (p.n, p.k) != (t.n, t.k):
             raise ValidationError(
                 f"placement is for (N={p.n}, K={p.k}), topology says (N={t.n}, K={t.k})"
             )

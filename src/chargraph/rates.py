@@ -31,16 +31,16 @@ graphs.confusability_graph, which builds each vertex's label, (local
 tuple, section code), once and returns the vertex id of each code. A
 section whose points all demand one output is settled: from then on its
 points leave the chain, and each stage sees the mass the live points
-leave as one lone vertex ((), ()). The ordering decodes iff no live
-section is left after the last stage. A stage reads only its server, the
-live points and their section codes; the next codes are
-graphs.integer_codes of the live points' (section code, color) pairs,
-once the settled sections leave, so _chain_eval builds each stage
-(_Stage: graph, joint law, the (earlier code, color) of each new code,
-live points and their codes) once per such state, and every ordering
-that reaches the state shares it. Every ordering still solves each of
-its stages once, and the pick and the failures follow the supplied
-order.
+leave as one lone vertex ((), ()), which make_graph alone may prune. The
+ordering decodes iff no live section is left after the last stage. A
+stage reads only its server, the live points and their section codes;
+the next codes are graphs.integer_codes of the live points' (section
+code, color) pairs, once the settled sections leave, so _chain_eval
+builds each stage (_Stage: graph, joint law, the (earlier code, color) of
+each new code, live points and their codes) once per such state, and
+every ordering that reaches the state shares it. Every ordering still
+solves each of its stages once, and the pick and the failures follow the
+supplied order.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .graphs import (
     zone_split,
 )
 from .probability import (
-    SUPPORT_TOL,
     Grid,
     JointPmf,
     _floats,
@@ -508,30 +507,28 @@ def _stage_graph(
     masses: Sequence[float],
     outs: Sequence[int],
 ) -> tuple[CharGraph, list[int]]:
-    """A chain stage's graph and the vertex id of each live point, then of
-    the settled vertex if there is one, given the server's split and the
-    live points (ids into the split, masses and output codes) with their
-    section codes. The decoder knows the section, so it is part of both the
-    vertex (local tuple, section code) and the completion (rest, section):
-    only live points of one section are confusable. The mass of the points
-    left out of live is settled: when make_graph would keep it, it enters
-    as one point with a completion of its own, so it is one lone vertex,
-    labelled ((), ())."""
+    """A chain stage's graph and the vertex id of each live point, given
+    the server's split and the live points (ids into the split, masses and
+    output codes) with their section codes. The decoder knows the section,
+    so it is part of both the vertex (local tuple, section code) and the
+    completion (rest, section): only live points of one section are
+    confusable. Once a point has left live, the mass the live points leave
+    is settled: one more point with a completion of its own, so one lone
+    vertex ((), ()), which make_graph alone may prune."""
     nl, labels, local, rest = len(split.labels), split.labels, split.local, split.rest
     vertex = [c * nl + local[k] for c, k in zip(codes, live)]
     key = [c * split.n_rest + rest[k] for c, k in zip(codes, live)]
     mass = list(map(masses.__getitem__, live))
     out = list(map(outs.__getitem__, live))
-    settled = math.fsum(masses) - math.fsum(mass)
-    if settled > SUPPORT_TOL:  # -1: apart from every live vertex and key
+    if len(live) < len(masses):  # -1: apart from every live vertex and key
         vertex.append(-1)
         key.append(-1)
-        mass.append(settled)
+        mass.append(math.fsum(masses) - math.fsum(mass))
         out.append(0)
-    g, ids = confusability_graph(
+    g, id_of = confusability_graph(
         vertex, key, mass, out, lambda v: ((), ()) if v < 0 else (labels[v % nl], v // nl)
     )
-    return g, [ids[v] for v in vertex]
+    return g, [id_of[v] for v in vertex[: len(live)]]
 
 
 def _settle(
@@ -547,15 +544,15 @@ def _settle(
 
 
 class _Stage(NamedTuple):
-    """A chain stage, built once per state it reads: its graph and the
-    joint law of its vertices with their section codes, then the state
-    after it. A section is live until all of its points demand one output:
-    live holds the points of the live sections (ids into the support) and
-    codes their section codes, graphs.integer_codes of the live points'
-    (earlier code, color) pairs, so numbered 0, 1, ... by first
-    appearance; coded[c] is the pair of code c, from which _transcript
-    rebuilds a section's transcript.
-    The root, before any server speaks, has no graph."""
+    """A chain stage, built once per state it reads: its graph (whose
+    settled vertex make_graph alone may prune) and the joint law of its
+    vertices with their section codes, then the state after it. A section
+    is live until all of its points demand one output: live holds the
+    points of the live sections (ids into the support) and codes their
+    section codes, graphs.integer_codes of the live points' (earlier code,
+    color) pairs, so numbered 0, 1, ... by first appearance; coded[c] is
+    the pair of code c, from which _transcript rebuilds a section's
+    transcript. The root, before any server speaks, has no graph."""
 
     graph: CharGraph | None
     joint: JointPmf | None
@@ -573,12 +570,12 @@ def _next_stage(
     mass is what the live points leave."""
     live, codes = parent.live, parent.codes
     g, ids = _stage_graph(split, live, codes, masses, outs)
-    # the settled vertex is lone, so it is a block of its own under any
-    # side symbol: it takes 0
-    side = codes + (0,) * (len(ids) - len(live))
+    # a live vertex takes its section code; the settled vertex, if kept, is
+    # lone, so a block of its own under any side symbol: it takes 0
+    side = dict.fromkeys(range(g.n), 0)
+    side.update(zip(ids, codes))
     joint = JointPmf(
-        (g.n, max(codes, default=0) + 1),
-        {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()},
+        (g.n, max(codes, default=0) + 1), {(i, c): g.pmf[i] for i, c in side.items()}
     )
     # colors need only separate inside the section the decoder already
     # knows; no edge of g leaves a section, so coloring g one component at

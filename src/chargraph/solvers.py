@@ -15,7 +15,8 @@ block enumerates its MISs once, on its ids in the whole graph, and is
 exact when they partition it (graphs.is_complete_multipartite); an
 exact block is summed in closed form from its part masses. Only the other
 blocks reach _solve, scaled by their mass: one alternating minimization
-with multi-restart certification on the enumerated family.
+from several starts on the enumerated family. The acceptance checklist
+checks their spread, which certifies nothing: the duality gap can exceed it.
 Its first step evaluates the restarts' random starts; each later step
 does only the work its iterate needs. A block with one mass column (every
 graph_entropy block, and any block whose side symbol is a function of X)
@@ -163,8 +164,8 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
 
     Alternate: Q(u|y) <- sum_x p(x|y) P(u|x), then P(u|x) prop. to the
     geometric mean of Q(.|y) weighted by p(y|x), on the allowed cells.
-    Monotone on a convex objective, so restarts certify the minimum rather
-    than hunt for it. Exact blocks are priced in closed form instead.
+    Monotone on a convex objective; the restarts' spread certifies nothing,
+    as the duality gap can exceed it. Exact blocks are priced in closed form.
     Step 1 evaluates the random starts themselves; every later step takes
     H(U|X) from the normalizer of its update. With one column the geometric
     mean is Q(u) itself, and _column_steps iterates on the (MIS, restart)

@@ -6,7 +6,7 @@ code paths.  Run it to regenerate the literals pinned in tests/.
 """
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 
 def h(p: float) -> float:
@@ -166,3 +166,79 @@ print("\nPROP3_5_5_4_HALF = %.15f" % val)
 # --- independent-pair gain at extreme skew --------------------------------
 e = 1e-6
 print("ETA_LIN_TINY_EPS = %.15f" % ((h(e) + h(2 * e * (1 - e))) / (2 * h(e))))
+
+
+# --- ordered chain over every ordering, by whole transcripts ---------------
+# i.i.d. Bern(eps) bits on the full cube, cyclic zones of N - Nr + 1 bits. A
+# stage vertex is (local tuple, whole earlier transcript); two are joined iff
+# a point of each shares the transcript and the other bits but not the
+# demanded output. Each component must be complete multipartite: it costs
+# sum m log2(M / m) over its parts (mass m, component mass M), and a vertex
+# sends its part's number, smaller part first, ties by the smallest local
+# tuple. No section is ever dropped: one whose points all demand one output
+# has lone vertices only, which cost 0.
+def chain_stage(points, zone, transcripts):
+    vertex = [(tuple(w[c] for c in zone), t) for (w, _, _), t in zip(points, transcripts)]
+    rest = [(tuple(b for c, b in enumerate(w) if c not in zone), t)
+            for (w, _, _), t in zip(points, transcripts)]
+    mass, adj = {}, {}
+    for v, (_, m, _) in zip(vertex, points):
+        mass[v] = mass.get(v, 0.0) + m
+        adj.setdefault(v, set())
+    for a in range(len(points)):
+        for b in range(a):
+            if rest[a] == rest[b] and points[a][2] != points[b][2]:
+                adj[vertex[a]].add(vertex[b])
+                adj[vertex[b]].add(vertex[a])
+    color, cost, seen = {}, 0.0, set()
+    for start in mass:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for v in comp:  # grows while it is walked
+            for u in adj[v] - seen:
+                seen.add(u)
+                comp.append(u)
+        parts = {}
+        for v in comp:  # a part is a set of non-adjacent twins
+            parts.setdefault(frozenset(adj[v]), []).append(v)
+        for u in comp:
+            for v in comp:
+                if (v in adj[u]) != (frozenset(adj[u]) != frozenset(adj[v])):
+                    raise ValueError(f"component of {start} is not complete multipartite")
+        total = sum(mass[v] for v in comp)
+        ordered = sorted(parts.values(), key=lambda part: (len(part), min(part)))
+        for c, part in enumerate(ordered):
+            m = sum(mass[v] for v in part)
+            cost += m * math.log2(total / m)
+            color.update(dict.fromkeys(part, c))
+    return cost, [t + (color[v],) for v, t in zip(vertex, transcripts)]
+
+
+def chain_oracle(demand, n, nr, eps):
+    points = [(w, eps ** sum(w) * (1 - eps) ** (n - sum(w)), demand(w))
+              for w in product((0, 1), repeat=n)]
+    zones = [sorted((i + s) % n for s in range(n - nr + 1)) for i in range(n)]
+    sums = []
+    for order in permutations(range(1, nr + 1)):
+        transcripts, costs = [()] * len(points), []
+        for server in order:
+            cost, transcripts = chain_stage(points, zones[server - 1], transcripts)
+            costs.append(cost)
+        decoded = {}
+        for t, (_, _, o) in zip(transcripts, points):
+            if decoded.setdefault(t, o) != o:
+                break
+        else:
+            sums.append((math.fsum(costs), list(order)))
+    least = min(s for s, _ in sums)
+    return next((s, o) for s, o in sums if s <= least * (1 + 1e-12))
+
+
+print("\nFROZEN_CHAIN = {")
+for name, n, nr, eps in [("parity", 5, 4, 0.1), ("parity", 5, 4, 0.3),
+                         ("and", 6, 5, 0.1), ("and", 6, 5, 0.3)]:
+    demand = (lambda w: sum(w) % 2) if name == "parity" else (lambda w: min(w))
+    print(f"    {(name, n, nr, eps)!r}: {chain_oracle(demand, n, nr, eps)!r},")
+print("}")

@@ -61,6 +61,15 @@ class TestPlacement:
         assert code == 2 and "error" in err
 
     @pytest.mark.parametrize(
+        "command", [["placement"], ["scenario", "--scenario", "multilinear"]]
+    )
+    def test_nr_above_n_names_nr(self, capsys, command):
+        # the cyclic M = (K/N)(N - Nr + 1) is 0 here, but M is no flag
+        code, out, err = run(capsys, command + ["--n", "4", "--k", "4", "--nr", "5"])
+        assert code == 2 and out == ""
+        assert "Nr=5 outside 1..4" in err and "M" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["placement", "--n", "3", "--k", "3", "--nr", "2", "--kc", "5"],
@@ -784,6 +793,16 @@ class TestCustomScenario:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert "placement is for (N=4, K=6), topology says (N=6, K=6)" in err
+
+    def test_placement_for_another_k_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "placement.json"
+        f.write_text(json.dumps({"N": 4, "K": 8, "Z": [[1, 2, 5, 6], [2, 3, 6, 7], [3, 4, 7, 8], [1, 4, 5, 8]]}))
+        argv = ["scenario", "--scenario", "custom", "--demand",
+                str(self._demand_file(tmp_path, k=4)), "--placement", str(f),
+                "--n", "4", "--k", "4", "--nr", "3", "--eps-grid", "0.5,0.5,1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "placement is for (N=4, K=8), topology says (N=4, K=4)" in err
 
     def test_ordering_sweep_guard(self, capsys, tmp_path):
         code, _, err = run(

@@ -11,7 +11,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 
 FROZEN_IN = {
-    "test_rates.py": ("PROP1_CASES", "PROP3_5_5_4_HALF", "ETA_LIN_TINY_EPS"),
+    "test_rates.py": ("PROP1_CASES", "PROP3_5_5_4_HALF", "ETA_LIN_TINY_EPS", "FROZEN_CHAIN"),
     "test_graphs.py": ("TERNARY_SQUARE_EDGE_COUNT", "TERNARY_SQUARE_MIN_COLORS"),
     "test_solvers.py": ("CHROMATIC_TERNARY_UNIFORM", "CHROMATIC_TERNARY_SKEWED", "CHROMATIC_C5"),
     "test_probability.py": ("MIXTURE_ENTROPY", "MIXTURE_PARITY"),

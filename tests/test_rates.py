@@ -454,8 +454,8 @@ class TestChain:
 
     def test_settled_mass_at_the_support_threshold(self):
         # after server 1 the section W1 = 0 settles; what the live points
-        # leave of the total is at most SUPPORT_TOL, so the settled vertex
-        # would be pruned, and the stage has no settled vertex instead
+        # leave of the total is at most SUPPORT_TOL, so make_graph prunes
+        # the settled vertex, and the stage has no settled vertex
         t = Topology(n=2, k=2, kc=2, m=1, nr=2)
         p = Placement(n=2, k=2, zones=((1,), (2,)))
         d = LinearlySeparable(q=2, gamma=((1, 0), (0, 1)))
@@ -637,13 +637,13 @@ def test_rates_respect_information_floor():
     assert all(count > 0 for count in checked.values()), checked
 
 
-# chain_rate over every ordering of the first Nr servers, recorded from the
-# implementation that built each stage graph from tuple-keyed points:
+# chain_rate over every ordering of the first Nr servers, from the
+# whole-transcript oracle in tests/oracles/gen_frozen.py:
 # (demand, N = K, Nr, eps) -> (R_graph, winning ordering)
 FROZEN_CHAIN = {
-    ("parity", 5, 4, 0.1): (1.8291496850458409, [1, 2, 4, 3]),
-    ("parity", 5, 4, 0.3): (2.8441986892979996, [1, 2, 4, 3]),
-    ("and", 6, 5, 0.1): (0.08160914656845973, [1, 3, 2, 5, 4]),
+    ("parity", 5, 4, 0.1): (1.8291496850458413, [1, 2, 4, 3]),
+    ("parity", 5, 4, 0.3): (2.844198689297999, [1, 2, 4, 3]),
+    ("and", 6, 5, 0.1): (0.08160914656845998, [1, 3, 2, 5, 4]),
     ("and", 6, 5, 0.3): (0.4792875061180914, [1, 3, 2, 5, 4]),
 }
 
@@ -1003,7 +1003,7 @@ def _check_stage_graph(ws, zone, rng):
     assert h.vertices[0] == ((), ()) and h.vertices == vertices
     assert h.neighbors == neighbors and h.neighbors[0] == frozenset()
     assert h.pmf == pytest.approx(pmf, rel=1e-12) and h.pmf[0] == pytest.approx(settled)
-    assert h_ids == [vertices.index((points[k][0], codes[k])) for k in live] + [0]
+    assert h_ids == [vertices.index((points[k][0], codes[k])) for k in live]
     return g
 
 
