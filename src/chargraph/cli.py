@@ -51,6 +51,7 @@ CSV_HEADER = ",".join(COLUMNS)
 JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in COLUMNS) + "\n    }"
 FORMATS = ("csv", "json")
 MAX_CHAIN_SERVERS = 6  # orderings grow factorially; cap the exhaustive sweep
+MAX_GRID_POINTS = 10**6  # a sweep's (eps, param) points; the shipped configs reach 495
 
 
 def _parse_grid(value: Any) -> tuple[float, float, int]:
@@ -157,8 +158,14 @@ def _config(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _points(cfg: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep's grid points as arrays of eps and param, eps-major."""
-    eps = np.linspace(*cfg.get("eps_grid", (0.1, 0.5, 5)))
+    """The sweep's grid points as arrays of eps and param, eps-major. A
+    grid of more than MAX_GRID_POINTS points is refused before any array
+    is built."""
+    eps_grid = cfg.get("eps_grid", (0.1, 0.5, 5))
+    count = eps_grid[2] * math.prod(cfg[g][2] for g in ("p_grid", "rho_grid") if g in cfg)
+    if count > MAX_GRID_POINTS:
+        raise DeskScaleError(f"the grid has {count} points; the cap is {MAX_GRID_POINTS}")
+    eps = np.linspace(*eps_grid)
     if "p_grid" in cfg:
         # crossed sweeps run past the pair model's validity boundary
         # (p' = eps*p/(1-eps) <= 1); each curve simply ends there

@@ -165,8 +165,9 @@ def components(
     their smallest ids; g is split once, however often it is asked. With
     side symbols, the edges between vertices whose symbols differ are
     dropped first: the blocks of a conditional program. When every
-    component meets one symbol (a chain stage graph, which has no edge
-    across transcript sections), they are those blocks."""
+    component meets one symbol, they are those blocks; a chain stage graph
+    has no edge across transcript sections, so its sections split nothing
+    and the chain prices it with one side symbol."""
     comps = g._components
     if side is None or all(side[v] == side[c[0]] for c in comps for v in c):
         return comps

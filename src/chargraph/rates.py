@@ -28,19 +28,21 @@ chain_rate codes each server's zone split (graphs.zone_split) and the
 demanded outputs as integers once; a stage groups the live points by
 (section, local) and (section, rest) codes and builds its graph with
 graphs.confusability_graph, which builds each vertex's label, (local
-tuple, section code), once and returns the vertex id of each code. A
-section whose points all demand one output is settled: from then on its
-points leave the chain, and each stage sees the mass the live points
-leave as one lone vertex ((), ()), which make_graph alone may prune. The
-ordering decodes iff no live section is left after the last stage. A
-stage reads only its server, the live points and their section codes;
-the next codes are graphs.integer_codes of the live points' (section
-code, color) pairs, once the settled sections leave, so _chain_eval
-builds each stage (_Stage: graph, joint law, the (earlier code, color) of
-each new code, live points and their codes) once per such state, and
-every ordering that reaches the state shares it. Every ordering still
-solves each of its stages once, and the pick and the failures follow the
-supplied order.
+tuple, section code), once and returns the vertex id of each code. The
+section lives only in the vertex and the completion key: a stage graph
+has no edge across sections, so as a side symbol it would split nothing
+(Orlitsky & Roche 2001), and a stage is priced on its graph alone. A
+section whose points all demand one output is settled: its points leave
+the chain, and each stage sees the mass they leave as one lone vertex
+((), ()), which make_graph alone may prune. The ordering decodes iff no
+live section is left after the last stage. A stage reads only its
+server, the live points and their section codes; the next codes are
+graphs.integer_codes of the live points' (section code, color) pairs,
+once the settled sections leave, so _chain_eval builds each stage
+(_Stage: graph, law, the (earlier code, color) of each new code, live
+points and their codes) once per such state, and every ordering that
+reaches the state shares it. Every ordering still solves each of its
+stages once, and the pick and the failures follow the supplied order.
 """
 
 from __future__ import annotations
@@ -545,14 +547,14 @@ def _settle(
 
 class _Stage(NamedTuple):
     """A chain stage, built once per state it reads: its graph (whose
-    settled vertex make_graph alone may prune) and the joint law of its
-    vertices with their section codes, then the state after it. A section
-    is live until all of its points demand one output: live holds the
-    points of the live sections (ids into the support) and codes their
-    section codes, graphs.integer_codes of the live points' (earlier code,
-    color) pairs, so numbered 0, 1, ... by first appearance; coded[c] is
-    the pair of code c, from which _transcript rebuilds a section's
-    transcript. The root, before any server speaks, has no graph."""
+    settled vertex make_graph alone may prune) and its law, the graph's own
+    pmf with one side symbol, then the state after it. A section is live
+    until all of its points demand one output: live holds the points of
+    the live sections (ids into the support) and codes their section
+    codes, graphs.integer_codes of the live points' (earlier code, color)
+    pairs, so numbered 0, 1, ... by first appearance; coded[c] is the pair
+    of code c, from which _transcript rebuilds a section's transcript. The
+    root, before any server speaks, has no graph."""
 
     graph: CharGraph | None
     joint: JointPmf | None
@@ -570,16 +572,10 @@ def _next_stage(
     mass is what the live points leave."""
     live, codes = parent.live, parent.codes
     g, ids = _stage_graph(split, live, codes, masses, outs)
-    # a live vertex takes its section code; the settled vertex, if kept, is
-    # lone, so a block of its own under any side symbol: it takes 0
-    side = dict.fromkeys(range(g.n), 0)
-    side.update(zip(ids, codes))
-    joint = JointPmf(
-        (g.n, max(codes, default=0) + 1), {(i, c): g.pmf[i] for i, c in side.items()}
-    )
-    # colors need only separate inside the section the decoder already
-    # knows; no edge of g leaves a section, so coloring g one component at
-    # a time colors each section on its own
+    # no edge of g leaves a section, so the section the decoder already
+    # knows splits nothing more: g alone prices the stage, and coloring it
+    # one component at a time colors each section on its own
+    joint = JointPmf((g.n, 1), {(i, 0): m for i, m in enumerate(g.pmf)})
     colors = min_coloring(g)
     live, pairs = _settle(live, tuple(zip(codes, map(colors.__getitem__, ids))), outs)
     # a live section's next code is its (section code, color) pair's, by

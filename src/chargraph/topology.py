@@ -27,13 +27,14 @@ class Topology:
     nr: int
 
     def __post_init__(self) -> None:
-        # Nr before M: the cyclic M = (K/N)(N - Nr + 1) is below 1 when Nr > N
+        # Nr and N | K before M: the cyclic M = (K/N)(N - Nr + 1) is below 1
+        # when Nr > N, and 0 when K < N
         if self.n >= 1 and not 1 <= self.nr <= self.n:
             raise ValidationError(f"Nr={self.nr} outside 1..{self.n}")
+        if self.n >= 1 and self.k >= 1 and self.k % self.n != 0:
+            raise ValidationError(f"N={self.n} must divide K={self.k}")
         if self.n < 1 or self.k < 1 or self.kc < 1 or self.m < 1:
             raise ValidationError("N, K, Kc, M must all be >= 1")
-        if self.k % self.n != 0:
-            raise ValidationError(f"N={self.n} must divide K={self.k}")
 
     @property
     def delta(self) -> int:

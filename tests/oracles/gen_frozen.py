@@ -6,7 +6,9 @@ code paths.  Run it to regenerate the literals pinned in tests/.
 """
 
 import math
+import random
 from itertools import permutations, product
+from pprint import pformat
 
 
 def h(p: float) -> float:
@@ -169,14 +171,18 @@ print("ETA_LIN_TINY_EPS = %.15f" % ((h(e) + h(2 * e * (1 - e))) / (2 * h(e))))
 
 
 # --- ordered chain over every ordering, by whole transcripts ---------------
-# i.i.d. Bern(eps) bits on the full cube, cyclic zones of N - Nr + 1 bits. A
-# stage vertex is (local tuple, whole earlier transcript); two are joined iff
-# a point of each shares the transcript and the other bits but not the
-# demanded output. Each component must be complete multipartite: it costs
-# sum m log2(M / m) over its parts (mass m, component mass M), and a vertex
-# sends its part's number, smaller part first, ties by the smallest local
-# tuple. No section is ever dropped: one whose points all demand one output
-# has lone vertices only, which cost 0.
+# A support is a list of points (w, mass, outputs); server s stores the bits
+# zones[s - 1]. A stage vertex is (local tuple, whole earlier transcript); two
+# are joined iff a point of each shares the transcript and the other bits but
+# not the demanded outputs. Each component must be complete multipartite: it
+# costs sum m log2(M / m) over its parts (mass m, component mass M), and a
+# vertex sends its part's number, smaller part first, ties by the smallest
+# local tuple. No section is ever dropped: one whose points all demand one
+# output has lone vertices only, which cost 0.
+class NotMultipartite(Exception):
+    pass
+
+
 def chain_stage(points, zone, transcripts):
     vertex = [(tuple(w[c] for c in zone), t) for (w, _, _), t in zip(points, transcripts)]
     rest = [(tuple(b for c, b in enumerate(w) if c not in zone), t)
@@ -206,7 +212,7 @@ def chain_stage(points, zone, transcripts):
         for u in comp:
             for v in comp:
                 if (v in adj[u]) != (frozenset(adj[u]) != frozenset(adj[v])):
-                    raise ValueError(f"component of {start} is not complete multipartite")
+                    raise NotMultipartite(f"component of {start} is not complete multipartite")
         total = sum(mass[v] for v in comp)
         ordered = sorted(parts.values(), key=lambda part: (len(part), min(part)))
         for c, part in enumerate(ordered):
@@ -216,22 +222,40 @@ def chain_stage(points, zone, transcripts):
     return cost, [t + (color[v],) for v, t in zip(vertex, transcripts)]
 
 
+def cyclic_zones(n, nr):
+    return [sorted((i + s) % n for s in range(n - nr + 1)) for i in range(n)]
+
+
+def chain_orderings(points, zones, nr):
+    """(ordering, stage costs, decodes) for every ordering of servers 1..nr,
+    and the number of orderings skipped for a stage that is not complete
+    multipartite. An ordering decodes iff every last transcript meets one
+    output."""
+    results, skipped = [], 0
+    for order in permutations(range(1, nr + 1)):
+        transcripts, costs = [()] * len(points), []
+        try:
+            for server in order:
+                cost, transcripts = chain_stage(points, zones[server - 1], transcripts)
+                costs.append(cost)
+        except NotMultipartite:
+            skipped += 1
+            continue
+        decoded = {}
+        decodes = all(decoded.setdefault(t, o) == o for t, (_, _, o) in zip(transcripts, points))
+        results.append((list(order), costs, decodes))
+    return results, skipped
+
+
+# i.i.d. Bern(eps) bits on the full cube and cyclic zones of N - Nr + 1 bits:
+# the least decodable sum, the earliest ordering within 1e-12 of it
 def chain_oracle(demand, n, nr, eps):
     points = [(w, eps ** sum(w) * (1 - eps) ** (n - sum(w)), demand(w))
               for w in product((0, 1), repeat=n)]
-    zones = [sorted((i + s) % n for s in range(n - nr + 1)) for i in range(n)]
-    sums = []
-    for order in permutations(range(1, nr + 1)):
-        transcripts, costs = [()] * len(points), []
-        for server in order:
-            cost, transcripts = chain_stage(points, zones[server - 1], transcripts)
-            costs.append(cost)
-        decoded = {}
-        for t, (_, _, o) in zip(transcripts, points):
-            if decoded.setdefault(t, o) != o:
-                break
-        else:
-            sums.append((math.fsum(costs), list(order)))
+    results, skipped = chain_orderings(points, cyclic_zones(n, nr), nr)
+    if skipped:
+        raise NotMultipartite(f"{skipped} orderings have a stage that is not complete multipartite")
+    sums = [(math.fsum(costs), order) for order, costs, decodes in results if decodes]
     least = min(s for s, _ in sums)
     return next((s, o) for s, o in sums if s <= least * (1 + 1e-12))
 
@@ -242,3 +266,39 @@ for name, n, nr, eps in [("parity", 5, 4, 0.1), ("parity", 5, 4, 0.3),
     demand = (lambda w: sum(w) % 2) if name == "parity" else (lambda w: min(w))
     print(f"    {(name, n, nr, eps)!r}: {chain_oracle(demand, n, nr, eps)!r},")
 print("}")
+
+
+# A seeded family of sparse supports: N = K in {3, 4}, Nr in 2..N, cyclic
+# zones, 3 to 3/4 of the cube's points with integer weights 1..9 (mass =
+# weight / total weight), and a parity, AND, random GF(2) pair or random
+# table demand. Each case lists its support as (w, weight, outputs), each
+# ordering's stage costs and decodability, and the orderings it skipped.
+def family_case(seed):
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    nr = rng.randint(2, n)
+    kind = rng.choice(("parity", "and", "pair", "table"))
+    cube = list(product((0, 1), repeat=n))
+    support = sorted(rng.sample(cube, rng.randint(3, len(cube) * 3 // 4)))
+    rows = rng.sample(cube[1:], 2)  # two distinct nonzero GF(2) rows
+    demand = {
+        "parity": lambda w: (sum(w) % 2,),
+        "and": lambda w: (min(w),),
+        "pair": lambda w: tuple(sum(a * b for a, b in zip(r, w)) % 2 for r in rows),
+        "table": lambda w: (rng.randint(0, 1),),
+    }[kind]
+    points = [(w, rng.randint(1, 9), demand(w)) for w in support]
+    total = sum(weight for _, weight, _ in points)
+    results, skipped = chain_orderings(
+        [(w, weight / total, out) for w, weight, out in points], cyclic_zones(n, nr), nr
+    )
+    return (seed, n, nr, kind, points, results, skipped)
+
+
+# seeds 0..29 hold 213 checked orderings, 5 skipped ones, and 19 orderings
+# whose sum or decodability changes when each component numbers its parts in
+# reverse, so the family also pins the part numbering
+print("\nFROZEN_CHAIN_FAMILY = [")
+for seed in range(30):
+    print("    " + pformat(family_case(seed), width=95, compact=True).replace("\n", "\n    ") + ",")
+print("]")

@@ -58,7 +58,7 @@ class TestPlacement:
     @pytest.mark.parametrize("command", [["placement"], ["scenario", "--scenario", "s1"]])
     def test_zero_servers_rejected(self, capsys, command):
         code, _, err = run(capsys, command + ["--n", "0", "--k", "3", "--nr", "1"])
-        assert code == 2 and "error" in err
+        assert code == 2 and "N, K, Kc, M must all be >= 1" in err
 
     @pytest.mark.parametrize(
         "command", [["placement"], ["scenario", "--scenario", "multilinear"]]
@@ -68,6 +68,21 @@ class TestPlacement:
         code, out, err = run(capsys, command + ["--n", "4", "--k", "4", "--nr", "5"])
         assert code == 2 and out == ""
         assert "Nr=5 outside 1..4" in err and "M" not in err
+
+    @pytest.mark.parametrize(
+        "command", [["placement"], ["scenario", "--scenario", "multilinear"]]
+    )
+    def test_n_not_dividing_k_names_divisibility(self, capsys, command):
+        # K < N makes the cyclic M 0, but the fault is N not dividing K
+        code, out, err = run(capsys, command + ["--n", "4", "--k", "2", "--nr", "2"])
+        assert code == 2 and out == ""
+        assert "N=4 must divide K=2" in err and "M" not in err
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_nonpositive_k_names_the_bound(self, capsys, k):
+        # divisibility is tested only for K >= 1
+        code, _, err = run(capsys, ["placement", "--n", "4", "--k", k, "--nr", "2"])
+        assert code == 2 and "N, K, Kc, M must all be >= 1" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -959,6 +974,28 @@ class TestGridEndpoints:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err == "error: epsilon must lie strictly inside (0,1)\n"
+
+    @pytest.mark.parametrize("count", [10**15, 10**19])
+    def test_absurd_grid_count_is_refused_before_any_array(self, capsys, count):
+        argv = ["scenario", "--scenario", "s2-diniz", "--eps-grid", f"0.1,0.5,{count}"]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == (
+            f"desk-scale guard: the grid has {count} points; the cap is {cli.MAX_GRID_POINTS}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--scenario", "s2-diniz", "--rho-grid"], ["--scenario", "s2-table2", "--p-grid"]],
+    )
+    def test_grid_cap_counts_eps_times_param(self, capsys, monkeypatch, argv):
+        # 3 eps x 2 params meets a cap of 6 and 3 x 3 passes it
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 6)
+        base = ["scenario", *argv[:-1], "--eps-grid", "0.1,0.3,3", argv[-1]]
+        code, out, _ = run(capsys, base + ["0.2,0.4,2"])
+        assert code == 0 and len(parse_csv(out)[1]) == 6
+        code, out, err = run(capsys, base + ["0.2,0.4,3"])
+        assert code == 3 and out == "" and "grid has 9 points" in err
 
 
 def test_non_convergence_exits_4(capsys, monkeypatch, tmp_path):

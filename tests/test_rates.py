@@ -1042,7 +1042,8 @@ MERGE_DEMANDS = {
 
 def _stage_value(g, ids, side, n_codes):
     """A stage's conditional graph entropy given the transcript code of
-    each entry of ids, as the chain prices it."""
+    each entry of ids as a side symbol: the section-keyed reference that
+    the chain, which prices a stage on its graph alone, is checked against."""
     joint = JointPmf((g.n, n_codes), {(i, c): g.pmf[i] for i, c in dict(zip(ids, side)).items()})
     return conditional_graph_entropy(g, joint).value
 
@@ -1077,6 +1078,24 @@ def _reference_chain(ws, zones, order, masses, outs):
     return values, meets_settled, None
 
 
+def _chain_eval_with_values(masses, outs, demands, splits, orderings):
+    """rates._chain_eval's results, and each ordering's stage values, also
+    for an ordering that does not decode: every ordering solves each of its
+    stages, in order."""
+    values = []
+
+    def recorded_solve(g, joint):
+        res = conditional_graph_entropy(g, joint)
+        values.append(res.value)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
+        results = rates._chain_eval(masses, outs, demands, splits, orderings)
+    solves = iter(values)
+    return results, [list(itertools.islice(solves, len(o))) for o in orderings]
+
+
 def _check_merged_stages(ws, zones, order, demand, rng):
     """Run rates._chain_eval on the support ws with random masses against
     the reference chain that settles nothing: every stage value agrees
@@ -1090,16 +1109,7 @@ def _check_merged_stages(ws, zones, order, demand, rng):
     expected, meets_settled, message = _reference_chain(ws, zones, order, masses, outs)
     demands = [(o,) for o in range(max(outs) + 1)]  # output code o demands (o,)
     splits = {s: zone_split(ws, zones[s]) for s in order}
-    values = []
-
-    def recorded_solve(g, joint):
-        res = conditional_graph_entropy(g, joint)
-        values.append(res.value)
-        return res
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
-        [result] = rates._chain_eval(masses, outs, demands, splits, [order])
+    [result], [values] = _chain_eval_with_values(masses, outs, demands, splits, [order])
     if isinstance(result, DecodeError):
         assert str(result) == message
     else:
@@ -1199,3 +1209,352 @@ def test_chain_builds_each_state_once(monkeypatch, stem, n, nr, grid, builds):
         rr = chain_rate(t, p, d, iid_bernoulli_joint(n, eps), orders)
         assert rr.metadata["orderings_tried"] == len(orders)
         assert counts == {"builds": builds, "solves": nr * len(orders)}
+
+
+# the chain on a seeded family of sparse supports, from the whole-transcript
+# oracle in tests/oracles/gen_frozen.py: (seed, N = K, Nr, demand, support as
+# (w, weight, outputs) with mass weight / total weight, (ordering, stage
+# costs, decodes) for each ordering of servers 1..Nr whose stages are all
+# complete multipartite, the number of the other orderings). Some orderings
+# here change their sum or decodability when parts are numbered in reverse
+FROZEN_CHAIN_FAMILY = [
+    (0, 4, 3, 'parity',
+     [((0, 1, 0, 0), 9, (1,)), ((0, 1, 0, 1), 3, (0,)), ((0, 1, 1, 0), 5, (0,)),
+      ((0, 1, 1, 1), 3, (1,)), ((1, 0, 0, 1), 2, (0,)), ((1, 1, 0, 0), 5, (0,)),
+      ((1, 1, 1, 1), 9, (0,))],
+     [([1, 2, 3], [0.9231168276654954, 0.5394169969192604, 0.5777632067996821], True),
+      ([1, 3, 2], [0.9231168276654954, 0.6074629070136957, 0.0], True),
+      ([2, 1, 3], [0.9444444444444444, 0.8837561418455567, 0.5777632067996821], True),
+      ([2, 3, 1], [0.9444444444444444, 0.8515469775097206, 0.6360928031916231], True),
+      ([3, 1, 2], [0.8524051786494785, 0.7191364931724462, 0.0], True),
+      ([3, 2, 1], [0.8524051786494785, 0.0, 0.7191364931724462], True)],
+     0),
+    (1, 3, 2, 'pair', [((0, 1, 1), 7, (0, 1)), ((1, 1, 0), 4, (1, 0)), ((1, 1, 1), 2, (1, 0))],
+     [([1, 2], [0.9957274520849255, 0.0], True), ([2, 1], [0.0, 0.9957274520849255], True)], 0),
+    (2, 3, 2, 'parity',
+     [((0, 1, 0), 1, (1,)), ((1, 0, 0), 3, (1,)), ((1, 0, 1), 7, (0,)), ((1, 1, 0), 7, (0,)),
+      ((1, 1, 1), 9, (1,))],
+     [([1, 2], [0.975119064940866, 0.9122999824045512], True),
+      ([2, 1], [0.991076059838222, 0.1610561313183989], False)],
+     0),
+    (3, 3, 2, 'pair',
+     [((0, 0, 0), 8, (0, 0)), ((0, 0, 1), 9, (0, 1)), ((0, 1, 0), 9, (1, 1)),
+      ((0, 1, 1), 8, (1, 0)), ((1, 0, 0), 7, (0, 1)), ((1, 1, 0), 3, (1, 0))],
+     [([1, 2], [1.7462473332037012, 0.7707974221943161], True),
+      ([2, 1], [1.955971756006332, 0.5610729993916852], True)],
+     0),
+    (4, 3, 3, 'parity',
+     [((0, 0, 0), 1, (0,)), ((0, 0, 1), 4, (1,)), ((1, 0, 0), 9, (1,)), ((1, 0, 1), 9, (0,)),
+      ((1, 1, 0), 6, (0,)), ((1, 1, 1), 5, (1,))],
+     [([1, 2, 3], [0.6024308020404451, 0.8167367949331676, 0.9571756706083334], True),
+      ([1, 3, 2], [0.6024308020404451, 0.9583753379471227, 0.8155371275943782], True),
+      ([2, 1, 3], [0.9081783472997051, 0.5109892496739078, 0.9571756706083334], True),
+      ([2, 3, 1], [0.9081783472997051, 0.9897429420838235, 0.47842197819841764], True),
+      ([3, 1, 2], [0.9975025463691152, 0.5633035936184525, 0.8155371275943782], True),
+      ([3, 2, 1], [0.9975025463691152, 0.9004187430144133, 0.47842197819841764], True)],
+     0),
+    (5, 4, 4, 'pair',
+     [((0, 0, 0, 0), 7, (0, 0)), ((0, 0, 0, 1), 9, (0, 0)), ((0, 0, 1, 0), 2, (1, 0)),
+      ((0, 0, 1, 1), 4, (1, 0)), ((0, 1, 1, 1), 1, (0, 1)), ((1, 0, 0, 0), 4, (1, 0)),
+      ((1, 0, 1, 0), 7, (0, 0)), ((1, 0, 1, 1), 5, (0, 0)), ((1, 1, 0, 0), 3, (0, 1)),
+      ((1, 1, 0, 1), 7, (0, 1)), ((1, 1, 1, 1), 3, (1, 1))],
+     [([1, 2, 3, 4], [0.9903748364485752, 0.667503113503003, 0.8021099708045545, 0.0], True),
+      ([1, 2, 4, 3], [0.9903748364485752, 0.667503113503003, 0.0, 0.8021099708045545], True),
+      ([1, 3, 2, 4], [0.9903748364485752, 0.949337722128335, 0.5202753621792224, 0.0], True),
+      ([1, 3, 4, 2], [0.9903748364485752, 0.949337722128335, 0.0, 0.5202753621792224], True),
+      ([1, 4, 2, 3], [0.9903748364485752, 0.0, 0.667503113503003, 0.8021099708045545], True),
+      ([1, 4, 3, 2], [0.9903748364485752, 0.0, 0.949337722128335, 0.5202753621792224], True),
+      ([2, 1, 3, 4], [0.840358671609117, 0.817519278342461, 0.8021099708045545, 0.0], True),
+      ([2, 1, 4, 3], [0.840358671609117, 0.817519278342461, 0.0, 0.8021099708045545], True),
+      ([2, 3, 1, 4], [0.840358671609117, 0.9616869528284657, 0.6579422963185497, 0.0], True),
+      ([2, 3, 4, 1], [0.840358671609117, 0.9616869528284657, 0.0, 0.6579422963185497], True),
+      ([2, 4, 1, 3], [0.840358671609117, 0.0, 0.817519278342461, 0.8021099708045545], True),
+      ([2, 4, 3, 1], [0.840358671609117, 0.0, 0.9616869528284657, 0.6579422963185497], True),
+      ([3, 1, 2, 4], [0.9828586897127056, 0.9568538688642045, 0.5202753621792224, 0.0], True),
+      ([3, 1, 4, 2], [0.9828586897127056, 0.9568538688642045, 0.0, 0.5202753621792224], True),
+      ([3, 2, 1, 4], [0.9828586897127056, 0.8191869347248769, 0.6579422963185497, 0.0], True),
+      ([3, 2, 4, 1], [0.9828586897127056, 0.8191869347248769, 0.0, 0.6579422963185497], True),
+      ([3, 4, 1, 2], [0.9828586897127056, 0.0, 0.9568538688642045, 0.5202753621792224], True),
+      ([3, 4, 2, 1], [0.9828586897127056, 0.0, 0.8191869347248769, 0.6579422963185497], True),
+      ([4, 1, 2, 3], [0.0, 0.9903748364485752, 0.667503113503003, 0.8021099708045545], True),
+      ([4, 1, 3, 2], [0.0, 0.9903748364485752, 0.949337722128335, 0.5202753621792224], True),
+      ([4, 2, 1, 3], [0.0, 0.840358671609117, 0.817519278342461, 0.8021099708045545], True),
+      ([4, 2, 3, 1], [0.0, 0.840358671609117, 0.9616869528284657, 0.6579422963185497], True),
+      ([4, 3, 1, 2], [0.0, 0.9828586897127056, 0.9568538688642045, 0.5202753621792224], True),
+      ([4, 3, 2, 1], [0.0, 0.9828586897127056, 0.8191869347248769, 0.6579422963185497], True)],
+     0),
+    (6, 3, 3, 'pair', [((0, 0, 0), 6, (0, 0)), ((0, 0, 1), 6, (1, 0)), ((1, 0, 1), 1, (0, 1))],
+     [([1, 2, 3], [0.3912435636292556, 0.0, 0.9230769230769231], True),
+      ([1, 3, 2], [0.3912435636292556, 0.9230769230769231, 0.0], True),
+      ([2, 1, 3], [0.0, 0.3912435636292556, 0.9230769230769231], True),
+      ([2, 3, 1], [0.0, 0.9957274520849255, 0.31859303462125327], True),
+      ([3, 1, 2], [0.9957274520849255, 0.31859303462125327, 0.0], True),
+      ([3, 2, 1], [0.9957274520849255, 0.0, 0.31859303462125327], True)],
+     0),
+    (7, 4, 2, 'table', [((0, 0, 1, 0), 1, (0,)), ((1, 0, 0, 0), 1, (0,)), ((1, 1, 0, 1), 7, (1,))],
+     [([1, 2], [0.0, 0.48316839395519673], True), ([2, 1], [0.48316839395519673, 0.0], True)], 0),
+    (8, 3, 3, 'table',
+     [((0, 0, 0), 9, (0,)), ((0, 1, 1), 7, (0,)), ((1, 0, 1), 8, (1,)), ((1, 1, 0), 8, (1,))],
+     [([1, 2, 3], [0.0, 0.0, 0.0], False), ([1, 3, 2], [0.0, 0.0, 0.0], False),
+      ([2, 1, 3], [0.0, 0.0, 0.0], False), ([2, 3, 1], [0.0, 0.0, 0.0], False),
+      ([3, 1, 2], [0.0, 0.0, 0.0], False), ([3, 2, 1], [0.0, 0.0, 0.0], False)],
+     0),
+    (9, 4, 4, 'pair',
+     [((0, 0, 0, 0), 2, (0, 0)), ((0, 0, 1, 0), 6, (0, 1)), ((0, 1, 0, 0), 9, (0, 0)),
+      ((0, 1, 0, 1), 1, (0, 0)), ((1, 0, 0, 0), 7, (1, 1)), ((1, 0, 1, 0), 3, (1, 0)),
+      ((1, 1, 0, 1), 8, (1, 1))],
+     [([1, 2, 3, 4], [1.0, 0.0, 0.7841591278514217, 0.0], True),
+      ([1, 2, 4, 3], [1.0, 0.0, 0.0, 0.7841591278514217], True),
+      ([1, 3, 2, 4], [1.0, 0.7841591278514217, 0.0, 0.0], True),
+      ([1, 3, 4, 2], [1.0, 0.7841591278514217, 0.0, 0.0], True),
+      ([1, 4, 2, 3], [1.0, 0.0, 0.0, 0.7841591278514217], True),
+      ([1, 4, 3, 2], [1.0, 0.0, 0.7841591278514217, 0.0], True),
+      ([2, 1, 3, 4], [0.0, 1.0, 0.7841591278514217, 0.0], True),
+      ([2, 1, 4, 3], [0.0, 1.0, 0.0, 0.7841591278514217], True),
+      ([2, 3, 1, 4], [0.0, 0.8112781244591328, 0.972881003392289, 0.0], True),
+      ([2, 3, 4, 1], [0.0, 0.8112781244591328, 0.0, 0.972881003392289], True),
+      ([2, 4, 1, 3], [0.0, 0.0, 1.0, 0.7841591278514217], True),
+      ([2, 4, 3, 1], [0.0, 0.0, 0.8112781244591328, 0.972881003392289], True),
+      ([3, 1, 2, 4], [0.8112781244591328, 0.972881003392289, 0.0, 0.0], True),
+      ([3, 1, 4, 2], [0.8112781244591328, 0.972881003392289, 0.0, 0.0], True),
+      ([3, 2, 1, 4], [0.8112781244591328, 0.0, 0.972881003392289, 0.0], True),
+      ([3, 2, 4, 1], [0.8112781244591328, 0.0, 0.0, 0.972881003392289], True),
+      ([3, 4, 1, 2], [0.8112781244591328, 0.0, 0.972881003392289, 0.0], True),
+      ([3, 4, 2, 1], [0.8112781244591328, 0.0, 0.0, 0.972881003392289], True),
+      ([4, 1, 2, 3], [0.0, 1.0, 0.0, 0.7841591278514217], True),
+      ([4, 1, 3, 2], [0.0, 1.0, 0.7841591278514217, 0.0], True),
+      ([4, 2, 1, 3], [0.0, 0.0, 1.0, 0.7841591278514217], True),
+      ([4, 2, 3, 1], [0.0, 0.0, 0.8112781244591328, 0.972881003392289], True),
+      ([4, 3, 1, 2], [0.0, 0.8112781244591328, 0.972881003392289, 0.0], True),
+      ([4, 3, 2, 1], [0.0, 0.8112781244591328, 0.0, 0.972881003392289], True)],
+     0),
+    (10, 3, 3, 'table', [((0, 1, 1), 3, (0,)), ((1, 1, 0), 9, (1,)), ((1, 1, 1), 6, (0,))],
+     [([1, 2, 3], [0.0, 0.0, 1.0], True), ([1, 3, 2], [0.0, 1.0, 0.0], True),
+      ([2, 1, 3], [0.0, 0.0, 1.0], True), ([2, 3, 1], [0.0, 1.0, 0.0], True),
+      ([3, 1, 2], [1.0, 0.0, 0.0], True), ([3, 2, 1], [1.0, 0.0, 0.0], True)],
+     0),
+    (11, 4, 4, 'table',
+     [((0, 0, 0, 1), 2, (0,)), ((0, 0, 1, 0), 7, (1,)), ((0, 0, 1, 1), 3, (0,)),
+      ((0, 1, 1, 0), 9, (0,)), ((0, 1, 1, 1), 1, (0,)), ((1, 0, 0, 0), 4, (0,)),
+      ((1, 0, 0, 1), 1, (1,)), ((1, 0, 1, 0), 6, (1,)), ((1, 1, 0, 0), 4, (0,)),
+      ((1, 1, 1, 0), 5, (1,))],
+     [([1, 2, 3, 4],
+       [0.998363672593813, 0.5206824917260247, 0.47274973999419445, 0.3878035736379677], True),
+      ([1, 2, 4, 3], [0.998363672593813, 0.5206824917260247, 0.41634200528888, 0.4442113083432822],
+       True),
+      ([1, 3, 2, 4],
+       [0.998363672593813, 0.47274973999419445, 0.5206824917260247, 0.3878035736379677], True),
+      ([1, 3, 4, 2],
+       [0.998363672593813, 0.47274973999419445, 0.5506439433017716, 0.37664739363371325], True),
+      ([1, 4, 2, 3],
+       [0.998363672593813, 0.5791823749526839, 0.37664739363371325, 0.4442113083432822], True),
+      ([1, 4, 3, 2],
+       [0.998363672593813, 0.5791823749526839, 0.4442113083432822, 0.37664739363371325], True),
+      ([2, 1, 3, 4],
+       [0.9934472383802027, 0.9983486659338293, 0.4727146872569171, 0.3659063227202534], True),
+      ([2, 1, 4, 3],
+       [0.9934472383802027, 0.9983486659338293, 0.3950688556178685, 0.44355215435930206], True),
+      ([2, 3, 1, 4],
+       [0.9934472383802027, 0.8213739132430573, 0.4718162259710418, 0.3511675389628367], True),
+      ([2, 3, 4, 1],
+       [0.9934472383802027, 0.8213739132430573, 0.42942840748195454, 0.393555357451924], True),
+      ([2, 4, 1, 3],
+       [0.9934472383802027, 0.4534590877078235, 0.5443369362729479, 0.530972297713466], True),
+      ([2, 4, 3, 1],
+       [0.9934472383802027, 0.4534590877078235, 0.6544860901600456, 0.4208231438263682], True),
+      ([3, 1, 2, 4],
+       [0.8296071030882031, 0.8717190169348826, 0.47619047619047616, 0.3176722382211366], True),
+      ([3, 1, 4, 2],
+       [0.8296071030882031, 0.8717190169348826, 0.45161635501733466, 0.37664739363371325], True),
+      ([3, 2, 1, 4],
+       [0.8296071030882031, 0.7375411116158418, 0.5071157214963522, 0.373064789880551], True),
+      ([3, 2, 4, 1],
+       [0.8296071030882031, 0.7375411116158418, 0.48662515392497924, 0.393555357451924], True),
+      ([3, 4, 1, 2],
+       [0.8296071030882031, 0.6308805563434828, 0.6924548156087345, 0.37664739363371325], True),
+      ([3, 4, 2, 1],
+       [0.8296071030882031, 0.6308805563434828, 0.6422208884231664, 0.379021212465531], True),
+      ([4, 1, 2, 3],
+       [0.6500224216483541, 0.9275236258981426, 0.37664739363371325, 0.4442113083432822], True),
+      ([4, 1, 3, 2],
+       [0.6500224216483541, 0.9275236258981426, 0.4442113083432822, 0.37664739363371325], True),
+      ([4, 2, 1, 3],
+       [0.6500224216483541, 0.8328425539489627, 0.5271835583351498, 0.530972297713466], True),
+      ([4, 2, 3, 1],
+       [0.6500224216483541, 0.8328425539489627, 0.6461150733946842, 0.4120407826539316], True),
+      ([4, 3, 1, 2],
+       [0.6500224216483541, 0.6462605484442898, 0.7254743857971351, 0.37664739363371325], True),
+      ([4, 3, 2, 1],
+       [0.6500224216483541, 0.6462605484442898, 0.6422208884231664, 0.4120407826539316], True)],
+     0),
+    (12, 4, 3, 'pair',
+     [((0, 0, 0, 0), 8, (0, 0)), ((0, 1, 0, 0), 4, (0, 1)), ((0, 1, 0, 1), 9, (1, 0)),
+      ((0, 1, 1, 1), 1, (0, 0)), ((1, 1, 0, 0), 3, (1, 0))],
+     [([1, 2, 3], [1.3615419333359275, 0.20789010291889048, 0.46305565291413553], True),
+      ([1, 3, 2], [1.3615419333359275, 0.6709457558330261, 0.0], True),
+      ([2, 1, 3], [0.9426831892554922, 0.4455758464800934, 0.46305565291413553], True),
+      ([2, 3, 1], [0.9426831892554922, 0.6327676213046385, 0.27586387808959045], True),
+      ([3, 1, 2], [1.1585488318903812, 0.8739388572785722, 0.0], True),
+      ([3, 2, 1], [1.1585488318903812, 0.598074979188982, 0.27586387808959045], True)],
+     0),
+    (13, 4, 3, 'and',
+     [((0, 0, 1, 0), 9, (0,)), ((0, 0, 1, 1), 4, (0,)), ((0, 1, 0, 0), 5, (0,)),
+      ((1, 0, 1, 0), 1, (0,)), ((1, 0, 1, 1), 7, (0,)), ((1, 1, 0, 1), 3, (0,))],
+     [([1, 2, 3], [0.0, 0.0, 0.0], True), ([1, 3, 2], [0.0, 0.0, 0.0], True),
+      ([2, 1, 3], [0.0, 0.0, 0.0], True), ([2, 3, 1], [0.0, 0.0, 0.0], True),
+      ([3, 1, 2], [0.0, 0.0, 0.0], True), ([3, 2, 1], [0.0, 0.0, 0.0], True)],
+     0),
+    (14, 3, 2, 'pair',
+     [((0, 0, 0), 7, (0, 0)), ((0, 1, 0), 7, (0, 1)), ((0, 1, 1), 2, (0, 1)),
+      ((1, 0, 0), 5, (1, 1)), ((1, 0, 1), 4, (1, 1))],
+     [([1, 2], [1.5754508105601306, 0.0], True),
+      ([2, 1], [0.8275916342687711, 0.6327676213046385], True)],
+     0),
+    (15, 3, 2, 'parity',
+     [((0, 0, 0), 6, (0,)), ((0, 0, 1), 4, (1,)), ((0, 1, 1), 2, (0,)), ((1, 1, 0), 6, (0,))],
+     [([1, 2], [0.433348281098903, 0.5394169969192604], True),
+      ([2, 1], [0.612197222702993, 0.0], False)],
+     0),
+    (16, 4, 3, 'table',
+     [((0, 0, 0, 0), 4, (0,)), ((0, 0, 1, 1), 5, (1,)), ((0, 1, 0, 0), 6, (0,)),
+      ((0, 1, 1, 0), 5, (0,)), ((0, 1, 1, 1), 4, (1,)), ((1, 0, 1, 0), 1, (0,)),
+      ((1, 1, 0, 1), 1, (1,))],
+     [([1, 2, 3], [0.0, 0.0, 0.9064261435148966], True),
+      ([1, 3, 2], [0.0, 0.9064261435148966, 0.0], True),
+      ([2, 1, 3], [0.0, 0.0, 0.9064261435148966], True),
+      ([2, 3, 1], [0.0, 0.9064261435148966, 0.0], True),
+      ([3, 1, 2], [0.9064261435148966, 0.0, 0.0], True),
+      ([3, 2, 1], [0.9064261435148966, 0.0, 0.0], True)],
+     0),
+    (17, 4, 3, 'pair',
+     [((0, 1, 0, 0), 4, (0, 0)), ((0, 1, 0, 1), 7, (0, 1)), ((1, 0, 0, 0), 7, (0, 0)),
+      ((1, 0, 1, 0), 5, (1, 0)), ((1, 0, 1, 1), 9, (1, 1)), ((1, 1, 0, 0), 6, (0, 0)),
+      ((1, 1, 0, 1), 7, (0, 1))],
+     [([1, 2, 3], [0.0, 0.8944518845341283, 0.9767611518515498], True),
+      ([2, 1, 3], [0.8944518845341283, 0.0, 0.9767611518515498], True),
+      ([2, 3, 1], [0.8944518845341283, 0.9767611518515498, 0.0], True)],
+     3),
+    (18, 3, 2, 'table',
+     [((0, 0, 1), 8, (1,)), ((0, 1, 1), 4, (1,)), ((1, 0, 1), 2, (1,)), ((1, 1, 0), 9, (0,)),
+      ((1, 1, 1), 4, (0,))],
+     [([1, 2], [0.9990102708804811, 0.0], True),
+      ([2, 1], [0.9509560484549725, 0.4955982209415396], True)],
+     0),
+    (19, 3, 2, 'and',
+     [((0, 0, 1), 5, (0,)), ((0, 1, 0), 7, (0,)), ((1, 0, 0), 6, (0,)), ((1, 0, 1), 5, (0,)),
+      ((1, 1, 0), 2, (0,)), ((1, 1, 1), 6, (1,))],
+     [([1, 2], [0.7109387102357339, 0.469814803768388], True),
+      ([2, 1], [0.708835673332196, 0.0], True)],
+     0),
+    (20, 3, 3, 'parity',
+     [((0, 0, 0), 6, (0,)), ((0, 1, 0), 8, (1,)), ((0, 1, 1), 8, (0,)), ((1, 0, 1), 7, (0,)),
+      ((1, 1, 0), 4, (0,))],
+     [([1, 2, 3], [0.9182958340544893, 0.5635672910816245, 0.48484848484848486], True),
+      ([1, 3, 2], [0.9182958340544893, 0.6304402030670936, 0.4179755728630158], True),
+      ([2, 1, 3], [0.9672947789468944, 0.4375321787196136, 0.48484848484848486], True),
+      ([2, 3, 1], [0.9672947789468944, 0.5884549057301023, 0.33392575783799616], True),
+      ([3, 1, 2], [0.9940302114769565, 0.4168388217319746, 0.4179755728630158], True),
+      ([3, 2, 1], [0.9940302114769565, 0.5008886367569942, 0.33392575783799616], True)],
+     0),
+    (21, 3, 3, 'table',
+     [((0, 0, 1), 4, (0,)), ((0, 1, 1), 1, (1,)), ((1, 0, 1), 7, (0,)), ((1, 1, 0), 3, (0,)),
+      ((1, 1, 1), 4, (0,))],
+     [([1, 2, 3], [0.8314743880097293, 0.18998107760193744, 0.0], True),
+      ([1, 3, 2], [0.8314743880097293, 0.0, 0.18998107760193744], True),
+      ([2, 1, 3], [0.9819407868640976, 0.2288692392419353, 0.0], True),
+      ([2, 3, 1], [0.9819407868640976, 0.0, 0.2288692392419353], True),
+      ([3, 1, 2], [0.0, 0.8314743880097293, 0.18998107760193744], True),
+      ([3, 2, 1], [0.0, 0.9819407868640976, 0.2288692392419353], True)],
+     0),
+    (22, 3, 2, 'parity',
+     [((0, 0, 0), 6, (0,)), ((0, 1, 0), 3, (1,)), ((0, 1, 1), 9, (0,)), ((1, 0, 1), 7, (0,)),
+      ((1, 1, 0), 1, (0,)), ((1, 1, 1), 1, (1,))],
+     [], 2),
+    (23, 4, 2, 'parity',
+     [((0, 0, 0, 0), 2, (0,)), ((0, 0, 0, 1), 2, (1,)), ((0, 0, 1, 0), 8, (1,)),
+      ((0, 0, 1, 1), 7, (0,)), ((0, 1, 0, 0), 1, (1,)), ((0, 1, 0, 1), 9, (0,)),
+      ((0, 1, 1, 0), 7, (0,)), ((0, 1, 1, 1), 6, (1,)), ((1, 0, 0, 0), 1, (1,)),
+      ((1, 0, 0, 1), 4, (0,)), ((1, 1, 0, 0), 1, (0,)), ((1, 1, 1, 0), 6, (1,))],
+     [([1, 2], [0.9182958340544893, 0.9430904883383203], False),
+      ([2, 1], [0.975119064940866, 0.583864749577086], True)],
+     0),
+    (24, 4, 4, 'and',
+     [((0, 0, 0, 1), 3, (0,)), ((0, 0, 1, 0), 5, (0,)), ((0, 0, 1, 1), 1, (0,)),
+      ((0, 1, 0, 1), 8, (0,)), ((1, 0, 1, 0), 8, (0,)), ((1, 1, 0, 0), 2, (0,))],
+     [([1, 2, 3, 4], [0.0, 0.0, 0.0, 0.0], True), ([1, 2, 4, 3], [0.0, 0.0, 0.0, 0.0], True),
+      ([1, 3, 2, 4], [0.0, 0.0, 0.0, 0.0], True), ([1, 3, 4, 2], [0.0, 0.0, 0.0, 0.0], True),
+      ([1, 4, 2, 3], [0.0, 0.0, 0.0, 0.0], True), ([1, 4, 3, 2], [0.0, 0.0, 0.0, 0.0], True),
+      ([2, 1, 3, 4], [0.0, 0.0, 0.0, 0.0], True), ([2, 1, 4, 3], [0.0, 0.0, 0.0, 0.0], True),
+      ([2, 3, 1, 4], [0.0, 0.0, 0.0, 0.0], True), ([2, 3, 4, 1], [0.0, 0.0, 0.0, 0.0], True),
+      ([2, 4, 1, 3], [0.0, 0.0, 0.0, 0.0], True), ([2, 4, 3, 1], [0.0, 0.0, 0.0, 0.0], True),
+      ([3, 1, 2, 4], [0.0, 0.0, 0.0, 0.0], True), ([3, 1, 4, 2], [0.0, 0.0, 0.0, 0.0], True),
+      ([3, 2, 1, 4], [0.0, 0.0, 0.0, 0.0], True), ([3, 2, 4, 1], [0.0, 0.0, 0.0, 0.0], True),
+      ([3, 4, 1, 2], [0.0, 0.0, 0.0, 0.0], True), ([3, 4, 2, 1], [0.0, 0.0, 0.0, 0.0], True),
+      ([4, 1, 2, 3], [0.0, 0.0, 0.0, 0.0], True), ([4, 1, 3, 2], [0.0, 0.0, 0.0, 0.0], True),
+      ([4, 2, 1, 3], [0.0, 0.0, 0.0, 0.0], True), ([4, 2, 3, 1], [0.0, 0.0, 0.0, 0.0], True),
+      ([4, 3, 1, 2], [0.0, 0.0, 0.0, 0.0], True), ([4, 3, 2, 1], [0.0, 0.0, 0.0, 0.0], True)],
+     0),
+    (25, 4, 2, 'and',
+     [((0, 0, 0, 0), 2, (0,)), ((0, 1, 0, 0), 2, (0,)), ((1, 0, 1, 1), 4, (0,)),
+      ((1, 1, 0, 0), 9, (0,)), ((1, 1, 0, 1), 6, (0,)), ((1, 1, 1, 0), 3, (0,)),
+      ((1, 1, 1, 1), 9, (1,))],
+     [([1, 2], [0.8528546530831751, 0.27815249981455986], True),
+      ([2, 1], [0.7970451688154401, 0.0], False)],
+     0),
+    (26, 3, 2, 'table', [((0, 1, 0), 9, (0,)), ((0, 1, 1), 7, (0,)), ((1, 1, 0), 7, (0,))],
+     [([1, 2], [0.0, 0.0], True), ([2, 1], [0.0, 0.0], True)], 0),
+    (27, 4, 4, 'pair',
+     [((0, 0, 0, 1), 7, (0, 0)), ((0, 1, 0, 0), 3, (1, 1)), ((0, 1, 0, 1), 4, (1, 1)),
+      ((0, 1, 1, 0), 4, (0, 0)), ((1, 0, 0, 0), 8, (0, 1)), ((1, 1, 0, 0), 2, (1, 0)),
+      ((1, 1, 1, 0), 2, (0, 1))],
+     [([1, 2, 3, 4], [0.9709505944546687, 0.9457655925067334, 0.48007544502023475, 0.0], True),
+      ([1, 2, 4, 3], [0.9709505944546687, 0.9457655925067334, 0.0, 0.48007544502023475], True),
+      ([1, 3, 2, 4], [0.9709505944546687, 0.7185316725645137, 0.7073093649624541, 0.0], True),
+      ([1, 3, 4, 2], [0.9709505944546687, 0.7185316725645137, 0.0, 0.7073093649624541], True),
+      ([1, 4, 2, 3], [0.9709505944546687, 0.0, 0.9457655925067334, 0.48007544502023475], True),
+      ([1, 4, 3, 2], [0.9709505944546687, 0.0, 0.7185316725645137, 0.7073093649624541], True),
+      ([2, 1, 3, 4], [1.0, 0.4183203709705836, 0.48007544502023475, 0.0], False),
+      ([2, 1, 4, 3], [1.0, 0.4183203709705836, 0.0, 0.48007544502023475], False),
+      ([2, 3, 1, 4], [1.0, 0.48547529722733435, 0.4129205187634839, 0.0], False),
+      ([2, 3, 4, 1], [1.0, 0.48547529722733435, 0.0, 0.4129205187634839], False),
+      ([2, 4, 1, 3], [1.0, 0.0, 0.4183203709705836, 0.48007544502023475], False),
+      ([2, 4, 3, 1], [1.0, 0.0, 0.48547529722733435, 0.4129205187634839], False),
+      ([3, 1, 2, 4], [0.7219280948873623, 0.9675541721318203, 0.7073093649624541, 0.0], True),
+      ([3, 1, 4, 2], [0.7219280948873623, 0.9675541721318203, 0.0, 0.7073093649624541], True),
+      ([3, 2, 1, 4], [0.7219280948873623, 0.7635472023399721, 0.4129205187634839, 0.0], False),
+      ([3, 2, 4, 1], [0.7219280948873623, 0.7635472023399721, 0.0, 0.4129205187634839], False),
+      ([3, 4, 1, 2], [0.7219280948873623, 0.0, 0.9675541721318203, 0.7073093649624541], True),
+      ([3, 4, 2, 1], [0.7219280948873623, 0.0, 0.7635472023399721, 0.4129205187634839], False),
+      ([4, 1, 2, 3], [0.0, 0.9709505944546687, 0.9457655925067334, 0.48007544502023475], True),
+      ([4, 1, 3, 2], [0.0, 0.9709505944546687, 0.7185316725645137, 0.7073093649624541], True),
+      ([4, 2, 1, 3], [0.0, 1.0, 0.4183203709705836, 0.48007544502023475], False),
+      ([4, 2, 3, 1], [0.0, 1.0, 0.48547529722733435, 0.4129205187634839], False),
+      ([4, 3, 1, 2], [0.0, 0.7219280948873623, 0.9675541721318203, 0.7073093649624541], True),
+      ([4, 3, 2, 1], [0.0, 0.7219280948873623, 0.7635472023399721, 0.4129205187634839], False)],
+     0),
+    (28, 3, 2, 'and',
+     [((0, 1, 0), 3, (0,)), ((0, 1, 1), 7, (0,)), ((1, 0, 1), 3, (0,)), ((1, 1, 0), 3, (0,))],
+     [([1, 2], [0.0, 0.0], True), ([2, 1], [0.0, 0.0], True)], 0),
+    (29, 3, 3, 'pair', [((0, 1, 1), 2, (1, 0)), ((1, 0, 1), 8, (1, 0)), ((1, 1, 0), 4, (0, 0))],
+     [([1, 2, 3], [0.0, 0.0, 0.0], False), ([1, 3, 2], [0.0, 0.0, 0.0], False),
+      ([2, 1, 3], [0.0, 0.0, 0.0], False), ([2, 3, 1], [0.0, 0.0, 0.0], False),
+      ([3, 1, 2], [0.0, 0.0, 0.0], False), ([3, 2, 1], [0.0, 0.0, 0.0], False)],
+     0),
+]
+
+
+@pytest.mark.parametrize("case", FROZEN_CHAIN_FAMILY, ids=lambda case: f"seed{case[0]}")
+def test_chain_matches_the_frozen_family(case):
+    _, n, nr, _, points, expected, skipped = case
+    assert len(expected) + skipped == math.factorial(nr)
+    total = sum(weight for _, weight, _ in points)
+    masses = [weight / total for _, weight, _ in points]
+    outs, demands = integer_codes(out for _, _, out in points)
+    ws = [w for w, _, _ in points]
+    p = cyclic_placement(topo(n, n, nr))
+    splits = {s: zone_split(ws, p.zone0(s)) for s in range(1, nr + 1)}
+    orderings = [tuple(order) for order, _, _ in expected]
+    results, values = _chain_eval_with_values(masses, outs, demands, splits, orderings)
+    for (order, costs, decodes), result, got in zip(expected, results, values):
+        assert (not isinstance(result, DecodeError)) == decodes, order
+        assert got == pytest.approx(costs, rel=0, abs=1e-12), order

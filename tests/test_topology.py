@@ -25,6 +25,11 @@ class TestTopology:
         with pytest.raises(ValidationError):
             Topology(n=3, k=4, kc=1, m=2, nr=2)
 
+    def test_divisibility_checked_before_m(self):
+        # K < N: the cyclic M is 0, and the error names N | K, not M
+        with pytest.raises(ValidationError, match="N=4 must divide K=2"):
+            Topology(n=4, k=2, kc=1, m=0, nr=2)
+
     def test_nr_bounds(self):
         with pytest.raises(ValidationError):
             Topology(n=3, k=3, kc=1, m=2, nr=4)
