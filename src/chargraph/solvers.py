@@ -25,8 +25,18 @@ step on P(u|x) = Q(u) / D(x) on the MISs u containing x, where D(x) sums
 Q over them. Any other
 block holds the restarts as one array P[u, r, x] (MIS, restart, vertex),
 so that both products are single 2-D matrix products and the reductions
-over u run along axis 0. Both loops take H(U|X) from the normalizer of
-the update instead of summing P log P. A solve whose largest tensor,
+over u run along axis 0. Its update exp(L) needs no max shift and no -inf
+barrier: L = log Q @ p(y|x)^T averages logs floored at log 1e-300, so it
+lies in [log 1e-300, 0], where exp neither overflows nor underflows, and
+a multiply by the mask zeroes the cells off each x's MISs. Both loops
+take H(U|X) from the normalizer of the update instead of summing P log P.
+The arrays are tiny, so a step's cost is its numpy calls: both loops run
+CHUNK steps at a time, each step writing only its iterate's products
+into the chunk's arrays, and the objective's logs and sums and the
+stopping test run once per chunk over its steps. Steps a chunk runs past
+the stop are dropped, so the iterates, step counts and values are those
+of a one-step loop. A chunk is shortened so that its arrays hold at most
+SOLVE_CELL_GUARD cells. A solve whose largest tensor,
 restarts x MIS count x max(|V|, |Y|), would pass SOLVE_CELL_GUARD is
 refused before it starts.
 chromatic_entropy is graphs.min_partition, one recursion over the
@@ -59,6 +69,7 @@ TOL = 1e-9  # stop a restart when its objective improves by less than this
 MAX_ITERS = 100_000
 RESTARTS = 8  # the first restart starts uniform, the rest at random
 SOLVE_CELL_GUARD = 10**6  # max restarts x MIS count x max(|V|, |Y|): a solver step's array
+CHUNK = 32  # steps per chunk of the alternation loop, fewer past SOLVE_CELL_GUARD
 
 
 @dataclass(frozen=True)
@@ -101,60 +112,94 @@ def _start(mask: np.ndarray) -> np.ndarray:
     return stack / stack.sum(axis=2, keepdims=True)
 
 
+def _chunk_length(step_cells: int) -> int:
+    """Steps per chunk: CHUNK, or fewer when a chunk's arrays of step_cells
+    cells per step would pass SOLVE_CELL_GUARD; at least 1."""
+    return max(1, min(CHUNK, SOLVE_CELL_GUARD // step_cells))
+
+
 def _column_steps(mask: np.ndarray, p_x: np.ndarray, Q: np.ndarray):
-    """I(X;U) in nats at each step from the second, for a one-column block
-    whose first step has the (MIS, restart) marginal Q. Each iterate from
-    the second is P'(u|x) = mask(u, x) Q(u) / D(x) with D = mask @ Q, so Q
-    alone carries it: Q' = Q F with F = mask^T @ (p / D). Then
+    """I(X;U) in nats at each step from the second, one (step, restart)
+    array per chunk of steps, for a one-column block whose first step has
+    the (MIS, restart) marginal Q. Each iterate from the second is
+    P'(u|x) = mask(u, x) Q(u) / D(x) with D = mask @ Q, so Q alone carries
+    it: Q' = Q F with F = mask^T @ (p / D). Then
     sum_x p(x) sum_u P' log P' = sum_u Q' log Q - p . log D, and with
     H(U) = -sum_u Q' log Q' this gives I(X;U) = -sum_u Q' log F - p . log D,
     as Q' / Q = F. D(x) >= p(x) > 0, since Q(u) >= p(x) P(u|x) for every u
-    that contains x, so F > 0 too: no log of 0 arises."""
+    that contains x, so F > 0 too: no log of 0 arises. A step stores D, F
+    and Q'; the logs and sums run once per chunk."""
+    n, m = mask.shape
+    k = _chunk_length(RESTARTS * (n + 2 * m))
     mask_t = np.ascontiguousarray(mask.T)
     p_col = p_x[:, None]
+    p_over_D = np.empty((n, RESTARTS))
+    D = np.empty((k, n, RESTARTS))
+    F, Qs = np.empty((k, m, RESTARTS)), np.empty((k, m, RESTARTS))
+    Qs[-1] = Q
+    steps = list(zip(D, F, Qs))
     while True:
-        D = mask @ Q
-        F = mask_t @ (p_col / D)
-        Q = Q * F
-        yield -(p_x @ np.log(D)) - (Q * np.log(F)).sum(axis=0)
+        prev = Qs[-1]
+        for D_i, F_i, Q_i in steps:
+            np.matmul(mask, prev, out=D_i)
+            np.divide(p_col, D_i, out=p_over_D)
+            np.matmul(mask_t, p_over_D, out=F_i)
+            prev = np.multiply(prev, F_i, out=Q_i)
+        # Q' log F, in F's cells: the last Q' carries into the next chunk
+        np.log(F, out=F)
+        F *= Qs
+        yield -(p_x @ np.log(D, out=D)) - F.sum(axis=1)
 
 
 def _general_steps(mask: np.ndarray, W: np.ndarray, p_x: np.ndarray, logQ: np.ndarray):
-    """I(X;U|Y) + H(Y) in nats at each step from the second, for the mass
-    matrix W, from the log of the first step's (U, Y) joint, rows (u, r).
-    The next iterate is P'(u|x) = exp(L(u, x) - c(x)) / s(x) on the allowed
-    cells, with L = log Q @ p(y|x)^T, c its max over u and s the normalizing
-    sum. Since sum_x p(x) sum_u P' L = sum_{u,y} Q' log Q, the identity
-    sum_x p(x) sum_u P' log P' = sum_{u,y} Q' log Q - p . (c + log s) holds
+    """I(X;U|Y) + H(Y) in nats at each step from the second, one (step,
+    restart) array per chunk of steps, for the mass matrix W, from the log
+    of the first step's (U, Y) joint, rows (u, r). The next iterate is
+    P'(u|x) = mask(u, x) exp(L(u, x)) / s(x), with L = log Q @ p(y|x)^T
+    and s the normalizing sum. L needs no shift: log Q is floored at
+    log 1e-300 and at most 0, and each row of p(y|x) sums to 1, so L lies
+    in [log 1e-300, 0] and exp(L) in [1e-300, 1], which neither overflows
+    nor underflows; the mask zeroes the cells off the MISs of x. Since
+    sum_x p(x) sum_u P' L = sum_{u,y} Q' log Q, the identity
+    sum_x p(x) sum_u P' log P' = sum_{u,y} Q' log Q - p . log s holds
     exactly for the same log Q array, and -H(U|X) comes from the
-    normalizer, not from P' log P' over the tensor. log Q is floored at
-    log 1e-300, which keeps x log x at 0 where Q underflows. A cell where
-    Q is 0 because no x of u meets y weighs nothing: every x of u has
-    p(y|x) = 0 in the update, and Q'(u, y) = 0 in the objective."""
+    normalizer, not from P' log P' over the tensor. The floor also keeps
+    x log x at 0 where Q underflows. A cell where Q is 0 because no x of u
+    meets y weighs nothing: every x of u has p(y|x) = 0 in the update, and
+    Q'(u, y) = 0 in the objective. A step stores s, Q' and log Q'; the
+    objective's logs and sums run once per chunk."""
     n, m = mask.shape
     ny = W.shape[1]
+    rows = m * RESTARTS
+    # s, Q' and log Q' per step, and the chunk's log-ratio array
+    k = _chunk_length(RESTARTS * n + 3 * rows * ny)
     # p(y|x) as (y, x); every vertex mass is positive
     pyx_t = np.ascontiguousarray((W / p_x[:, None]).T)
-    barrier = np.where(mask.T > 0, 0.0, -np.inf)[:, None, :]  # (m, 1, n)
+    mask_u = np.ascontiguousarray(mask.T)[:, None, :]  # (m, 1, n)
     ones_m, ones_y = np.ones(m), np.ones(ny)
+    P = np.empty((m, RESTARTS, n))
+    P_rows = P.reshape(rows, n)
+    s, Q = np.empty((k, RESTARTS, n)), np.empty((k, rows, ny))
+    logQs = np.empty((k + 1, rows, ny))  # row 0 carries the previous step's
+    logQs[-1] = logQ
+    steps = list(zip(logQs[:-1], s, Q, logQs[1:]))
     while True:
-        # geometric-mean update in log space; per-row constants (the p_y
-        # normalization of Q) cancel in the normalization below
-        L = (logQ @ pyx_t).reshape(m, RESTARTS, n)
-        L += barrier
-        c = L.max(axis=0)  # max sits on an allowed cell, so finite
-        L -= c
-        P = np.exp(L, out=L)
-        s = P.sum(axis=0)
-        P /= s
-        Q = P.reshape(m * RESTARTS, n) @ W
-        log_ratio = logQ
-        logQ = np.log(np.maximum(Q, 1e-300))
-        log_ratio -= logQ
-        # H(U,Y) - H(U|X) = sum_{u,y} Q' log(Q / Q') - p . (c + log s), summed
-        # over u and y per restart by two matrix-vector products
-        cross = ones_m @ (Q * log_ratio).reshape(m, RESTARTS * ny)
-        yield cross.reshape(RESTARTS, ny) @ ones_y - (c + np.log(s)) @ p_x
+        logQs[0] = logQs[-1]
+        for logQ_i, s_i, Q_i, logQ_next in steps:
+            # geometric-mean update in log space; per-row constants (the p_y
+            # normalization of Q) cancel in the normalization below
+            np.matmul(logQ_i, pyx_t, out=P_rows)
+            np.exp(P, out=P)
+            P *= mask_u
+            P.sum(axis=0, out=s_i)
+            P /= s_i
+            np.matmul(P_rows, W, out=Q_i)
+            np.log(np.maximum(Q_i, 1e-300, out=logQ_next), out=logQ_next)
+        # H(U,Y) - H(U|X) = sum_{u,y} Q' log(Q / Q') - p . log s, summed
+        # over u and y per restart and step by two matrix products
+        Q *= logQs[:-1] - logQs[1:]
+        cross = ones_m @ Q.reshape(k, m, RESTARTS * ny)
+        yield cross.reshape(k, RESTARTS, ny) @ ones_y - np.log(s, out=s) @ p_x
 
 
 def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
@@ -169,7 +214,9 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     Step 1 evaluates the random starts themselves; every later step takes
     H(U|X) from the normalizer of its update. With one column the geometric
     mean is Q(u) itself, and _column_steps iterates on the (MIS, restart)
-    marginal Q alone; otherwise _general_steps holds P[u, r, x].
+    marginal Q alone; otherwise _general_steps holds P[u, r, x]. Both run
+    in chunks of steps, and the stopping test reads a chunk at a time: the
+    steps a chunk ran past the stop are dropped and not counted.
     """
     neg_h_y = -_plog2p_grid(W.sum(axis=0)).sum()
     mask = _mis_mask(mis, W.shape[0])
@@ -182,8 +229,8 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
         )
     p_x = W.sum(axis=1)
     # P[u, r, x] = P_r(u|x): with the restarts stacked inside the MIS axis
-    # both products are single 2-D GEMMs, and the max and the sum over u run
-    # along axis 0, elementwise across rows
+    # both products are single 2-D GEMMs, and the sum over u runs along
+    # axis 0, elementwise across rows
     P = np.ascontiguousarray(_start(mask).transpose(2, 0, 1))
     Q = P.reshape(m * RESTARTS, n) @ W  # joint of (U, Y), rows (u, r)
     logQ = np.log(np.maximum(Q, 1e-300))
@@ -199,16 +246,25 @@ def _solve(mis: MisFamily, W: np.ndarray) -> GraphEntropyResult:
     inv_ln2 = 1.0 / math.log(2.0)
     objs = np.full(RESTARTS, np.inf)
     pending = np.ones(RESTARTS, dtype=bool)
-    # each step's I(X;U|Y) + H(Y) in nats
-    steps = itertools.chain([neg_h_u_given_x - neg_h_uy], later)
-    for it, nats in zip(range(1, MAX_ITERS + 1), steps):
-        new_objs = nats * inv_ln2 + neg_h_y
-        newly = pending & (objs - new_objs < TOL)
-        objs = new_objs
-        if newly.any():
-            pending &= ~newly
-            if not pending.any():
-                break
+    it = 0
+    # each chunk's I(X;U|Y) + H(Y) in nats, one row per step
+    for nats in itertools.chain([(neg_h_u_given_x - neg_h_uy)[None]], later):
+        chunk = (nats * inv_ln2 + neg_h_y)[: MAX_ITERS - it]
+        # a pending restart stops at its first step that improves by < TOL
+        prev = np.concatenate([objs[None], chunk[:-1]])
+        crossed = (prev - chunk < TOL) & pending
+        hit = crossed.any(axis=0)
+        if hit[pending].all():  # stop at the latest of their first crossings
+            stop = int(crossed.argmax(axis=0)[pending].max())
+            it += stop + 1
+            objs = chunk[stop]
+            pending[:] = False
+            break
+        pending &= ~hit
+        it += len(chunk)
+        objs = chunk[-1]
+        if it == MAX_ITERS:
+            break
     # the steps the loop ran, not the winning restart's: rounding may pick
     # any of several tied restarts as the winner
     best = int(np.argmin(objs))

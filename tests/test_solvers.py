@@ -9,6 +9,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
 
@@ -379,10 +380,12 @@ class TestConditionalGraphEntropy:
             conditional_graph_entropy(g, skew)
 
 
-def einsum_solve(g, W):
+def einsum_solve(g, W, max_iters=None):
     """The alternation loop as it was written before the 2-D GEMM layout,
-    one einsum per product over a (restart, vertex, MIS) stack; returns
-    (restart values, steps run, whether the best restart converged)."""
+    one einsum per product over a (restart, vertex, MIS) stack, one step at
+    a time, for at most max_iters steps (default solvers.MAX_ITERS);
+    returns (restart values, steps run, whether the best restart
+    converged)."""
 
     def xlog2x(a):
         return a * np.log2(np.where(a > 0, a, 1.0))
@@ -395,7 +398,7 @@ def einsum_solve(g, W):
     allowed = mask > 0
     objs = np.full(solvers.RESTARTS, np.inf)
     conv_iter = np.full(solvers.RESTARTS, -1, dtype=int)
-    for it in range(1, solvers.MAX_ITERS + 1):
+    for it in range(1, (max_iters or solvers.MAX_ITERS) + 1):
         Quy = np.einsum("rxu,xy->ruy", P, W)
         neg_h_u_given_x = np.einsum("x,rxu->r", p_x, xlog2x(P))
         neg_h_u_given_y = xlog2x(Quy).sum(axis=(1, 2)) - neg_h_y
@@ -452,6 +455,95 @@ class TestIterativeKernel:
             assert got.value == pytest.approx(max(objs.min(), 0.0), abs=1e-12)
             checked += 1
         assert zero_joint_cells >= 10
+
+    def test_matches_einsum_loop_on_disjoint_unions_with_side_columns(self):
+        # with a general Y the whole graph is one block, so a disjoint union
+        # of connected parts is solved whole: its MIS family is the product
+        # of the parts' (up to 16 sets here). Every other law has zero cells
+        rng = random.Random(20261020)
+        checked = most_sets = 0
+        while checked < 12:
+            n, edges = 0, []
+            for size in [rng.randint(2, 4) for _ in range(rng.randint(2, 3))]:
+                # a random spanning tree and some chords: a connected part
+                edges += [(n + v, n + rng.randrange(v)) for v in range(1, size)]
+                edges += [(n + a, n + b) for a, b in combinations(range(size), 2) if rng.random() < 0.3]
+                n += size
+            g = make_graph({v: rng.uniform(0.05, 1.0) for v in range(n)}, edges)
+            mis = enumerate_mis(g)
+            sparse = checked % 2 == 1
+            ny = rng.randint(2, 3)
+            rows = np.array([
+                [0.0 if sparse and rng.random() < 0.4 else rng.uniform(0.05, 1.0) for _ in range(ny)]
+                for _ in range(n)
+            ])
+            if not (rows.any(axis=1).all() and rows.any(axis=0).all()):
+                continue  # every vertex and every side symbol carries mass
+            W = np.asarray(g.pmf)[:, None] * rows / rows.sum(axis=1, keepdims=True)
+            got = solvers._solve(mis, W)
+            objs, iterations, converged = einsum_solve(g, W)
+            assert got.iterations == iterations and got.converged == converged
+            assert got.restart_values == pytest.approx(tuple(objs), abs=1e-12)
+            checked += 1
+            most_sets = max(most_sets, mis.count)
+        assert most_sets >= 12
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_chunk_edges_match_einsum_loop(self, columns, monkeypatch):
+        # after step 1 the loop runs CHUNK steps at a time and reads the
+        # stopping rule per chunk. Capped by MAX_ITERS on either side of a
+        # chunk's edges, and stopping on its own on the first or the last
+        # step of a chunk, it reports what the one-step einsum loop does.
+        # One column is graph_entropy's path, two side columns the general one
+        p4 = make_graph({0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, [(0, 1), (1, 2), (2, 3)])
+        split = np.array([[0.3, 0.7], [0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])[:, :columns]
+        W = np.asarray(p4.pmf)[:, None] * split / split.sum(axis=1, keepdims=True)
+        mis = enumerate_mis(p4)
+
+        def solve():
+            return graph_entropy(p4) if columns == 1 else solvers._solve(mis, W)
+
+        def check(max_iters=None):
+            got = solve()
+            objs, iterations, converged = einsum_solve(p4, W, max_iters)
+            assert got.iterations == iterations and got.converged == converged
+            assert got.restart_values == pytest.approx(tuple(objs), abs=1e-12)
+            return got.iterations
+
+        natural = check()
+        chunk = solvers.CHUNK
+        assert natural > chunk + 2
+        for cap in (1, 2, chunk - 1, chunk, chunk + 1, chunk + 2):
+            monkeypatch.setattr(solvers, "MAX_ITERS", cap)
+            assert check(cap) == cap
+        monkeypatch.undo()
+        # chunks [1], [2, natural - 1], [natural, ...]; then [1], [2, natural]
+        for length in (natural - 2, natural - 1):
+            monkeypatch.setattr(solvers, "CHUNK", length)
+            assert check() == natural
+
+    def test_chunks_stay_within_the_solve_guard(self, monkeypatch):
+        # 7 disjoint triangles and a vertex adjacent to all of them, with two
+        # side columns: 3^7 + 1 MISs, a step tensor of 8 x 2,188 x 22 cells,
+        # just inside the guard. A chunk stores about 105,000 cells per step,
+        # so it runs 9 steps, not CHUNK = 32 (whose arrays took a 36 MB
+        # peak); the peak is the chunk's arrays, at most SOLVE_CELL_GUARD
+        # cells, and a few step tensors (the restarts' start stack)
+        edges = [(3 * t + a, 3 * t + b) for t in range(7) for a, b in ((0, 1), (0, 2), (1, 2))]
+        g = make_graph({v: 1 / 22 for v in range(22)}, edges + [(21, v) for v in range(21)])
+        mis = enumerate_mis(g)
+        tensor = solvers.RESTARTS * mis.count * g.n
+        assert mis.count == 3**7 + 1 and tensor <= SOLVE_CELL_GUARD
+        W = np.asarray(g.pmf)[:, None] * np.array([[0.25, 0.75], [0.75, 0.25]])[np.arange(22) % 2]
+        monkeypatch.setattr(solvers, "MAX_ITERS", 3)
+        tracemalloc.start()
+        try:
+            res = solvers._solve(mis, W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 3
+        assert peak <= 8 * (SOLVE_CELL_GUARD + 4 * tensor)
 
     def test_solve_guard_refuses_before_the_first_step(self, monkeypatch):
         # 8 disjoint triangles and a vertex adjacent to all of them: connected,
