@@ -28,7 +28,6 @@ from .functions import DemandSpec, decoding_map
 from .graphs import CharGraph, build_char_graph, integer_codes, or_power, support_items
 from .probability import JointPmf, _plog2p_grid
 from .rates import min_coloring
-from .solvers import graph_entropy
 from .topology import Placement, Topology
 
 POWER_GUARD = 10**5  # max support^n length-n blocks in one sweep
@@ -36,19 +35,18 @@ POWER_GUARD = 10**5  # max support^n length-n blocks in one sweep
 
 @dataclass(frozen=True)
 class Encoder:
-    """One server's block encoder: a minimum-count coloring of the n-th
-    OR power of its union characteristic graph.  colors[b] is the color of
-    OR-power vertex b: the n-tuple of labels whose ids l_0..l_{n-1} give
-    b = sum_j l_j * len(labels)^(n-1-j), as in or_power's vertex order.
-    Colors lie in 0..len(labels)^n - 1, which bounds the integer codes that
-    decoding folds them into."""
+    """One server's block encoder: a coloring of the n-th OR power of its
+    union characteristic graph, minimum where _power_coloring says so.
+    colors[b] is the color of OR-power vertex b: the n-tuple of labels
+    whose ids l_0..l_{n-1} give b = sum_j l_j * len(labels)^(n-1-j), as in
+    or_power's vertex order.  Colors lie in 0..len(labels)^n - 1, which
+    bounds the integer codes that decoding folds them into."""
 
     server: int
     n: int
     zone: tuple[int, ...]  # 0-based stored coordinates
     labels: tuple[tuple[int, ...], ...]  # local tuples: the length-1 graph's vertices
     colors: tuple[int, ...]
-    theoretical_rate: float  # graph entropy of the length-1 union graph
 
     def __post_init__(self) -> None:
         if len(self.colors) != len(self.labels) ** self.n:
@@ -90,10 +88,10 @@ def build_encoders(
     joint: JointPmf,
     n: int,
 ) -> list[Encoder]:
-    """One encoder per server: a minimum coloring of the n-th OR power of
-    the server's union characteristic graph g1 (_power_coloring).  A server
-    whose local support is a single point has a one-vertex graph, so it
-    transmits a constant."""
+    """One encoder per server: _power_coloring of the n-th OR power of the
+    server's union characteristic graph g1, not always a minimum one.  A
+    server whose local support is a single point has a one-vertex graph,
+    so it transmits a constant."""
     if n < 1:
         raise ValidationError("blocklength n must be >= 1")
     if joint.arity != t.k or p.k != t.k or p.n != t.n:
@@ -108,14 +106,13 @@ def build_encoders(
                 zone=p.zone0(i),
                 labels=g1.vertices,
                 colors=_power_coloring(g1, n),
-                theoretical_rate=graph_entropy(g1).value,
             )
         )
     return encoders
 
 
 def _power_coloring(g: CharGraph, n: int) -> tuple[int, ...]:
-    """A minimum coloring of or_power(g, n), indexed by its vertex ids.  The
+    """A coloring of or_power(g, n), indexed by its vertex ids.  The
     classes of min_coloring(g) are independent sets, so they are g's parts
     exactly when every pair of vertices in different classes is an edge:
     when the degrees add up to |V|^2 minus the squared class sizes.  On a
@@ -125,7 +122,9 @@ def _power_coloring(g: CharGraph, n: int) -> tuple[int, ...]:
     with the n-tuples of parts as its parts, its only minimum coloring, so
     vertex b gets the mixed-radix index of its labels' part ranks, parts
     ranked by their smallest vertex id (integer_codes of the colors), and
-    no power is built.  Any other g gets min_coloring of the built power."""
+    no power is built.  Any other g gets min_coloring of the built power:
+    exact on each component of at most EXACT_COLOR_GUARD vertices and
+    degree-ordered greedy on a larger one, so not always minimum."""
     part, parts = integer_codes(min_coloring(g))
     if sum(map(len, g.neighbors)) != g.n**2 - int((np.bincount(part) ** 2).sum()):
         return min_coloring(or_power(g, n))

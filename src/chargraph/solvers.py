@@ -336,7 +336,7 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
     for (x, y), mass in joint.mass.items():
         if mass > 0.0:  # masses are >= 0
             rows[x][y] = mass
-    if max(abs(math.fsum(r.values()) - p) for r, p in zip(rows, g.pmf)) > 1e-9:
+    if any(abs(math.fsum(r.values()) - p) > 1e-9 * p for r, p in zip(rows, g.pmf)):
         raise ValidationError("joint's X-marginal does not match the vertex PMF")
     if all(len(r) == 1 for r in rows):
         return _solve_blocks(g, components(g, [next(iter(r)) for r in rows]), [g.pmf])

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from chargraph.functions import LinearlySeparable, MultiLinear
-from chargraph.graphs import enumerate_mis, make_graph
+from chargraph.graphs import build_char_graph, enumerate_mis, make_graph
 from chargraph.probability import (
     JointPmf,
     binary_entropy,
@@ -176,14 +176,15 @@ def criterion_6() -> tuple[bool, str]:
     runs = 0
     for t, p, d in instances:
         joint = iid_bernoulli_joint(3, 0.5)
+        h_g = [graph_entropy(build_char_graph(d, p, joint, i)).value for i in range(1, t.n + 1)]
         for n in (1, 2):
             encs = build_encoders(t, p, d, joint, n)
             for sub in combinations(range(1, t.n + 1), t.nr):
                 tab = build_decode_table(encs, t, p, d, joint, sub)
                 res = run_simulation(encs, tab, joint, n, 100_000, seed=2024)
                 total_errors += res.errors
-                for emp, e in zip(res.empirical_rate_bits_per_symbol, encs):
-                    worst_gap = max(worst_gap, abs(emp - e.theoretical_rate))
+                for emp, h in zip(res.empirical_rate_bits_per_symbol, h_g):
+                    worst_gap = max(worst_gap, abs(emp - h))
                 runs += 1
     ok = total_errors == 0 and worst_gap <= 0.02
     return ok, (

@@ -197,6 +197,23 @@ class TestEntropy:
         code, out, err = run(capsys, ["entropy", "--spec", str(path)])
         assert code == 2 and out == "" and message in err
 
+    def test_side_joint_missing_a_light_vertex_exits_2(self, capsys, tmp_path):
+        # vertex 3's row is empty and its mass, 1e-10, is below an absolute
+        # 1e-9: the solve would print "value": NaN (not JSON) and exit 4
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "pmf": [0.5000000001, 0.25, 0.2499999998, 1e-10],
+            "edges": [[0, 1], [1, 2], [2, 3]],
+            "side_joint": [
+                [0.2500000001, 0.2500000001],
+                [0.125, 0.125],
+                [0.1249999999, 0.1249999999],
+                [0.0, 0.0],
+            ],
+        }))
+        code, out, err = run(capsys, ["entropy", "--spec", str(path)])
+        assert code == 2 and out == "" and "X-marginal" in err and "NaN" not in err
+
     def test_too_many_independent_sets_exits_3(self, capsys, tmp_path):
         # 20 disjoint triangles with a side symbol that is not a function of
         # X: the solver would need all 3^20 maximal independent sets

@@ -17,6 +17,7 @@ from chargraph import simulator
 from chargraph.errors import DecodeError, DeskScaleError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
 from chargraph.graphs import (
+    MIS_GUARD,
     PAIR_GUARD,
     build_char_graph,
     enumerate_mis,
@@ -40,7 +41,7 @@ from chargraph.simulator import (
     run_simulation,
 )
 from chargraph.solvers import graph_entropy
-from chargraph.topology import Topology, cyclic_placement
+from chargraph.topology import Placement, Topology, cyclic_placement
 from graph_strategies import complete_multipartite
 
 
@@ -70,11 +71,12 @@ class TestBuildEncoders:
         assert [e.num_colors for e in encs] == [4, 16, 4]
 
     def test_theoretical_rates(self):
+        # at n = 1 each encoder sends at its graph's entropy H_G
         t, p, d, joint = scenario_ii(0.5)
         encs = build_encoders(t, p, d, joint, 1)
-        assert [e.theoretical_rate for e in encs] == pytest.approx(
-            [1.0, 2.0, 1.0], abs=1e-6
-        )
+        h_g = [graph_entropy(build_char_graph(d, p, joint, e.server)).value for e in encs]
+        assert h_g == pytest.approx([1.0, 2.0, 1.0], abs=1e-6)
+        assert expected_rates(encs, joint, 1) == pytest.approx(h_g, abs=1e-6)
 
     def test_colors_are_canonical(self):
         t, p, d, joint = scenario_ii()
@@ -91,7 +93,7 @@ class TestBuildEncoders:
             assert e.labels == g1.vertices
             assert len(e.colors) == g1.n**2 == len(or_power(g1, 2).vertices)
             with pytest.raises(ValidationError, match="colors for"):
-                Encoder(e.server, 2, e.zone, e.labels, e.colors[1:], 0.0)
+                Encoder(e.server, 2, e.zone, e.labels, e.colors[1:])
 
     def test_off_support_block_rejected(self):
         # encoders colored for a narrower law meet local labels they never saw
@@ -105,7 +107,10 @@ class TestBuildEncoders:
         t, p, d, joint = scenario_ii()
         frozen = JointPmf((2, 2, 2), {(0, 0, 0): 1.0})
         encs = build_encoders(t, p, d, frozen, 1)
-        assert all(e.num_colors == 1 and e.theoretical_rate == 0.0 for e in encs)
+        assert all(e.num_colors == 1 for e in encs)
+        assert all(
+            graph_entropy(build_char_graph(d, p, frozen, i)).value == 0.0 for i in (1, 2, 3)
+        )
 
     def test_rejects_bad_blocklength(self):
         t, p, d, joint = scenario_ii()
@@ -148,8 +153,8 @@ class TestPartTupleColoring:
         # which is the graph entropy of a complete multipartite graph
         joint = JointPmf((g1.n,), {(v,): m for v, m in zip(g1.vertices, g1.pmf)})
         labels = tuple((v,) for v in g1.vertices)
-        enc = Encoder(1, n, (0,), labels, colors, graph_entropy(g1).value)
-        assert abs(expected_rates([enc], joint, n)[0] - enc.theoretical_rate) <= 1e-12
+        enc = Encoder(1, n, (0,), labels, colors)
+        assert abs(expected_rates([enc], joint, n)[0] - graph_entropy(g1).value) <= 1e-12
 
     def test_large_complete_bipartite_gets_part_tuples(self):
         # K_{33,33} has 66 vertices and its square 66^4 vertex pairs, past
@@ -163,14 +168,30 @@ class TestPartTupleColoring:
         assert len(colors) == 4356 and len(set(colors)) == 4
         assert colors == tuple(2 * part[a] + part[b] for a, b in product(range(66), repeat=2))
 
+    def test_encoders_past_the_mis_guard_decode(self):
+        # server 1 holds bits 1-7 of 8 and the parity of those 7 is
+        # demanded: its graph is K_{64,64}, 128 vertices past the MIS guard
+        # of 64, yet its encoder sends the parity and server 2 a constant
+        t = Topology(n=2, k=8, kc=1, m=7, nr=2)
+        p = Placement(2, 8, (tuple(range(1, 8)), (8,)))
+        d = LinearlySeparable(q=2, gamma=((1,) * 7 + (0,),))
+        joint = iid_bernoulli_joint(8, 0.5)
+        g1 = build_char_graph(d, p, joint, 1)
+        assert g1.n == 128 > MIS_GUARD
+        encs = build_encoders(t, p, d, joint, 1)
+        assert [e.num_colors for e in encs] == [2, 1]
+        tab = build_decode_table(encs, t, p, d, joint, (1, 2))
+        assert run_simulation(encs, tab, joint, 1, 10_000, seed=5).errors == 0
+        assert expected_rates(encs, joint, 1) == [1.0, 0.0]
+
     def test_colors_must_name_power_vertices(self):
         # a color outside 0..|labels|^n - 1 is refused: decoding folds the
         # colors into integer codes bounded by that range
         labels = ((0,), (1,))
         with pytest.raises(ValidationError, match="colors must lie in 0..3"):
-            Encoder(1, 2, (0,), labels, (0, 1, 1, 4), 0.0)
+            Encoder(1, 2, (0,), labels, (0, 1, 1, 4))
         with pytest.raises(ValidationError, match="colors must lie"):
-            Encoder(1, 1, (0,), labels, (-1, 0), 0.0)
+            Encoder(1, 1, (0,), labels, (-1, 0))
 
 
 def star_instance():
@@ -240,7 +261,6 @@ class TestBuildDecodeTable:
             zone=(1, 2),
             labels=locals2,
             colors=(0,) * len(locals2),
-            theoretical_rate=0.0,
         )
         broken = [encs[0], mute, encs[2]]
         with pytest.raises(DecodeError, match="merged a confusable pair"):
@@ -392,7 +412,8 @@ class TestExpectedRates:
             for n in (1, 2):
                 encs = build_encoders(t, p, d, joint, n)
                 for e, r in zip(encs, expected_rates(encs, joint, n)):
-                    assert r >= e.theoretical_rate - 1e-9
+                    g1 = build_char_graph(d, p, joint, e.server)
+                    assert r >= graph_entropy(g1).value - 1e-9
 
     def test_blocklength_must_match(self):
         t, p, d, joint = scenario_ii()
@@ -471,7 +492,7 @@ class TestGatherMatchesDirect:
         enc = build_encoders(t, p, d, joint, 2)[1]
         dropped = enc.labels[2]
         labels = tuple(lb for lb in enc.labels if lb != dropped)
-        holed = Encoder(enc.server, 2, enc.zone, labels, (0,) * len(labels) ** 2, 0.0)
+        holed = Encoder(enc.server, 2, enc.zone, labels, (0,) * len(labels) ** 2)
         with pytest.raises(ValidationError, match=re.escape(f"off-support local tuple {dropped!r}")):
             expected_rates([holed], joint, 2)
 
@@ -521,9 +542,8 @@ def test_blocklength_five(instance, parts, eps):
     t, p, d, joint = instance(eps)
     encs = build_encoders(t, p, d, joint, 5)
     assert [e.num_colors for e in encs] == [k**5 for k in parts]
-    assert expected_rates(encs, joint, 5) == pytest.approx(
-        [e.theoretical_rate for e in encs], abs=1e-12
-    )
+    h_g = [graph_entropy(build_char_graph(d, p, joint, e.server)).value for e in encs]
+    assert expected_rates(encs, joint, 5) == pytest.approx(h_g, abs=1e-12)
     for sub in combinations((1, 2, 3), 2):
         tab = build_decode_table(encs, t, p, d, joint, sub)
         res = run_simulation(encs, tab, joint, 5, 100_000, seed=13)

@@ -379,6 +379,19 @@ class TestConditionalGraphEntropy:
         with pytest.raises(ValidationError):
             conditional_graph_entropy(g, skew)
 
+    def test_rejects_joint_missing_a_light_vertex(self):
+        # vertex 3 has mass 1e-10 and no positive cell: its row misses all
+        # of its mass, though by less than 1e-9, and solving would divide
+        # 0/0 and return nan
+        g = make_graph(
+            dict(enumerate([0.5000000001, 0.25, 0.2499999998, 1e-10])),
+            [(0, 1), (1, 2), (2, 3)],
+        )
+        rows = [0.2500000001, 0.125, 0.1249999999]
+        joint = JointPmf((4, 2), {(x, y): m for x, m in enumerate(rows) for y in (0, 1)})
+        with pytest.raises(ValidationError, match="X-marginal"):
+            conditional_graph_entropy(g, joint)
+
 
 def einsum_solve(g, W, max_iters=None):
     """The alternation loop as it was written before the 2-D GEMM layout,
