@@ -16,6 +16,8 @@ enumerate_mis and the two colorings read the subgraph those ids induce,
 in that subgraph's ids (position in the block), without building it. The
 demand spec alone picks which demands a graph covers: build_char_graph
 joins what any demanded function tells apart (the union graph).
+enumerate_mis is bounded by its work, |V| x (|V| + search nodes), which
+also bounds the solver's support mask, |V| x MIS count (MIS_CELL_GUARD).
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .functions import DemandSpec, evaluate_demand
 from .probability import SUPPORT_TOL, JointPmf
 from .topology import Placement
 
-MIS_GUARD = 64          # max |V| for maximal-independent-set enumeration (recursion depth)
-MIS_CELL_GUARD = 10**6  # max |V| x MIS count: the cells of the solver's support mask
+MIS_CELL_GUARD = 10**6  # max |V| x (|V| + search nodes) of an MIS enumeration
 PAIR_GUARD = 10**6      # max vertex pairs |V|^(2n) of an OR power
 EXACT_COLOR_GUARD = 12  # max |V| for exact colorings (per component) and partitions
 
@@ -281,14 +282,14 @@ class MisFamily:
 
 def enumerate_mis(g: CharGraph, vs: Sequence[int] | None = None) -> MisFamily:
     """Maximal independent sets of g, or of its subgraph induced on the
-    ascending vertex ids vs, in that subgraph's ids (position in vs):
-    maximal cliques of the complement, enumerated by pivoting
-    branch-and-bound over bitmasks.  Stops with DeskScaleError once
-    |V| x (sets found) passes MIS_CELL_GUARD."""
+    ascending vertex ids vs, in that subgraph's ids (position in vs): the
+    maximal cliques of the complement, by pivoting branch-and-bound over
+    bitmasks from a stack. DeskScaleError once |V| x (|V| + nodes visited)
+    passes MIS_CELL_GUARD, checked before the |V|^2 mask bits and at each node."""
     ids = range(g.n) if vs is None else vs
     n = len(ids)
-    if n > MIS_GUARD:
-        raise DeskScaleError(f"|V| = {n} exceeds the MIS guard {MIS_GUARD}")
+    if n * n > MIS_CELL_GUARD:
+        raise DeskScaleError(f"|V|^2 = {n * n} passes the {MIS_CELL_GUARD} cell guard")
     pos = {v: i for i, v in enumerate(ids)}
     full = (1 << n) - 1
     co_nbrs = []  # bitmask of the non-neighbours of each vertex, itself excluded
@@ -300,24 +301,23 @@ def enumerate_mis(g: CharGraph, vs: Sequence[int] | None = None) -> MisFamily:
         co_nbrs.append(full & ~nbrs)
 
     found: list[tuple[int, ...]] = []
-
-    def expand(clique: int, cand: int, excl: int) -> None:
+    stack = [(0, full, 0)]  # (clique, candidates, excluded) of each node to visit
+    nodes = 0
+    while stack:
+        nodes += 1
+        if n * (n + nodes) > MIS_CELL_GUARD:
+            raise DeskScaleError(f"|V| x (|V| + nodes) passes the {MIS_CELL_GUARD} cell guard")
+        clique, cand, excl = stack.pop()
         if not cand:  # maximal unless an excluded vertex could still join
             if not excl:
                 found.append(tuple(_bits(clique)))
-                if n * len(found) > MIS_CELL_GUARD:
-                    raise DeskScaleError(
-                        f"|V| x MIS count passes the {MIS_CELL_GUARD} cell guard"
-                    )
-            return
+            continue
         pivot = max(_bits(cand | excl), key=lambda u: (cand & co_nbrs[u]).bit_count())
         for v in _bits(cand & ~co_nbrs[pivot]):
             bit = 1 << v
-            expand(clique | bit, cand & co_nbrs[v], excl & co_nbrs[v])
+            stack.append((clique | bit, cand & co_nbrs[v], excl & co_nbrs[v]))
             cand &= ~bit
             excl |= bit
-
-    expand(0, full, 0)
     return MisFamily(sets=tuple(sorted(found)))
 
 

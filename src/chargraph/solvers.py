@@ -106,10 +106,12 @@ def _partition_cost(part_masses: Sequence[float]) -> float:
 def _start(mask: np.ndarray) -> np.ndarray:
     """Stack of restart starts on the mask, shape (R, n, m); every allowed
     cell starts strictly positive (a zero cell would be stuck at zero)."""
-    rng = np.random.default_rng(0)
-    raw = mask * (rng.random((RESTARTS - 1,) + mask.shape) + 1e-3)
-    stack = np.concatenate([mask[None], raw])
-    return stack / stack.sum(axis=2, keepdims=True)
+    stack = np.empty((RESTARTS,) + mask.shape)
+    stack[0] = mask
+    np.random.default_rng(0).random(out=stack[1:])
+    stack[1:] += 1e-3
+    stack[1:] *= mask
+    return np.divide(stack, stack.sum(axis=2, keepdims=True), out=stack)
 
 
 def _chunk_length(step_cells: int) -> int:

@@ -6,6 +6,7 @@ tests/oracles/gen_frozen.py, which share no code with the package.
 
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -303,15 +304,33 @@ class TestEnumerateMis:
             fam = enumerate_mis(g)
             assert set(fam.sets) == brute_force_mis(g)
 
-    def test_guard(self):
-        big = make_graph({v: 1.0 / 65 for v in range(65)}, [])
-        with pytest.raises(DeskScaleError):
+    def test_guard_refuses_before_any_search_node(self, monkeypatch):
+        # 1,001^2 bits of non-neighbour masks already pass the cell guard;
+        # every search node calls _bits
+        def no_node(mask):
+            raise AssertionError("the guard must refuse before the search starts")
+
+        monkeypatch.setattr(graphs, "_bits", no_node)
+        big = make_graph({v: 1.0 / 1001 for v in range(1001)}, [])
+        with pytest.raises(DeskScaleError, match="cell guard"):
             enumerate_mis(big)
 
+    def test_deep_search_needs_no_recursion(self):
+        # an edgeless graph's one set is found 300 nodes deep, past a
+        # recursion limit of 200 frames
+        g = make_graph({v: 1.0 / 300 for v in range(300)}, [])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            fam = enumerate_mis(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert fam.sets == (tuple(range(300)),)
+
     def test_cell_guard_stops_the_enumeration(self, monkeypatch):
-        # 20 disjoint triangles: 60 vertices, 3^20 maximal independent sets,
-        # of which the guard admits 1e6 // 60 + 1 before it stops; the
-        # search makes about two _bits calls per set it finds
+        # 20 disjoint triangles: 60 vertices, 3^20 maximal independent sets;
+        # the guard stops the search within 1e6 // 60 - 60 nodes, and the
+        # search makes at most two _bits calls per node
         bits = graphs._bits
         calls = 0
 

@@ -432,6 +432,18 @@ class TestChain:
         assert rr.metadata["ordering"] == [1, 2]
         assert rr.metadata["orderings_tried"] == 2
 
+    def test_complete_bipartite_128_vertex_graph_is_priced(self):
+        # server 1 holds bits 1-7 of 8 and the parity of those 7 is
+        # demanded: its graph is K_{64,64}, 128 vertices and two maximal
+        # independent sets, one bit; server 2 then owes nothing
+        t = Topology(n=2, k=8, kc=1, m=7, nr=2)
+        p = Placement(2, 8, (tuple(range(1, 8)), (8,)))
+        d = LinearlySeparable(q=2, gamma=((1,) * 7 + (0,),))
+        joint = iid_bernoulli_joint(8, 0.5)
+        assert chain_rate(t, p, d, joint, [(1, 2), (2, 1)]).sum_rate == 1.0
+        assert prop2_rate(t, p, d, joint).per_server_rates == (1.0, 0.0)
+        assert theorem1_sum_rate(t, p, d, joint).per_server_rates == (1.0, 0.0)
+
     def test_all_orderings_failing_raises(self):
         t, p, d, joint = scenario_ii()
         with pytest.raises(DecodeError, match="no supplied ordering"):

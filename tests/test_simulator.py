@@ -17,7 +17,6 @@ from chargraph import simulator
 from chargraph.errors import DecodeError, DeskScaleError, ValidationError
 from chargraph.functions import LinearlySeparable, MultiLinear, evaluate_demand
 from chargraph.graphs import (
-    MIS_GUARD,
     PAIR_GUARD,
     build_char_graph,
     enumerate_mis,
@@ -168,16 +167,16 @@ class TestPartTupleColoring:
         assert len(colors) == 4356 and len(set(colors)) == 4
         assert colors == tuple(2 * part[a] + part[b] for a, b in product(range(66), repeat=2))
 
-    def test_encoders_past_the_mis_guard_decode(self):
+    def test_complete_bipartite_128_vertex_encoders_decode(self):
         # server 1 holds bits 1-7 of 8 and the parity of those 7 is
-        # demanded: its graph is K_{64,64}, 128 vertices past the MIS guard
-        # of 64, yet its encoder sends the parity and server 2 a constant
+        # demanded: its graph is K_{64,64}, 128 vertices, and its encoder
+        # sends the parity and server 2 a constant
         t = Topology(n=2, k=8, kc=1, m=7, nr=2)
         p = Placement(2, 8, (tuple(range(1, 8)), (8,)))
         d = LinearlySeparable(q=2, gamma=((1,) * 7 + (0,),))
         joint = iid_bernoulli_joint(8, 0.5)
         g1 = build_char_graph(d, p, joint, 1)
-        assert g1.n == 128 > MIS_GUARD
+        assert g1.n == 128
         encs = build_encoders(t, p, d, joint, 1)
         assert [e.num_colors for e in encs] == [2, 1]
         tab = build_decode_table(encs, t, p, d, joint, (1, 2))
