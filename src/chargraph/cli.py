@@ -5,10 +5,13 @@ A sweep's grid is a pair of arrays (eps, param). A closed-form scenario
 prices the whole grid in one call of its rates.*_rates function; custom runs
 one chain_rate per eps point. Either way the sweep yields the R_graph,
 R_lin and R_SW columns, and the gains and rows are assembled from columns.
-JSON is written from one row template (repr of each float, null for a
-non-finite one), byte-identical to json.dumps(payload, indent=2,
-allow_nan=False), which with indent set would run CPython's pure-Python
-encoder on every row.
+A custom chain prices one ordering per rotation orbit when Nr = N and the
+point's law passes rates.rotation_invariant, and every ordering otherwise,
+with the same winner either way (see _custom_evaluator); custom JSON rows
+also carry orderings_tried, the count priced, and CSV rows do not. JSON is
+written from one row template (repr of each float, null for a non-finite
+one), byte-identical to json.dumps(payload, indent=2, allow_nan=False),
+which with indent set would run CPython's pure-Python encoder on every row.
 
 Exit codes: 0 success, 2 bad input (an invalid value, or a file that cannot
 be read or written), 3 desk-scale guard, 4 solver non-convergence.
@@ -36,6 +39,7 @@ from .rates import (
     gain_ratio,
     multilinear_rates,
     prop1_rate,
+    rotation_invariant,
     scenario1_rates,
     scenario2_diniz_rates,
     scenario2_table2_rates,
@@ -47,10 +51,8 @@ from .topology import Topology, cyclic_placement, placement_from_json, placement
 
 COLUMNS = ("eps", "param", "R_graph", "R_lin", "R_SW", "eta_lin", "eta_SW")
 CSV_HEADER = ",".join(COLUMNS)
-# one row of json.dumps(payload, indent=2): each %s is a value's JSON text
-JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in COLUMNS) + "\n    }"
 FORMATS = ("csv", "json")
-MAX_CHAIN_SERVERS = 6  # orderings grow factorially; cap the exhaustive sweep
+MAX_CHAIN_SERVERS = 6  # orderings grow factorially; cap the custom sweep
 MAX_GRID_POINTS = 10**6  # a sweep's (eps, param) points; the shipped configs reach 495
 
 
@@ -134,8 +136,10 @@ def _config(args: argparse.Namespace) -> dict[str, Any]:
         kind = OPTIONS[name]
         if kind is _parse_grid:
             a, b, count = cfg[name] = _parse_grid(value)
-            if not (0.0 <= a <= b <= 1.0):
+            if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
                 raise ValidationError(f"grid bounds {a},{b} outside [0,1]")
+            if a > b:
+                raise ValidationError(f"grid start {a} exceeds its stop {b}")
             if count < 1:
                 raise ValidationError("grid count must be >= 1")
         elif type(value) is not kind:
@@ -188,8 +192,10 @@ def _topology(cfg: dict[str, Any], kc: int) -> Topology:
 
 
 # a sweep's evaluation: the grid's (eps, param) arrays -> the R_graph, R_lin
-# and R_SW columns, and whether every solve converged
-Evaluate = Callable[[np.ndarray, np.ndarray], tuple[tuple[Any, Any, Any], bool]]
+# and R_SW columns, whether every solve converged, and the columns only
+# JSON rows carry, by name (custom's orderings_tried)
+Extra = dict[str, list[int]]
+Evaluate = Callable[[np.ndarray, np.ndarray], tuple[tuple[Any, Any, Any], bool, Extra]]
 
 
 def _evaluator(cfg: dict[str, Any]) -> Evaluate:
@@ -198,20 +204,26 @@ def _evaluator(cfg: dict[str, Any]) -> Evaluate:
     and its domain checks run over the whole grid before any row exists."""
     scenario = cfg["scenario"]
     if scenario == "s2-table2":
-        return lambda eps, p: (scenario2_table2_rates(eps, p).sum_rates(), True)
+        return lambda eps, p: (scenario2_table2_rates(eps, p).sum_rates(), True, {})
     if scenario == "s2-diniz":
-        return lambda eps, rho: (scenario2_diniz_rates(eps, rho).sum_rates(), True)
+        return lambda eps, rho: (scenario2_diniz_rates(eps, rho).sum_rates(), True, {})
     if scenario == "custom":
         return _custom_evaluator(cfg)
     t = _topology(cfg, cfg.get("kc", 1))
     if scenario == "s1":
-        return lambda eps, rho: (scenario1_rates(t, eps, rho).sum_rates(), True)
+        return lambda eps, rho: (scenario1_rates(t, eps, rho).sum_rates(), True, {})
     if scenario == "s3":
-        return lambda eps, _: (scenario3_rates(t, eps).sum_rates(), True)
-    return lambda eps, _: (multilinear_rates(t, eps).sum_rates(), True)
+        return lambda eps, _: (scenario3_rates(t, eps).sum_rates(), True, {})
+    return lambda eps, _: (multilinear_rates(t, eps).sum_rates(), True, {})
 
 
 def _custom_evaluator(cfg: dict[str, Any]) -> Evaluate:
+    """One chain per eps point over the orderings of the first Nr servers.
+    When Nr = N and the point's law passes rates.rotation_invariant, an
+    ordering's rotations share its sum, so only the orderings that start
+    with server 1 are priced, one per orbit; each is the earliest of its
+    orbit, so the tie rule picks the winner of all Nr!. Otherwise all Nr!
+    are priced."""
     if "demand" not in cfg:
         raise ValidationError("custom scenario needs --demand (a demand JSON file)")
     d = demand_from_json(_load_json(cfg["demand"]), k=cfg.get("k"))
@@ -229,22 +241,26 @@ def _custom_evaluator(cfg: dict[str, Any]) -> Evaluate:
         p = cyclic_placement(t)
     if t.nr > MAX_CHAIN_SERVERS:
         raise DeskScaleError(
-            f"custom scenario sweeps all orderings of the first Nr servers; "
+            f"custom scenario prices the orderings of the first Nr servers, all "
+            f"Nr! of them unless Nr = N and rotation maps the instance to itself; "
             f"Nr={t.nr} exceeds {MAX_CHAIN_SERVERS}"
         )
     orderings = list(permutations(range(1, t.nr + 1)))
+    firsts = [o for o in orderings if o[0] == 1]  # one per rotation orbit
     lin = prop1_rate(t).sum_rate
 
-    def evaluate(eps: np.ndarray, _: np.ndarray) -> tuple[tuple[Any, Any, Any], bool]:
-        graph, sw = [], []
+    def evaluate(eps: np.ndarray, _: np.ndarray) -> tuple[tuple[Any, Any, Any], bool, Extra]:
+        graph, sw, tried = [], [], []
         converged = True
         for e in eps.tolist():  # one chain per point, in grid order
             joint = iid_bernoulli_joint(t.k, e)
-            rr = chain_rate(t, p, d, joint, orderings)
+            rotated = t.nr == t.n and rotation_invariant(p, d, joint)
+            rr = chain_rate(t, p, d, joint, firsts if rotated else orderings)
             converged = converged and rr.metadata["converged"]
             graph.append(rr.sum_rate)
+            tried.append(rr.metadata["orderings_tried"])
             sw.append(slepian_wolf_rate(joint, t, p).sum_rate)
-        return (graph, lin, sw), converged
+        return (graph, lin, sw), converged, {"orderings_tried": tried}
 
     return evaluate
 
@@ -265,15 +281,18 @@ def _render_csv(columns: Sequence[Sequence[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(scenario: str, columns: Sequence[Sequence[float]]) -> str:
+def _render_json(scenario: str, columns: Sequence[Sequence[float]], extra: Extra) -> str:
     """json.dumps({"scenario": scenario, "rows": [row dicts]}, indent=2,
-    allow_nan=False) + newline, byte for byte. RFC 8259 has no Infinity or
-    NaN: a non-finite value (the gain at a zero graph rate) is written as
-    null."""
+    allow_nan=False) + newline, byte for byte, each row holding COLUMNS and
+    then the extra integer columns. RFC 8259 has no Infinity or NaN: a
+    non-finite value (the gain at a zero graph rate) is written as null."""
     texts = [
         [repr(v) if math.isfinite(v) else "null" for v in column] for column in columns
-    ]
-    rows = ",\n".join(JSON_ROW % row for row in zip(*texts))
+    ] + [[str(v) for v in column] for column in extra.values()]
+    # one row of json.dumps(payload, indent=2): each %s is a value's JSON text
+    names = COLUMNS + tuple(extra)
+    template = "    {\n" + ",\n".join(f'      "{c}": %s' for c in names) + "\n    }"
+    rows = ",\n".join(template % row for row in zip(*texts))
     body = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{{\n  "scenario": {json.dumps(scenario)},\n  "rows": {body}\n}}\n'
 
@@ -388,12 +407,12 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     # --out is opened before the sweep, so an unwritable path exits 2 at
     # once instead of after the whole sweep
     with _output(cfg.get("out")) as fh:
-        rates, converged = evaluate(eps, param)
+        rates, converged, extra = evaluate(eps, param)
         columns = _columns(eps, param, rates)
         if cfg["format"] == "csv":
             fh.write(_render_csv(columns))
         else:
-            fh.write(_render_json(cfg["scenario"], columns))
+            fh.write(_render_json(cfg["scenario"], columns, extra))
     return 0 if converged else 4
 
 

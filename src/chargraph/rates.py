@@ -453,6 +453,13 @@ def chain_rate(
     order by their local tuples alone. So _chain_eval builds each stage
     once per such state, shared by every ordering that reaches it. Each
     ordering still solves each of its stages once.
+
+    Every supplied ordering is priced. When Nr = N and rotation_invariant
+    holds, an ordering and its rotations have equal sums, so a caller may
+    supply only the orderings that start with server 1, one per orbit:
+    each is the earliest of its orbit in the lexicographic order, so the
+    tie rule picks the ordering it picks among all N! of them. When none
+    decodes, the joined failures are then those of these orderings only.
     """
     orderings = _normalize_orderings(t, ordering)
     items = support_items(d, p, joint)
@@ -480,6 +487,34 @@ def chain_rate(
         rates, "chain", ordering=list(order), orderings_tried=len(orderings),
         converged=converged,
     )
+
+
+def rotation_invariant(p: Placement, d: DemandSpec, joint: JointPmf) -> bool:
+    """Whether rotating every server s -> s + 1 (mod N) together with its
+    datasets, b + rN -> mod1(b + 1, N) + rN for b in 1..N, maps the
+    placement, the law and the demand to themselves: the zone of each
+    server onto the next server's, and each support point onto a support
+    point with the same demanded outputs and a mass equal within TIE_RTOL
+    (rotated i.i.d. masses differ in their last bits). The rotated chain
+    of an ordering is then the chain of its rotation, so both have one sum.
+    """
+    n, k = p.n, p.k
+    if k % n:
+        return False  # the band map needs N | K
+    sigma = [j - j % n + (j + 1) % n for j in range(k)]  # 0-based dataset map
+    for s in range(1, n + 1):
+        if sorted(sigma[j] for j in p.zone0(s)) != list(p.zone0(s % n + 1)):
+            return False
+    items = support_items(d, p, joint)
+    law = {w: (m, dem) for w, m, dem in items}
+    image = [0] * k
+    for w, m, dem in items:
+        for j, v in zip(sigma, w):
+            image[j] = v
+        m_image, dem_image = law.get(tuple(image), (0.0, None))
+        if dem_image != dem or not math.isclose(m, m_image, rel_tol=TIE_RTOL):
+            return False
+    return True
 
 
 def _normalize_orderings(

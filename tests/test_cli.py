@@ -2,8 +2,9 @@
 
 import json
 import math
+import random
 import threading
-from itertools import takewhile
+from itertools import permutations, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,16 @@ import pytest
 from chargraph import cli, solvers
 from chargraph.cli import CSV_HEADER, main
 from chargraph.errors import ValidationError
+from chargraph.functions import demand_from_json
 from chargraph.graphs import make_graph
-from chargraph.probability import binary_entropy, crossover_joint, parity_param
-from chargraph.rates import scenario2_table2_rates
+from chargraph.probability import (
+    binary_entropy,
+    crossover_joint,
+    iid_bernoulli_joint,
+    parity_param,
+)
+from chargraph.rates import chain_rate, scenario2_table2_rates
+from chargraph.topology import cyclic_placement
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -607,6 +615,14 @@ class TestScenario:
         assert code == 2 and out == ""
         assert err == "error: grid bounds -0.1,0.5 outside [0,1]\n"
 
+    def test_descending_grid_names_the_order(self, capsys):
+        # both bounds lie in [0,1]; what is wrong is their order
+        argv = ["scenario", "--scenario", "multilinear", "--n", "4", "--k", "8",
+                "--nr", "3", "--eps-grid", "0.5,0.1,3"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: grid start 0.5 exceeds its stop 0.1\n"
+
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text(json.dumps(["scenario", "s1"]))
@@ -858,6 +874,59 @@ class TestCustomScenario:
         assert code == 3 and "desk-scale" in err
 
 
+class TestRotationOrbits:
+    """A custom sweep at Nr = N prices the orderings that start with server
+    1, one per rotation orbit, when rotation maps its placement, law and
+    demand to themselves, and every ordering otherwise."""
+
+    def _rows(self, capsys, tmp_path, demand, n, k, nr, grid, placement=None):
+        f = tmp_path / "demand.json"
+        f.write_text(json.dumps(demand))
+        argv = ["scenario", "--scenario", "custom", "--demand", str(f), "--n", str(n),
+                "--k", str(k), "--nr", str(nr), "--eps-grid", grid, "--format", "json"]
+        if placement is not None:
+            g = tmp_path / "placement.json"
+            g.write_text(json.dumps({"N": n, "K": k, "Z": placement}))
+            argv += ["--placement", str(g)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        return json.loads(out)["rows"]
+
+    @pytest.mark.parametrize("kind", ["parity", "and"])
+    @pytest.mark.parametrize("n, k", [(4, 4), (3, 6)])
+    def test_symmetric_sweep_prices_one_ordering_per_orbit(self, capsys, tmp_path, kind, n, k):
+        if kind == "parity":
+            demand = {"kind": "linsep", "q": 2, "gamma": [[1] * k]}
+        else:
+            demand = {"kind": "multilinear", "q": 2}
+        rows = self._rows(capsys, tmp_path, demand, n, k, n, "0,1,5")
+        d = demand_from_json(demand, k=k)
+        t = cli._make_topology(n, k, 1, n)
+        every = list(permutations(range(1, n + 1)))
+        for row in rows:
+            assert row["orderings_tried"] == math.factorial(n - 1)
+            joint = iid_bernoulli_joint(k, row["eps"])
+            assert row["R_graph"] == chain_rate(t, cyclic_placement(t), d, joint, every).sum_rate
+
+    def test_random_table_prices_every_ordering(self, capsys, tmp_path):
+        rng = random.Random(3)
+        demand = {"kind": "table", "q": 2, "tables": [[rng.randint(0, 1) for _ in range(16)]]}
+        rows = self._rows(capsys, tmp_path, demand, 4, 4, 4, "0.2,0.4,2")
+        assert [row["orderings_tried"] for row in rows] == [24, 24]
+
+    def test_unrotated_placement_prices_every_ordering(self, capsys, tmp_path):
+        # server 3 keeps only dataset 3, where rotation would hand it 3 and 1
+        demand = {"kind": "linsep", "q": 2, "gamma": [[1, 1, 1]]}
+        rows = self._rows(capsys, tmp_path, demand, 3, 3, 3, "0.1,0.3,2", [[1, 2], [2, 3], [3]])
+        assert [row["orderings_tried"] for row in rows] == [6, 6]
+
+    def test_fewer_reachable_servers_price_every_ordering(self, capsys, tmp_path):
+        # at Nr < N a rotation leaves the first Nr servers
+        demand = {"kind": "linsep", "q": 2, "gamma": [[1] * 4]}
+        rows = self._rows(capsys, tmp_path, demand, 4, 4, 3, "0.1,0.3,2")
+        assert [row["orderings_tried"] for row in rows] == [6, 6]
+
+
 class TestSerialSweeps:
     def test_sweeps_start_no_thread(self, capsys, monkeypatch, tmp_path):
         # every grid point is GIL-bound Python, so points run in order on the
@@ -928,7 +997,7 @@ class TestJsonWriter:
         sw = lin[::-1]
 
         def evaluator(cfg):
-            return lambda eps, param: ((graph, lin, sw), True)
+            return lambda eps, param: ((graph, lin, sw), True, {})
 
         monkeypatch.setattr(cli, "_evaluator", evaluator)
         argv = ["scenario", "--scenario", "s2-table2", "--eps-grid", "0.1,0.7,7",
@@ -950,6 +1019,23 @@ class TestJsonWriter:
         assert out == want + "\n" and written == want + "\n"
         for text in ("-0.0", "5e-324", "1e+16", "1e-07", "null"):
             assert text in out
+
+    def test_custom_rows_match_json_dumps(self, capsys, tmp_path):
+        # a custom row also carries orderings_tried, an int, after the
+        # columns; the CSV of the same sweep keeps its header
+        demand = tmp_path / "parity.json"
+        demand.write_text(json.dumps({"kind": "linsep", "q": 2, "gamma": [[1] * 4]}))
+        argv = ["scenario", "--scenario", "custom", "--demand", str(demand), "--n", "4",
+                "--k", "4", "--nr", "4", "--eps-grid", "0,1,3"]
+        out, written = run_both(capsys, tmp_path, argv + ["--format", "json"])
+        payload = json.loads(out)
+        want = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        assert out == want and written == want
+        for row in payload["rows"]:
+            assert list(row) == list(cli.COLUMNS) + ["orderings_tried"]
+            assert type(row["orderings_tried"]) is int
+        csv, _ = run_both(capsys, tmp_path, argv)
+        assert csv.splitlines()[0] == CSV_HEADER
 
 
 # every scenario that accepts eps = 0 and 1, with the options it reads

@@ -18,7 +18,13 @@ from hypothesis import given, settings, strategies as st
 from chargraph import rates, solvers
 
 from chargraph.errors import DecodeError, DeskScaleError, MisStructureError, ValidationError
-from chargraph.functions import LinearlySeparable, MultiLinear, demand_from_json, evaluate_demand
+from chargraph.functions import (
+    GeneralTable,
+    LinearlySeparable,
+    MultiLinear,
+    demand_from_json,
+    evaluate_demand,
+)
 from chargraph.graphs import (
     EXACT_COLOR_GUARD,
     build_char_graph,
@@ -37,6 +43,7 @@ from chargraph.probability import (
     diniz_joint,
     iid_bernoulli_joint,
     parity_param,
+    product_joint,
     product_param,
 )
 from chargraph.rates import (
@@ -685,6 +692,45 @@ def test_near_tied_orderings_go_to_the_earliest():
     assert len(tied) > 1
     rr = chain_rate(t, cyclic_placement(t), d, joint, orderings)
     assert rr.metadata["ordering"] == list(tied[0])
+
+
+def _rotation_instance(kind, n, k, eps):
+    """Parity or AND of K i.i.d. Bern(eps) bits on the cyclic placement at
+    Nr = N, where rotating the servers with their datasets changes nothing."""
+    t = topo(n, k, n)
+    d = LinearlySeparable(q=2, gamma=((1,) * k,)) if kind == "parity" else MultiLinear(k=k)
+    return t, cyclic_placement(t), d, iid_bernoulli_joint(k, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("kind, n, k", [
+    (kind, n, k) for kind in ("parity", "and") for n, k in ((3, 3), (4, 4), (5, 5), (3, 6))
+])
+def test_one_ordering_per_rotation_orbit_picks_the_winner_of_all(kind, n, k, eps):
+    # an ordering and its rotations have one sum, and the one that starts
+    # with server 1 comes first, so the orbit representatives give the sum
+    # and the ordering that all N! orderings give
+    t, p, d, joint = _rotation_instance(kind, n, k, eps)
+    assert rates.rotation_invariant(p, d, joint)
+    every = list(itertools.permutations(range(1, n + 1)))
+    full = chain_rate(t, p, d, joint, every)
+    firsts = chain_rate(t, p, d, joint, [o for o in every if o[0] == 1])
+    assert firsts.sum_rate == full.sum_rate
+    assert firsts.metadata["ordering"] == full.metadata["ordering"]
+
+
+def test_rotation_check_fails_on_each_broken_symmetry():
+    _, p, d, joint = _rotation_instance("parity", 4, 4, 0.3)
+    # a demand that rotation changes
+    rng = random.Random(5)
+    table = GeneralTable(q=2, k=4, tables=(tuple(rng.randint(0, 1) for _ in range(16)),))
+    assert not rates.rotation_invariant(p, table, joint)
+    assert not rates.rotation_invariant(p, LinearlySeparable(q=2, gamma=((1, 1, 0, 0),)), joint)
+    # a placement that rotation does not map to itself
+    skew = Placement(n=4, k=4, zones=((1, 2), (2, 3), (3, 4), (4,)))
+    assert not rates.rotation_invariant(skew, d, joint)
+    # a law whose bits are not identically distributed
+    assert not rates.rotation_invariant(p, d, product_joint([(0.7, 0.3)] * 3 + [(0.6, 0.4)]))
 
 
 def _walk_instance(rng, kind, sparse=False):
