@@ -258,9 +258,8 @@ def or_power(g: CharGraph, n: int) -> CharGraph:
         raise ValidationError("power must be >= 1")
     if g.n ** (2 * n) > PAIR_GUARD:
         raise DeskScaleError(f"{g.n}^{2 * n} vertex pairs exceed the {PAIR_GUARD} guard")
-    idx_tuples = list(iter_product(range(g.n), repeat=n))
-    vertices = tuple(tuple(g.vertices[i] for i in t) for t in idx_tuples)
-    pmf = tuple(math.prod(g.pmf[i] for i in t) for t in idx_tuples)
+    vertices = tuple(iter_product(g.vertices, repeat=n))
+    pmf = tuple(reduce(np.kron, [np.array(g.pmf)] * n).tolist())
     agree = np.ones((g.n, g.n), dtype=bool)
     for i, s in enumerate(g.neighbors):
         agree[i, list(s)] = False

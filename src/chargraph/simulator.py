@@ -11,8 +11,10 @@ The simulator works on the structure of its graphs: the OR power of a
 complete multipartite graph is complete multipartite, with the tuples of
 parts as its parts, so such an encoder reads the parts off the min_coloring
 of its server graph, colors a block by the index of its labels' part tuple
-and builds no OR power; and decoding groups blocks by one integer code per
-block, folded from its color profile and its outputs.
+and builds no OR power; decoding groups blocks by one integer code per
+block, folded from its color profile and the integer_codes of its outputs,
+and builds each distinct demanded sequence once; and a rate is one
+bincount over the colors themselves.
 """
 
 from __future__ import annotations
@@ -122,12 +124,18 @@ def _power_coloring(g: CharGraph, n: int) -> tuple[int, ...]:
     with the n-tuples of parts as its parts, its only minimum coloring, so
     vertex b gets the mixed-radix index of its labels' part ranks, parts
     ranked by their smallest vertex id (integer_codes of the colors), and
-    no power is built.  Any other g gets min_coloring of the built power:
-    exact on each component of at most EXACT_COLOR_GUARD vertices and
-    degree-ordered greedy on a larger one, so not always minimum."""
+    no power is built; DeskScaleError if its |V|^n colors pass POWER_GUARD,
+    as the sweep over support^n >= |V|^n blocks would.  Any other g gets
+    min_coloring of the built power: exact on each component of at most
+    EXACT_COLOR_GUARD vertices and degree-ordered greedy on a larger one,
+    so not always minimum."""
     part, parts = integer_codes(min_coloring(g))
     if sum(map(len, g.neighbors)) != g.n**2 - int((np.bincount(part) ** 2).sum()):
         return min_coloring(or_power(g, n))
+    if g.n**n > POWER_GUARD:
+        raise DeskScaleError(
+            f"{g.n}^{n} = {g.n**n} part-tuple colors exceed the sweep guard {POWER_GUARD}"
+        )
     return tuple(_block_index(np.array(part), len(parts), n).tolist())
 
 
@@ -176,33 +184,33 @@ def _outcomes(profiles: np.ndarray, demands: list, n: int) -> tuple[list, np.nda
     blocks in order of first appearance, and each block's pair.  profiles
     is (servers, blocks); demands[s] are support symbol s's outputs.
     Blocks are grouped by one integer code each: the index of the block's
-    demanded outputs, then, one color row at a time, the code made dense
-    (below the block count) times the row's range plus the color.  A color
-    is below its encoder's len(labels)^n, so for encoders built on the
-    swept law a code stays below POWER_GUARD^2 = 1e10."""
-    dems, dem_ids = np.unique(np.array(demands), axis=0, return_inverse=True)
-    truth = _block_index(dem_ids.reshape(-1), len(dems), n)
+    demanded outputs by their integer_codes, then, one color row at a
+    time, the code made dense (below the block count) times the row's range
+    plus the color.  A color is below its encoder's len(labels)^n, so for
+    encoders built on the swept law a code stays below POWER_GUARD^2 =
+    1e10.  Pairs sharing their demanded outputs share one tuple of them."""
+    dem_ids, dems = integer_codes(demands)
+    truth = _block_index(np.array(dem_ids), len(dems), n)
     code = truth
     for col in profiles:
         code = np.unique(code, return_inverse=True)[1] * (int(col.max()) + 1) + col
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     order = np.argsort(first)
     reps = first[order]  # each pair's first block
-    digits = np.unravel_index(truth[reps], (len(dems),) * n)
-    pairs = [
-        (tuple(pr), tuple(zip(*(dems[i].tolist() for i in ds))))
-        for pr, ds in zip(profiles[:, reps].T.tolist(), np.column_stack(digits).tolist())
-    ]
+    seq_of, truths = integer_codes(truth[reps].tolist())
+    digits = np.unravel_index(truths, (len(dems),) * n)
+    seqs = [tuple(zip(*(dems[i] for i in ds))) for ds in np.column_stack(digits).tolist()]
+    pairs = [(tuple(pr), seqs[j]) for pr, j in zip(profiles[:, reps].T.tolist(), seq_of)]
     return pairs, np.argsort(order)[inverse]
 
 
 def _rates(colors: np.ndarray, weights: np.ndarray, n: int) -> list[float]:
     """Per-symbol entropy of each row's color when block b has weight
-    weights[b] (the weights sum to 1)."""
+    weights[b] (the weights sum to 1): one bincount over the colors
+    themselves, which an Encoder keeps in 0..len(colors) - 1."""
     out = []
     for row in colors:
-        _, color_ids = np.unique(row, return_inverse=True)
-        q = np.bincount(color_ids, weights=weights)
+        q = np.bincount(row, weights=weights)
         # colors no block drew are left out: zero terms would regroup numpy's
         # pairwise sum and move the last bit of an empirical rate
         out.append(float(_plog2p_grid(q[q > 0]).sum()) / n)

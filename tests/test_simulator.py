@@ -25,15 +25,17 @@ from chargraph.graphs import (
     or_power,
     validate_coloring,
 )
-from chargraph.probability import JointPmf, binary_entropy, iid_bernoulli_joint
+from chargraph.probability import JointPmf, _plog2p_grid, binary_entropy, iid_bernoulli_joint
 from chargraph.rates import coloring_map, min_coloring
 from chargraph.simulator import (
+    POWER_GUARD,
     DecodeTable,
     Encoder,
     _block_index,
     _colors,
     _outcomes,
     _power_coloring,
+    _rates,
     build_decode_table,
     build_encoders,
     expected_rates,
@@ -182,6 +184,15 @@ class TestPartTupleColoring:
         tab = build_decode_table(encs, t, p, d, joint, (1, 2))
         assert run_simulation(encs, tab, joint, 1, 10_000, seed=5).errors == 0
         assert expected_rates(encs, joint, 1) == [1.0, 0.0]
+
+    def test_part_tuple_colors_are_guarded(self):
+        # the pair instance's 4-vertex server graphs have 4^9 = 262,144
+        # part tuples at n = 9, past the sweep guard: the encoder refuses
+        # before it builds them, as the sweep over 8^9 blocks would
+        t, p, d, joint = scenario_ii()
+        assert 4**9 > POWER_GUARD
+        with pytest.raises(DeskScaleError, match=r"4\^9 = 262144 part-tuple colors exceed"):
+            build_encoders(t, p, d, joint, 9)
 
     def test_colors_must_name_power_vertices(self):
         # a color outside 0..|labels|^n - 1 is refused: decoding folds the
@@ -530,6 +541,37 @@ def test_outcomes_match_row_unique(seed):
     want_pairs, want_of = outcomes_by_rows(profiles, demands, n)
     assert len(pairs) < symbols**n
     assert pairs == want_pairs and np.array_equal(pair_of, want_of)
+
+
+def rates_by_unique(colors, weights, n):
+    """_rates with each row's colors coded by np.unique: the oracle for its
+    bincount over the colors themselves."""
+    out = []
+    for row in colors:
+        _, color_ids = np.unique(row, return_inverse=True)
+        q = np.bincount(color_ids, weights=weights)
+        out.append(float(_plog2p_grid(q[q > 0]).sum()) / n)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("trials", [None, 1000])
+def test_rates_match_unique_oracle(seed, trials):
+    # 4,096 blocks weighted by their masses, a fifth of them 0, or by
+    # counts / trials as in run_simulation, where most blocks weigh 0;
+    # color ids up to 99,999 leave most ids undrawn, color 99,999 sits on a
+    # zero-weight block only, and the last row is a single color
+    rng = np.random.default_rng(seed)
+    blocks, n = 4096, int(rng.integers(1, 5))
+    masses = rng.random(blocks)
+    masses[rng.random(blocks) < 0.2] = 0.0
+    masses /= masses.sum()
+    weights = masses if trials is None else rng.multinomial(trials, masses) / trials
+    rows = [rng.choice(99_999, size=k)[rng.integers(0, k, size=blocks)] for k in (2, 30, 3000)]
+    for row in rows:
+        row[np.flatnonzero(weights == 0.0)[:1]] = 99_999
+    colors = np.array([*rows, np.full(blocks, 7)], dtype=np.int64)
+    assert _rates(colors, weights, n) == rates_by_unique(colors, weights, n)
 
 
 @pytest.mark.parametrize("instance,parts", [(scenario_ii, [2, 4, 2]), (product_instance, [2, 2, 2])])
