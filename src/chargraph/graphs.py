@@ -66,13 +66,17 @@ class CharGraph:
         if len(self.neighbors) != n:
             raise ValidationError("need one neighbour set per vertex")
         ids = frozenset(range(n))
-        for i, s in enumerate(self.neighbors):
+        neighbors = self.neighbors
+        for i, s in enumerate(neighbors):
             if not s <= ids:
                 raise ValidationError(f"neighbours {sorted(s - ids)} of vertex {i} are not vertex ids")
             if i in s:
                 raise ValidationError(f"self-loop at vertex {self.vertices[i]!r}")
-            if not all(i in self.neighbors[j] for j in s):
-                raise ValidationError(f"vertex {i} has a neighbour that is not adjacent to it")
+            # a plain loop: a generator under all() costs a frame per entry,
+            # and OR powers have 10^5 entries
+            for j in s:
+                if i not in neighbors[j]:
+                    raise ValidationError(f"vertex {i} has a neighbour that is not adjacent to it")
 
     @property
     def n(self) -> int:

@@ -84,6 +84,19 @@ class TestCharGraph:
         with pytest.raises(ValidationError, match="not adjacent"):
             CharGraph(vertices=(1, 2), neighbors=(frozenset({1}), frozenset()), pmf=(0.5, 0.5))
 
+    def test_symmetry_checks_every_entry(self):
+        # C8^2's sets with one back-entry dropped: the last vertex lists j,
+        # but j no longer lists it, so only the last vertex's check can fail
+        c8 = make_graph({i: 1 / 8 for i in range(8)}, [(i, (i + 1) % 8) for i in range(8)])
+        g = or_power(c8, 2)
+        last = g.n - 1
+        j = max(g.neighbors[last])
+        neighbors = list(g.neighbors)
+        neighbors[j] = neighbors[j] - {last}
+        with pytest.raises(ValidationError, match=f"vertex {last} has a neighbour that is not adjacent"):
+            CharGraph(vertices=g.vertices, neighbors=tuple(neighbors), pmf=g.pmf)
+        assert or_power(c8, 3).n == 512
+
     def test_neighbors_and_adjacency(self):
         g = ternary_graph()
         assert g.neighbors == (frozenset({2}), frozenset(), frozenset({0}))
