@@ -5,10 +5,10 @@ A sweep's grid is a pair of arrays (eps, param). A closed-form scenario
 prices the whole grid in one call of its rates.*_rates function; custom runs
 one chain_rate per eps point. Either way the sweep yields the R_graph,
 R_lin and R_SW columns, and the gains and rows are assembled from columns.
-A custom chain prices one ordering per rotation orbit when Nr = N and the
+A custom chain tries one ordering per rotation orbit when Nr = N and the
 point's law passes rates.rotation_invariant, and every ordering otherwise,
 with the same winner either way (see _custom_evaluator); custom JSON rows
-also carry orderings_tried, the count priced, and CSV rows do not. JSON is
+also carry orderings_tried, the number tried, and CSV rows do not. JSON is
 written from one row template (repr of each float, null for a non-finite
 one), byte-identical to json.dumps(payload, indent=2, allow_nan=False),
 which with indent set would run CPython's pure-Python encoder on every row.
@@ -221,9 +221,9 @@ def _custom_evaluator(cfg: dict[str, Any]) -> Evaluate:
     """One chain per eps point over the orderings of the first Nr servers.
     When Nr = N and the point's law passes rates.rotation_invariant, an
     ordering's rotations share its sum, so only the orderings that start
-    with server 1 are priced, one per orbit; each is the earliest of its
+    with server 1 are tried, one per orbit; each is the earliest of its
     orbit, so the tie rule picks the winner of all Nr!. Otherwise all Nr!
-    are priced."""
+    are tried."""
     if "demand" not in cfg:
         raise ValidationError("custom scenario needs --demand (a demand JSON file)")
     d = demand_from_json(_load_json(cfg["demand"]), k=cfg.get("k"))

@@ -38,11 +38,11 @@ the chain, and each stage sees the mass they leave as one lone vertex
 live section is left after the last stage. A stage reads only its
 server, the live points and their section codes; the next codes are
 graphs.integer_codes of the live points' (section code, color) pairs,
-once the settled sections leave, so _chain_eval builds each stage
+once the settled sections leave, so _chain_walk builds each stage
 (_Stage: graph, law, the (earlier code, color) of each new code, live
 points and their codes) once per such state, and every ordering that
-reaches the state shares it. Every ordering still solves each of its
-stages once, and the pick and the failures follow the supplied order.
+reaches the state shares it. Each ordering that decodes solves each of
+its stages once, and the pick and the failures follow the supplied order.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, compress, product as iter_product
-from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -450,11 +450,11 @@ def chain_rate(
     live points with their section codes, not on the order in which the
     earlier servers spoke or on the transcripts' names: every component of
     a stage graph lies in one section, and inside a section the vertices
-    order by their local tuples alone. So _chain_eval builds each stage
-    once per such state, shared by every ordering that reaches it. Each
-    ordering still solves each of its stages once.
+    order by their local tuples alone. So _chain_walk builds each stage
+    once per such state, shared by every ordering that reaches it, and
+    only an ordering that decodes solves its stages, each once.
 
-    Every supplied ordering is priced. When Nr = N and rotation_invariant
+    Every supplied ordering is tried. When Nr = N and rotation_invariant
     holds, an ordering and its rotations have equal sums, so a caller may
     supply only the orderings that start with server 1, one per orbit:
     each is the earliest of its orbit in the lexicographic order, so the
@@ -472,12 +472,13 @@ def chain_rate(
     splits = {server: zone_split(ws, p.zone0(server)) for server in servers}
     decodable: list[tuple[float, list[float], tuple[int, ...], bool]] = []
     failures: list[str] = []
-    for order, result in zip(orderings, _chain_eval(masses, outs, values, splits, orderings)):
-        if isinstance(result, DecodeError):
-            failures.append(str(result))
+    for order, path in zip(orderings, _chain_walk(masses, outs, splits, orderings)):
+        if (error := _decode_error(order, path, outs, values)) is not None:
+            failures.append(str(error))
             continue
-        rates, converged = result
-        decodable.append((math.fsum(rates), rates, order, converged))
+        solved = [conditional_graph_entropy(stage.graph, stage.joint) for stage in path]
+        rates = [res.value for res in solved]
+        decodable.append((math.fsum(rates), rates, order, all(res.converged for res in solved)))
     if not decodable:
         raise DecodeError(
             "no supplied ordering decodes the demands: " + "; ".join(failures)
@@ -622,30 +623,29 @@ def _next_stage(
 
 def _transcript(path: Sequence[_Stage], code: int) -> tuple[int, ...]:
     """The colors that led to section code at the end of path, whose first
-    stage is the root."""
+    stage follows the root."""
     colors = []
-    for stage in reversed(path[1:]):
+    for stage in reversed(path):
         code, color = stage.coded[code]
         colors.append(color)
     return tuple(reversed(colors))
 
 
-def _chain_eval(
+def _chain_walk(
     masses: Sequence[float],
     outs: Sequence[int],
-    values: Sequence[Any],
     splits: Mapping[int, ZoneSplit],
     orderings: Sequence[tuple[int, ...]],
-) -> list[tuple[list[float], bool] | DecodeError]:
-    """Each ordering's stage rates and convergence, or its DecodeError, in
-    the supplied order, given each support point's mass and output code
-    and the demanded outputs of each code. A stage reads only its server,
-    the live points and their section codes, so built holds one stage per
-    such key for the call, and every ordering that reaches a key shares its
-    stage. Every ordering solves each of its stages."""
+) -> Iterator[list[_Stage]]:
+    """Each ordering's stages after the root, in the supplied order, given
+    each support point's mass and output code. A stage reads only its
+    server, the live points and their section codes, so built holds one
+    stage per such key for the walk, and every ordering that reaches a key
+    shares its stage. The walk solves nothing and checks no decoding. It
+    yields each path once built: chain_rate prices it before the next is
+    built (all paths first raised chain-sweeps' peak RSS by 0.3 MB)."""
     root = _Stage(None, None, *_settle(range(len(outs)), (0,) * len(outs), outs), [])
     built: dict[tuple[int, tuple[int, ...], tuple[int, ...]], _Stage] = {}
-    results: list[tuple[list[float], bool] | DecodeError] = []
     for order in orderings:
         path = [root]
         for server in order:
@@ -653,29 +653,28 @@ def _chain_eval(
             if key not in built:
                 built[key] = _next_stage(path[-1], splits[server], masses, outs)
             path.append(built[key])
+        yield path[1:]
 
-        rates: list[float] = []
-        converged = True
-        for stage in path[1:]:
-            res = conditional_graph_entropy(stage.graph, stage.joint)
-            rates.append(res.value)
-            converged = converged and res.converged
-        # a settled section decodes to its one output, so the ordering
-        # decodes iff no live section is left
-        last = path[-1]
-        try:
-            decoding_map(
-                ((c, outs[k]) for k, c in zip(last.live, last.codes)),
-                lambda c, a, b: DecodeError(
-                    f"ordering {order} is insufficient: transcript {_transcript(path, c)} is "
-                    f"consistent with demands {values[a]} and {values[b]}"
-                ),
-            )
-        except DecodeError as exc:
-            results.append(exc)
-        else:
-            results.append((rates, converged))
-    return results
+
+def _decode_error(
+    order: tuple[int, ...], path: Sequence[_Stage], outs: Sequence[int], values: Sequence[Any]
+) -> DecodeError | None:
+    """The DecodeError of order, whose stages are path, naming the first
+    clash among its last live points, or None when it decodes: a settled
+    section decodes to its one output, so the ordering decodes iff no live
+    section is left after its last stage."""
+    last = path[-1]
+    try:
+        decoding_map(
+            ((c, outs[k]) for k, c in zip(last.live, last.codes)),
+            lambda c, a, b: DecodeError(
+                f"ordering {order} is insufficient: transcript {_transcript(path, c)} is "
+                f"consistent with demands {values[a]} and {values[b]}"
+            ),
+        )
+    except DecodeError as exc:
+        return exc
+    return None
 
 
 # ---------------------------------------------------------------------------

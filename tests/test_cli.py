@@ -22,7 +22,7 @@ from chargraph.probability import (
     parity_param,
 )
 from chargraph.rates import chain_rate, scenario2_table2_rates
-from chargraph.topology import cyclic_placement
+from chargraph.topology import Placement, Topology, cyclic_placement
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -851,6 +851,27 @@ class TestCustomScenario:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert "placement is for (N=4, K=8), topology says (N=4, K=4)" in err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 15: custom prices only the orderings of servers 1..Nr")
+    def test_placement_row_prices_the_worst_subset(self, capsys, tmp_path):
+        # the user recovers from any Nr servers; here subset {3, 4, 5} needs
+        # 2.7596 bits and each of the other nine subsets 1.9785
+        zones = [[1, 2, 3], [1, 2, 3], [1, 4, 5], [2, 4, 5], [3, 4, 5]]
+        f = tmp_path / "placement.json"
+        f.write_text(json.dumps({"N": 5, "K": 5, "Z": zones}))
+        demand = self._demand_file(tmp_path, k=5)
+        argv = ["scenario", "--scenario", "custom", "--demand", str(demand),
+                "--placement", str(f), "--n", "5", "--k", "5", "--nr", "3",
+                "--eps-grid", "0.3,0.3,1", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        t = Topology(n=5, k=5, kc=1, m=3, nr=3)
+        p = Placement(5, 5, tuple(map(tuple, zones)))
+        d = demand_from_json(json.loads(demand.read_text()), k=5)
+        worst = chain_rate(t, p, d, iid_bernoulli_joint(5, 0.3), list(permutations((3, 4, 5))))
+        assert row["R_graph"] == pytest.approx(worst.sum_rate, rel=0, abs=1e-12)
 
     def test_ordering_sweep_guard(self, capsys, tmp_path):
         code, _, err = run(

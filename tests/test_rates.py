@@ -759,37 +759,49 @@ def _walk_instance(rng, kind, sparse=False):
     return t, cyclic_placement(t), d, joint
 
 
-def _chain_inputs(p, d, joint):
+def _chain_inputs(p, d, joint, orders):
     """The masses, output codes and outputs of each code that chain_rate
-    passes to rates._chain_eval, and the support points."""
+    reads off the support, and the zone split of each server of orders."""
     items = support_items(d, p, joint)
     outs, values = integer_codes(dem for _, _, dem in items)
-    return [m for _, m, _ in items], outs, values, [w for w, _, _ in items]
+    ws = [w for w, _, _ in items]
+    splits = {s: zone_split(ws, p.zone0(s)) for o in orders for s in o}
+    return [m for _, m, _ in items], outs, values, splits
+
+
+def _priced_walk(masses, outs, values, splits, orders):
+    """rates._chain_walk on orders in one call: each ordering's path, its
+    DecodeError from rates._decode_error (None when it decodes) and the
+    solve of each of its stages, also for an ordering that does not
+    decode."""
+    paths = rates._chain_walk(masses, outs, splits, orders)
+    return [(path, rates._decode_error(o, path, outs, values),
+             [conditional_graph_entropy(stage.graph, stage.joint) for stage in path])
+            for o, path in zip(orders, paths)]
 
 
 def _stage_results(p, d, joint, orders):
-    """rates._chain_eval on orders in one call: each ordering's stage rates
+    """The walk on orders in one call: each decoding ordering's stage rates
     and convergence, or its DecodeError's text."""
-    masses, outs, values, ws = _chain_inputs(p, d, joint)
-    splits = {s: zone_split(ws, p.zone0(s)) for o in orders for s in o}
-    return [r if isinstance(r, tuple) else str(r)
-            for r in rates._chain_eval(masses, outs, values, splits, orders)]
+    return [([res.value for res in solved], all(res.converged for res in solved))
+            if error is None else str(error)
+            for _, error, solved in _priced_walk(*_chain_inputs(p, d, joint, orders), orders)]
 
 
 def _state_transcripts(p, d, joint, orders):
     """Each stage key (server, live points, section codes) that the
     orderings reach, with the set of the live sections' transcripts along
     each prefix that reaches it; every stage is built afresh."""
-    masses, outs, _, ws = _chain_inputs(p, d, joint)
+    masses, outs, _, splits = _chain_inputs(p, d, joint, orders)
     root = rates._Stage(None, None, *rates._settle(range(len(outs)), (0,) * len(outs), outs), [])
     seen = {}
     for order in orders:
         path = [root]
         for server in order:
             key = (server, path[-1].live, path[-1].codes)
-            names = tuple(rates._transcript(path, c) for c in path[-1].codes)
+            names = tuple(rates._transcript(path[1:], c) for c in path[-1].codes)
             seen.setdefault(key, set()).add(names)
-            path.append(rates._next_stage(path[-1], zone_split(ws, p.zone0(server)), masses, outs))
+            path.append(rates._next_stage(path[-1], splits[server], masses, outs))
     return seen
 
 
@@ -868,22 +880,12 @@ def test_prefix_walk_matches_each_ordering_alone(kind, seed):
     _check_walk(rng, t, p, d, joint)
 
 
-def _solves(t, p, d, joint, orders):
-    """The graph and value of every stage solve chain_rate makes on orders."""
-    solves = []
-
-    def recorded_solve(g, joint2):
-        res = conditional_graph_entropy(g, joint2)
-        solves.append((g, res.value))
-        return res
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
-        try:
-            chain_rate(t, p, d, joint, orders)
-        except DecodeError:
-            pass
-    return solves
+def _solves(p, d, joint, orders):
+    """The graph and value of every stage of every ordering in the walk on
+    orders, in order."""
+    return [(stage.graph, res.value)
+            for path, _, solved in _priced_walk(*_chain_inputs(p, d, joint, orders), orders)
+            for stage, res in zip(path, solved)]
 
 
 def test_prefix_walk_siblings_after_a_settling_stage():
@@ -895,14 +897,14 @@ def test_prefix_walk_siblings_after_a_settling_stage():
     p = cyclic_placement(t)
     d = MultiLinear(k=5)
     joint = iid_bernoulli_joint(5, 0.3)
-    stage2 = _solves(t, p, d, joint, [(1, 2, 3, 4)])[1][0]
+    stage2 = _solves(p, d, joint, [(1, 2, 3, 4)])[1][0]
     assert ((), ()) in stage2.vertices  # stage 1 settled sections
     for orders in ([(1, 2, 3, 4), (1, 3, 2, 4)], [(1, 3, 2, 4), (1, 2, 3, 4), (1, 3), (1, 2, 4)]):
         _assert_walk_matches_one_by_one(t, p, d, joint, orders)
-        # every stage of every ordering, not only the winner's, is priced
+        # every stage of every ordering, not only the winner's, is walked
         # as if its ordering were alone
-        alone = [v for o in orders for _, v in _solves(t, p, d, joint, [o])]
-        assert sorted(v for _, v in _solves(t, p, d, joint, orders)) == sorted(alone)
+        alone = [v for o in orders for _, v in _solves(p, d, joint, [o])]
+        assert [v for _, v in _solves(p, d, joint, orders)] == alone
 
 
 def test_no_ordering_decodes_message_is_unchanged():
@@ -919,6 +921,49 @@ def test_no_ordering_decodes_message_is_unchanged():
         "ordering (1, 2) is insufficient: transcript (0, 0) is consistent with demands (0,) and (1,); "
         "ordering (2, 3) is insufficient: transcript (0, 0) is consistent with demands (0,) and (1,)"
     )
+
+
+def _clashing_parity():
+    """ROADMAP item 2's law: parity of three bits, N = K = 3, Nr = 2, cyclic
+    zones, uniform on {000, 001, 011, 100, 110}. Each server's minimum
+    coloring is proper, yet servers 1 and 2 do not decode together."""
+    t = topo(3, 3, 2)
+    points = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+    joint = JointPmf((2, 2, 2), {w: 1 / 5 for w in points})
+    return t, cyclic_placement(t), LinearlySeparable(q=2, gamma=((1, 1, 1),)), joint
+
+
+def test_an_ordering_that_does_not_decode_costs_no_solve(monkeypatch):
+    # (1, 2) does not decode, so only the two stages of (3, 2) are solved
+    t, p, d, joint = _clashing_parity()
+    solves = []
+
+    def counted_solve(g, joint2):
+        solves.append(g.n)
+        return conditional_graph_entropy(g, joint2)
+
+    monkeypatch.setattr(rates, "conditional_graph_entropy", counted_solve)
+    rr = chain_rate(t, p, d, joint, [(1, 2), (3, 2)])
+    assert rr.metadata["ordering"] == [3, 2]
+    assert rr.sum_rate == pytest.approx(1.5219280948873624, rel=0, abs=1e-12)
+    assert len(solves) == 2
+
+
+@pytest.mark.xfail(strict=True, raises=DecodeError,
+                   reason="ROADMAP item 2: a stage's completion key holds coordinates "
+                          "only earlier servers hold, so a minimum coloring can fail to decode")
+def test_servers_that_hold_every_bit_decode():
+    # servers 1 and 2 hold all three bits between them
+    t, p, d, joint = _clashing_parity()
+    chain_rate(t, p, d, joint, [(1, 2)])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8: s3 reports 0.469 bits, below H(f)")
+def test_scenario3_respects_the_information_floor():
+    t = topo(3, 3, 2)
+    r_graph, _, _ = scenario3_rates(t, 0.1).sum_rates()
+    assert r_graph >= binary_entropy(parity_param(3, 0.1)) - 1e-9
 
 
 def _mixture_joint(k, eps, rho):
@@ -1136,26 +1181,8 @@ def _reference_chain(ws, zones, order, masses, outs):
     return values, meets_settled, None
 
 
-def _chain_eval_with_values(masses, outs, demands, splits, orderings):
-    """rates._chain_eval's results, and each ordering's stage values, also
-    for an ordering that does not decode: every ordering solves each of its
-    stages, in order."""
-    values = []
-
-    def recorded_solve(g, joint):
-        res = conditional_graph_entropy(g, joint)
-        values.append(res.value)
-        return res
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rates, "conditional_graph_entropy", recorded_solve)
-        results = rates._chain_eval(masses, outs, demands, splits, orderings)
-    solves = iter(values)
-    return results, [list(itertools.islice(solves, len(o))) for o in orderings]
-
-
 def _check_merged_stages(ws, zones, order, demand, rng):
-    """Run rates._chain_eval on the support ws with random masses against
+    """Run the chain's walk on the support ws with random masses against
     the reference chain that settles nothing: every stage value agrees
     within 1e-15, and the ordering decodes in both or fails in both with
     the same message. Returns the number of stages that meet a settled
@@ -1167,11 +1194,9 @@ def _check_merged_stages(ws, zones, order, demand, rng):
     expected, meets_settled, message = _reference_chain(ws, zones, order, masses, outs)
     demands = [(o,) for o in range(max(outs) + 1)]  # output code o demands (o,)
     splits = {s: zone_split(ws, zones[s]) for s in order}
-    [result], [values] = _chain_eval_with_values(masses, outs, demands, splits, [order])
-    if isinstance(result, DecodeError):
-        assert str(result) == message
-    else:
-        assert message is None
+    [(_, error, solved)] = _priced_walk(masses, outs, demands, splits, [order])
+    assert (None if error is None else str(error)) == message
+    values = [res.value for res in solved]
     assert len(values) == len(expected)
     assert all(abs(a - b) <= 1e-15 for a, b in zip(values, expected))
     return meets_settled
@@ -1209,12 +1234,16 @@ def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
         d = demand_from_json(json.load(fh), k=5)
     t = topo(5, 5, 4)
     p = cyclic_placement(t)
-    stages, settled_stages, sets = [], [], []
+    orders = list(itertools.permutations(range(1, 5)))
+    # every section settled: a stage graph is the settled vertex alone
+    masses, outs, _, splits = _chain_inputs(p, d, iid_bernoulli_joint(5, 0.1), orders)
+    paths = rates._chain_walk(masses, outs, splits, orders)
+    assert any(stage.graph.vertices == (((), ()),) for path in paths for stage in path)
+    # the counts the benchmark's tracer pins on this item
+    solves, sets = [], []
 
     def counted_solve(g, joint):
-        stages.append(g.n)
-        # every section settled: the stage graph is the settled vertex alone
-        settled_stages.append(g.vertices == (((), ()),))
+        solves.append(g.n)
         return conditional_graph_entropy(g, joint)
 
     def counted_mis(g, vs=None):
@@ -1224,12 +1253,10 @@ def test_and5_sweep_makes_one_solve_per_stage(monkeypatch):
 
     monkeypatch.setattr(rates, "conditional_graph_entropy", counted_solve)
     monkeypatch.setattr(solvers, "enumerate_mis", counted_mis)
-    orders = list(itertools.permutations(range(1, 5)))
     for eps in (0.1, 0.2, 0.3, 0.4):
         chain_rate(t, p, d, iid_bernoulli_joint(5, eps), orders)
-    assert len(stages) == 4 * 24 * 4
+    assert len(solves) == 4 * 24 * 4
     assert sum(sets) > 0
-    assert any(settled_stages)
 
 
 @pytest.mark.parametrize("stem, n, nr, grid, builds", [
@@ -1244,29 +1271,29 @@ def test_chain_builds_each_state_once(monkeypatch, stem, n, nr, grid, builds):
     # spoken fixes the state, so there are at most Nr 2^(Nr - 1) states,
     # one per server and set of the others (32, 192 and 80 here); two sets
     # that leave one partition of the live points share a state, which
-    # leaves 30 on and-5-4 and 68 on and-6-5. Each ordering still solves
-    # each of its stages once
+    # leaves 30 on and-5-4 and 68 on and-6-5. Every ordering here decodes,
+    # so each solves each of its stages once
     with open(Path(__file__).resolve().parents[1] / f"perfbench/inputs/{stem}.json") as fh:
         d = demand_from_json(json.load(fh), k=n)
     t = topo(n, n, nr)
     p = cyclic_placement(t)
-    counts = {"builds": 0, "solves": 0}
+    solves = []
 
-    def counted(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
+    def counted_solve(g, joint):
+        solves.append(g.n)
+        return conditional_graph_entropy(g, joint)
 
-    monkeypatch.setattr(rates, "min_coloring", counted("builds", min_coloring))
-    monkeypatch.setattr(rates, "conditional_graph_entropy",
-                        counted("solves", conditional_graph_entropy))
+    monkeypatch.setattr(rates, "conditional_graph_entropy", counted_solve)
     orders = list(itertools.permutations(range(1, nr + 1)))
     for eps in grid:
-        counts.update(builds=0, solves=0)
-        rr = chain_rate(t, p, d, iid_bernoulli_joint(n, eps), orders)
+        joint = iid_bernoulli_joint(n, eps)
+        masses, outs, _, splits = _chain_inputs(p, d, joint, orders)
+        paths = rates._chain_walk(masses, outs, splits, orders)
+        assert len({id(stage) for path in paths for stage in path}) == builds
+        solves.clear()
+        rr = chain_rate(t, p, d, joint, orders)
         assert rr.metadata["orderings_tried"] == len(orders)
-        assert counts == {"builds": builds, "solves": nr * len(orders)}
+        assert len(solves) == nr * len(orders)
 
 
 # the chain on a seeded family of sparse supports, from the whole-transcript
@@ -1612,7 +1639,8 @@ def test_chain_matches_the_frozen_family(case):
     p = cyclic_placement(topo(n, n, nr))
     splits = {s: zone_split(ws, p.zone0(s)) for s in range(1, nr + 1)}
     orderings = [tuple(order) for order, _, _ in expected]
-    results, values = _chain_eval_with_values(masses, outs, demands, splits, orderings)
-    for (order, costs, decodes), result, got in zip(expected, results, values):
-        assert (not isinstance(result, DecodeError)) == decodes, order
-        assert got == pytest.approx(costs, rel=0, abs=1e-12), order
+    for (order, costs, decodes), (_, error, solved) in zip(
+        expected, _priced_walk(masses, outs, demands, splits, orderings)
+    ):
+        assert (error is None) == decodes, order
+        assert [res.value for res in solved] == pytest.approx(costs, rel=0, abs=1e-12), order
