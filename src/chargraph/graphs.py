@@ -360,14 +360,19 @@ def greedy_coloring(g: CharGraph, vs: Sequence[int] | None = None) -> tuple[int,
     """Deterministic greedy coloring of g, or of its subgraph induced on the
     ascending vertex ids vs, the color of each of that graph's ids (position
     in vs): vertices by decreasing degree, ties by id; each gets the
-    smallest color absent from its colored neighbors."""
+    smallest color absent from its colored neighbors, found as the first
+    color class disjoint from its neighbours (a new class if none is)."""
     nbrs = _block_neighbors(g, vs)
-    colors = [-1] * len(nbrs)  # -1: not colored yet
+    colors = [0] * len(nbrs)
+    classes: list[set[int]] = []  # the vertices of each color so far
     for v in _degree_order(nbrs):
-        used = {colors[u] for u in nbrs[v]}
-        c = 0
-        while c in used:
-            c += 1
+        for c, cls in enumerate(classes):
+            if cls.isdisjoint(nbrs[v]):
+                cls.add(v)
+                break
+        else:
+            c = len(classes)
+            classes.append({v})
         colors[v] = c
     return tuple(colors)
 
@@ -411,7 +416,7 @@ def exact_min_coloring(g: CharGraph, vs: Sequence[int] | None = None) -> tuple[i
     if n > EXACT_COLOR_GUARD:
         raise DeskScaleError(f"|V| = {n} exceeds the exact-coloring guard")
     greedy = greedy_coloring(g, vs)
-    greedy_k = max(greedy) + 1
+    greedy_k = max(greedy, default=-1) + 1  # 0 colors on no vertices
     # a clique needs one color per vertex, so no coloring beats greedy's
     clique: list[int] = []
     for v in _degree_order(nbrs):

@@ -11,10 +11,10 @@ The simulator works on the structure of its graphs: the OR power of a
 complete multipartite graph is complete multipartite, with the tuples of
 parts as its parts, so such an encoder reads the parts off the min_coloring
 of its server graph, colors a block by the index of its labels' part tuple
-and builds no OR power; decoding groups blocks by one integer code per
-block, folded from its color profile and the integer_codes of its outputs,
-and builds each distinct demanded sequence once; and a rate is one
-bincount over the colors themselves.
+and builds no OR power; decoding groups blocks with one sort of one
+mixed-radix integer code per block, folded from its color profile and the
+integer_codes of its outputs, and builds each distinct demanded sequence
+once; and a rate is one bincount over the colors themselves.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .rates import min_coloring
 from .topology import Placement, Topology
 
 POWER_GUARD = 10**5  # max support^n length-n blocks in one sweep
+CODE_RANGE = 2**62  # max range of a block's int64 outcome code
 
 
 @dataclass(frozen=True)
@@ -183,17 +184,24 @@ def _outcomes(profiles: np.ndarray, demands: list, n: int) -> tuple[list, np.nda
     """The distinct (color profile, demanded sequences) pairs over all
     blocks in order of first appearance, and each block's pair.  profiles
     is (servers, blocks); demands[s] are support symbol s's outputs.
-    Blocks are grouped by one integer code each: the index of the block's
-    demanded outputs by their integer_codes, then, one color row at a
-    time, the code made dense (below the block count) times the row's range
-    plus the color.  A color is below its encoder's len(labels)^n, so for
-    encoders built on the swept law a code stays below POWER_GUARD^2 =
-    1e10.  Pairs sharing their demanded outputs share one tuple of them."""
+    Blocks are grouped by one integer code each, sorted once: the index of
+    the block's demanded outputs by their integer_codes, then, one color
+    row at a time, the code times the row's range plus the color, a
+    mixed-radix number.  The code is made dense (below the block count)
+    only where the next row would take its range past CODE_RANGE; a color
+    is below its encoder's len(labels)^n <= POWER_GUARD, so a dense code
+    times a row's range stays below POWER_GUARD^2 = 1e10.  Pairs sharing
+    their demanded outputs share one tuple of them."""
     dem_ids, dems = integer_codes(demands)
     truth = _block_index(np.array(dem_ids), len(dems), n)
-    code = truth
+    code, span = truth, len(dems) ** n  # every code lies in 0..span - 1
     for col in profiles:
-        code = np.unique(code, return_inverse=True)[1] * (int(col.max()) + 1) + col
+        radix = int(col.max()) + 1
+        if span * radix > CODE_RANGE:
+            uniq, code = np.unique(code, return_inverse=True)
+            span = len(uniq)
+        code = code * radix + col
+        span *= radix
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     order = np.argsort(first)
     reps = first[order]  # each pair's first block

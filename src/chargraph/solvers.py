@@ -351,10 +351,14 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPmf) -> GraphEntropyResu
     for (x, y), mass in joint.mass.items():
         if mass > 0.0:  # masses are >= 0
             rows[x][y] = mass
-    if any(abs(math.fsum(r.values()) - p) > 1e-9 * p for r, p in zip(rows, g.pmf)):
-        raise ValidationError("joint's X-marginal does not match the vertex PMF")
-    if all(len(r) == 1 for r in rows):
-        return _solve_blocks(g, components(g, [next(iter(r)) for r in rows]), [g.pmf])
+    side: list[int] = []  # the y of each x with one positive cell
+    for r, p in zip(rows, g.pmf):
+        if abs(math.fsum(r.values()) - p) > 1e-9 * p:
+            raise ValidationError("joint's X-marginal does not match the vertex PMF")
+        if len(r) == 1:
+            side.append(next(iter(r)))
+    if len(side) == g.n:  # every row has one cell (none is empty: p > 0)
+        return _solve_blocks(g, components(g, side), [g.pmf])
     ys = sorted({y for r in rows for y in r})  # the symbols with positive mass
     return _solve_blocks(g, [range(g.n)], [[r.get(y, 0.0) for r in rows] for y in ys])
 

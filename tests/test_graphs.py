@@ -362,6 +362,23 @@ class TestEnumerateMis:
         assert res.iterations == 0
 
 
+def greedy_by_used_colors(g: CharGraph, vs=None) -> tuple[int, ...]:
+    """greedy_coloring by its definition, building the set of colors its
+    colored neighbours hold for each vertex: the oracle for its search of
+    the color classes."""
+    ids = range(g.n) if vs is None else vs
+    pos = {v: i for i, v in enumerate(ids)}
+    nbrs = [{pos[u] for u in g.neighbors[v] if u in pos} for v in ids]
+    colors = [-1] * len(nbrs)  # -1: not colored yet
+    for v in sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v)):
+        used = {colors[u] for u in nbrs[v]}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return tuple(colors)
+
+
 class TestColorings:
     def test_greedy_is_proper(self):
         g = or_power(ternary_graph(), 2)
@@ -416,6 +433,24 @@ class TestColorings:
             greedy_k = len(set(greedy_coloring(g)))
             assert exact_k <= greedy_k
             validate_coloring(g, exact_min_coloring(g))
+
+    def test_greedy_matches_used_color_sets(self):
+        rng = random.Random(11)
+        c8 = make_graph({v: 1 / 8 for v in range(8)}, [(v, (v + 1) % 8) for v in range(8)])
+        cases = [(or_power(c8, 3), None), (or_power(ternary_graph(), 2), None)]
+        for _ in range(40):
+            nv = rng.randint(1, 30)
+            density = rng.random()
+            edges = [e for e in combinations(range(nv), 2) if rng.random() < density]
+            g = make_graph({v: 1.0 / nv for v in range(nv)}, edges)
+            vs = sorted(rng.sample(range(nv), rng.randint(0, nv)))
+            cases += [(g, None), (g, vs)]
+        for g, vs in cases:
+            assert greedy_coloring(g, vs) == greedy_by_used_colors(g, vs)
+
+    def test_exact_on_no_vertices(self):
+        g = ternary_graph()
+        assert exact_min_coloring(g, ()) == greedy_coloring(g, ()) == ()
 
     def test_exact_guard(self):
         big = make_graph({v: 1.0 / 13 for v in range(13)}, [])

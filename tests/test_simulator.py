@@ -20,6 +20,7 @@ from chargraph.graphs import (
     PAIR_GUARD,
     build_char_graph,
     enumerate_mis,
+    integer_codes,
     is_complete_multipartite,
     make_graph,
     or_power,
@@ -540,6 +541,66 @@ def test_outcomes_match_row_unique(seed):
     pairs, pair_of = _outcomes(profiles, demands, n)
     want_pairs, want_of = outcomes_by_rows(profiles, demands, n)
     assert len(pairs) < symbols**n
+    assert pairs == want_pairs and np.array_equal(pair_of, want_of)
+
+
+def outcomes_by_row_fold(profiles, demands, n):
+    """_outcomes with its code made dense by np.unique before every color
+    row, one sort per row: the oracle for its mixed-radix fold, which sorts
+    once."""
+    dem_ids, dems = integer_codes(demands)
+    truth = _block_index(np.array(dem_ids), len(dems), n)
+    code = truth
+    for col in profiles:
+        code = np.unique(code, return_inverse=True)[1] * (int(col.max()) + 1) + col
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    reps = first[order]
+    seq_of, truths = integer_codes(truth[reps].tolist())
+    digits = np.unravel_index(truths, (len(dems),) * n)
+    seqs = [tuple(zip(*(dems[i] for i in ds))) for ds in np.column_stack(digits).tolist()]
+    pairs = [(tuple(pr), seqs[j]) for pr, j in zip(profiles[:, reps].T.tolist(), seq_of)]
+    return pairs, np.argsort(order)[inverse]
+
+
+def random_profiles(rng, rows, blocks, top):
+    """(rows, blocks) colors, each row drawn from 0, the top of its own
+    range (at most top) and a few colors between."""
+    out = []
+    for _ in range(rows):
+        radix = int(rng.integers(1, top + 1))
+        pool = np.unique([0, radix - 1, *rng.integers(0, radix, size=int(rng.integers(0, 4)))])
+        out.append(pool[rng.integers(0, len(pool), size=blocks)])
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_outcomes_match_row_fold(seed):
+    # 1-3 servers with color ranges up to 1e5, and 1-3 distinct demand
+    # tuples over the symbols
+    rng = np.random.default_rng(seed)
+    rows, symbols, n, kc = (int(v) for v in rng.integers((1, 2, 1, 1), (4, 7, 4, 3)))
+    outs = rng.integers(0, 3, size=(int(rng.integers(1, 4)), kc))
+    demands = [tuple(outs[i].tolist()) for i in rng.integers(0, len(outs), size=symbols)]
+    profiles = random_profiles(rng, rows, symbols**n, 10**5)
+    pairs, pair_of = _outcomes(profiles, demands, n)
+    want_pairs, want_of = outcomes_by_row_fold(profiles, demands, n)
+    assert pairs == want_pairs and np.array_equal(pair_of, want_of)
+
+
+def test_outcomes_densify_past_the_code_range():
+    # three rows of range 2^32 after 2^3 output indices: the second row
+    # would take the code's range to 2^67 > CODE_RANGE, so the code is made
+    # dense first; a fold that kept going would wrap modulo 2^64 and lose
+    # the outputs and the first row
+    rng = np.random.default_rng(5)
+    symbols, n = 4, 3
+    demands = [(s % 2,) for s in range(symbols)]
+    pool = np.array([0, 1, 2**32 - 1])
+    profiles = pool[rng.integers(0, len(pool), size=(3, symbols**n))]
+    assert 2**n * 2**32 * 2**32 > simulator.CODE_RANGE
+    pairs, pair_of = _outcomes(profiles, demands, n)
+    want_pairs, want_of = outcomes_by_row_fold(profiles, demands, n)
     assert pairs == want_pairs and np.array_equal(pair_of, want_of)
 
 
